@@ -180,16 +180,13 @@ def _build_estimator(args, cfg: RunConfig):
     if name not in ESTIMATOR_NAMES:
         raise DomainError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")
     search = _search_config(cfg, name, getattr(args, "gap", None))
-    weights = None
     if getattr(args, "weights", None):
         path = Path(args.weights)
         if not path.is_file():
             raise DomainError(f"weights file not found: {path}")
         weights, meta = load_weights(path)
         return make_estimator(name, search, weights), search, meta
-    if name == "feature_scale" and getattr(args, "require_weights", False):
-        raise DomainError("feature_scale evaluation requires --weights")
-    return make_estimator(name, search, weights), search, None
+    return make_estimator(name, search, None), search, None
 
 
 def cmd_estimate(args) -> int:

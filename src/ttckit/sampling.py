@@ -12,35 +12,87 @@ x0 at texel ``x0 + j * (w / out_w)`` (so a box covering the whole image
 resized to the image size is an identity), while ``grid_sample_features``
 is corner-aligned, ``x0 + j * (w - 1) / (out - 1)``, with the first and
 last samples pinned to the box edges.
+
+Separable lattices
+------------------
+Every grid sampled here is separable: its rows depend only on y and its
+columns only on x.  ``bilinear_sample`` recognises one from the coordinate
+shapes, ``ys`` ``(..., n, 1)`` against ``xs`` ``(..., 1, m)``, and then
+interpolates along x over just the strip of image rows the lattice
+touches (``strip[:, x0] * (1 - fx) + strip[:, x1] * fx``), gathers whole
+interpolated rows and interpolates along y (``rows[y0] * (1 - fy) +
+rows[y1] * fy``).  Each sample sees the same four texels, the same
+products and the same additions in the same order as in the general
+four-corner gather, so the two paths give bit-identical results.  Leading
+batch axes loop over the lattices; any other coordinate shape takes the
+general gather.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 from .boxes import BoundingBox
 from .errors import DomainError
 
-_NORM_EPS = 1e-12
+
+def _corners(coords: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower and upper texel indices and the weight of the upper one."""
+    i0 = np.floor(coords).astype(np.intp)
+    return i0, np.minimum(i0 + 1, size - 1), coords - i0
+
+
+def _sample_lattice(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Samples at every ``(ys[i], xs[j])``; 1-D coordinates, already clamped.
+
+    Interpolates along x over the strip of rows the lattice touches, then
+    along y between whole interpolated rows.
+    """
+    y0, y1, fy = _corners(ys, image.shape[0])
+    x0, x1, fx = _corners(xs, image.shape[1])
+    fy = fy.reshape((-1,) + (1,) * (image.ndim - 1))
+    fx = fx.reshape((-1,) + (1,) * (image.ndim - 2))
+    lo = int(y0.min())
+    strip = image[lo : int(y1.max()) + 1]
+    rows = strip[:, x0] * (1.0 - fx)
+    rows += strip[:, x1] * fx
+    # in place on the fresh row gathers: fewer new buffers, so fewer page
+    # faults, than rows[y0] * (1 - fy) + rows[y1] * fy
+    out = rows[y0 - lo]
+    out *= 1.0 - fy
+    bot = rows[y1 - lo]
+    bot *= fy
+    out += bot
+    return out
 
 
 def bilinear_sample(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Sample an (H, W) or (H, W, C) array at float texel coords, edge-clamped.
 
     ``ys`` and ``xs`` must broadcast against each other; the output has
-    their broadcast shape (plus the channel axis, if any).
+    their broadcast shape (plus the channel axis, if any).  Lattice
+    coordinates, ``ys`` of shape ``(..., n, 1)`` and ``xs`` of shape
+    ``(..., 1, m)``, take the separable path (see the module docstring).
     """
     h, w = image.shape[:2]
     ys = np.clip(np.asarray(ys, dtype=np.float64), 0.0, h - 1.0)
     xs = np.clip(np.asarray(xs, dtype=np.float64), 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(np.intp)
-    x0 = np.floor(xs).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = ys - y0
-    fx = xs - x0
+    lattice = min(ys.ndim, xs.ndim) >= 2 and ys.shape[-1] == xs.shape[-2] == 1
+    if lattice and ys.size and xs.size:
+        batch = np.broadcast_shapes(ys.shape[:-2], xs.shape[:-2])
+        if not batch:
+            return _sample_lattice(image, ys[:, 0], xs[0])
+        ys = np.broadcast_to(ys, batch + ys.shape[-2:])
+        xs = np.broadcast_to(xs, batch + xs.shape[-2:])
+        out = np.empty(
+            batch + (ys.shape[-2], xs.shape[-1]) + image.shape[2:],
+            dtype=np.result_type(image.dtype, np.float64),
+        )
+        for idx in np.ndindex(batch):
+            out[idx] = _sample_lattice(image, ys[idx][:, 0], xs[idx][0])
+        return out
+    y0, y1, fy = _corners(ys, h)
+    x0, x1, fx = _corners(xs, w)
     if image.ndim == 3:
         fy = fy[..., None]
         fx = fx[..., None]
@@ -85,49 +137,6 @@ def grid_sample_features(
     """Resample a feature map at a fixed-size uniform grid spanning a box."""
     ys, xs = grid_positions(box, out_w, out_h)
     return bilinear_sample(fmap, ys[:, None], xs[None, :])
-
-
-def cosine_similarity_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-position cosine similarity of channel vectors.
-
-    Positions where either vector has (near-)zero norm score 0.
-    """
-    if a.shape != b.shape:
-        raise DomainError(f"shape mismatch {a.shape} vs {b.shape}")
-    if a.ndim == 2:
-        a = a[..., None]
-        b = b[..., None]
-    num = np.sum(a * b, axis=-1)
-    denom = np.sqrt(np.sum(a * a, axis=-1) * np.sum(b * b, axis=-1))
-    return num / np.maximum(denom, _NORM_EPS)
-
-
-def center_shift_search(
-    score_fn: Callable[[BoundingBox], float],
-    box: BoundingBox,
-    c: int,
-    maximize: bool = True,
-) -> tuple[float, int, int]:
-    """Exhaustive integer-offset search over a (2c+1) x (2c+1) neighborhood.
-
-    Evaluates ``score_fn`` at every center offset (dx, dy) in [-c, c]^2 and
-    returns ``(best_score, dx, dy)``.  Ties keep the lexicographically first
-    (dx, dy).
-    """
-    if c < 0:
-        raise DomainError(f"shift radius must be >= 0, got {c}")
-    best: tuple[float, int, int] | None = None
-    for dx in range(-c, c + 1):
-        for dy in range(-c, c + 1):
-            score = float(score_fn(box.shifted(dx, dy)))
-            if best is None:
-                best = (score, dx, dy)
-            elif maximize and score > best[0]:
-                best = (score, dx, dy)
-            elif not maximize and score < best[0]:
-                best = (score, dx, dy)
-    assert best is not None
-    return best
 
 
 def shift_offsets(c: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from .boxes import BoundingBox
 from .core import DEFAULT_VELOCITY_EPS, ttc_from_depth_velocity
 from .errors import DomainError, SequenceInvalidError
 from .manifest import FrameSample, Sequence, SequenceLabel
+from .sampling import bilinear_sample
 from .scenarios import ScenarioScript, Trajectory, constant_velocity_script, simulate_script
 
 
@@ -176,19 +177,9 @@ def render_frame(
         sub = (np.arange(supersample) + 0.5) / supersample  # offsets within a pixel
         cols = (cols_i[:, None] + sub[None, :]).reshape(-1)
         rows = (rows_i[:, None] + sub[None, :]).reshape(-1)
-        tx = np.clip((cols - exact_box.x0) / w * tw - 0.5, 0, tw - 1)
-        ty = np.clip((rows - exact_box.y0) / h * th - 0.5, 0, th - 1)
-        x0i = np.floor(tx).astype(np.intp)
-        y0i = np.floor(ty).astype(np.intp)
-        x1i = np.minimum(x0i + 1, tw - 1)
-        y1i = np.minimum(y0i + 1, th - 1)
-        fx = (tx - x0i)[None, :, None]
-        fy = (ty - y0i)[:, None, None]
-        tex = target.texture
-        top = tex[y0i[:, None], x0i[None, :]] * (1 - fx) + tex[y0i[:, None], x1i[None, :]] * fx
-        dense = top * (1 - fy) + (
-            tex[y1i[:, None], x0i[None, :]] * (1 - fx) + tex[y1i[:, None], x1i[None, :]] * fx
-        ) * fy
+        tx = (cols - exact_box.x0) / w * tw - 0.5
+        ty = (rows - exact_box.y0) / h * th - 0.5
+        dense = bilinear_sample(target.texture, ty[:, None], tx[None, :])
         n_rows = rows_i.size
         n_cols = cols_i.size
         tex_avg = dense.reshape(n_rows, supersample, n_cols, supersample, 3).mean(axis=(1, 3))

@@ -7,6 +7,7 @@ from ttckit.boxes import BoundingBox
 from ttckit.errors import SequenceInvalidError
 from ttckit.estimate import (
     ScaleSearchConfig,
+    _pixel_mse_scores,
     detection_ratio_estimate,
     feature_scale_estimate,
     make_estimator,
@@ -14,6 +15,7 @@ from ttckit.estimate import (
     scaled_candidate_boxes,
 )
 from ttckit.manifest import FrameSample, Sequence
+from ttckit.sampling import crop_resize
 from ttckit.synth import CameraModel, PlanarTarget, noise_texture, sequence_for_ttc
 
 CAM = CameraModel.centered(800.0, 320, 192)
@@ -289,3 +291,61 @@ def test_center_shift_absorbs_box_offset():
     truth = seq.label.alpha_by_gap[5]
     assert abs(est3.alpha_hat - truth) <= abs(est0.alpha_hat - truth)
     assert tuple(est3.profile.best_shift[int(np.argmin(est3.profile.scores))]) == (-2, 2)
+
+
+def _bruteforce_pixel_mse(ref, tgt_crop, center, b1, cfg):
+    """One crop_resize per (bin, dx, dy) candidate, offsets in lexicographic order."""
+    out_h, out_w = tgt_crop.shape
+    c = cfg.shift_c
+    center_box = BoundingBox(center[0], center[1], b1.w, b1.h)
+    mses = []
+    for box in scaled_candidate_boxes(center_box, b1, cfg):
+        row = []
+        for dx in range(-c, c + 1):
+            for dy in range(-c, c + 1):
+                crop = crop_resize(ref, box.shifted(dx, dy), out_w, out_h)
+                row.append(np.mean((crop - tgt_crop) ** 2))
+        mses.append(row)
+    offsets = [(dx, dy) for dx in range(-c, c + 1) for dy in range(-c, c + 1)]
+    return np.array(mses), offsets
+
+
+@pytest.mark.parametrize(
+    "center, b1",
+    [
+        ((33.3, 27.8), BoundingBox(35.2, 29.6, 17.4, 12.6)),
+        ((8.6, 50.1), BoundingBox(9.0, 49.0, 23.0, 19.0)),  # candidates past two edges
+    ],
+)
+def test_pixel_mse_scores_match_bruteforce_crop_loop(center, b1):
+    rng = np.random.default_rng(12)
+    ref = rng.uniform(size=(60, 70))
+    cfg = ScaleSearchConfig(n_bins=6, shift_c=2, alpha_min=0.8, alpha_max=1.3)
+    out_w, out_h = int(round(b1.w)), int(round(b1.h))
+    tgt_crop = crop_resize(ref, BoundingBox(center[0] + 1.3, center[1] - 0.6, 18.9, 13.1), out_w, out_h)
+    mses, offsets = _pixel_mse_scores(ref, tgt_crop, center, b1, cfg)
+    want, want_offsets = _bruteforce_pixel_mse(ref, tgt_crop, center, b1, cfg)
+    assert [tuple(o) for o in offsets.tolist()] == want_offsets
+    np.testing.assert_allclose(mses, want, rtol=1e-12, atol=0.0)
+    assert np.array_equal(np.argmin(mses, axis=1), np.argmin(want, axis=1))
+    assert np.argmin(mses) == np.argmin(want)
+
+
+def test_pixel_mse_scores_recover_planted_offset():
+    # dyadic geometry keeps every lattice coordinate exact, so the planted
+    # candidate scores exactly 0 in the search and in the crop loop alike
+    rng = np.random.default_rng(13)
+    ref = rng.uniform(size=(64, 72))
+    cfg = ScaleSearchConfig(n_bins=5, shift_c=3, alpha_min=0.75, alpha_max=1.25)
+    center = (36.0, 30.0)
+    b1 = BoundingBox(37.0, 31.0, 16.0, 12.0)
+    bin_i, (dx, dy) = 3, (2, -1)
+    planted = scaled_candidate_boxes(BoundingBox(*center, b1.w, b1.h), b1, cfg)[bin_i]
+    tgt_crop = crop_resize(ref, planted.shifted(dx, dy), 16, 12)
+    mses, offsets = _pixel_mse_scores(ref, tgt_crop, center, b1, cfg)
+    want, _ = _bruteforce_pixel_mse(ref, tgt_crop, center, b1, cfg)
+    np.testing.assert_allclose(mses, want, rtol=1e-12, atol=0.0)
+    best_bin, best_off = np.unravel_index(np.argmin(mses), mses.shape)
+    assert (best_bin, tuple(offsets[best_off])) == (bin_i, (dx, dy))
+    assert mses[best_bin, best_off] == 0.0
+    assert np.array_equal(np.argmin(mses, axis=1), np.argmin(want, axis=1))

@@ -1,14 +1,16 @@
-"""Boxes, bilinear crops, grid sampling, cosine maps, shift search."""
+"""Boxes, bilinear crops and lattices, grid sampling, shift offsets."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ttckit.boxes import BoundingBox, expand_box
 from ttckit.errors import DomainError
+from ttckit.estimate import ScaleSearchConfig, candidate_patch_coords
 from ttckit.sampling import (
     bilinear_sample,
-    center_shift_search,
-    cosine_similarity_map,
     crop_resize,
     grid_sample_features,
     shift_offsets,
@@ -112,74 +114,6 @@ def test_grid_sample_constant():
     assert np.allclose(out, 2.5)
 
 
-def test_cosine_similarity_self_and_antipodal():
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(6, 7, 5)) + 0.1
-    assert np.allclose(cosine_similarity_map(a, a), 1.0)
-    assert np.allclose(cosine_similarity_map(a, -a), -1.0)
-
-
-def test_cosine_similarity_matches_bruteforce():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(5, 4, 3))
-    b = rng.normal(size=(5, 4, 3))
-    got = cosine_similarity_map(a, b)
-    for i in range(5):
-        for j in range(4):
-            num = float(np.dot(a[i, j], b[i, j]))
-            den = float(np.linalg.norm(a[i, j]) * np.linalg.norm(b[i, j]))
-            assert got[i, j] == pytest.approx(num / den, abs=1e-6)
-
-
-def test_cosine_similarity_zero_norm_and_mismatch():
-    a = np.zeros((3, 3, 2))
-    b = np.ones((3, 3, 2))
-    assert np.allclose(cosine_similarity_map(a, b), 0.0)
-    with pytest.raises(DomainError):
-        cosine_similarity_map(np.ones((2, 2, 2)), np.ones((2, 3, 2)))
-
-
-def test_center_shift_search_degenerate_radius():
-    calls = []
-
-    def score(box):
-        calls.append((box.cx, box.cy))
-        return 1.0
-
-    best, dx, dy = center_shift_search(score, BoundingBox(10, 10, 4, 4), c=0)
-    assert (best, dx, dy) == (1.0, 0, 0)
-    assert calls == [(10.0, 10.0)]
-
-
-def test_center_shift_search_recovers_known_offset():
-    rng = np.random.default_rng(4)
-    frame = rng.uniform(size=(40, 40))
-    template_box = BoundingBox(20.0, 20.0, 12.0, 12.0)
-    template = crop_resize(frame, template_box.shifted(2, 0), 12, 12)
-
-    def mse(box):
-        crop = crop_resize(frame, box, 12, 12)
-        return float(np.mean((crop - template) ** 2))
-
-    best, dx, dy = center_shift_search(mse, template_box, c=3, maximize=False)
-    assert (dx, dy) == (2, 0)
-    assert best == pytest.approx(0.0, abs=1e-12)
-
-
-def test_center_shift_search_superset_never_worse():
-    rng = np.random.default_rng(5)
-    frame = rng.uniform(size=(50, 50))
-    target = crop_resize(frame, BoundingBox(26.4, 24.7, 10, 10), 10, 10)
-
-    def mse(box):
-        return float(np.mean((crop_resize(frame, box, 10, 10) - target) ** 2))
-
-    base = BoundingBox(25.0, 25.0, 10.0, 10.0)
-    best1, _, _ = center_shift_search(mse, base, c=1, maximize=False)
-    best3, _, _ = center_shift_search(mse, base, c=3, maximize=False)
-    assert best3 <= best1
-
-
 def test_shift_offsets_lexicographic():
     offs = shift_offsets(1)
     assert offs.tolist() == [
@@ -187,3 +121,88 @@ def test_shift_offsets_lexicographic():
         [0, -1], [0, 0], [0, 1],
         [1, -1], [1, 0], [1, 1],
     ]
+
+
+def _point_reference(image, ys, xs):
+    """The general four-corner gather at every lattice point.
+
+    Coordinates expanded with ``np.broadcast_arrays`` and flattened to 1-D
+    never look like a lattice, so they always take the point path.
+    """
+    yb, xb = np.broadcast_arrays(ys, xs)
+    return bilinear_sample(image, yb.ravel(), xb.ravel()).reshape(yb.shape + image.shape[2:])
+
+
+def _assert_bit_identical(image, ys, xs):
+    got = bilinear_sample(image, ys, xs)
+    want = _point_reference(image, ys, xs)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@st.composite
+def _images(draw):
+    h = draw(st.integers(1, 9))
+    w = draw(st.integers(1, 9))
+    channels = draw(st.sampled_from([(), (1,), (3,)]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    values = st.floats(-4.0, 4.0, width=32 if dtype == np.float32 else 64)
+    return draw(arrays(dtype, (h, w) + channels, elements=values))
+
+
+def _coords(draw, shape, size):
+    # past both edges, on them, and on integer texels in between
+    values = st.one_of(
+        st.floats(-3.0, size + 2.0),
+        st.integers(-2, size + 1).map(float),
+        st.sampled_from([0.0, size - 1.0, np.nextafter(size - 1.0, 0.0)]),
+    )
+    return draw(arrays(np.float64, shape, elements=values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), image=_images())
+def test_lattice_path_bit_identical_to_point_gather(data, image):
+    h, w = image.shape[:2]
+    batch = data.draw(st.sampled_from([(), (2,), (2, 3)]))
+    # each batch axis of a coordinate array may also be 1 and broadcast
+    y_batch = tuple(data.draw(st.sampled_from([d, 1])) for d in batch)
+    x_batch = tuple(data.draw(st.sampled_from([d, 1])) for d in batch)
+    n = data.draw(st.integers(1, 8))
+    m = data.draw(st.integers(1, 8))
+    ys = _coords(data.draw, y_batch + (n, 1), h)
+    xs = _coords(data.draw, x_batch + (1, m), w)
+    _assert_bit_identical(image, ys, xs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    cx=st.floats(-10.0, 50.0),
+    cy=st.floats(-10.0, 40.0),
+    bw=st.floats(2.0, 30.0),
+    bh=st.floats(2.0, 30.0),
+    n_bins=st.integers(2, 4),
+    shift_c=st.integers(0, 2),
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+def test_candidate_patch_lattices_bit_identical(cx, cy, bw, bh, n_bins, shift_c, dtype):
+    # boxes reach past every edge of a 30x40 feature map
+    fmap = np.random.default_rng(0).normal(size=(30, 40, 3)).astype(dtype)
+    cfg = ScaleSearchConfig.feature_defaults(
+        n_bins=n_bins, top_k=1, shift_c=shift_c, target_w=7, target_h=5
+    )
+    ys, xs = candidate_patch_coords((cx, cy), BoundingBox(20.0, 15.0, bw, bh), cfg)
+    assert ys.shape == (n_bins, (2 * shift_c + 1) ** 2, 5, 1)
+    assert xs.shape == (n_bins, (2 * shift_c + 1) ** 2, 1, 7)
+    _assert_bit_identical(fmap, ys, xs)
+
+
+def test_lattice_path_handles_one_row_and_one_column_images():
+    ys = np.array([[-1.0], [0.0], [0.25], [2.0]])
+    xs = np.array([[-1.0, 0.0, 0.5, 3.0]])
+    row = np.array([[1.0, 3.0, 7.0]])
+    col = row.T
+    _assert_bit_identical(row, ys, xs)
+    _assert_bit_identical(col, ys, xs)
+    assert np.array_equal(bilinear_sample(row, ys, xs)[0], [1.0, 1.0, 2.0, 7.0])
+    assert np.array_equal(bilinear_sample(col, ys, xs)[:, 0], [1.0, 1.0, 1.5, 7.0])
