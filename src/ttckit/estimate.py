@@ -44,6 +44,8 @@ from .sampling import (
 )
 
 _FLAT_PROFILE_TOL = 1e-12
+# floor of a cosine's denominator: zero-norm patches score 0, not NaN
+COSINE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -241,9 +243,12 @@ def _pixel_mse_scores(
         lattice_x = (side[:, None] + xs[None, :]).reshape(-1)
         lattice_y = (side[:, None] + ys[None, :]).reshape(-1)
         sampled = bilinear_sample(ref_gray, lattice_y[:, None], lattice_x[None, :])
-        crops = sampled.reshape(n_side, out_h, n_side, out_w)
-        diff = crops - tgt_crop[None, :, None, :]
-        per_shift = np.mean(diff * diff, axis=(1, 3))  # (dy_idx, dx_idx)
+        # squared differences in place on the fresh samples: no full-lattice
+        # temporaries beyond the sampler's own output
+        diff = sampled.reshape(n_side, out_h, n_side, out_w)
+        np.subtract(diff, tgt_crop[None, :, None, :], out=diff)
+        np.multiply(diff, diff, out=diff)
+        per_shift = np.mean(diff, axis=(1, 3))  # (dy_idx, dx_idx)
         mses[i] = per_shift.T.reshape(-1)  # lexicographic (dx, dy)
     return mses, shift_offsets(c)
 
@@ -346,17 +351,28 @@ def target_grid_patch(fmap1: np.ndarray, b1: BoundingBox, cfg: ScaleSearchConfig
     return grid_sample_features(fmap1, b1, cfg.target_w, cfg.target_h)
 
 
+def pooled_cosine_terms(patches: np.ndarray, target_patch: np.ndarray):
+    """Pooled cosine scores and the per-position terms behind them.
+
+    patches: (n_bins, n_off, H, W, C); target: (H, W, C).  Returns
+    (scores (n_bins, n_off), (num, n0, n1, denom, cos)), where num, n0 and
+    denom are (n_bins, n_off, H, W), n1 is (H, W) and denom is already
+    clamped at ``COSINE_EPS``; training's backward pass reads the terms.
+    """
+    num = np.einsum("bshwc,hwc->bshw", patches, target_patch)
+    n0 = np.einsum("bshwc,bshwc->bshw", patches, patches)
+    n1 = np.einsum("hwc,hwc->hw", target_patch, target_patch)
+    denom = np.maximum(np.sqrt(n0 * n1[None, None]), COSINE_EPS)
+    cos = num / denom
+    return cos.mean(axis=(2, 3)), (num, n0, n1, denom, cos)
+
+
 def pooled_cosine_scores(patches: np.ndarray, target_patch: np.ndarray) -> np.ndarray:
     """Mean cosine similarity of each candidate patch vs the target patch.
 
     patches: (n_bins, n_off, H, W, C); target: (H, W, C) -> (n_bins, n_off).
     """
-    num = np.einsum("bshwc,hwc->bshw", patches, target_patch)
-    n0 = np.einsum("bshwc,bshwc->bshw", patches, patches)
-    n1 = np.einsum("hwc,hwc->hw", target_patch, target_patch)
-    denom = np.sqrt(n0 * n1[None, None])
-    cos = num / np.maximum(denom, 1e-12)
-    return cos.mean(axis=(2, 3))
+    return pooled_cosine_terms(patches, target_patch)[0]
 
 
 def feature_scores(

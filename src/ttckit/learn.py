@@ -9,8 +9,10 @@ central finite differences.
 The fast training path exploits the hand-crafted extractor's affine
 response to illumination: features(g*I + b) = g*features(I) + b*mask,
 so photometric augmentation happens in feature space without touching
-pixels, and candidate patches are resampled from cached region-of-
-interest feature maps each epoch.
+pixels.  Each pair's candidate and target patches are sampled once, before
+the first epoch, by the estimator's own ``candidate_grid_patches`` and
+``target_grid_patch``; only their inner products are kept, and every
+epoch recombines them for its (gain, bias) draws.
 """
 
 from __future__ import annotations
@@ -24,18 +26,21 @@ import numpy as np
 from .boxes import BoundingBox, expand_box
 from .errors import DomainError, FitFailedError, TrainingDivergedError
 from .estimate import (
+    COSINE_EPS,
     ScaleSearchConfig,
     alpha_to_10hz,
+    candidate_grid_patches,
     candidate_patch_coords,
     fuse_logits,
     head_logits,
     identity_head,
+    pooled_cosine_terms,
+    target_grid_patch,
 )
 from .features import HandCraftedExtractor
 from .manifest import Sequence
-from .sampling import grid_positions
+from .sampling import bilinear_sample_adjoint, grid_positions
 
-_COS_EPS = 1e-12
 _GRADCHECK_PARAM_LIMIT = 5000
 
 
@@ -175,53 +180,12 @@ class TrainSample:
         )
 
 
-def _gather_bilinear(fmap: np.ndarray, ys: np.ndarray, xs: np.ndarray):
-    """Bilinear gather returning values plus the cache needed to scatter."""
-    h, w = fmap.shape[:2]
-    ysb, xsb = np.broadcast_arrays(ys, xs)
-    ysc = np.clip(ysb, 0.0, h - 1.0)
-    xsc = np.clip(xsb, 0.0, w - 1.0)
-    y0 = np.floor(ysc).astype(np.intp)
-    x0 = np.floor(xsc).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ysc - y0)[..., None]
-    fx = (xsc - x0)[..., None]
-    vals = (
-        fmap[y0, x0] * (1 - fy) * (1 - fx)
-        + fmap[y0, x1] * (1 - fy) * fx
-        + fmap[y1, x0] * fy * (1 - fx)
-        + fmap[y1, x1] * fy * fx
-    )
-    return vals, (y0, x0, y1, x1, fy, fx, fmap.shape)
-
-
-def _scatter_bilinear(dvals: np.ndarray, cache) -> np.ndarray:
-    y0, x0, y1, x1, fy, fx, shape = cache
-    dfmap = np.zeros(shape)
-    np.add.at(dfmap, (y0, x0), dvals * (1 - fy) * (1 - fx))
-    np.add.at(dfmap, (y0, x1), dvals * (1 - fy) * fx)
-    np.add.at(dfmap, (y1, x0), dvals * fy * (1 - fx))
-    np.add.at(dfmap, (y1, x1), dvals * fy * fx)
-    return dfmap
-
-
-def _cosine_scores_forward(p0: np.ndarray, p1: np.ndarray):
-    """p0: (n, off, H, W, C); p1: (H, W, C) -> scores (n, off) + cache."""
-    num = np.einsum("bshwc,hwc->bshw", p0, p1)
-    n0 = np.einsum("bshwc,bshwc->bshw", p0, p0)
-    n1 = np.einsum("hwc,hwc->hw", p1, p1)
-    denom = np.maximum(np.sqrt(n0 * n1[None, None]), _COS_EPS)
-    cos = num / denom
-    scores = cos.mean(axis=(2, 3))
-    return scores, (num, n0, n1, denom, cos)
-
-
 def _cosine_scores_backward(dscores: np.ndarray, p0, p1, cache):
+    """Backward pass of ``estimate.pooled_cosine_terms``, from its terms."""
     num, n0, n1, denom, cos = cache
     h, w = p1.shape[:2]
     dcos = dscores[:, :, None, None] / (h * w) * np.ones_like(cos)
-    free = denom > _COS_EPS
+    free = denom > COSINE_EPS
     dnum = dcos / denom
     safe_n0 = np.where(n0 > 0, n0, 1.0)
     safe_n1 = np.where(n1 > 0, n1, 1.0)
@@ -301,10 +265,12 @@ class FeatureScalePipeline:
         dscores[np.arange(n), best] = d_final
         if not self.extractor.trainable:
             return loss, grads
-        p0, p1, g_cache0, g_cache1, cos_cache = score_cache
+        p0, p1, cos_cache, shape0, shape1 = score_cache
         dp0, dp1 = _cosine_scores_backward(dscores, p0, p1, cos_cache)
-        df0 = _scatter_bilinear(dp0, g_cache0)
-        df1 = _scatter_bilinear(dp1, g_cache1)
+        ys, xs = candidate_patch_coords(sample.center0, sample.box1, self.cfg)
+        df0 = bilinear_sample_adjoint(dp0, ys, xs, shape0)
+        tys, txs = grid_positions(sample.box1, self.cfg.target_w, self.cfg.target_h)
+        df1 = bilinear_sample_adjoint(dp1, tys[:, None], txs[None, :], shape1)
         c0, c1 = ext_caches
         for name, g in self.extractor.backward(df0, c0).items():
             grads[name] = g
@@ -314,12 +280,10 @@ class FeatureScalePipeline:
 
 
 def _pipeline_scores(f0: np.ndarray, f1: np.ndarray, sample: TrainSample, cfg: ScaleSearchConfig):
-    ys, xs = candidate_patch_coords(sample.center0, sample.box1, cfg)
-    p0, g_cache0 = _gather_bilinear(f0, ys, xs)
-    tys, txs = grid_positions(sample.box1, cfg.target_w, cfg.target_h)
-    p1, g_cache1 = _gather_bilinear(f1, tys[:, None], txs[None, :])
-    scores, cos_cache = _cosine_scores_forward(p0, p1)
-    return scores, (p0, p1, g_cache0, g_cache1, cos_cache)
+    p0 = candidate_grid_patches(f0, sample.center0, sample.box1, cfg)
+    p1 = target_grid_patch(f1, sample.box1, cfg)
+    scores, cos_cache = pooled_cosine_terms(p0, p1)
+    return scores, (p0, p1, cos_cache, f0.shape, f1.shape)
 
 
 def finite_diff_gradcheck(
@@ -458,10 +422,8 @@ def _prepare_fast(seq: Sequence, cfg: ScaleSearchConfig, extractor, sigma: float
         alpha_gt=sample.alpha_gt,
     )
     mask = HandCraftedExtractor.intensity_mask()
-    ys, xs = candidate_patch_coords(shifted.center0, shifted.box1, cfg)
-    p0, _ = _gather_bilinear(f0, ys, xs)
-    tys, txs = grid_positions(shifted.box1, cfg.target_w, cfg.target_h)
-    p1, _ = _gather_bilinear(f1, tys[:, None], txs[None, :])
+    p0 = candidate_grid_patches(f0, shifted.center0, shifted.box1, cfg)
+    p1 = target_grid_patch(f1, shifted.box1, cfg)
     n, off = cfg.n_bins, p0.shape[1]
     p0 = p0.reshape(n, off, -1, p0.shape[-1])
     p1 = p1.reshape(-1, p1.shape[-1])
@@ -477,20 +439,39 @@ def _prepare_fast(seq: Sequence, cfg: ScaleSearchConfig, extractor, sigma: float
 
 
 def _augmented_scores(prep: _PreparedSample, draws) -> np.ndarray:
+    """Pooled cosine scores of one (gain, bias) draw, from the cached products.
+
+    Evaluates, operation for operation, ``num / max(sqrt(n0 * n1), eps)``
+    with num = g0*g1*dot01 + g0*b1*dot0m + b0*g1*dot1m + b0*b1*c and
+    n0 = max(g0*g0*norm0 + 2*g0*b0*dot0m + b0*b0*c, 0), so the scores are
+    bit-identical to that expression.  It runs one scale bin at a time, in
+    place in three (n_off, P) buffers that stay in cache.
+    """
     g0, b0, g1, b1 = draws
     c = prep.mask_sq
-    num = (
-        g0 * g1 * prep.dot01
-        + g0 * b1 * prep.dot0m
-        + b0 * g1 * prep.dot1m[None, None, :]
-        + b0 * b1 * c
-    )
+    bias1 = b0 * g1 * prep.dot1m
     # flat patches are exactly proportional to the mask, so the quadratic
     # can cancel to ~0; clamp against rounding residue before the sqrt
-    n0 = np.maximum(g0 * g0 * prep.norm0 + 2.0 * g0 * b0 * prep.dot0m + b0 * b0 * c, 0.0)
     n1 = np.maximum(g1 * g1 * prep.norm1 + 2.0 * g1 * b1 * prep.dot1m + b1 * b1 * c, 0.0)
-    denom = np.maximum(np.sqrt(n0 * n1[None, None, :]), _COS_EPS)
-    return (num / denom).mean(axis=2)
+    num, term, denom = (np.empty(prep.dot01.shape[1:]) for _ in range(3))
+    scores = np.empty(prep.dot01.shape[:2])
+    for i in range(len(scores)):
+        np.multiply(g0 * g1, prep.dot01[i], out=num)
+        np.multiply(g0 * b1, prep.dot0m[i], out=term)
+        num += term
+        num += bias1
+        num += b0 * b1 * c
+        np.multiply(g0 * g0, prep.norm0[i], out=denom)
+        np.multiply(2.0 * g0 * b0, prep.dot0m[i], out=term)
+        denom += term
+        denom += b0 * b0 * c
+        np.maximum(denom, 0.0, out=denom)
+        denom *= n1
+        np.sqrt(denom, out=denom)
+        np.maximum(denom, COSINE_EPS, out=denom)
+        num /= denom
+        scores[i] = num.mean(axis=1)
+    return scores
 
 
 def _val_mid(fc_w, fc_b, cfg, val_scores, val_alpha10, val_eff_fps) -> float:

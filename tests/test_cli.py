@@ -129,6 +129,22 @@ def test_train_then_eval_with_weights(small_dataset, tmp_path, capsys):
     assert rc == 0
 
 
+def test_train_rerun_is_byte_identical(small_dataset, tmp_path):
+    _, cfg_path, out = small_dataset
+
+    def train(tag: str) -> bytes:
+        train_dir = tmp_path / tag
+        assert main([
+            "train", "--dataset", str(out), "--out", str(train_dir),
+            "--config", str(cfg_path),
+        ]) == 0
+        return (train_dir / "weights.bin").read_bytes()
+
+    first = train("run_a")
+    assert first == train("run_b")
+    assert len(first) == 4 * (20 * 20 + 20)  # float32 head weights and biases
+
+
 def test_eval_rejects_hash_mismatch(small_dataset, tmp_path):
     _, cfg_path, out = small_dataset
     # weights claiming a different dataset hash must be refused without --force

@@ -2,14 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ttckit.boxes import BoundingBox
 from ttckit.errors import DomainError, TrainingDivergedError
-from ttckit.estimate import ScaleSearchConfig, feature_scores
+from ttckit.estimate import (
+    ScaleSearchConfig,
+    candidate_grid_patches,
+    feature_scores,
+    target_grid_patch,
+)
 from ttckit.features import ConvStackExtractor, HandCraftedExtractor, hand_crafted_features
 from ttckit.learn import (
     FeatureScalePipeline,
     TrainConfig,
     TrainSample,
+    _augmented_scores,
+    _prepare_fast,
+    _PreparedSample,
+    _roi_bounds,
     bce_loss,
     cosine_lr,
     finite_diff_gradcheck,
@@ -236,9 +248,6 @@ def test_feature_augmentation_matches_pixel_augmentation():
 def test_cached_ingredient_scores_match_direct_path():
     # the trainer's cached inner-product expansion must reproduce the
     # scores of explicitly augmented images fed through the estimator path
-    from ttckit.learn import _augmented_scores, _prepare_fast
-    from ttckit.suites import mixed_interval_suite
-
     cfg = _cfg(n_bins=10, shift_c=1, target=12)
     seq = mixed_interval_suite(1, seed=77)[0]
     prep = _prepare_fast(seq, cfg, HandCraftedExtractor(), 1.0)
@@ -258,6 +267,102 @@ def test_cached_ingredient_scores_match_direct_path():
     fmap1p = hand_crafted_features(sample.image1).astype(np.float64)
     want_plain, _ = feature_scores(fmap0p, fmap1p, sample.center0, sample.box1, cfg)
     assert np.allclose(plain, want_plain, atol=2e-5)
+
+
+def _ingredients(p0, p1, label):
+    """Cached products of flattened patches p0 (n, off, P, C) and p1 (P, C)."""
+    mask = HandCraftedExtractor.intensity_mask()
+    return _PreparedSample(
+        dot01=np.einsum("bspc,pc->bsp", p0, p1),
+        dot0m=p0 @ mask,
+        norm0=np.einsum("bspc,bspc->bsp", p0, p0),
+        dot1m=p1 @ mask,
+        norm1=np.einsum("pc,pc->p", p1, p1),
+        mask_sq=float(mask @ mask),
+        label=label,
+    )
+
+
+def _augmented_scores_out_of_place(prep, draws):
+    """The augmented-score expression written out of place, as reference."""
+    g0, b0, g1, b1 = draws
+    c = prep.mask_sq
+    num = (
+        g0 * g1 * prep.dot01
+        + g0 * b1 * prep.dot0m
+        + b0 * g1 * prep.dot1m[None, None, :]
+        + b0 * b1 * c
+    )
+    n0 = np.maximum(g0 * g0 * prep.norm0 + 2.0 * g0 * b0 * prep.dot0m + b0 * b0 * c, 0.0)
+    n1 = np.maximum(g1 * g1 * prep.norm1 + 2.0 * g1 * b1 * prep.dot1m + b1 * b1 * c, 0.0)
+    denom = np.maximum(np.sqrt(n0 * n1[None, None, :]), 1e-12)
+    return (num / denom).mean(axis=2)
+
+
+def _flat_prep(level=0.4):
+    # every candidate patch flat: each position's features are level * mask,
+    # which a bias of -gain * level cancels to a zero-norm patch
+    rng = np.random.default_rng(9)
+    p0 = np.broadcast_to(level * HandCraftedExtractor.intensity_mask(), (4, 9, 30, 12))
+    p1 = rng.normal(size=(30, 12))
+    return _ingredients(np.ascontiguousarray(p0), p1, np.zeros(4))
+
+
+_PREP_CFG = _cfg(n_bins=10, shift_c=1, target=12)
+
+
+@pytest.fixture(scope="module")
+def prep():
+    return _prepare_fast(mixed_interval_suite(1, seed=77)[0], _PREP_CFG, HandCraftedExtractor(), 1.0)
+
+
+_gains = st.floats(0.5, 1.5)
+_biases = st.floats(-0.2, 0.2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g0=_gains, b0=_biases, g1=_gains, b1=_biases)
+def test_augmented_scores_equal_the_out_of_place_expression(prep, g0, b0, g1, b1):
+    for ingredients in (prep, _flat_prep()):
+        got = _augmented_scores(ingredients, (g0, b0, g1, b1))
+        assert np.array_equal(got, _augmented_scores_out_of_place(ingredients, (g0, b0, g1, b1)))
+
+
+def test_augmented_scores_identity_and_cancelled_flat_draws(prep):
+    identity = (1.0, 0.0, 1.0, 0.0)
+    for ingredients in (prep, _flat_prep()):
+        got = _augmented_scores(ingredients, identity)
+        assert np.array_equal(got, _augmented_scores_out_of_place(ingredients, identity))
+    # a bias cancelling the flat patches leaves norms of rounding residue,
+    # which the clamps keep finite
+    flat = _flat_prep()
+    cancel = (1.1, -1.1 * 0.4, 0.9, 0.05)
+    got = _augmented_scores(flat, cancel)
+    assert np.array_equal(got, _augmented_scores_out_of_place(flat, cancel))
+    assert np.all(np.isfinite(got))
+
+
+def test_prepare_fast_ingredients_come_from_the_estimator_patches(prep):
+    # the cached products are those of the estimator's own patch sampling on
+    # the region-of-interest feature maps, bit for bit
+    cfg = _PREP_CFG
+    seq = mixed_interval_suite(1, seed=77)[0]
+    extractor = HandCraftedExtractor()
+    sample = TrainSample.from_sequence(seq, cfg)
+    x0, y0, x1, y1 = _roi_bounds(sample, cfg, sample.image1.shape[:2])
+    f0 = extractor(sample.image0[y0:y1, x0:x1]).astype(np.float64)
+    f1 = extractor(sample.image1[y0:y1, x0:x1]).astype(np.float64)
+    center = (sample.center0[0] - x0, sample.center0[1] - y0)
+    box = BoundingBox(sample.box1.cx - x0, sample.box1.cy - y0, sample.box1.w, sample.box1.h)
+    p0 = candidate_grid_patches(f0, center, box, cfg)
+    p1 = target_grid_patch(f1, box, cfg)
+    want = _ingredients(
+        p0.reshape(cfg.n_bins, 9, -1, 12), p1.reshape(-1, 12),
+        soft_label(sample.alpha_gt, cfg, 1.0),
+    )
+    for name in ("dot01", "dot0m", "norm0", "dot1m", "norm1", "label"):
+        assert np.array_equal(getattr(prep, name), getattr(want, name)), name
+    assert prep.mask_sq == want.mask_sq
 
 
 def _train_suite(n, seed, noise_seed=0):
