@@ -21,6 +21,7 @@ shift absorbs detection misalignment.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +41,7 @@ from .sampling import (
     crop_resize,
     grid_positions,
     grid_sample_features,
+    lattice_row_blocks,
     shift_offsets,
 )
 
@@ -228,8 +230,13 @@ def _pixel_mse_scores(
     """MSE of every (scale bin, center shift) candidate against the target crop.
 
     Returns (mse (n_bins, n_offsets), offsets) with offsets lexicographic
-    in (dx, dy).  For each bin, all shifted crops come from one augmented
-    sampling lattice so the search stays vectorized.
+    in (dx, dy).  Each bin's shifted crops tile one augmented sampling
+    lattice, (2c+1) * out_h rows by (2c+1) * out_w columns, whose block of
+    rows for one dy holds every dx shift side by side.  The lattice is
+    sampled and reduced one such block at a time, so the working set is a
+    (out_h, (2c+1) * out_w) slab, not the whole lattice; each block's
+    sum over (row, column) is the whole-lattice sum over those axes, added
+    in the same order, so the scores do not depend on the blocking.
     """
     out_h, out_w = tgt_crop.shape
     c = cfg.shift_c
@@ -238,18 +245,23 @@ def _pixel_mse_scores(
     center_box = BoundingBox(center[0], center[1], b1.w, b1.h)
     candidates = scaled_candidate_boxes(center_box, b1, cfg)
     mses = np.empty((cfg.n_bins, n_side * n_side))
+    per_shift = np.empty((n_side, n_side))  # (dy_idx, dx_idx)
+    # the target once per dx shift, side by side like a block's crops: a
+    # same-shape subtraction, faster than broadcasting tgt_crop per block
+    target = np.tile(tgt_crop, n_side)
     for i, box in enumerate(candidates):
         ys, xs = crop_positions(box, out_w, out_h)
         lattice_x = (side[:, None] + xs[None, :]).reshape(-1)
         lattice_y = (side[:, None] + ys[None, :]).reshape(-1)
-        sampled = bilinear_sample(ref_gray, lattice_y[:, None], lattice_x[None, :])
-        # squared differences in place on the fresh samples: no full-lattice
-        # temporaries beyond the sampler's own output
-        diff = sampled.reshape(n_side, out_h, n_side, out_w)
-        np.subtract(diff, tgt_crop[None, :, None, :], out=diff)
-        np.multiply(diff, diff, out=diff)
-        per_shift = np.mean(diff, axis=(1, 3))  # (dy_idx, dx_idx)
+        blocks = lattice_row_blocks(ref_gray, lattice_y, lattice_x, n_side)
+        for dy_idx, block in enumerate(blocks):
+            # squared differences in place on the fresh block
+            np.subtract(block, target, out=block)
+            np.multiply(block, block, out=block)
+            per_shift[dy_idx] = block.reshape(out_h, n_side, out_w).sum(axis=(0, 2))
         mses[i] = per_shift.T.reshape(-1)  # lexicographic (dx, dy)
+    # the means: np.mean is this sum divided by the count
+    mses /= out_h * out_w
     return mses, shift_offsets(c)
 
 
@@ -347,6 +359,24 @@ def candidate_grid_patches(
     return bilinear_sample(fmap0, ys_all, xs_all)
 
 
+def candidate_patches_by_bin(
+    fmap0: np.ndarray,
+    center: tuple[float, float],
+    b1: BoundingBox,
+    cfg: ScaleSearchConfig,
+) -> Iterator[np.ndarray]:
+    """``candidate_grid_patches`` one scale bin at a time, in bin order.
+
+    Yields (1, n_offsets, out_h, out_w, C) arrays, equal bit for bit to
+    the whole stack's slices ``[i : i + 1]``, sampling each only when it
+    is asked for, so a caller that reduces each bin as it comes never
+    holds the whole stack.
+    """
+    ys_all, xs_all = candidate_patch_coords(center, b1, cfg)
+    for i in range(cfg.n_bins):
+        yield bilinear_sample(fmap0, ys_all[i : i + 1], xs_all[i : i + 1])
+
+
 def target_grid_patch(fmap1: np.ndarray, b1: BoundingBox, cfg: ScaleSearchConfig) -> np.ndarray:
     return grid_sample_features(fmap1, b1, cfg.target_w, cfg.target_h)
 
@@ -382,10 +412,17 @@ def feature_scores(
     b1: BoundingBox,
     cfg: ScaleSearchConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (pre-head) similarity scores: (n_bins, n_offsets), plus offsets."""
-    patches = candidate_grid_patches(fmap0, center, b1, cfg)
+    """Raw (pre-head) similarity scores: (n_bins, n_offsets), plus offsets.
+
+    Scores one scale bin's patches at a time, so only one bin's patches
+    are held at once.
+    """
     target = target_grid_patch(fmap1, b1, cfg)
-    return pooled_cosine_scores(patches, target), shift_offsets(cfg.shift_c)
+    scores = [
+        pooled_cosine_scores(patches, target)
+        for patches in candidate_patches_by_bin(fmap0, center, b1, cfg)
+    ]
+    return np.concatenate(scores), shift_offsets(cfg.shift_c)
 
 
 def identity_head(n_bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -419,14 +456,14 @@ def fuse_logits(logits: np.ndarray, cfg: ScaleSearchConfig) -> float:
     return float(np.sum(weights * cfg.bins()[order]) / np.sum(weights))
 
 
-def _feature_alpha_at_gap(seq, cfg, gap, extractor, fc_weight, fc_bias, fmap_cache):
+def _feature_alpha_at_gap(seq, cfg, gap, extractor, fc_weight, fc_bias, fmap_cache, tgt_hw):
     ref, tgt = _estimate_pair(seq, gap)
     ref_idx = len(seq.frames) - 1 - gap
     if ref_idx not in fmap_cache:
         fmap_cache[ref_idx] = np.asarray(extractor(ref.load_image()), dtype=np.float64)
     fmap0 = fmap_cache[ref_idx]
     fmap1 = fmap_cache[len(seq.frames) - 1]
-    h, w = tgt.load_image().shape[:2]
+    h, w = tgt_hw
     b1 = expand_box(tgt.box, cfg.expand_cap, (w, h))
     scores, offsets = feature_scores(fmap0, fmap1, (ref.box.cx, ref.box.cy), b1, cfg)
     logits, best_idx = head_logits(scores, fc_weight, fc_bias)
@@ -456,19 +493,18 @@ def feature_scale_estimate(
     fc_bias = np.asarray(fc_bias, dtype=np.float64)
 
     gap = cfg.frame_gap
-    tgt = seq.frames[-1]
-    fmap_cache = {
-        len(seq.frames) - 1: np.asarray(extractor(tgt.load_image()), dtype=np.float64)
-    }
+    tgt_img = seq.frames[-1].load_image()
+    tgt_hw = tgt_img.shape[:2]
+    fmap_cache = {len(seq.frames) - 1: np.asarray(extractor(tgt_img), dtype=np.float64)}
     alpha, profile, flat = _feature_alpha_at_gap(
-        seq, cfg, gap, extractor, fc_weight, fc_bias, fmap_cache
+        seq, cfg, gap, extractor, fc_weight, fc_bias, fmap_cache, tgt_hw
     )
     if not cfg.multi_reference:
         return _finish(alpha, cfg, seq.fps, gap, profile, "feature_scale", flat)
     return _multi_reference_finish(
         seq, cfg, alpha, profile, flat, "feature_scale",
         lambda g: _feature_alpha_at_gap(
-            seq, cfg, g, extractor, fc_weight, fc_bias, fmap_cache
+            seq, cfg, g, extractor, fc_weight, fc_bias, fmap_cache, tgt_hw
         )[0],
     )
 

@@ -10,9 +10,9 @@ The fast training path exploits the hand-crafted extractor's affine
 response to illumination: features(g*I + b) = g*features(I) + b*mask,
 so photometric augmentation happens in feature space without touching
 pixels.  Each pair's candidate and target patches are sampled once, before
-the first epoch, by the estimator's own ``candidate_grid_patches`` and
-``target_grid_patch``; only their inner products are kept, and every
-epoch recombines them for its (gain, bias) draws.
+the first epoch, by the estimator's own ``candidate_patches_by_bin`` (one
+scale bin at a time) and ``target_grid_patch``; only their inner products
+are kept, and every epoch recombines them for its (gain, bias) draws.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .estimate import (
     alpha_to_10hz,
     candidate_grid_patches,
     candidate_patch_coords,
+    candidate_patches_by_bin,
     fuse_logits,
     head_logits,
     identity_head,
@@ -422,15 +423,20 @@ def _prepare_fast(seq: Sequence, cfg: ScaleSearchConfig, extractor, sigma: float
         alpha_gt=sample.alpha_gt,
     )
     mask = HandCraftedExtractor.intensity_mask()
-    p0 = candidate_grid_patches(f0, shifted.center0, shifted.box1, cfg)
     p1 = target_grid_patch(f1, shifted.box1, cfg)
-    n, off = cfg.n_bins, p0.shape[1]
-    p0 = p0.reshape(n, off, -1, p0.shape[-1])
     p1 = p1.reshape(-1, p1.shape[-1])
+    n_off = (2 * cfg.shift_c + 1) ** 2
+    dot01, dot0m, norm0 = (np.empty((cfg.n_bins, n_off, len(p1))) for _ in range(3))
+    bins = candidate_patches_by_bin(f0, shifted.center0, shifted.box1, cfg)
+    for i, p0 in enumerate(bins):
+        p0 = p0.reshape((1, n_off) + p1.shape)
+        dot01[i : i + 1] = np.einsum("bspc,pc->bsp", p0, p1)
+        dot0m[i : i + 1] = p0 @ mask
+        norm0[i : i + 1] = np.einsum("bspc,bspc->bsp", p0, p0)
     return _PreparedSample(
-        dot01=np.einsum("bspc,pc->bsp", p0, p1),
-        dot0m=p0 @ mask,
-        norm0=np.einsum("bspc,bspc->bsp", p0, p0),
+        dot01=dot01,
+        dot0m=dot0m,
+        norm0=norm0,
         dot1m=p1 @ mask,
         norm1=np.einsum("pc,pc->p", p1, p1),
         mask_sq=float(mask @ mask),

@@ -36,6 +36,12 @@ class FrameSample:
     truncated: bool = False
 
     def load_image(self, root: Path | None = None) -> np.ndarray:
+        """The in-memory raster if the frame holds one, else its PNG, decoded.
+
+        A raster read from disk is not kept on the frame, so memory stays
+        flat however many frames a pass reads; a caller that needs it
+        twice keeps its own reference.
+        """
         if self.image is not None:
             return self.image
         if self.image_path is None:
@@ -43,9 +49,7 @@ class FrameSample:
         path = Path(self.image_path)
         if root is not None and not path.is_absolute():
             path = Path(root) / path
-        raster = read_png(path).astype(np.float32) / 255.0
-        self.image = raster
-        return raster
+        return read_png(path).astype(np.float32) / 255.0
 
 
 @dataclass

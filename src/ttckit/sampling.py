@@ -27,9 +27,21 @@ four-corner gather, so the two paths give bit-identical results.  Leading
 batch axes loop over the lattices; any other coordinate shape takes the
 general gather.  ``bilinear_sample_adjoint`` is the matching scatter, used
 as the sampler's backward pass in training.
+
+Row blocks
+----------
+The y pass is row by row, so a lattice can be handed out in pieces.
+``lattice_row_blocks`` builds the x-interpolated strip once and yields
+the lattice in ``n`` equal blocks of consecutive rows, each computed only
+when it is asked for; a caller that reduces each block as it comes never
+holds the whole lattice, and a block small enough stays in cache.  The
+blocks concatenate to the whole lattice bit for bit, and
+``bilinear_sample``'s lattice path is the one-block case.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -43,28 +55,53 @@ def _corners(coords: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.
     return i0, np.minimum(i0 + 1, size - 1), coords - i0
 
 
-def _sample_lattice(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Samples at every ``(ys[i], xs[j])``; 1-D coordinates, already clamped.
+def lattice_row_blocks(
+    image: np.ndarray, ys: np.ndarray, xs: np.ndarray, n: int
+) -> Iterator[np.ndarray]:
+    """Yield the samples at every ``(ys[i], xs[j])`` in ``n`` row blocks.
 
-    Interpolates along x over the strip of rows the lattice touches, then
-    along y between whole interpolated rows.
+    ``ys`` and ``xs`` are 1-D texel coordinates, edge-clamped as in
+    ``bilinear_sample``, and ``n`` must divide ``len(ys)``.  With
+    ``r = len(ys) // n``, block k holds lattice rows ``k * r`` to
+    ``(k + 1) * r - 1`` as a fresh ``(r, len(xs))`` array (plus the channel
+    axis, if any) that the caller may overwrite.  The x-interpolated strip
+    of image rows is built once, before the first block.
     """
-    y0, y1, fy = _corners(ys, image.shape[0])
-    x0, x1, fx = _corners(xs, image.shape[1])
+    ys = np.asarray(ys, dtype=np.float64)
+    xs = np.asarray(xs, dtype=np.float64)
+    if ys.ndim != 1 or xs.ndim != 1:
+        raise DomainError(f"lattice coordinates must be 1-D, got {ys.shape} and {xs.shape}")
+    if not len(ys) or n < 1 or len(ys) % n:
+        raise DomainError(f"{len(ys)} lattice rows do not split into {n} equal blocks")
+    h, w = image.shape[:2]
+    y0, y1, fy = _corners(np.clip(ys, 0.0, h - 1.0), h)
+    x0, x1, fx = _corners(np.clip(xs, 0.0, w - 1.0), w)
     fy = fy.reshape((-1,) + (1,) * (image.ndim - 1))
     fx = fx.reshape((-1,) + (1,) * (image.ndim - 2))
     lo = int(y0.min())
     strip = image[lo : int(y1.max()) + 1]
-    rows = strip[:, x0] * (1.0 - fx)
-    rows += strip[:, x1] * fx
-    # in place on the fresh row gathers: fewer new buffers, so fewer page
-    # faults, than rows[y0] * (1 - fy) + rows[y1] * fy
-    out = rows[y0 - lo]
-    out *= 1.0 - fy
-    bot = rows[y1 - lo]
-    bot *= fy
-    out += bot
-    return out
+    # both passes work in place on fresh gathers, promoted to float64 as
+    # the products would be: fewer new buffers, so fewer page faults, than
+    # strip[:, x0] * (1 - fx) + strip[:, x1] * fx
+    dtype = np.result_type(image.dtype, np.float64)
+    rows = strip[:, x0].astype(dtype, copy=False)
+    rows *= 1.0 - fx
+    right = strip[:, x1].astype(dtype, copy=False)
+    right *= fx
+    rows += right
+    del right  # freed before the blocks, which can reuse its memory
+    y0 -= lo
+    y1 -= lo
+    gy = 1.0 - fy
+    step = len(ys) // n
+    for start in range(0, len(ys), step):
+        block = slice(start, start + step)
+        out = rows[y0[block]]
+        out *= gy[block]
+        bot = rows[y1[block]]
+        bot *= fy[block]
+        out += bot
+        yield out
 
 
 def bilinear_sample(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -75,14 +112,13 @@ def bilinear_sample(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.nda
     coordinates, ``ys`` of shape ``(..., n, 1)`` and ``xs`` of shape
     ``(..., 1, m)``, take the separable path (see the module docstring).
     """
-    h, w = image.shape[:2]
-    ys = np.clip(np.asarray(ys, dtype=np.float64), 0.0, h - 1.0)
-    xs = np.clip(np.asarray(xs, dtype=np.float64), 0.0, w - 1.0)
+    ys = np.asarray(ys, dtype=np.float64)
+    xs = np.asarray(xs, dtype=np.float64)
     lattice = min(ys.ndim, xs.ndim) >= 2 and ys.shape[-1] == xs.shape[-2] == 1
     if lattice and ys.size and xs.size:
         batch = np.broadcast_shapes(ys.shape[:-2], xs.shape[:-2])
         if not batch:
-            return _sample_lattice(image, ys[:, 0], xs[0])
+            return next(lattice_row_blocks(image, ys[:, 0], xs[0], 1))
         ys = np.broadcast_to(ys, batch + ys.shape[-2:])
         xs = np.broadcast_to(xs, batch + xs.shape[-2:])
         out = np.empty(
@@ -90,10 +126,11 @@ def bilinear_sample(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.nda
             dtype=np.result_type(image.dtype, np.float64),
         )
         for idx in np.ndindex(batch):
-            out[idx] = _sample_lattice(image, ys[idx][:, 0], xs[idx][0])
+            out[idx] = next(lattice_row_blocks(image, ys[idx][:, 0], xs[idx][0], 1))
         return out
-    y0, y1, fy = _corners(ys, h)
-    x0, x1, fx = _corners(xs, w)
+    h, w = image.shape[:2]
+    y0, y1, fy = _corners(np.clip(ys, 0.0, h - 1.0), h)
+    x0, x1, fx = _corners(np.clip(xs, 0.0, w - 1.0), w)
     if image.ndim == 3:
         fy = fy[..., None]
         fx = fx[..., None]

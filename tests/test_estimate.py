@@ -2,20 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttckit.boxes import BoundingBox
 from ttckit.errors import SequenceInvalidError
 from ttckit.estimate import (
     ScaleSearchConfig,
     _pixel_mse_scores,
+    candidate_grid_patches,
     detection_ratio_estimate,
     feature_scale_estimate,
+    feature_scores,
     make_estimator,
     pixel_mse_estimate,
+    pooled_cosine_scores,
     scaled_candidate_boxes,
+    target_grid_patch,
 )
 from ttckit.manifest import FrameSample, Sequence
-from ttckit.sampling import crop_resize
+from ttckit.sampling import bilinear_sample, crop_positions, crop_resize
 from ttckit.synth import CameraModel, PlanarTarget, noise_texture, sequence_for_ttc
 
 CAM = CameraModel.centered(800.0, 320, 192)
@@ -349,3 +355,79 @@ def test_pixel_mse_scores_recover_planted_offset():
     assert (best_bin, tuple(offsets[best_off])) == (bin_i, (dx, dy))
     assert mses[best_bin, best_off] == 0.0
     assert np.array_equal(np.argmin(mses, axis=1), np.argmin(want, axis=1))
+
+
+def _full_lattice_pixel_mse(ref, tgt_crop, center, b1, cfg):
+    """The search over each bin's whole augmented lattice, sampled at once.
+
+    Every (dx, dy) crop of a bin tiles one (2c+1) * out_h by
+    (2c+1) * out_w lattice, reduced over its (row, column) axes in one
+    mean; kept as the reference the blocked search must equal bit for bit.
+    """
+    out_h, out_w = tgt_crop.shape
+    c = cfg.shift_c
+    side = np.arange(-c, c + 1, dtype=np.float64)
+    n_side = 2 * c + 1
+    center_box = BoundingBox(center[0], center[1], b1.w, b1.h)
+    mses = np.empty((cfg.n_bins, n_side * n_side))
+    for i, box in enumerate(scaled_candidate_boxes(center_box, b1, cfg)):
+        ys, xs = crop_positions(box, out_w, out_h)
+        lattice_x = (side[:, None] + xs[None, :]).reshape(-1)
+        lattice_y = (side[:, None] + ys[None, :]).reshape(-1)
+        sampled = bilinear_sample(ref, lattice_y[:, None], lattice_x[None, :])
+        diff = sampled.reshape(n_side, out_h, n_side, out_w)
+        np.subtract(diff, tgt_crop[None, :, None, :], out=diff)
+        np.multiply(diff, diff, out=diff)
+        mses[i] = np.mean(diff, axis=(1, 3)).T.reshape(-1)
+    return mses
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    shift_c=st.integers(0, 3),
+    out_h=st.integers(2, 9),
+    out_w=st.integers(2, 9),
+    n_bins=st.integers(2, 4),
+)
+def test_pixel_mse_scores_equal_the_full_lattice_search(data, shift_c, out_h, out_w, n_bins):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    h, w = data.draw(st.integers(3, 30)), data.draw(st.integers(3, 30))
+    ref = rng.uniform(size=(h, w))
+    tgt_crop = rng.uniform(size=(out_h, out_w))
+    # centers and boxes reach past every edge of the reference image
+    center = (data.draw(st.floats(-8.0, w + 8.0)), data.draw(st.floats(-8.0, h + 8.0)))
+    b1 = BoundingBox(
+        data.draw(st.floats(-8.0, w + 8.0)),
+        data.draw(st.floats(-8.0, h + 8.0)),
+        data.draw(st.floats(1.0, 2.0 * w)),
+        data.draw(st.floats(1.0, 2.0 * h)),
+    )
+    cfg = ScaleSearchConfig(n_bins=n_bins, top_k=1, shift_c=shift_c, alpha_min=0.7, alpha_max=1.4)
+    mses, offsets = _pixel_mse_scores(ref, tgt_crop, center, b1, cfg)
+    assert offsets.shape == ((2 * shift_c + 1) ** 2, 2)
+    assert np.array_equal(mses, _full_lattice_pixel_mse(ref, tgt_crop, center, b1, cfg))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    cx=st.floats(-10.0, 50.0),
+    cy=st.floats(-10.0, 40.0),
+    bw=st.floats(2.0, 30.0),
+    bh=st.floats(2.0, 30.0),
+    n_bins=st.integers(2, 5),
+    shift_c=st.integers(0, 2),
+)
+def test_feature_scores_equal_the_whole_stack_scores(cx, cy, bw, bh, n_bins, shift_c):
+    # boxes reach past every edge of 30x40 feature maps
+    rng = np.random.default_rng(1)
+    fmap0, fmap1 = rng.normal(size=(2, 30, 40, 12))
+    cfg = ScaleSearchConfig.feature_defaults(
+        n_bins=n_bins, top_k=1, shift_c=shift_c, target_w=9, target_h=6
+    )
+    b1 = BoundingBox(20.0, 15.0, bw, bh)
+    scores, _ = feature_scores(fmap0, fmap1, (cx, cy), b1, cfg)
+    want = pooled_cosine_scores(
+        candidate_grid_patches(fmap0, (cx, cy), b1, cfg), target_grid_patch(fmap1, b1, cfg)
+    )
+    assert np.array_equal(scores, want)

@@ -7,7 +7,7 @@ import pytest
 
 from ttckit.core import scale_ratio_from_ttc
 from ttckit.errors import DomainError, SequenceInvalidError
-from ttckit.estimate import TtcEstimate, alpha_to_10hz
+from ttckit.estimate import ScaleSearchConfig, TtcEstimate, alpha_to_10hz, make_estimator
 from ttckit.evaluation import (
     EvaluationReport,
     evaluate_dataset,
@@ -16,7 +16,8 @@ from ttckit.evaluation import (
     reports_to_csv,
     rte_metric,
 )
-from ttckit.manifest import Sequence, SequenceLabel
+from ttckit.manifest import Sequence, SequenceLabel, load_dataset, write_index, write_sequence_dir
+from ttckit.suites import mixed_interval_suite
 
 
 def test_mid_identity_and_hand_value():
@@ -159,3 +160,26 @@ def test_report_csv_grid():
     assert lines[1].startswith("perfect,0.0000")
     table = format_report_table([rep])
     assert "perfect" in table and "MiD_c" in table
+
+
+def test_evaluation_keeps_no_raster_of_an_on_disk_dataset(tmp_path):
+    # memory stays flat in dataset size: rasters decoded from disk are
+    # dropped once the estimate is made, while in-memory ones stay as given
+    suite = mixed_interval_suite(3, seed=21)
+    for seq in suite:
+        write_sequence_dir(seq, tmp_path)
+    write_index(tmp_path, [s.sequence_id for s in suite], config_hash="h")
+    dataset = load_dataset(tmp_path)
+    estimators = {
+        "pixel_mse": make_estimator("pixel_mse", ScaleSearchConfig(n_bins=6, top_k=2, shift_c=1)),
+        "feature_scale": make_estimator("feature_scale", ScaleSearchConfig.feature_defaults()),
+    }
+    for name, estimator in estimators.items():
+        on_disk = evaluate_dataset(dataset, estimator, name)
+        assert on_disk.n_failures == 0
+        assert all(f.image is None for seq in dataset for f in seq.frames)
+        in_memory = evaluate_dataset(suite, estimator, name)
+        assert in_memory.n_failures == 0
+    for seq in suite:
+        for frame in seq.frames:
+            assert frame.image is not None and frame.load_image() is frame.image

@@ -342,27 +342,30 @@ def test_augmented_scores_identity_and_cancelled_flat_draws(prep):
     assert np.all(np.isfinite(got))
 
 
-def test_prepare_fast_ingredients_come_from_the_estimator_patches(prep):
-    # the cached products are those of the estimator's own patch sampling on
-    # the region-of-interest feature maps, bit for bit
-    cfg = _PREP_CFG
+def test_prepare_fast_ingredients_come_from_the_estimator_patches():
+    # the cached products, made one scale bin at a time, are those of the
+    # estimator's whole-stack patch sampling on the region-of-interest
+    # feature maps, bit for bit, at shift radii 0, 1 and 2
     seq = mixed_interval_suite(1, seed=77)[0]
     extractor = HandCraftedExtractor()
-    sample = TrainSample.from_sequence(seq, cfg)
-    x0, y0, x1, y1 = _roi_bounds(sample, cfg, sample.image1.shape[:2])
-    f0 = extractor(sample.image0[y0:y1, x0:x1]).astype(np.float64)
-    f1 = extractor(sample.image1[y0:y1, x0:x1]).astype(np.float64)
-    center = (sample.center0[0] - x0, sample.center0[1] - y0)
-    box = BoundingBox(sample.box1.cx - x0, sample.box1.cy - y0, sample.box1.w, sample.box1.h)
-    p0 = candidate_grid_patches(f0, center, box, cfg)
-    p1 = target_grid_patch(f1, box, cfg)
-    want = _ingredients(
-        p0.reshape(cfg.n_bins, 9, -1, 12), p1.reshape(-1, 12),
-        soft_label(sample.alpha_gt, cfg, 1.0),
-    )
-    for name in ("dot01", "dot0m", "norm0", "dot1m", "norm1", "label"):
-        assert np.array_equal(getattr(prep, name), getattr(want, name)), name
-    assert prep.mask_sq == want.mask_sq
+    for cfg in (_PREP_CFG, _cfg(n_bins=5, shift_c=0, target=9), _cfg(n_bins=4, shift_c=2, target=7)):
+        prep = _prepare_fast(seq, cfg, extractor, 1.0)
+        sample = TrainSample.from_sequence(seq, cfg)
+        x0, y0, x1, y1 = _roi_bounds(sample, cfg, sample.image1.shape[:2])
+        f0 = extractor(sample.image0[y0:y1, x0:x1]).astype(np.float64)
+        f1 = extractor(sample.image1[y0:y1, x0:x1]).astype(np.float64)
+        center = (sample.center0[0] - x0, sample.center0[1] - y0)
+        box = BoundingBox(sample.box1.cx - x0, sample.box1.cy - y0, sample.box1.w, sample.box1.h)
+        p0 = candidate_grid_patches(f0, center, box, cfg)
+        p1 = target_grid_patch(f1, box, cfg)
+        n_off = (2 * cfg.shift_c + 1) ** 2
+        want = _ingredients(
+            p0.reshape(cfg.n_bins, n_off, -1, 12), p1.reshape(-1, 12),
+            soft_label(sample.alpha_gt, cfg, 1.0),
+        )
+        for name in ("dot01", "dot0m", "norm0", "dot1m", "norm1", "label"):
+            assert np.array_equal(getattr(prep, name), getattr(want, name)), (cfg.shift_c, name)
+        assert prep.mask_sq == want.mask_sq
 
 
 def _train_suite(n, seed, noise_seed=0):

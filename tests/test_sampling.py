@@ -14,6 +14,7 @@ from ttckit.sampling import (
     bilinear_sample_adjoint,
     crop_resize,
     grid_sample_features,
+    lattice_row_blocks,
     shift_offsets,
 )
 
@@ -196,6 +197,36 @@ def test_candidate_patch_lattices_bit_identical(cx, cy, bw, bh, n_bins, shift_c,
     assert ys.shape == (n_bins, (2 * shift_c + 1) ** 2, 5, 1)
     assert xs.shape == (n_bins, (2 * shift_c + 1) ** 2, 1, 7)
     _assert_bit_identical(fmap, ys, xs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), image=_images())
+def test_row_blocks_concatenate_to_the_one_block_lattice(data, image):
+    h, w = image.shape[:2]
+    rows = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]))
+    m = data.draw(st.integers(1, 8))
+    ys = _coords(data.draw, (rows,), h)
+    xs = _coords(data.draw, (m,), w)
+    whole = bilinear_sample(image, ys[:, None], xs[None, :])
+    _assert_bit_identical(image, ys[:, None], xs[None, :])
+    for n in [k for k in range(1, rows + 1) if rows % k == 0]:
+        blocks = list(lattice_row_blocks(image, ys, xs, n))
+        assert len(blocks) == n
+        assert all(b.shape == (rows // n, m) + image.shape[2:] for b in blocks)
+        got = np.concatenate(blocks)
+        assert got.dtype == whole.dtype and np.array_equal(got, whole)
+
+
+def test_row_blocks_reject_uneven_splits_and_bad_coordinates():
+    img = np.zeros((4, 5))
+    ys, xs = np.arange(6.0), np.arange(3.0)
+    for n in (0, 4, 7):
+        with pytest.raises(DomainError):
+            next(lattice_row_blocks(img, ys, xs, n))
+    with pytest.raises(DomainError):
+        next(lattice_row_blocks(img, np.empty(0), xs, 1))
+    with pytest.raises(DomainError):
+        next(lattice_row_blocks(img, ys[:, None], xs, 1))
 
 
 def test_lattice_path_handles_one_row_and_one_column_images():
