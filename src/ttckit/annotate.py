@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import BoundingBox
+from .boxes import BoundingBox, box_drop_reason
 from .core import (
     DEFAULT_VELOCITY_EPS,
     ttc_from_depth_velocity,
@@ -22,7 +22,6 @@ from .core import (
 from .errors import DomainError, FitFailedError
 from .manifest import FrameSample, Sequence, SequenceLabel
 
-MIN_BOX_SIZE_PX = 15.0
 DEFAULT_QS = (3, 5, 10)
 DEFAULT_SPREAD_THRESHOLD = 0.10
 
@@ -222,18 +221,16 @@ class DroppedWindow:
 
 
 def _window_drop_reason(
-    frames: list[TrackletFrame], fps: float, image_size: tuple[float, float],
-    min_box: float,
+    frames: list[TrackletFrame], fps: float, image_size: tuple[float, float]
 ) -> str | None:
     dt = 1.0 / fps
     for a, b in zip(frames, frames[1:]):
         if abs((b.timestamp_s - a.timestamp_s) - dt) > 1e-6:
             return "frame_gap"
     for f in frames:
-        if f.box.w < min_box or f.box.h < min_box:
-            return "box_below_min_size"
-        if not f.box.inside_image(*image_size):
-            return "truncated_box"
+        reason = box_drop_reason(f.box, *image_size)
+        if reason is not None:
+            return reason
     return None
 
 
@@ -242,13 +239,13 @@ def build_sequences(
     *,
     length: int = 6,
     fps: float = 10.0,
-    min_box: float = MIN_BOX_SIZE_PX,
     reference_v: float | None = None,
     seed: int = 0,
 ) -> tuple[list[Sequence], list[DroppedWindow]]:
     """Split tracklets into non-overlapping fixed-length windows.
 
-    Windows failing the size/truncation filters are dropped with a
+    Windows with a frame gap or a box that
+    :func:`ttckit.boxes.box_drop_reason` rejects are dropped with that
     reason.  When depths are present the window is labeled via
     :func:`arbitrate_multi_q` on the track history up to its last frame.
     """
@@ -259,7 +256,7 @@ def build_sequences(
         depths_ok = all(f.depth_m is not None for f in tracklet.frames)
         for w in range(n_windows):
             frames = tracklet.frames[w * length : (w + 1) * length]
-            reason = _window_drop_reason(frames, fps, tracklet.image_size, min_box)
+            reason = _window_drop_reason(frames, fps, tracklet.image_size)
             if reason is not None:
                 dropped.append(DroppedWindow(tracklet.track_id, w, reason))
                 continue

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
+MIN_BOX_SIZE_PX = 15.0
+
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -53,11 +55,18 @@ class BoundingBox:
     def inside_image(self, width: float, height: float) -> bool:
         return self.x0 >= 0 and self.y0 >= 0 and self.x1 <= width and self.y1 <= height
 
-    def intersects_image(self, width: float, height: float) -> bool:
-        return self.x1 > 0 and self.y1 > 0 and self.x0 < width and self.y0 < height
 
-    def as_list(self) -> list[float]:
-        return [self.cx, self.cy, self.w, self.h]
+def box_drop_reason(box: BoundingBox, width: float, height: float) -> str | None:
+    """Why a box is unusable for scale estimation, or None if it is usable.
+
+    Size is checked first: a side under ``MIN_BOX_SIZE_PX`` gives
+    ``"box_below_min_size"``, a box leaving the image ``"truncated_box"``.
+    """
+    if box.w < MIN_BOX_SIZE_PX or box.h < MIN_BOX_SIZE_PX:
+        return "box_below_min_size"
+    if not box.inside_image(width, height):
+        return "truncated_box"
+    return None
 
 
 def expand_box(

@@ -2,16 +2,14 @@
 
 Subcommands: synth, annotate, estimate, train, eval, report.  Exit codes:
 0 success, 1 internal error, 2 usage/input error.  All outputs are
-deterministic given the seeds in the run configuration; the only
-environment knob is TTCKIT_THREADS (render worker count).
+deterministic given the seeds in the run configuration, and no
+environment variable changes them.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -35,38 +33,10 @@ from .manifest import (
     write_sequence_dir,
 )
 from .scenarios import builtin_scripts, simulate_script
-from .synth import generate_from_trajectory, project_size
+from .synth import generate_from_trajectory, window_drop_reason
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 1
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("TTCKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _window_feasible(traj, camera, target, start: float, fps: float, length: int) -> bool:
-    t_last = start + (length - 1) / fps
-    if t_last > traj.t_end or (traj.contact_time is not None and t_last >= traj.contact_time):
-        return False
-    for k in range(length):
-        t = start + k / fps
-        y = traj.depth(t)
-        if y <= 0:
-            return False
-        w = project_size(camera, target.physical_width, y)
-        h = project_size(camera, target.physical_height, y)
-        if w < 15.0 or h < 15.0:
-            return False
-        u = camera.cx + camera.f * (traj.lateral(t) + target.lateral_offset_x) / y
-        v = camera.cy - camera.f * target.vertical_offset_z / y
-        if u - w / 2 < 0 or u + w / 2 > camera.width or v - h / 2 < 0 or v + h / 2 > camera.height:
-            return False
-    return True
 
 
 def cmd_synth(args) -> int:
@@ -82,8 +52,7 @@ def cmd_synth(args) -> int:
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     horizon = 14.0
 
-    # plan sequentially (deterministic), render in parallel, write sorted
-    plan = []
+    written = []
     by_template: dict[int, list] = {}
     for script in scripts:
         by_template.setdefault(script.template, []).append(script)
@@ -104,46 +73,33 @@ def cmd_synth(args) -> int:
                 span = max(traj.t_end - (cfg.synth.length - 1) / cfg.synth.fps - cfg.synth.start_min, 0.0)
                 start = cfg.synth.start_min + float(rng.uniform(0.0, span)) if span > 0 else cfg.synth.start_min
                 start = round(start, 3)
-                if not _window_feasible(traj, camera, target, start, cfg.synth.fps, cfg.synth.length):
+                if window_drop_reason(traj, camera, target, start, cfg.synth.fps,
+                                      cfg.synth.length) is not None:
                     continue
-                seq_id = f"t{template}v{script.script_id:05d}k{made}"
-                plan.append((traj, target, start, seq_id, script))
+                seq = generate_from_trajectory(
+                    traj,
+                    camera,
+                    target,
+                    cfg.noise,
+                    fps=cfg.synth.fps,
+                    length=cfg.synth.length,
+                    start_time=start,
+                    sequence_id=f"t{template}v{script.script_id:05d}k{made}",
+                    background=cfg.synth.background,
+                    provenance={
+                        "generator": "synth",
+                        "seed": cfg.noise.seed,
+                        "script_id": script.script_id,
+                        "template": script.template,
+                        "start_time": start,
+                    },
+                )
+                write_sequence_dir(seq, out_dir)
+                written.append(seq.sequence_id)
                 made += 1
 
-    def render(item):
-        traj, target, start, seq_id, script = item
-        provenance = {
-            "generator": "synth",
-            "seed": cfg.noise.seed,
-            "script_id": script.script_id,
-            "template": script.template,
-            "start_time": start,
-        }
-        return generate_from_trajectory(
-            traj,
-            camera,
-            target,
-            cfg.noise,
-            fps=cfg.synth.fps,
-            length=cfg.synth.length,
-            start_time=start,
-            sequence_id=seq_id,
-            background=cfg.synth.background,
-            provenance=provenance,
-        )
-
-    workers = _thread_count()
-    if workers > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sequences = list(pool.map(render, plan))
-    else:
-        sequences = [render(item) for item in plan]
-
-    sequences.sort(key=lambda s: s.sequence_id)
-    for seq in sequences:
-        write_sequence_dir(seq, out_dir)
-    write_index(out_dir, [s.sequence_id for s in sequences], chash)
-    print(f"wrote {len(sequences)} sequences to {out_dir} (config {chash})")
+    write_index(out_dir, written, chash)
+    print(f"wrote {len(written)} sequences to {out_dir} (config {chash})")
     return 0
 
 

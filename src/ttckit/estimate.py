@@ -33,7 +33,7 @@ from .core import (
     ttc_from_scale_ratio,
 )
 from .errors import DomainError, ScaleConversionError, SequenceInvalidError
-from .features import HandCraftedExtractor
+from .features import ConvStackExtractor, HandCraftedExtractor
 from .manifest import FrameSample, Sequence
 from .sampling import (
     bilinear_sample,
@@ -516,24 +516,32 @@ ESTIMATOR_NAMES = ("detection", "pixel_mse", "feature_scale")
 
 
 def make_estimator(name: str, cfg: ScaleSearchConfig, weights: dict | None = None):
-    """Build a ``seq -> TtcEstimate`` callable by estimator name."""
+    """Build a ``seq -> TtcEstimate`` callable by estimator name.
+
+    Feature-scale ``weights`` that do not fit ``cfg`` raise ``DomainError``
+    here, before any sequence is estimated.
+    """
     if name == "detection":
         return lambda seq: detection_ratio_estimate(seq, cfg)
     if name == "pixel_mse":
         return lambda seq: pixel_mse_estimate(seq, cfg)
     if name == "feature_scale":
-        fc_w = fc_b = None
-        extractor = None
+        extractor = fc_w = fc_b = None
         if weights is not None:
-            fc_w = weights.get("fc.weight")
-            fc_b = weights.get("fc.bias")
-            if any(k.startswith("conv1.") for k in weights):
-                from .features import ConvStackExtractor
-
-                mid = weights["conv1.weight"].shape[1]
-                out_ch = weights["conv3.weight"].shape[1]
-                k = int(round(math.sqrt(weights["conv1.weight"].shape[0] / 12)))
-                extractor = ConvStackExtractor(mid, out_ch, kernel=k)
+            # exactly an n_bins head and, optionally, a whole conv stack whose
+            # architecture is read from its conv1/conv3 shapes
+            expected = {"fc.weight": (cfg.n_bins, cfg.n_bins), "fc.bias": (cfg.n_bins,)}
+            conv1, conv3 = weights.get("conv1.weight"), weights.get("conv3.weight")
+            if conv1 is not None and conv3 is not None and np.ndim(conv1) == np.ndim(conv3) == 2:
+                k = max(1, int(round(math.sqrt(conv1.shape[0] / 12))))
+                extractor = ConvStackExtractor(conv1.shape[1], conv3.shape[1], kernel=k)
+                expected.update({key: p.shape for key, p in extractor.params().items()})
+            shapes = {key: np.shape(p) for key, p in weights.items()}
+            if shapes != expected:
+                raise DomainError(f"weights do not fit the {cfg.n_bins}-bin feature_scale "
+                                  f"head: got {shapes}, need {expected}")
+            if extractor is not None:
                 extractor.set_params(weights)
+            fc_w, fc_b = weights["fc.weight"], weights["fc.bias"]
         return lambda seq: feature_scale_estimate(seq, cfg, extractor, fc_w, fc_b)
     raise DomainError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")

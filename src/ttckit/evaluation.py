@@ -144,7 +144,7 @@ def evaluate_dataset(
             record.update({"failed": True, "error": str(exc)})
             records.append(record)
             continue
-        mid = abs(math.log(alpha_gt_10) - math.log(est.alpha_hat_10hz)) * 1e4
+        mid = mid_metric(est.alpha_hat_10hz, alpha_gt_10)
         record.update(
             {
                 "failed": False,

@@ -28,6 +28,7 @@ from .errors import DomainError, FitFailedError, TrainingDivergedError
 from .estimate import (
     COSINE_EPS,
     ScaleSearchConfig,
+    _estimate_pair,
     alpha_to_10hz,
     candidate_grid_patches,
     candidate_patch_coords,
@@ -38,6 +39,7 @@ from .estimate import (
     pooled_cosine_terms,
     target_grid_patch,
 )
+from .evaluation import mid_metric
 from .features import HandCraftedExtractor
 from .manifest import Sequence
 from .sampling import bilinear_sample_adjoint, grid_positions
@@ -161,7 +163,7 @@ class TrainSample:
     @classmethod
     def from_sequence(cls, seq: Sequence, cfg: ScaleSearchConfig) -> "TrainSample":
         gap = cfg.frame_gap
-        ref, tgt = seq.frames[len(seq.frames) - 1 - gap], seq.frames[-1]
+        ref, tgt = _estimate_pair(seq, gap)
         img0, img1 = ref.load_image(), tgt.load_image()
         h, w = img1.shape[:2]
         if seq.label is None:
@@ -486,8 +488,7 @@ def _val_mid(fc_w, fc_b, cfg, val_scores, val_alpha10, val_eff_fps) -> float:
         logits, _ = head_logits(scores, fc_w, fc_b)
         alpha = fuse_logits(logits, cfg)
         alpha = min(max(alpha, cfg.alpha_min), cfg.alpha_max)
-        alpha10 = alpha_to_10hz(alpha, eff)
-        mids.append(abs(np.log(alpha_gt_10) - np.log(alpha10)) * 1e4)
+        mids.append(mid_metric(alpha_to_10hz(alpha, eff), alpha_gt_10))
     return float(np.mean(mids))
 
 

@@ -32,8 +32,6 @@ class FrameSample:
     depth_m: float | None = None
     image: np.ndarray | None = None  # (H, W, 3) float32 in [0, 1]
     image_path: str | None = None
-    too_small: bool = False
-    truncated: bool = False
 
     def load_image(self, root: Path | None = None) -> np.ndarray:
         """The in-memory raster if the frame holds one, else its PNG, decoded.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from .boxes import BoundingBox
+from .boxes import BoundingBox, box_drop_reason
 from .core import DEFAULT_VELOCITY_EPS, ttc_from_depth_velocity
 from .errors import DomainError, SequenceInvalidError
 from .manifest import FrameSample, Sequence, SequenceLabel
@@ -111,6 +111,17 @@ def _frame_noise(noise: NoiseModel | None, rng: np.random.Generator | None):
     return dx, dy, s, gain, bias
 
 
+def projected_box(
+    camera: CameraModel, target: PlanarTarget, depth_m: float, lateral_x: float = 0.0
+) -> BoundingBox:
+    """The target's exact image box at a depth and lateral position."""
+    w = project_size(camera, target.physical_width, depth_m)
+    h = project_size(camera, target.physical_height, depth_m)
+    u = camera.cx + camera.f * (lateral_x + target.lateral_offset_x) / depth_m
+    v = camera.cy - camera.f * target.vertical_offset_z / depth_m
+    return BoundingBox(u, v, w, h)
+
+
 def render_frame(
     camera: CameraModel,
     target: PlanarTarget,
@@ -135,17 +146,10 @@ def render_frame(
     aliases badly once the texture is minified a few times, which would
     leak a scale-dependent bias into anything matched against the render.
     """
-    if depth_m <= 0:
-        raise DomainError(f"depth must be positive, got {depth_m}")
     if supersample < 1:
         raise DomainError(f"supersample factor must be >= 1, got {supersample}")
-    u = camera.cx + camera.f * (lateral_x + target.lateral_offset_x) / depth_m
-    v = camera.cy - camera.f * target.vertical_offset_z / depth_m
-    w = project_size(camera, target.physical_width, depth_m)
-    h = project_size(camera, target.physical_height, depth_m)
-    exact_box = BoundingBox(u, v, w, h)
-    too_small = w < 15.0 or h < 15.0
-    truncated = not exact_box.inside_image(camera.width, camera.height)
+    exact_box = projected_box(camera, target, depth_m, lateral_x)
+    u, v, w, h = exact_box.cx, exact_box.cy, exact_box.w, exact_box.h
 
     if np.isscalar(background):
         img = np.full((camera.height, camera.width, 3), float(background))
@@ -198,8 +202,6 @@ def render_frame(
         exact_box=exact_box,
         depth_m=depth_m,
         image=img.astype(np.float32),
-        too_small=too_small,
-        truncated=truncated,
     )
 
 
@@ -208,6 +210,31 @@ def _sequence_rng(noise: NoiseModel | None, sequence_id: str) -> np.random.Gener
         return None
     key = zlib.crc32(sequence_id.encode())
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([noise.seed, key])))
+
+
+def window_drop_reason(
+    traj: Trajectory, camera: CameraModel, target: PlanarTarget,
+    start_time: float, fps: float, length: int,
+) -> str | None:
+    """Why the ``length``-frame window from ``start_time`` cannot be rendered, or None.
+
+    It must lie inside the trajectory and end before contact, and every
+    frame's exact box at the renderer's frame times must pass
+    :func:`ttckit.boxes.box_drop_reason`.
+    """
+    dt = 1.0 / fps
+    t_last = start_time + (length - 1) * dt
+    if start_time < 0:
+        return "start_before_trajectory"
+    if t_last > traj.t_end or (traj.contact_time is not None and t_last >= traj.contact_time):
+        return "contact_before_sequence_end"
+    for k in range(length):
+        t = start_time + k * dt
+        box = projected_box(camera, target, traj.depth(t), traj.lateral(t))
+        reason = box_drop_reason(box, camera.width, camera.height)
+        if reason is not None:
+            return reason
+    return None
 
 
 def generate_from_trajectory(
@@ -224,13 +251,16 @@ def generate_from_trajectory(
     history_len: int = 12,
     provenance: dict | None = None,
 ) -> Sequence:
-    """Render a labeled sequence from an already-simulated trajectory."""
+    """Render a labeled sequence from an already-simulated trajectory.
+
+    A window :func:`window_drop_reason` rejects raises that reason as a
+    ``SequenceInvalidError`` before any frame is rendered.
+    """
+    reason = window_drop_reason(traj, camera, target, start_time, fps, length)
+    if reason is not None:
+        raise SequenceInvalidError(reason)
     dt = 1.0 / fps
     t_last = start_time + (length - 1) * dt
-    if start_time < 0:
-        raise SequenceInvalidError("start_before_trajectory")
-    if t_last > traj.t_end or (traj.contact_time is not None and t_last >= traj.contact_time):
-        raise SequenceInvalidError("contact_before_sequence_end")
 
     rng = _sequence_rng(noise, sequence_id)
     frames = []
@@ -246,10 +276,6 @@ def generate_from_trajectory(
             rng=rng,
             background=background,
         )
-        if frame.truncated:
-            raise SequenceInvalidError("truncated_box")
-        if frame.too_small:
-            raise SequenceInvalidError("box_below_min_size")
         frames.append(frame)
 
     y_last = traj.depth(t_last)

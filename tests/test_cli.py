@@ -164,6 +164,46 @@ def test_eval_rejects_hash_mismatch(small_dataset, tmp_path):
     assert main(args + ["--force"]) == 0
 
 
+def test_eval_rejects_weights_that_do_not_fit_the_head(small_dataset, tmp_path, capsys):
+    # a weights file that does not fit the 20-bin search fails before the
+    # first sequence, with exit 2 and no report
+    _, cfg_path, out = small_dataset
+    from ttckit.estimate import identity_head
+    from ttckit.learn import save_weights
+
+    w, b = identity_head(20)
+    w7, b7 = identity_head(7)
+    bad = {
+        "seven_bins": {"fc.weight": w7, "fc.bias": b7},
+        "unknown_key": {"fc.weight": w, "fc.bias": b, "fc.scale": b},
+        "no_head": {"other.weight": w},
+        "bias_only": {"fc.bias": b},
+    }
+    for name, params in bad.items():
+        wpath = tmp_path / f"{name}.bin"
+        save_weights(wpath, params)
+        report = tmp_path / f"{name}.json"
+        rc = main([
+            "eval", "--dataset", str(out), "--estimator", "feature_scale",
+            "--config", str(cfg_path), "--weights", str(wpath), "--out", str(report),
+        ])
+        assert rc == 2, name
+        assert "do not fit the 20-bin feature_scale head" in capsys.readouterr().err
+        assert not report.exists()
+
+
+def test_train_rejects_a_gap_the_sequences_cannot_hold(small_dataset, tmp_path, capsys):
+    _, cfg_path, out = small_dataset
+    for gap in ("6", "9"):
+        rc = main([
+            "train", "--dataset", str(out), "--out", str(tmp_path / f"gap{gap}"),
+            "--config", str(cfg_path), "--gap", gap,
+        ])
+        assert rc == 2
+        assert f"gap {gap} needs {int(gap) + 1} frames" in capsys.readouterr().err
+        assert not (tmp_path / f"gap{gap}" / "weights.bin").exists()
+
+
 def test_report_merges(small_dataset, tmp_path, capsys):
     _, cfg_path, out = small_dataset
     paths = []

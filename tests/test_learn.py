@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttckit.boxes import BoundingBox
-from ttckit.errors import DomainError, TrainingDivergedError
+from ttckit.errors import DomainError, SequenceInvalidError, TrainingDivergedError
 from ttckit.estimate import (
     ScaleSearchConfig,
     candidate_grid_patches,
@@ -342,6 +342,20 @@ def test_augmented_scores_identity_and_cancelled_flat_draws(prep):
     assert np.all(np.isfinite(got))
 
 
+def test_train_sample_takes_the_estimator_frame_pair():
+    # gap g pairs frame len-1-g with the last frame, as the estimators do; a
+    # gap the sequence cannot hold is refused, never wrapped around
+    seq = mixed_interval_suite(1, seed=77)[0]
+    for gap in (1, 5):
+        sample = TrainSample.from_sequence(seq, _cfg().with_gap(gap))
+        ref = seq.frames[len(seq.frames) - 1 - gap]
+        assert sample.center0 == (ref.box.cx, ref.box.cy)
+        assert np.array_equal(sample.image0, ref.load_image())
+    for gap in (6, 9):
+        with pytest.raises(SequenceInvalidError, match=f"gap {gap} needs"):
+            TrainSample.from_sequence(seq, _cfg().with_gap(gap))
+
+
 def test_prepare_fast_ingredients_come_from_the_estimator_patches():
     # the cached products, made one scale bin at a time, are those of the
     # estimator's whole-stack patch sampling on the region-of-interest
@@ -421,6 +435,9 @@ def test_conv_stack_weights_load_through_estimator(tmp_path):
     save_weights(path, params)
     loaded, _ = load_weights(path)
     estimator = make_estimator("feature_scale", cfg, loaded)
+    # a stack missing a layer is refused when the estimator is built
+    with pytest.raises(DomainError, match="do not fit the 8-bin"):
+        make_estimator("feature_scale", cfg, {k: v for k, v in loaded.items() if k != "up.bias"})
     seq = mixed_interval_suite(1, seed=88)[0]
     est = estimator(seq)
     assert cfg.alpha_min <= est.alpha_hat <= cfg.alpha_max

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ttckit.boxes import BoundingBox, expand_box
+from ttckit.boxes import MIN_BOX_SIZE_PX, BoundingBox, box_drop_reason, expand_box
 from ttckit.errors import DomainError
 from ttckit.estimate import ScaleSearchConfig, candidate_patch_coords
 from ttckit.sampling import (
@@ -26,6 +26,25 @@ def test_bounding_box_basics():
     assert b.shifted(2, -1) == BoundingBox(52.0, 39.0, 20.0, 10.0)
     with pytest.raises(DomainError):
         BoundingBox(0, 0, -1, 5)
+
+
+def test_box_drop_reason_cases():
+    assert MIN_BOX_SIZE_PX == 15.0
+    cases = [
+        (BoundingBox(50.0, 40.0, 20.0, 16.0), None),
+        # a side of exactly the minimum, edges exactly on the image border
+        (BoundingBox(7.5, 7.5, 15.0, 15.0), None),
+        (BoundingBox(90.0, 52.5, 20.0, 15.0), None),
+        (BoundingBox(50.0, 40.0, 14.9, 20.0), "box_below_min_size"),
+        (BoundingBox(50.0, 40.0, 20.0, 14.9), "box_below_min_size"),
+        (BoundingBox(9.0, 40.0, 20.0, 20.0), "truncated_box"),
+        (BoundingBox(50.0, 51.0, 20.0, 20.0), "truncated_box"),
+        (BoundingBox(150.0, 40.0, 20.0, 20.0), "truncated_box"),  # wholly outside
+        # both too small and cut off: size is checked first
+        (BoundingBox(2.0, 40.0, 10.0, 10.0), "box_below_min_size"),
+    ]
+    for box, reason in cases:
+        assert box_drop_reason(box, 100, 60) == reason, box
 
 
 def test_expand_box_centered():

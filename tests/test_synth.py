@@ -1,10 +1,15 @@
 """Renderer and sequence generator against brute-force pixel measurements."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ttckit.boxes import box_drop_reason
 from ttckit.errors import DomainError, SequenceInvalidError
-from ttckit.scenarios import constant_velocity_script, simulate_script
+from ttckit.scenarios import builtin_scripts, constant_velocity_script, simulate_script
 from ttckit.synth import (
     CameraModel,
     NoiseModel,
@@ -14,7 +19,10 @@ from ttckit.synth import (
     generate_sequence,
     noise_texture,
     project_size,
+    projected_box,
+    render_frame,
     sequence_for_ttc,
+    window_drop_reason,
 )
 
 
@@ -110,15 +118,78 @@ def test_gain_scales_mean_intensity():
 
 
 def test_flags_small_and_truncated():
+    cam = _camera()
+    target = _target()
+    tiny = projected_box(cam, target, 300.0)  # ~6.7 px
+    assert box_drop_reason(tiny, cam.width, cam.height) == "box_below_min_size"
+    assert tiny.inside_image(cam.width, cam.height)
+    off = PlanarTarget(2.0, 2.0, noise_texture(5), lateral_offset_x=30.0)
+    gone = projected_box(cam, off, 20.0)
+    assert box_drop_reason(gone, cam.width, cam.height) == "truncated_box"
+
+
+def test_render_frame_box_is_projected_box():
     from ttckit.synth import render_frame
 
     cam = _camera()
+    target = PlanarTarget(2.0, 1.5, noise_texture(5), lateral_offset_x=0.4,
+                          vertical_offset_z=-0.3)
+    frame = render_frame(cam, target, 30.0, 1.2)
+    assert frame.exact_box == frame.box == projected_box(cam, target, 30.0, 1.2)
+
+
+_WINDOW_CAMERA = CameraModel.centered(800.0, 320, 192)
+_SCRIPTS_BY_TEMPLATE = {t: builtin_scripts([t]) for t in range(1, 7)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    template=st.integers(1, 6),
+    variant=st.integers(0, 10_000),
+    start=st.floats(-0.5, 14.0) | st.integers(0, 140).map(lambda k: k / 10),
+    lateral=st.floats(-6.0, 6.0),
+    size=st.sampled_from((0.4, 1.0, 1.8, 3.0)),
+)
+def test_window_drop_reason_decides_generation(template, variant, start, lateral, size):
+    # the one rule: a window renders exactly when window_drop_reason passes
+    # it, and a dropped window raises that reason before rendering a frame
+    scripts = _SCRIPTS_BY_TEMPLATE[template]
+    script = scripts[variant % len(scripts)]
+    target = PlanarTarget(size, size, noise_texture(3, size=16), lateral_offset_x=lateral)
+    traj = simulate_script(script, 14.0)
+    reason = window_drop_reason(traj, _WINDOW_CAMERA, target, start, 10.0, 6)
+    calls = []
+
+    def counting_render(*args, **kwargs):
+        calls.append(kwargs["timestamp_s"])
+        return render_frame(*args, **kwargs)
+
+    with patch("ttckit.synth.render_frame", counting_render):
+        if reason is None:
+            seq = generate_from_trajectory(traj, _WINDOW_CAMERA, target, start_time=start)
+            assert calls == [f.timestamp_s for f in seq.frames]
+            for f in seq.frames:
+                assert box_drop_reason(f.exact_box, 320, 192) is None
+        else:
+            with pytest.raises(SequenceInvalidError) as info:
+                generate_from_trajectory(traj, _WINDOW_CAMERA, target, start_time=start)
+            assert str(info.value) == reason
+            assert calls == []
+
+
+def test_window_drop_reason_cases():
+    cam = _camera()
     target = _target()
-    tiny = render_frame(cam, target, 300.0)  # ~6.7 px
-    assert tiny.too_small and not tiny.truncated
-    off = PlanarTarget(2.0, 2.0, noise_texture(5), lateral_offset_x=30.0)
-    gone = render_frame(cam, off, 20.0)
-    assert gone.truncated
+    traj = simulate_script(constant_velocity_script(60.0, 40.0, 30.0), horizon=3.0)
+    assert window_drop_reason(traj, cam, target, 0.5, 10.0, 6) is None
+    assert window_drop_reason(traj, cam, target, -0.1, 10.0, 6) == "start_before_trajectory"
+    assert window_drop_reason(traj, cam, target, 2.7, 10.0, 6) == "contact_before_sequence_end"
+    far = simulate_script(constant_velocity_script(60.0, 40.0, 200.0), horizon=3.0)
+    assert window_drop_reason(far, cam, target, 0.0, 10.0, 6) == "box_below_min_size"
+    crash = simulate_script(constant_velocity_script(80.0, 60.0, 3.0), horizon=3.0)
+    assert window_drop_reason(crash, cam, target, 0.2, 10.0, 6) == "contact_before_sequence_end"
+    aside = PlanarTarget(2.0, 2.0, noise_texture(5), lateral_offset_x=30.0)
+    assert window_drop_reason(traj, cam, aside, 0.5, 10.0, 6) == "truncated_box"
 
 
 def test_generate_sequence_constant_velocity_labels():
