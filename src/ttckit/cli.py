@@ -193,6 +193,9 @@ def cmd_train(args) -> int:
     last = result.history[-1]
     print(f"trained {tcfg.epochs} epochs on {len(train)} sequences ({len(val)} validation)")
     print(f"val MiD untrained {result.val_mid_untrained:.2f} -> trained {last[2]:.2f}")
+    if last[2] > result.val_mid_untrained:
+        print(f"warning: training worsened val MiD "
+              f"({result.val_mid_untrained:.2f} -> {last[2]:.2f})")
     print(f"weights: {out_dir / 'weights.bin'}")
     return 0
 
@@ -210,6 +213,12 @@ def cmd_eval(args) -> int:
                 f"{index['config_hash']}; pass --force to evaluate anyway"
             )
     sequences = load_dataset(dataset_dir)
+    # a gap no sequence can hold would fail every sequence and report a
+    # table of zeros, which reads as a perfect score
+    longest = max((len(seq.frames) for seq in sequences), default=None)
+    if longest is not None and search.frame_gap >= longest:
+        raise DomainError(f"gap {search.frame_gap} needs {search.frame_gap + 1} frames, "
+                          f"the longest sequence has {longest}")
     report = evaluate_dataset(sequences, estimator, args.estimator,
                               config_hash=index["config_hash"])
     out = Path(args.out) if args.out else dataset_dir / f"report_{args.estimator}.json"

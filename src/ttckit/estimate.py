@@ -220,6 +220,34 @@ def detection_ratio_estimate(seq: Sequence, cfg: ScaleSearchConfig) -> TtcEstima
 # pixel-space MSE search
 
 
+def _bin_positions(
+    positions, center: tuple[float, float], b1: BoundingBox, cfg: ScaleSearchConfig,
+    out_w: int, out_h: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """1-D sampling coordinates of every bin's candidate box, unshifted.
+
+    ``positions`` is ``crop_positions`` or ``grid_positions``; returns
+    (ys (n_bins, out_h), xs (n_bins, out_w)).
+    """
+    ys, xs = np.empty((cfg.n_bins, out_h)), np.empty((cfg.n_bins, out_w))
+    center_box = BoundingBox(center[0], center[1], b1.w, b1.h)
+    for i, box in enumerate(scaled_candidate_boxes(center_box, b1, cfg)):
+        ys[i], xs[i] = positions(box, out_w, out_h)
+    return ys, xs
+
+
+def _shift_lattice(coords: np.ndarray, c: int) -> np.ndarray:
+    """Each lattice's 1-D coordinates shifted by every integer in [-c, c].
+
+    ``coords`` is (..., n); the result is (..., (2c+1) * n), the n
+    coordinates shifted by -c, then by -c + 1, and so on: the rows (or
+    columns) of one augmented lattice that tiles every shifted copy.
+    """
+    side = np.arange(-c, c + 1, dtype=np.float64)
+    shifted = side[:, None] + coords[..., None, :]
+    return shifted.reshape(coords.shape[:-1] + (-1,))
+
+
 def _pixel_mse_scores(
     ref_gray: np.ndarray,
     tgt_crop: np.ndarray,
@@ -232,35 +260,29 @@ def _pixel_mse_scores(
     Returns (mse (n_bins, n_offsets), offsets) with offsets lexicographic
     in (dx, dy).  Each bin's shifted crops tile one augmented sampling
     lattice, (2c+1) * out_h rows by (2c+1) * out_w columns, whose block of
-    rows for one dy holds every dx shift side by side.  The lattice is
-    sampled and reduced one such block at a time, so the working set is a
-    (out_h, (2c+1) * out_w) slab, not the whole lattice; each block's
-    sum over (row, column) is the whole-lattice sum over those axes, added
-    in the same order, so the scores do not depend on the blocking.
+    rows for one dy holds every dx shift side by side.  All bins' lattices
+    go to the sampler in one batched call, which hands them back one such
+    block at a time in one reused buffer, so the working set is a
+    (out_h, (2c+1) * out_w) slab, not a whole lattice; each block's sum
+    over (row, column) is the whole-lattice sum over those axes, added in
+    the same order, so the scores do not depend on the blocking.
     """
     out_h, out_w = tgt_crop.shape
     c = cfg.shift_c
-    side = np.arange(-c, c + 1, dtype=np.float64)
     n_side = 2 * c + 1
-    center_box = BoundingBox(center[0], center[1], b1.w, b1.h)
-    candidates = scaled_candidate_boxes(center_box, b1, cfg)
-    mses = np.empty((cfg.n_bins, n_side * n_side))
-    per_shift = np.empty((n_side, n_side))  # (dy_idx, dx_idx)
+    ys, xs = _bin_positions(crop_positions, center, b1, cfg, out_w, out_h)
+    per_shift = np.empty((cfg.n_bins * n_side, n_side))  # (bin, dy_idx) by dx_idx
     # the target once per dx shift, side by side like a block's crops: a
     # same-shape subtraction, faster than broadcasting tgt_crop per block
     target = np.tile(tgt_crop, n_side)
-    for i, box in enumerate(candidates):
-        ys, xs = crop_positions(box, out_w, out_h)
-        lattice_x = (side[:, None] + xs[None, :]).reshape(-1)
-        lattice_y = (side[:, None] + ys[None, :]).reshape(-1)
-        blocks = lattice_row_blocks(ref_gray, lattice_y, lattice_x, n_side)
-        for dy_idx, block in enumerate(blocks):
-            # squared differences in place on the fresh block
-            np.subtract(block, target, out=block)
-            np.multiply(block, block, out=block)
-            per_shift[dy_idx] = block.reshape(out_h, n_side, out_w).sum(axis=(0, 2))
-        mses[i] = per_shift.T.reshape(-1)  # lexicographic (dx, dy)
-    # the means: np.mean is this sum divided by the count
+    blocks = lattice_row_blocks(ref_gray, _shift_lattice(ys, c), _shift_lattice(xs, c), n_side)
+    for k, block in enumerate(blocks):
+        # squared differences in place in the block buffer
+        np.subtract(block, target, out=block)
+        np.multiply(block, block, out=block)
+        per_shift[k] = block.reshape(out_h, n_side, out_w).sum(axis=(0, 2))
+    # lexicographic (dx, dy) within each bin; np.mean is the sum over the count
+    mses = per_shift.reshape(cfg.n_bins, n_side, n_side).transpose(0, 2, 1).reshape(cfg.n_bins, -1)
     mses /= out_h * out_w
     return mses, shift_offsets(c)
 
@@ -336,12 +358,7 @@ def candidate_patch_coords(
     to broadcast into bilinear sampling.
     """
     offsets = shift_offsets(cfg.shift_c).astype(np.float64)
-    ys_list = np.empty((cfg.n_bins, cfg.target_h))
-    xs_list = np.empty((cfg.n_bins, cfg.target_w))
-    center_box = BoundingBox(center[0], center[1], b1.w, b1.h)
-    for i, box in enumerate(scaled_candidate_boxes(center_box, b1, cfg)):
-        ys, xs = grid_positions(box, cfg.target_w, cfg.target_h)
-        ys_list[i], xs_list[i] = ys, xs
+    ys_list, xs_list = _bin_positions(grid_positions, center, b1, cfg, cfg.target_w, cfg.target_h)
     ys_all = ys_list[:, None, :, None] + offsets[None, :, 1, None, None]
     xs_all = xs_list[:, None, None, :] + offsets[None, :, 0, None, None]
     return ys_all, xs_all
@@ -370,11 +387,26 @@ def candidate_patches_by_bin(
     Yields (1, n_offsets, out_h, out_w, C) arrays, equal bit for bit to
     the whole stack's slices ``[i : i + 1]``, sampling each only when it
     is asked for, so a caller that reduces each bin as it comes never
-    holds the whole stack.
+    holds the whole stack.  A bin's shifted patches tile one augmented
+    lattice, (2c+1) * out_h rows by (2c+1) * out_w columns, which the
+    sampler hands back in 2c+1 blocks of rows, one per dy; each block's
+    dx patches are copied into their (dx, dy) slots.  Every bin is yielded
+    in the same buffer, which the next bin overwrites.
     """
-    ys_all, xs_all = candidate_patch_coords(center, b1, cfg)
-    for i in range(cfg.n_bins):
-        yield bilinear_sample(fmap0, ys_all[i : i + 1], xs_all[i : i + 1])
+    c = cfg.shift_c
+    n_side = 2 * c + 1
+    h, w = cfg.target_h, cfg.target_w
+    ys, xs = _bin_positions(grid_positions, center, b1, cfg, w, h)
+    patches = np.empty(
+        (n_side * n_side, h, w) + fmap0.shape[2:], np.result_type(fmap0.dtype, np.float64)
+    )
+    blocks = lattice_row_blocks(fmap0, _shift_lattice(ys, c), _shift_lattice(xs, c), n_side)
+    for k, block in enumerate(blocks):
+        dy_idx = k % n_side
+        # offsets are lexicographic in (dx, dy): one dy's patches sit n_side apart
+        patches[dy_idx::n_side] = np.swapaxes(block.reshape((h, n_side, w) + block.shape[2:]), 0, 1)
+        if dy_idx == n_side - 1:
+            yield patches[None]
 
 
 def target_grid_patch(fmap1: np.ndarray, b1: BoundingBox, cfg: ScaleSearchConfig) -> np.ndarray:

@@ -11,8 +11,10 @@ response to illumination: features(g*I + b) = g*features(I) + b*mask,
 so photometric augmentation happens in feature space without touching
 pixels.  Each pair's candidate and target patches are sampled once, before
 the first epoch, by the estimator's own ``candidate_patches_by_bin`` (one
-scale bin at a time) and ``target_grid_patch``; only their inner products
-are kept, and every epoch recombines them for its (gain, bias) draws.
+scale bin at a time, each bin one augmented lattice of all its shifts,
+handed over in a buffer the next bin reuses) and ``target_grid_patch``;
+only their inner products are kept, and every epoch recombines them for
+its (gain, bias) draws.
 """
 
 from __future__ import annotations

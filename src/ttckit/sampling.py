@@ -60,48 +60,70 @@ def lattice_row_blocks(
 ) -> Iterator[np.ndarray]:
     """Yield the samples at every ``(ys[i], xs[j])`` in ``n`` row blocks.
 
-    ``ys`` and ``xs`` are 1-D texel coordinates, edge-clamped as in
-    ``bilinear_sample``, and ``n`` must divide ``len(ys)``.  With
-    ``r = len(ys) // n``, block k holds lattice rows ``k * r`` to
-    ``(k + 1) * r - 1`` as a fresh ``(r, len(xs))`` array (plus the channel
-    axis, if any) that the caller may overwrite.  The x-interpolated strip
-    of image rows is built once, before the first block.
+    ``ys`` and ``xs`` are 1-D texel coordinates of one lattice, or a batch
+    of B lattices, ``ys`` of shape ``(B, N)`` with ``xs`` of shape
+    ``(B, M)``; they are edge-clamped as in ``bilinear_sample``, and ``n``
+    must divide the row count N.  With ``r = N // n``, the blocks come in
+    (lattice, block) order, B * n of them, and block k of a lattice holds
+    its rows ``k * r`` to ``(k + 1) * r - 1`` as an ``(r, M)`` array (plus
+    the channel axis, if any).
+
+    Every block is the same buffer: the caller may overwrite it, but the
+    next block overwrites it too, so a block that must outlive the next
+    one has to be copied.  The strip, right-term and block buffers are
+    allocated once per call, and each lattice's x-interpolated strip of
+    image rows is built before its first block.
     """
     ys = np.asarray(ys, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
-    if ys.ndim != 1 or xs.ndim != 1:
-        raise DomainError(f"lattice coordinates must be 1-D, got {ys.shape} and {xs.shape}")
-    if not len(ys) or n < 1 or len(ys) % n:
-        raise DomainError(f"{len(ys)} lattice rows do not split into {n} equal blocks")
+    if ys.ndim != xs.ndim or ys.ndim not in (1, 2) or ys.shape[:-1] != xs.shape[:-1]:
+        raise DomainError(f"lattice coordinates must be 1-D or (B, N) with (B, M), "
+                          f"got {ys.shape} and {xs.shape}")
+    if ys.ndim == 1:
+        ys, xs = ys[None], xs[None]
+    n_rows = ys.shape[1]
+    if not ys.size:
+        raise DomainError(f"no lattice rows to sample, got coordinates {ys.shape}")
+    if n < 1 or n_rows % n:
+        raise DomainError(f"{n_rows} lattice rows do not split into {n} equal blocks")
     h, w = image.shape[:2]
-    y0, y1, fy = _corners(np.clip(ys, 0.0, h - 1.0), h)
-    x0, x1, fx = _corners(np.clip(xs, 0.0, w - 1.0), w)
-    fy = fy.reshape((-1,) + (1,) * (image.ndim - 1))
-    fx = fx.reshape((-1,) + (1,) * (image.ndim - 2))
-    lo = int(y0.min())
-    strip = image[lo : int(y1.max()) + 1]
-    # both passes work in place on fresh gathers, promoted to float64 as
-    # the products would be: fewer new buffers, so fewer page faults, than
-    # strip[:, x0] * (1 - fx) + strip[:, x1] * fx
+    # floor and clamp are monotonic, so each lattice's first and last strip
+    # rows are the corners of its lowest and highest y coordinate
+    lo = _corners(np.clip(ys.min(axis=1), 0.0, h - 1.0), h)[0]
+    spans = _corners(np.clip(ys.max(axis=1), 0.0, h - 1.0), h)[1] + 1 - lo
+    # the products would promote to float64, so the buffers are float64
+    # and only each strip of image rows is promoted, not the whole image
     dtype = np.result_type(image.dtype, np.float64)
-    rows = strip[:, x0].astype(dtype, copy=False)
-    rows *= 1.0 - fx
-    right = strip[:, x1].astype(dtype, copy=False)
-    right *= fx
-    rows += right
-    del right  # freed before the blocks, which can reuse its memory
-    y0 -= lo
-    y1 -= lo
-    gy = 1.0 - fy
-    step = len(ys) // n
-    for start in range(0, len(ys), step):
-        block = slice(start, start + step)
-        out = rows[y0[block]]
-        out *= gy[block]
-        bot = rows[y1[block]]
-        bot *= fy[block]
-        out += bot
-        yield out
+    rows_buf, right_buf = (
+        np.empty((int(spans.max()), xs.shape[1]) + image.shape[2:], dtype) for _ in range(2)
+    )
+    step = n_rows // n
+    out, bot = (np.empty((step, xs.shape[1]) + image.shape[2:], dtype) for _ in range(2))
+    # the indices are already clamped, so "clip" never moves one; unlike
+    # the default "raise", it writes straight into out= without a check
+    for b, span in enumerate(spans):
+        y0, y1, fy = _corners(np.clip(ys[b], 0.0, h - 1.0), h)
+        x0, x1, fx = _corners(np.clip(xs[b], 0.0, w - 1.0), w)
+        fy = fy.reshape((-1,) + (1,) * (image.ndim - 1))
+        fx = fx.reshape((-1,) + (1,) * (image.ndim - 2))
+        y0 -= lo[b]
+        y1 -= lo[b]
+        gy = 1.0 - fy
+        strip = image[lo[b] : lo[b] + span].astype(dtype, copy=False)
+        rows, right = rows_buf[:span], right_buf[:span]
+        np.take(strip, x0, axis=1, out=rows, mode="clip")
+        np.multiply(rows, 1.0 - fx, out=rows)
+        np.take(strip, x1, axis=1, out=right, mode="clip")
+        np.multiply(right, fx, out=right)
+        np.add(rows, right, out=rows)
+        for start in range(0, n_rows, step):
+            block = slice(start, start + step)
+            np.take(rows, y0[block], axis=0, out=out, mode="clip")
+            np.multiply(out, gy[block], out=out)
+            np.take(rows, y1[block], axis=0, out=bot, mode="clip")
+            np.multiply(bot, fy[block], out=bot)
+            np.add(out, bot, out=out)
+            yield out
 
 
 def bilinear_sample(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -119,15 +141,13 @@ def bilinear_sample(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.nda
         batch = np.broadcast_shapes(ys.shape[:-2], xs.shape[:-2])
         if not batch:
             return next(lattice_row_blocks(image, ys[:, 0], xs[0], 1))
-        ys = np.broadcast_to(ys, batch + ys.shape[-2:])
-        xs = np.broadcast_to(xs, batch + xs.shape[-2:])
-        out = np.empty(
-            batch + (ys.shape[-2], xs.shape[-1]) + image.shape[2:],
-            dtype=np.result_type(image.dtype, np.float64),
-        )
-        for idx in np.ndindex(batch):
-            out[idx] = next(lattice_row_blocks(image, ys[idx][:, 0], xs[idx][0], 1))
-        return out
+        n, m = ys.shape[-2], xs.shape[-1]
+        ys = np.broadcast_to(ys[..., 0], batch + (n,)).reshape(-1, n)
+        xs = np.broadcast_to(xs[..., 0, :], batch + (m,)).reshape(-1, m)
+        out = np.empty((len(ys), n, m) + image.shape[2:], np.result_type(image.dtype, np.float64))
+        for b, block in enumerate(lattice_row_blocks(image, ys, xs, 1)):
+            out[b] = block
+        return out.reshape(batch + out.shape[1:])
     h, w = image.shape[:2]
     y0, y1, fy = _corners(np.clip(ys, 0.0, h - 1.0), h)
     x0, x1, fx = _corners(np.clip(xs, 0.0, w - 1.0), w)

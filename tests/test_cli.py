@@ -204,6 +204,49 @@ def test_train_rejects_a_gap_the_sequences_cannot_hold(small_dataset, tmp_path, 
         assert not (tmp_path / f"gap{gap}" / "weights.bin").exists()
 
 
+def test_eval_rejects_a_gap_no_sequence_can_hold(small_dataset, tmp_path, capsys):
+    # the sequences have 6 frames: gap 5 fits, gap 6 fails every sequence
+    _, cfg_path, out = small_dataset
+    for gap in ("6", "9"):
+        report = tmp_path / f"gap{gap}.json"
+        rc = main([
+            "eval", "--dataset", str(out), "--estimator", "detection",
+            "--config", str(cfg_path), "--gap", gap, "--out", str(report),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"gap {gap} needs {int(gap) + 1} frames, the longest sequence has 6" in err
+        assert not report.exists()
+
+
+@pytest.mark.parametrize("untrained, trained, warned", [
+    (55.41, 55.72, True),
+    (55.41, 55.41, False),
+    (55.41, 40.0, False),
+])
+def test_train_warns_when_training_worsened_val_mid(
+    small_dataset, tmp_path, capsys, monkeypatch, untrained, trained, warned
+):
+    import ttckit.cli
+    from ttckit.estimate import identity_head
+    from ttckit.learn import TrainResult
+
+    w, b = identity_head(20)
+    result = TrainResult(params={"fc.weight": w, "fc.bias": b},
+                         history=[(0, 1.0, trained)], val_mid_untrained=untrained)
+    monkeypatch.setattr(ttckit.cli, "train_loop", lambda *args, **kwargs: result)
+    _, cfg_path, out = small_dataset
+    train_dir = tmp_path / "trained"
+    rc = main(["train", "--dataset", str(out), "--out", str(train_dir), "--config", str(cfg_path)])
+    assert rc == 0
+    printed = capsys.readouterr()
+    warning = f"warning: training worsened val MiD ({untrained:.2f} -> {trained:.2f})"
+    assert (warning in printed.out.splitlines()) == warned
+    assert "warning" not in printed.err
+    # the warning is console output only, never part of an artifact
+    assert "warning" not in (train_dir / "loss_curve.csv").read_text()
+
+
 def test_report_merges(small_dataset, tmp_path, capsys):
     _, cfg_path, out = small_dataset
     paths = []

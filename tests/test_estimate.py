@@ -11,6 +11,7 @@ from ttckit.estimate import (
     ScaleSearchConfig,
     _pixel_mse_scores,
     candidate_grid_patches,
+    candidate_patches_by_bin,
     detection_ratio_estimate,
     feature_scale_estimate,
     feature_scores,
@@ -431,3 +432,29 @@ def test_feature_scores_equal_the_whole_stack_scores(cx, cy, bw, bh, n_bins, shi
         candidate_grid_patches(fmap0, (cx, cy), b1, cfg), target_grid_patch(fmap1, b1, cfg)
     )
     assert np.array_equal(scores, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    cx=st.floats(-10.0, 50.0),
+    cy=st.floats(-10.0, 40.0),
+    bw=st.floats(2.0, 30.0),
+    bh=st.floats(2.0, 30.0),
+    n_bins=st.integers(2, 5),
+    shift_c=st.integers(0, 2),
+)
+def test_patches_by_bin_are_the_whole_stack_slices(cx, cy, bw, bh, n_bins, shift_c):
+    # boxes reach past every edge of a 30x40 feature map
+    fmap0 = np.random.default_rng(2).normal(size=(30, 40, 12))
+    cfg = ScaleSearchConfig.feature_defaults(
+        n_bins=n_bins, top_k=1, shift_c=shift_c, target_w=9, target_h=6
+    )
+    b1 = BoundingBox(20.0, 15.0, bw, bh)
+    whole = candidate_grid_patches(fmap0, (cx, cy), b1, cfg)
+    count = 0
+    for i, patches in enumerate(candidate_patches_by_bin(fmap0, (cx, cy), b1, cfg)):
+        want = whole[i : i + 1]
+        assert patches.shape == want.shape and patches.dtype == want.dtype
+        assert np.array_equal(patches, want)
+        count += 1
+    assert count == n_bins

@@ -229,11 +229,39 @@ def test_row_blocks_concatenate_to_the_one_block_lattice(data, image):
     whole = bilinear_sample(image, ys[:, None], xs[None, :])
     _assert_bit_identical(image, ys[:, None], xs[None, :])
     for n in [k for k in range(1, rows + 1) if rows % k == 0]:
-        blocks = list(lattice_row_blocks(image, ys, xs, n))
+        blocks = [block.copy() for block in lattice_row_blocks(image, ys, xs, n)]
         assert len(blocks) == n
         assert all(b.shape == (rows // n, m) + image.shape[2:] for b in blocks)
         got = np.concatenate(blocks)
         assert got.dtype == whole.dtype and np.array_equal(got, whole)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), image=_images())
+def test_batched_row_blocks_equal_one_lattice_calls(data, image):
+    h, w = image.shape[:2]
+    batch = data.draw(st.integers(1, 4))
+    rows = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]))
+    m = data.draw(st.integers(1, 8))
+    ys = _coords(data.draw, (batch, rows), h)
+    xs = _coords(data.draw, (batch, m), w)
+    for n in [k for k in range(1, rows + 1) if rows % k == 0]:
+        want = [
+            block.copy()
+            for b in range(batch)
+            for block in lattice_row_blocks(image, ys[b], xs[b], n)
+        ]
+        blocks = lattice_row_blocks(image, ys, xs, n)
+        held = next(blocks)
+        got = [held.copy()]
+        for block in blocks:
+            # every block is the one buffer: the next block overwrites a held one
+            assert np.shares_memory(block, held) and np.array_equal(held, block)
+            got.append(block.copy())
+        assert len(got) == len(want) == batch * n
+        for g, v in zip(got, want):
+            assert g.shape == v.shape == (rows // n, m) + image.shape[2:]
+            assert g.dtype == v.dtype and np.array_equal(g, v)
 
 
 def test_row_blocks_reject_uneven_splits_and_bad_coordinates():
@@ -246,6 +274,11 @@ def test_row_blocks_reject_uneven_splits_and_bad_coordinates():
         next(lattice_row_blocks(img, np.empty(0), xs, 1))
     with pytest.raises(DomainError):
         next(lattice_row_blocks(img, ys[:, None], xs, 1))
+    # a batch needs one row of x coordinates per lattice
+    with pytest.raises(DomainError):
+        next(lattice_row_blocks(img, np.stack([ys, ys]), xs[None], 1))
+    with pytest.raises(DomainError):
+        next(lattice_row_blocks(img, np.empty((0, 6)), np.empty((0, 3)), 1))
 
 
 def test_lattice_path_handles_one_row_and_one_column_images():
