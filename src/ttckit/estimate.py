@@ -33,7 +33,7 @@ from .core import (
     ttc_from_scale_ratio,
 )
 from .errors import DomainError, ScaleConversionError, SequenceInvalidError
-from .features import ConvStackExtractor, HandCraftedExtractor
+from .features import hand_crafted_features
 from .manifest import FrameSample, Sequence
 from .sampling import (
     bilinear_sample,
@@ -488,11 +488,11 @@ def fuse_logits(logits: np.ndarray, cfg: ScaleSearchConfig) -> float:
     return float(np.sum(weights * cfg.bins()[order]) / np.sum(weights))
 
 
-def _feature_alpha_at_gap(seq, cfg, gap, extractor, fc_weight, fc_bias, fmap_cache, tgt_hw):
+def _feature_alpha_at_gap(seq, cfg, gap, fc_weight, fc_bias, fmap_cache, tgt_hw):
     ref, tgt = _estimate_pair(seq, gap)
     ref_idx = len(seq.frames) - 1 - gap
     if ref_idx not in fmap_cache:
-        fmap_cache[ref_idx] = np.asarray(extractor(ref.load_image()), dtype=np.float64)
+        fmap_cache[ref_idx] = hand_crafted_features(ref.load_image()).astype(np.float64)
     fmap0 = fmap_cache[ref_idx]
     fmap1 = fmap_cache[len(seq.frames) - 1]
     h, w = tgt_hw
@@ -508,17 +508,14 @@ def _feature_alpha_at_gap(seq, cfg, gap, extractor, fc_weight, fc_bias, fmap_cac
 def feature_scale_estimate(
     seq: Sequence,
     cfg: ScaleSearchConfig,
-    extractor=None,
     fc_weight: np.ndarray | None = None,
     fc_bias: np.ndarray | None = None,
 ) -> TtcEstimate:
     """Feature-space scale classification with a per-bin linear head.
 
-    With no trained head the identity head is used: logits are the pooled
-    cosine scores themselves.
+    Features are ``hand_crafted_features``.  With no trained head the
+    identity head is used: logits are the pooled cosine scores themselves.
     """
-    if extractor is None:
-        extractor = HandCraftedExtractor()
     if fc_weight is None or fc_bias is None:
         fc_weight, fc_bias = identity_head(cfg.n_bins)
     fc_weight = np.asarray(fc_weight, dtype=np.float64)
@@ -527,17 +524,15 @@ def feature_scale_estimate(
     gap = cfg.frame_gap
     tgt_img = seq.frames[-1].load_image()
     tgt_hw = tgt_img.shape[:2]
-    fmap_cache = {len(seq.frames) - 1: np.asarray(extractor(tgt_img), dtype=np.float64)}
+    fmap_cache = {len(seq.frames) - 1: hand_crafted_features(tgt_img).astype(np.float64)}
     alpha, profile, flat = _feature_alpha_at_gap(
-        seq, cfg, gap, extractor, fc_weight, fc_bias, fmap_cache, tgt_hw
+        seq, cfg, gap, fc_weight, fc_bias, fmap_cache, tgt_hw
     )
     if not cfg.multi_reference:
         return _finish(alpha, cfg, seq.fps, gap, profile, "feature_scale", flat)
     return _multi_reference_finish(
         seq, cfg, alpha, profile, flat, "feature_scale",
-        lambda g: _feature_alpha_at_gap(
-            seq, cfg, g, extractor, fc_weight, fc_bias, fmap_cache, tgt_hw
-        )[0],
+        lambda g: _feature_alpha_at_gap(seq, cfg, g, fc_weight, fc_bias, fmap_cache, tgt_hw)[0],
     )
 
 
@@ -550,30 +545,22 @@ ESTIMATOR_NAMES = ("detection", "pixel_mse", "feature_scale")
 def make_estimator(name: str, cfg: ScaleSearchConfig, weights: dict | None = None):
     """Build a ``seq -> TtcEstimate`` callable by estimator name.
 
-    Feature-scale ``weights`` that do not fit ``cfg`` raise ``DomainError``
-    here, before any sequence is estimated.
+    Feature-scale ``weights`` must hold exactly the ``cfg.n_bins`` head,
+    ``fc.weight`` and ``fc.bias``; any other keys or shapes raise
+    ``DomainError`` here, before any sequence is estimated.
     """
     if name == "detection":
         return lambda seq: detection_ratio_estimate(seq, cfg)
     if name == "pixel_mse":
         return lambda seq: pixel_mse_estimate(seq, cfg)
     if name == "feature_scale":
-        extractor = fc_w = fc_b = None
+        fc_w = fc_b = None
         if weights is not None:
-            # exactly an n_bins head and, optionally, a whole conv stack whose
-            # architecture is read from its conv1/conv3 shapes
             expected = {"fc.weight": (cfg.n_bins, cfg.n_bins), "fc.bias": (cfg.n_bins,)}
-            conv1, conv3 = weights.get("conv1.weight"), weights.get("conv3.weight")
-            if conv1 is not None and conv3 is not None and np.ndim(conv1) == np.ndim(conv3) == 2:
-                k = max(1, int(round(math.sqrt(conv1.shape[0] / 12))))
-                extractor = ConvStackExtractor(conv1.shape[1], conv3.shape[1], kernel=k)
-                expected.update({key: p.shape for key, p in extractor.params().items()})
             shapes = {key: np.shape(p) for key, p in weights.items()}
             if shapes != expected:
                 raise DomainError(f"weights do not fit the {cfg.n_bins}-bin feature_scale "
                                   f"head: got {shapes}, need {expected}")
-            if extractor is not None:
-                extractor.set_params(weights)
             fc_w, fc_b = weights["fc.weight"], weights["fc.bias"]
-        return lambda seq: feature_scale_estimate(seq, cfg, extractor, fc_w, fc_b)
+        return lambda seq: feature_scale_estimate(seq, cfg, fc_w, fc_b)
     raise DomainError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")

@@ -3,13 +3,14 @@
 Two options share one contract (same spatial size out as in):
 
 * :class:`HandCraftedExtractor` -- 12 fixed channels: per-RGB intensity,
-  horizontal/vertical gradients, and local contrast.  It is affine in
-  illumination: features(g*I + b) == g*features(I) + b*intensity_mask,
-  which the trainer exploits for cheap photometric augmentation.
+  horizontal/vertical gradients, and local contrast; the estimator's and
+  the trainer's only features.  It is affine in illumination:
+  features(g*I + b) == g*features(I) + b*intensity_mask, which the
+  trainer exploits for cheap photometric augmentation.
 * :class:`ConvStackExtractor` -- a small trainable stack (stride-2 conv,
   stride-2 transposed conv, two stride-1 convs; 7x7 kernels except the
-  3x3 transposed one) with explicit forward/backward for gradient
-  checking and desk-scale training.
+  3x3 transposed one) with explicit forward/backward, for the gradient
+  checks only: no command trains, writes or loads it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ def hand_crafted_features(image: np.ndarray) -> np.ndarray:
 class HandCraftedExtractor:
     """Fixed 12-channel extractor; no trainable parameters."""
 
-    channels = 12
     trainable = False
 
     def __call__(self, image: np.ndarray) -> np.ndarray:
@@ -48,9 +48,6 @@ class HandCraftedExtractor:
         mask = np.zeros(12, dtype=np.float64)
         mask[:3] = 1.0
         return mask
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {}
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +173,6 @@ class ConvStackExtractor:
             _Conv("conv2", c, c, kernel, 1, rng),
             _Conv("conv3", c, out_channels, kernel, 1, rng),
         ]
-        self.channels = out_channels
 
     def params(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
@@ -184,14 +180,6 @@ class ConvStackExtractor:
             out[f"{layer.name}.weight"] = layer.weight
             out[f"{layer.name}.bias"] = layer.bias
         return out
-
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        for layer in self.layers:
-            layer.weight = np.asarray(params[f"{layer.name}.weight"], dtype=np.float64)
-            layer.bias = np.asarray(params[f"{layer.name}.bias"], dtype=np.float64)
-
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params().values())
 
     def forward_with_cache(self, image: np.ndarray):
         x = hand_crafted_features(image).astype(np.float64)

@@ -1,10 +1,11 @@
 """Desk-scale training of the feature-space scale classifier.
 
-The trainable surface is the per-bin linear head (optionally plus the
-tiny conv extractor); the loss is per-bin binary cross-entropy against a
-Gaussian soft label centered on the ground-truth scale bin.  Everything
-is explicit numpy with hand-written backward passes, verified against
-central finite differences.
+The trainable surface is the per-bin linear head over fixed hand-crafted
+features; the loss is per-bin binary cross-entropy against a Gaussian
+soft label centered on the ground-truth scale bin.  ``train_loop`` and
+the finite-difference-checked :class:`FeatureScalePipeline` take one
+head step, :func:`head_loss_and_grads`.  The pipeline's backward pass
+also runs into the conv stack, which exists for the gradient checks only.
 
 The fast training path exploits the hand-crafted extractor's affine
 response to illumination: features(g*I + b) = g*features(I) + b*mask,
@@ -20,6 +21,7 @@ its (gain, bias) draws.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +44,7 @@ from .estimate import (
     target_grid_patch,
 )
 from .evaluation import mid_metric
-from .features import HandCraftedExtractor
+from .features import HandCraftedExtractor, hand_crafted_features
 from .manifest import Sequence
 from .sampling import bilinear_sample_adjoint, grid_positions
 
@@ -103,6 +105,23 @@ def bce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]
     sigma = 1.0 / (1.0 + np.exp(-z))
     n = z.size
     return float(per_bin.mean()), (sigma - y) / n
+
+
+def head_loss_and_grads(
+    scores: np.ndarray, fc_weight: np.ndarray, fc_bias: np.ndarray, labels: np.ndarray
+) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+    """BCE loss of ``estimate.head_logits`` on (n_bins, n_off) scores, and its gradients.
+
+    Returns (loss, {"fc.weight", "fc.bias"} gradients, d_scores), where
+    d_scores routes the head's input gradient to each bin's best shift.
+    """
+    logits, best_idx = head_logits(scores, fc_weight, fc_bias)
+    loss, dlogits = bce_loss(logits, labels)
+    rows = np.arange(len(best_idx))
+    grads = {"fc.weight": np.outer(dlogits, scores[rows, best_idx]), "fc.bias": dlogits}
+    d_scores = np.zeros_like(scores)
+    d_scores[rows, best_idx] = fc_weight.T @ dlogits
+    return loss, grads, d_scores
 
 
 def training_head_init(n_bins: int, sharpness: float = 45.0) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +249,7 @@ class FeatureScalePipeline:
     def n_params(self) -> int:
         return sum(p.size for p in self.params().values())
 
-    def _fmaps(self, sample: TrainSample, with_cache: bool):
+    def _fmaps(self, sample: TrainSample):
         if self.extractor.trainable:
             f0, c0 = self.extractor.forward_with_cache(sample.image0)
             f1, c1 = self.extractor.forward_with_cache(sample.image1)
@@ -241,33 +260,21 @@ class FeatureScalePipeline:
 
     def scores(self, sample: TrainSample) -> np.ndarray:
         """(n_bins, n_offsets) pooled cosine scores, inference only."""
-        f0, f1, _ = self._fmaps(sample, with_cache=False)
+        f0, f1, _ = self._fmaps(sample)
         return _pipeline_scores(f0, f1, sample, self.cfg)[0]
 
     def loss(self, sample: TrainSample) -> float:
         return self._forward(sample)[0]
 
     def _forward(self, sample: TrainSample):
-        f0, f1, ext_caches = self._fmaps(sample, with_cache=True)
+        f0, f1, ext_caches = self._fmaps(sample)
         scores, score_cache = _pipeline_scores(f0, f1, sample, self.cfg)
-        best = np.argmax(scores, axis=1)
-        final_scores = scores[np.arange(self.cfg.n_bins), best]
-        logits = self.fc_weight @ final_scores + self.fc_bias
         label = soft_label(sample.alpha_gt, self.cfg, self.sigma_bins)
-        loss, dlogits = bce_loss(logits, label)
-        return loss, (scores, final_scores, score_cache, best, dlogits, ext_caches)
+        loss, grads, dscores = head_loss_and_grads(scores, self.fc_weight, self.fc_bias, label)
+        return loss, grads, dscores, score_cache, ext_caches
 
     def loss_and_grads(self, sample: TrainSample) -> tuple[float, dict[str, np.ndarray]]:
-        loss, (scores, final_scores, score_cache, best, dlogits, ext_caches) = self._forward(sample)
-        n = self.cfg.n_bins
-        grads: dict[str, np.ndarray] = {
-            "fc.weight": np.outer(dlogits, final_scores),
-            "fc.bias": dlogits.copy(),
-        }
-        # route the head gradient through each bin's argmax shift
-        d_final = self.fc_weight.T @ dlogits
-        dscores = np.zeros_like(scores)
-        dscores[np.arange(n), best] = d_final
+        loss, grads, dscores, score_cache, ext_caches = self._forward(sample)
         if not self.extractor.trainable:
             return loss, grads
         p0, p1, cos_cache, shape0, shape1 = score_cache
@@ -351,19 +358,26 @@ def save_weights(path: Path, params: dict[str, np.ndarray], extra: dict | None =
 
 
 def load_weights(path: Path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a weights blob and its sidecar; a malformed pair raises ``DomainError``."""
     path = Path(path)
-    meta = json.loads(sidecar_path(path).read_text())
+    sidecar = sidecar_path(path)
+    try:
+        meta = json.loads(sidecar.read_text())
+        shapes = {name: tuple(int(d) for d in meta["shapes"][name]) for name in meta["order"]}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DomainError(f"malformed weights sidecar {sidecar}: {exc!r}") from None
+    if any(d < 0 for shape in shapes.values() for d in shape):
+        raise DomainError(f"negative dimension in weights sidecar {sidecar}: {shapes}")
+    counts = {name: math.prod(shape) for name, shape in shapes.items()}
     raw = path.read_bytes()
+    if 4 * sum(counts.values()) != len(raw):
+        raise DomainError(f"weight blob size mismatch: {len(raw)} vs {4 * sum(counts.values())}")
     params: dict[str, np.ndarray] = {}
     offset = 0
-    for name in meta["order"]:
-        shape = tuple(meta["shapes"][name])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
+    for name, shape in shapes.items():
+        arr = np.frombuffer(raw, dtype="<f4", count=counts[name], offset=offset)
         params[name] = arr.reshape(shape).astype(np.float64)
-        offset += count * 4
-    if offset != len(raw):
-        raise DomainError(f"weight blob size mismatch: {len(raw)} vs {offset}")
+        offset += counts[name] * 4
     return params, meta
 
 
@@ -414,11 +428,12 @@ class _PreparedSample:
     label: np.ndarray
 
 
-def _prepare_fast(seq: Sequence, cfg: ScaleSearchConfig, extractor, sigma: float) -> _PreparedSample:
+def _prepare_fast(seq: Sequence, cfg: ScaleSearchConfig, sigma: float) -> _PreparedSample:
+    """One pair's cached products; exact only for ``hand_crafted_features``, affine in light."""
     sample = TrainSample.from_sequence(seq, cfg)
     x0, y0, x1, y1 = _roi_bounds(sample, cfg, sample.image1.shape[:2])
-    f0 = extractor(sample.image0[y0:y1, x0:x1]).astype(np.float64)
-    f1 = extractor(sample.image1[y0:y1, x0:x1]).astype(np.float64)
+    f0 = hand_crafted_features(sample.image0[y0:y1, x0:x1]).astype(np.float64)
+    f1 = hand_crafted_features(sample.image1[y0:y1, x0:x1]).astype(np.float64)
     shifted = TrainSample(
         image0=sample.image0,
         image1=sample.image1,
@@ -511,13 +526,12 @@ def train_loop(
     """
     if not train_seqs:
         raise FitFailedError("no training sequences")
-    extractor = HandCraftedExtractor()
-    prepared = [_prepare_fast(s, cfg, extractor, train_cfg.sigma_bins) for s in train_seqs]
+    prepared = [_prepare_fast(s, cfg, train_cfg.sigma_bins) for s in train_seqs]
 
     identity_draws = (1.0, 0.0, 1.0, 0.0)
     val_scores, val_alpha10, val_eff = [], [], []
     for seq in val_seqs:
-        prep = _prepare_fast(seq, cfg, extractor, train_cfg.sigma_bins)
+        prep = _prepare_fast(seq, cfg, train_cfg.sigma_bins)
         val_scores.append(_augmented_scores(prep, identity_draws))
         val_alpha10.append(seq.label.alpha_10hz)
         val_eff.append(seq.fps / cfg.frame_gap)
@@ -551,13 +565,12 @@ def train_loop(
                     rng.uniform(*train_cfg.gain_range),
                     rng.uniform(*train_cfg.bias_range),
                 )
-                scores = _augmented_scores(prep, draws)
-                final_scores = scores.max(axis=1)
-                logits = fc_w @ final_scores + fc_b
-                loss, dlogits = bce_loss(logits, prep.label)
+                loss, grads, _ = head_loss_and_grads(
+                    _augmented_scores(prep, draws), fc_w, fc_b, prep.label
+                )
                 batch_loss += loss
-                grad_w += np.outer(dlogits, final_scores)
-                grad_b += dlogits
+                grad_w += grads["fc.weight"]
+                grad_b += grads["fc.bias"]
             k = len(batch)
             grad_w /= k
             grad_b /= k

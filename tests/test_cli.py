@@ -166,18 +166,22 @@ def test_eval_rejects_hash_mismatch(small_dataset, tmp_path):
 
 def test_eval_rejects_weights_that_do_not_fit_the_head(small_dataset, tmp_path, capsys):
     # a weights file that does not fit the 20-bin search fails before the
-    # first sequence, with exit 2 and no report
+    # first sequence, with exit 2 and no report; a fitting head beside conv
+    # stack weights is refused too, as the estimator's features are fixed
     _, cfg_path, out = small_dataset
     from ttckit.estimate import identity_head
+    from ttckit.features import ConvStackExtractor
     from ttckit.learn import save_weights
 
     w, b = identity_head(20)
     w7, b7 = identity_head(7)
+    conv = ConvStackExtractor(mid_channels=2, out_channels=2, seed=4, kernel=5).params()
     bad = {
         "seven_bins": {"fc.weight": w7, "fc.bias": b7},
         "unknown_key": {"fc.weight": w, "fc.bias": b, "fc.scale": b},
         "no_head": {"other.weight": w},
         "bias_only": {"fc.bias": b},
+        "conv_stack": {**conv, "fc.weight": w, "fc.bias": b},
     }
     for name, params in bad.items():
         wpath = tmp_path / f"{name}.bin"
@@ -190,6 +194,33 @@ def test_eval_rejects_weights_that_do_not_fit_the_head(small_dataset, tmp_path, 
         assert rc == 2, name
         assert "do not fit the 20-bin feature_scale head" in capsys.readouterr().err
         assert not report.exists()
+
+
+def test_eval_rejects_malformed_weights_files(small_dataset, tmp_path, capsys):
+    # a blob or sidecar that cannot be read is an input error: exit 2 and
+    # no report, never an internal error
+    _, cfg_path, out = small_dataset
+    from ttckit.estimate import identity_head
+    from ttckit.learn import save_weights, sidecar_path
+
+    w, b = identity_head(20)
+    cases = {
+        "short_blob": lambda p: p.write_bytes(p.read_bytes()[:-8]),
+        "sidecar_not_json": lambda p: sidecar_path(p).write_text("not json {"),
+        "empty_sidecar": lambda p: sidecar_path(p).write_text("{}"),
+    }
+    for name, corrupt in cases.items():
+        wpath = tmp_path / f"{name}.bin"
+        save_weights(wpath, {"fc.weight": w, "fc.bias": b})
+        corrupt(wpath)
+        report = tmp_path / f"{name}.json"
+        rc = main([
+            "eval", "--dataset", str(out), "--estimator", "feature_scale",
+            "--config", str(cfg_path), "--weights", str(wpath), "--out", str(report),
+        ])
+        assert rc == 2, name
+        assert "internal error" not in capsys.readouterr().err, name
+        assert not report.exists(), name
 
 
 def test_train_rejects_a_gap_the_sequences_cannot_hold(small_dataset, tmp_path, capsys):

@@ -250,7 +250,7 @@ def test_cached_ingredient_scores_match_direct_path():
     # scores of explicitly augmented images fed through the estimator path
     cfg = _cfg(n_bins=10, shift_c=1, target=12)
     seq = mixed_interval_suite(1, seed=77)[0]
-    prep = _prepare_fast(seq, cfg, HandCraftedExtractor(), 1.0)
+    prep = _prepare_fast(seq, cfg, 1.0)
     draws = (1.07, -0.02, 0.95, 0.03)
     got = _augmented_scores(prep, draws)
 
@@ -313,7 +313,7 @@ _PREP_CFG = _cfg(n_bins=10, shift_c=1, target=12)
 
 @pytest.fixture(scope="module")
 def prep():
-    return _prepare_fast(mixed_interval_suite(1, seed=77)[0], _PREP_CFG, HandCraftedExtractor(), 1.0)
+    return _prepare_fast(mixed_interval_suite(1, seed=77)[0], _PREP_CFG, 1.0)
 
 
 _gains = st.floats(0.5, 1.5)
@@ -363,7 +363,7 @@ def test_prepare_fast_ingredients_come_from_the_estimator_patches():
     seq = mixed_interval_suite(1, seed=77)[0]
     extractor = HandCraftedExtractor()
     for cfg in (_PREP_CFG, _cfg(n_bins=5, shift_c=0, target=9), _cfg(n_bins=4, shift_c=2, target=7)):
-        prep = _prepare_fast(seq, cfg, extractor, 1.0)
+        prep = _prepare_fast(seq, cfg, 1.0)
         sample = TrainSample.from_sequence(seq, cfg)
         x0, y0, x1, y1 = _roi_bounds(sample, cfg, sample.image1.shape[:2])
         f0 = extractor(sample.image0[y0:y1, x0:x1]).astype(np.float64)
@@ -417,35 +417,6 @@ def test_train_loop_zero_lr_keeps_weights():
     w0, b0 = training_head_init(10)
     assert np.array_equal(res.params["fc.weight"], w0)
     assert np.array_equal(res.params["fc.bias"], b0)
-
-
-def test_conv_stack_weights_load_through_estimator(tmp_path):
-    # a saved conv extractor + head reconstructs and runs via make_estimator
-    from ttckit.estimate import ScaleSearchConfig, identity_head, make_estimator
-    from ttckit.learn import load_weights, save_weights
-    from ttckit.suites import mixed_interval_suite
-
-    cfg = ScaleSearchConfig.feature_defaults(n_bins=8, top_k=4, shift_c=0,
-                                             target_w=10, target_h=10)
-    extractor = ConvStackExtractor(mid_channels=2, out_channels=2, seed=4, kernel=5)
-    params = dict(extractor.params())
-    w, b = identity_head(8)
-    params["fc.weight"], params["fc.bias"] = w, b
-    path = tmp_path / "conv_weights.bin"
-    save_weights(path, params)
-    loaded, _ = load_weights(path)
-    estimator = make_estimator("feature_scale", cfg, loaded)
-    # a stack missing a layer is refused when the estimator is built
-    with pytest.raises(DomainError, match="do not fit the 8-bin"):
-        make_estimator("feature_scale", cfg, {k: v for k, v in loaded.items() if k != "up.bias"})
-    seq = mixed_interval_suite(1, seed=88)[0]
-    est = estimator(seq)
-    assert cfg.alpha_min <= est.alpha_hat <= cfg.alpha_max
-    # and it matches running the original extractor directly
-    from ttckit.estimate import feature_scale_estimate
-
-    direct = feature_scale_estimate(seq, cfg, extractor, w, b)
-    assert est.alpha_hat == pytest.approx(direct.alpha_hat, abs=1e-6)
 
 
 def test_train_loop_emits_checkpoints(tmp_path):
