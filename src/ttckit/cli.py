@@ -192,10 +192,15 @@ def cmd_train(args) -> int:
     write_loss_curve(out_dir / "loss_curve.csv", result.history)
     last = result.history[-1]
     print(f"trained {tcfg.epochs} epochs on {len(train)} sequences ({len(val)} validation)")
-    print(f"val MiD untrained {result.val_mid_untrained:.2f} -> trained {last[2]:.2f}")
-    if last[2] > result.val_mid_untrained:
-        print(f"warning: training worsened val MiD "
-              f"({result.val_mid_untrained:.2f} -> {last[2]:.2f})")
+    if not val:
+        # every fifth sequence is held out, so a dataset of fewer than five
+        # has none; a val MiD of 0.00 would read as a perfect score
+        print("val MiD not measured: no validation sequences")
+    else:
+        print(f"val MiD untrained {result.val_mid_untrained:.2f} -> trained {last[2]:.2f}")
+        if last[2] > result.val_mid_untrained:
+            print(f"warning: training worsened val MiD "
+                  f"({result.val_mid_untrained:.2f} -> {last[2]:.2f})")
     print(f"weights: {out_dir / 'weights.bin'}")
     return 0
 

@@ -48,6 +48,8 @@ from .sampling import (
 _FLAT_PROFILE_TOL = 1e-12
 # floor of a cosine's denominator: zero-norm patches score 0, not NaN
 COSINE_EPS = 1e-12
+# a top sigmoid weight below this fuses in log space (see fuse_logits)
+_MIN_TOP_WEIGHT = 1e-200
 
 
 @dataclass(frozen=True)
@@ -355,7 +357,7 @@ def candidate_patch_coords(
     """Grid-sample coordinates for every (bin, shift) candidate patch.
 
     Returns (ys, xs), each (n_bins, n_offsets, out, 1)/(...,1, out), ready
-    to broadcast into bilinear sampling.
+    to broadcast into bilinear sampling, as ``candidate_grid_patches`` does.
     """
     offsets = shift_offsets(cfg.shift_c).astype(np.float64)
     ys_list, xs_list = _bin_positions(grid_positions, center, b1, cfg, cfg.target_w, cfg.target_h)
@@ -371,7 +373,11 @@ def candidate_grid_patches(
     cfg: ScaleSearchConfig,
 ) -> np.ndarray:
     """All candidate patches from the reference feature map:
-    (n_bins, n_offsets, out_h, out_w, C)."""
+    (n_bins, n_offsets, out_h, out_w, C).
+
+    The whole-stack reference that ``candidate_patches_by_bin`` and
+    training's cached products are tested against.
+    """
     ys_all, xs_all = candidate_patch_coords(center, b1, cfg)
     return bilinear_sample(fmap0, ys_all, xs_all)
 
@@ -413,28 +419,17 @@ def target_grid_patch(fmap1: np.ndarray, b1: BoundingBox, cfg: ScaleSearchConfig
     return grid_sample_features(fmap1, b1, cfg.target_w, cfg.target_h)
 
 
-def pooled_cosine_terms(patches: np.ndarray, target_patch: np.ndarray):
-    """Pooled cosine scores and the per-position terms behind them.
+def pooled_cosine_scores(patches: np.ndarray, target_patch: np.ndarray) -> np.ndarray:
+    """Mean cosine similarity of each candidate patch vs the target patch.
 
-    patches: (n_bins, n_off, H, W, C); target: (H, W, C).  Returns
-    (scores (n_bins, n_off), (num, n0, n1, denom, cos)), where num, n0 and
-    denom are (n_bins, n_off, H, W), n1 is (H, W) and denom is already
-    clamped at ``COSINE_EPS``; training's backward pass reads the terms.
+    patches: (n_bins, n_off, H, W, C); target: (H, W, C) -> (n_bins, n_off).
+    Each position's denominator is clamped at ``COSINE_EPS``.
     """
     num = np.einsum("bshwc,hwc->bshw", patches, target_patch)
     n0 = np.einsum("bshwc,bshwc->bshw", patches, patches)
     n1 = np.einsum("hwc,hwc->hw", target_patch, target_patch)
     denom = np.maximum(np.sqrt(n0 * n1[None, None]), COSINE_EPS)
-    cos = num / denom
-    return cos.mean(axis=(2, 3)), (num, n0, n1, denom, cos)
-
-
-def pooled_cosine_scores(patches: np.ndarray, target_patch: np.ndarray) -> np.ndarray:
-    """Mean cosine similarity of each candidate patch vs the target patch.
-
-    patches: (n_bins, n_off, H, W, C); target: (H, W, C) -> (n_bins, n_off).
-    """
-    return pooled_cosine_terms(patches, target_patch)[0]
+    return (num / denom).mean(axis=(2, 3))
 
 
 def feature_scores(
@@ -482,10 +477,24 @@ def head_logits(
 
 
 def fuse_logits(logits: np.ndarray, cfg: ScaleSearchConfig) -> float:
-    """Top-k sigmoid-weighted mean of the bin alphas."""
+    """Top-k sigmoid-weighted mean of the bin alphas, within the end bins.
+
+    A sigmoid weight falls below 1e-200 for logits under about -460 and
+    rounds to 0 under about -745, where the mean would be 0/0.  When even
+    the top weight is below 1e-200, the weights are taken relative to it,
+    in log space, which keeps the mean they define.
+    """
+    bins = cfg.bins()
     order = np.argsort(-logits, kind="stable")[: cfg.top_k]
-    weights = 1.0 / (1.0 + np.exp(-logits[order]))
-    return float(np.sum(weights * cfg.bins()[order]) / np.sum(weights))
+    top = logits[order]
+    with np.errstate(over="ignore"):
+        weights = 1.0 / (1.0 + np.exp(-top))
+    if weights[0] < _MIN_TOP_WEIGHT:
+        log_weights = -np.logaddexp(0.0, -top)
+        weights = np.exp(log_weights - log_weights[0])
+    alpha = float(np.sum(weights * bins[order]) / np.sum(weights))
+    # a weighted mean of the end bin and negligible others can round past it
+    return min(max(alpha, float(bins[0])), float(bins[-1]))
 
 
 def _feature_alpha_at_gap(seq, cfg, gap, fc_weight, fc_bias, fmap_cache, tgt_hw):

@@ -2,10 +2,9 @@
 
 The trainable surface is the per-bin linear head over fixed hand-crafted
 features; the loss is per-bin binary cross-entropy against a Gaussian
-soft label centered on the ground-truth scale bin.  ``train_loop`` and
-the finite-difference-checked :class:`FeatureScalePipeline` take one
-head step, :func:`head_loss_and_grads`.  The pipeline's backward pass
-also runs into the conv stack, which exists for the gradient checks only.
+soft label centered on the ground-truth scale bin.  ``train_loop`` takes
+its head step from :func:`head_loss_and_grads`, the step whose gradient
+:func:`finite_diff_gradcheck` checks against central differences.
 
 The fast training path exploits the hand-crafted extractor's affine
 response to illumination: features(g*I + b) = g*features(I) + b*mask,
@@ -22,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,21 +34,19 @@ from .estimate import (
     ScaleSearchConfig,
     _estimate_pair,
     alpha_to_10hz,
-    candidate_grid_patches,
-    candidate_patch_coords,
     candidate_patches_by_bin,
     fuse_logits,
     head_logits,
     identity_head,
-    pooled_cosine_terms,
     target_grid_patch,
 )
 from .evaluation import mid_metric
-from .features import HandCraftedExtractor, hand_crafted_features
+from .features import hand_crafted_features, intensity_mask
 from .manifest import Sequence
-from .sampling import bilinear_sample_adjoint, grid_positions
 
-_GRADCHECK_PARAM_LIMIT = 5000
+
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -66,8 +64,20 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise DomainError("epochs and batch size must be positive")
-        if self.momentum < 0 or self.weight_decay < 0:
-            raise DomainError("momentum and weight decay must be >= 0")
+        rates = {"momentum": self.momentum, "weight_decay": self.weight_decay,
+                 "sigma_bins": self.sigma_bins}
+        if self.base_lr is not None:
+            rates["base_lr"] = self.base_lr
+        for name, value in rates.items():
+            if not (_finite(value) and value >= 0):
+                raise DomainError(f"train {name} must be finite and >= 0, got {value!r}")
+        for name, pair in (("gain_range", self.gain_range), ("bias_range", self.bias_range)):
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(map(_finite, pair)) and pair[0] <= pair[1]):
+                raise DomainError(f"train {name} must be [low, high], two finite "
+                                  f"numbers with low <= high, got {pair!r}")
+        if self.gain_range[0] <= 0:
+            raise DomainError(f"train gain_range must be positive, got {self.gain_range!r}")
 
     @property
     def lr(self) -> float:
@@ -109,19 +119,13 @@ def bce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]
 
 def head_loss_and_grads(
     scores: np.ndarray, fc_weight: np.ndarray, fc_bias: np.ndarray, labels: np.ndarray
-) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """BCE loss of ``estimate.head_logits`` on (n_bins, n_off) scores, and its gradients.
-
-    Returns (loss, {"fc.weight", "fc.bias"} gradients, d_scores), where
-    d_scores routes the head's input gradient to each bin's best shift.
-    """
+) -> tuple[float, dict[str, np.ndarray]]:
+    """BCE loss of ``estimate.head_logits`` on (n_bins, n_off) scores, and
+    its ``fc.weight`` and ``fc.bias`` gradients."""
     logits, best_idx = head_logits(scores, fc_weight, fc_bias)
     loss, dlogits = bce_loss(logits, labels)
-    rows = np.arange(len(best_idx))
-    grads = {"fc.weight": np.outer(dlogits, scores[rows, best_idx]), "fc.bias": dlogits}
-    d_scores = np.zeros_like(scores)
-    d_scores[rows, best_idx] = fc_weight.T @ dlogits
-    return loss, grads, d_scores
+    best = scores[np.arange(len(best_idx)), best_idx]
+    return loss, {"fc.weight": np.outer(dlogits, best), "fc.bias": dlogits}
 
 
 def training_head_init(n_bins: int, sharpness: float = 45.0) -> tuple[np.ndarray, np.ndarray]:
@@ -168,12 +172,14 @@ def sgd_step(
 
 
 # ---------------------------------------------------------------------------
-# differentiable pipeline
+# training pairs and the gradient check
 
 
 @dataclass
 class TrainSample:
-    """One frame pair prepared for the feature-scale pipeline."""
+    """One labeled frame pair: the estimator's reference and target frames,
+    the reference box center, the expanded target box and the ground-truth
+    scale ratio at the search gap."""
 
     image0: np.ndarray
     image1: np.ndarray
@@ -204,109 +210,29 @@ class TrainSample:
         )
 
 
-def _cosine_scores_backward(dscores: np.ndarray, p0, p1, cache):
-    """Backward pass of ``estimate.pooled_cosine_terms``, from its terms."""
-    num, n0, n1, denom, cos = cache
-    h, w = p1.shape[:2]
-    dcos = dscores[:, :, None, None] / (h * w) * np.ones_like(cos)
-    free = denom > COSINE_EPS
-    dnum = dcos / denom
-    safe_n0 = np.where(n0 > 0, n0, 1.0)
-    safe_n1 = np.where(n1 > 0, n1, 1.0)
-    dn0 = np.where(free, -dcos * num / (2.0 * safe_n0 * denom), 0.0)
-    dn1 = np.where(free, -dcos * num / (2.0 * safe_n1[None, None] * denom), 0.0)
-    dp0 = dnum[..., None] * p1[None, None] + 2.0 * dn0[..., None] * p0
-    dp1 = (dnum[..., None] * p0 + 2.0 * dn1[..., None] * p1[None, None]).sum(axis=(0, 1))
-    return dp0, dp1
-
-
-class FeatureScalePipeline:
-    """End-to-end differentiable model: extractor -> grid sample ->
-    cosine map -> pooling -> per-bin head -> BCE against soft labels."""
-
-    def __init__(
-        self,
-        cfg: ScaleSearchConfig,
-        extractor=None,
-        fc_weight: np.ndarray | None = None,
-        fc_bias: np.ndarray | None = None,
-        sigma_bins: float = 1.0,
-    ):
-        self.cfg = cfg
-        self.extractor = extractor if extractor is not None else HandCraftedExtractor()
-        if fc_weight is None or fc_bias is None:
-            fc_weight, fc_bias = identity_head(cfg.n_bins)
-        self.fc_weight = np.array(fc_weight, dtype=np.float64)
-        self.fc_bias = np.array(fc_bias, dtype=np.float64)
-        self.sigma_bins = sigma_bins
-
-    def params(self) -> dict[str, np.ndarray]:
-        out = {"fc.weight": self.fc_weight, "fc.bias": self.fc_bias}
-        if self.extractor.trainable:
-            out.update(self.extractor.params())
-        return out
-
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params().values())
-
-    def _fmaps(self, sample: TrainSample):
-        if self.extractor.trainable:
-            f0, c0 = self.extractor.forward_with_cache(sample.image0)
-            f1, c1 = self.extractor.forward_with_cache(sample.image1)
-            return f0, f1, (c0, c1)
-        f0 = np.asarray(self.extractor(sample.image0), dtype=np.float64)
-        f1 = np.asarray(self.extractor(sample.image1), dtype=np.float64)
-        return f0, f1, None
-
-    def scores(self, sample: TrainSample) -> np.ndarray:
-        """(n_bins, n_offsets) pooled cosine scores, inference only."""
-        f0, f1, _ = self._fmaps(sample)
-        return _pipeline_scores(f0, f1, sample, self.cfg)[0]
-
-    def loss(self, sample: TrainSample) -> float:
-        return self._forward(sample)[0]
-
-    def _forward(self, sample: TrainSample):
-        f0, f1, ext_caches = self._fmaps(sample)
-        scores, score_cache = _pipeline_scores(f0, f1, sample, self.cfg)
-        label = soft_label(sample.alpha_gt, self.cfg, self.sigma_bins)
-        loss, grads, dscores = head_loss_and_grads(scores, self.fc_weight, self.fc_bias, label)
-        return loss, grads, dscores, score_cache, ext_caches
-
-    def loss_and_grads(self, sample: TrainSample) -> tuple[float, dict[str, np.ndarray]]:
-        loss, grads, dscores, score_cache, ext_caches = self._forward(sample)
-        if not self.extractor.trainable:
-            return loss, grads
-        p0, p1, cos_cache, shape0, shape1 = score_cache
-        dp0, dp1 = _cosine_scores_backward(dscores, p0, p1, cos_cache)
-        ys, xs = candidate_patch_coords(sample.center0, sample.box1, self.cfg)
-        df0 = bilinear_sample_adjoint(dp0, ys, xs, shape0)
-        tys, txs = grid_positions(sample.box1, self.cfg.target_w, self.cfg.target_h)
-        df1 = bilinear_sample_adjoint(dp1, tys[:, None], txs[None, :], shape1)
-        c0, c1 = ext_caches
-        for name, g in self.extractor.backward(df0, c0).items():
-            grads[name] = g
-        for name, g in self.extractor.backward(df1, c1).items():
-            grads[name] = grads[name] + g if name in grads else g
-        return loss, grads
-
-
-def _pipeline_scores(f0: np.ndarray, f1: np.ndarray, sample: TrainSample, cfg: ScaleSearchConfig):
-    p0 = candidate_grid_patches(f0, sample.center0, sample.box1, cfg)
-    p1 = target_grid_patch(f1, sample.box1, cfg)
-    scores, cos_cache = pooled_cosine_terms(p0, p1)
-    return scores, (p0, p1, cos_cache, f0.shape, f1.shape)
-
-
 def finite_diff_gradcheck(
-    pipeline: FeatureScalePipeline, sample: TrainSample, epsilon: float = 1e-3
+    scores: np.ndarray,
+    fc_weight: np.ndarray,
+    fc_bias: np.ndarray,
+    labels: np.ndarray,
+    epsilon: float = 1e-3,
 ) -> float:
-    """Max relative analytic-vs-central-difference discrepancy over all params."""
-    params = pipeline.params()
-    total = sum(p.size for p in params.values())
-    if total > _GRADCHECK_PARAM_LIMIT:
-        raise DomainError(f"{total} params exceed the exhaustive-check limit")
-    _, grads = pipeline.loss_and_grads(sample)
+    """Max relative analytic-vs-central-difference discrepancy of the head step.
+
+    ``scores`` are one pair's (n_bins, n_off) pooled cosine scores, which do
+    not depend on the head.  Every entry of copies of ``fc_weight`` and
+    ``fc_bias`` is perturbed in place, and the central difference of
+    ``head_loss_and_grads``'s loss is compared with its gradient.
+    """
+    params = {
+        "fc.weight": np.array(fc_weight, dtype=np.float64),
+        "fc.bias": np.array(fc_bias, dtype=np.float64),
+    }
+
+    def loss() -> float:
+        return head_loss_and_grads(scores, params["fc.weight"], params["fc.bias"], labels)[0]
+
+    _, grads = head_loss_and_grads(scores, params["fc.weight"], params["fc.bias"], labels)
     # components far below the gradient's own scale are compared against
     # that scale instead of themselves, otherwise the oracle's truncation
     # error on a ~0 component would read as a spurious 100% mismatch
@@ -316,15 +242,14 @@ def finite_diff_gradcheck(
     floor = max(1e-3 * g_scale, 1e-8)
     max_rel = 0.0
     for name, arr in params.items():
-        # params() hands back the live arrays, so in-place edits reach the model
         flat = arr.reshape(-1)
         gflat = grads[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + epsilon
-            hi = pipeline.loss(sample)
+            hi = loss()
             flat[i] = orig - epsilon
-            lo = pipeline.loss(sample)
+            lo = loss()
             flat[i] = orig
             fd = (hi - lo) / (2.0 * epsilon)
             an = gflat[i]
@@ -441,7 +366,7 @@ def _prepare_fast(seq: Sequence, cfg: ScaleSearchConfig, sigma: float) -> _Prepa
         box1=BoundingBox(sample.box1.cx - x0, sample.box1.cy - y0, sample.box1.w, sample.box1.h),
         alpha_gt=sample.alpha_gt,
     )
-    mask = HandCraftedExtractor.intensity_mask()
+    mask = intensity_mask()
     p1 = target_grid_patch(f1, shifted.box1, cfg)
     p1 = p1.reshape(-1, p1.shape[-1])
     n_off = (2 * cfg.shift_c + 1) ** 2
@@ -565,7 +490,7 @@ def train_loop(
                     rng.uniform(*train_cfg.gain_range),
                     rng.uniform(*train_cfg.bias_range),
                 )
-                loss, grads, _ = head_loss_and_grads(
+                loss, grads = head_loss_and_grads(
                     _augmented_scores(prep, draws), fc_w, fc_b, prep.label
                 )
                 batch_loss += loss

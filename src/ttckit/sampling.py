@@ -25,8 +25,7 @@ rows[y1] * fy``).  Each sample sees the same four texels, the same
 products and the same additions in the same order as in the general
 four-corner gather, so the two paths give bit-identical results.  Leading
 batch axes loop over the lattices; any other coordinate shape takes the
-general gather.  ``bilinear_sample_adjoint`` is the matching scatter, used
-as the sampler's backward pass in training.
+general gather.
 
 Row blocks
 ----------
@@ -157,35 +156,6 @@ def bilinear_sample(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.nda
     top = image[y0, x0] * (1.0 - fx) + image[y0, x1] * fx
     bot = image[y1, x0] * (1.0 - fx) + image[y1, x1] * fx
     return top * (1.0 - fy) + bot * fy
-
-
-def bilinear_sample_adjoint(
-    dvals: np.ndarray, ys: np.ndarray, xs: np.ndarray, shape: tuple[int, ...]
-) -> np.ndarray:
-    """Adjoint of :func:`bilinear_sample`: scatter ``dvals`` onto an image.
-
-    ``dvals`` has the shape ``bilinear_sample(image, ys, xs)`` would return
-    for an image of ``shape``; each value is spread over the same four
-    edge-clamped texels with the same weights, so for every such image
-    ``<bilinear_sample(image, ys, xs), dvals> == <image, adjoint>`` up to
-    rounding.  This is the backward pass of the sampler.
-    """
-    h, w = shape[:2]
-    ys, xs = np.broadcast_arrays(
-        np.clip(np.asarray(ys, dtype=np.float64), 0.0, h - 1.0),
-        np.clip(np.asarray(xs, dtype=np.float64), 0.0, w - 1.0),
-    )
-    y0, y1, fy = _corners(ys, h)
-    x0, x1, fx = _corners(xs, w)
-    if len(shape) == 3:
-        fy = fy[..., None]
-        fx = fx[..., None]
-    out = np.zeros(shape)
-    np.add.at(out, (y0, x0), dvals * (1.0 - fy) * (1.0 - fx))
-    np.add.at(out, (y0, x1), dvals * (1.0 - fy) * fx)
-    np.add.at(out, (y1, x0), dvals * fy * (1.0 - fx))
-    np.add.at(out, (y1, x1), dvals * fy * fx)
-    return out
 
 
 def crop_positions(

@@ -36,6 +36,19 @@ def small_dataset(tmp_path_factory):
     return root, cfg_path, out
 
 
+@pytest.fixture(scope="module")
+def validated_dataset(tmp_path_factory):
+    # eight sequences: every fifth is held out, so one is for validation
+    root = tmp_path_factory.mktemp("cli_val")
+    cfg_path = root / "config.json"
+    cfg = {**SMALL_CONFIG, "synth": {**SMALL_CONFIG["synth"], "sequences_per_variant": 2}}
+    cfg_path.write_text(json.dumps(cfg))
+    out = root / "data"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert read_index(out)["count"] >= 5
+    return root, cfg_path, out
+
+
 def test_synth_writes_indexed_dataset(small_dataset):
     _, cfg_path, out = small_dataset
     index = read_index(out)
@@ -170,12 +183,17 @@ def test_eval_rejects_weights_that_do_not_fit_the_head(small_dataset, tmp_path, 
     # stack weights is refused too, as the estimator's features are fixed
     _, cfg_path, out = small_dataset
     from ttckit.estimate import identity_head
-    from ttckit.features import ConvStackExtractor
     from ttckit.learn import save_weights
 
     w, b = identity_head(20)
     w7, b7 = identity_head(7)
-    conv = ConvStackExtractor(mid_channels=2, out_channels=2, seed=4, kernel=5).params()
+    # a 5x5 conv stack over the 12 feature channels, 2 channels wide
+    conv = {
+        "conv1.weight": np.zeros((5 * 5 * 12, 2)), "conv1.bias": np.zeros(2),
+        "up.weight": np.zeros((3 * 3 * 2, 2)), "up.bias": np.zeros(2),
+        "conv2.weight": np.zeros((5 * 5 * 2, 2)), "conv2.bias": np.zeros(2),
+        "conv3.weight": np.zeros((5 * 5 * 2, 2)), "conv3.bias": np.zeros(2),
+    }
     bad = {
         "seven_bins": {"fc.weight": w7, "fc.bias": b7},
         "unknown_key": {"fc.weight": w, "fc.bias": b, "fc.scale": b},
@@ -256,7 +274,7 @@ def test_eval_rejects_a_gap_no_sequence_can_hold(small_dataset, tmp_path, capsys
     (55.41, 40.0, False),
 ])
 def test_train_warns_when_training_worsened_val_mid(
-    small_dataset, tmp_path, capsys, monkeypatch, untrained, trained, warned
+    validated_dataset, tmp_path, capsys, monkeypatch, untrained, trained, warned
 ):
     import ttckit.cli
     from ttckit.estimate import identity_head
@@ -266,7 +284,7 @@ def test_train_warns_when_training_worsened_val_mid(
     result = TrainResult(params={"fc.weight": w, "fc.bias": b},
                          history=[(0, 1.0, trained)], val_mid_untrained=untrained)
     monkeypatch.setattr(ttckit.cli, "train_loop", lambda *args, **kwargs: result)
-    _, cfg_path, out = small_dataset
+    _, cfg_path, out = validated_dataset
     train_dir = tmp_path / "trained"
     rc = main(["train", "--dataset", str(out), "--out", str(train_dir), "--config", str(cfg_path)])
     assert rc == 0
@@ -276,6 +294,44 @@ def test_train_warns_when_training_worsened_val_mid(
     assert "warning" not in printed.err
     # the warning is console output only, never part of an artifact
     assert "warning" not in (train_dir / "loss_curve.csv").read_text()
+
+
+def test_train_without_validation_sequences_says_so(small_dataset, tmp_path, capsys):
+    # four sequences hold out none for validation; no val MiD is printed,
+    # since 0.00 would read as a perfect score
+    _, cfg_path, out = small_dataset
+    assert read_index(out)["count"] < 5
+    train_dir = tmp_path / "trained"
+    rc = main(["train", "--dataset", str(out), "--out", str(train_dir), "--config", str(cfg_path)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("(0 validation)")
+    assert lines[1] == "val MiD not measured: no validation sequences"
+    assert not any("untrained" in line or "warning" in line for line in lines)
+
+
+def test_train_refuses_out_of_range_settings(small_dataset, tmp_path, capsys):
+    # each setting would train on nonsense (gradient ascent, one-hot labels)
+    # or fail inside the loop; the config is refused with exit 2 instead
+    _, cfg_path, out = small_dataset
+    nan, inf = float("nan"), float("inf")
+    bad = [
+        {"base_lr": -0.1}, {"base_lr": nan}, {"momentum": nan}, {"momentum": -0.5},
+        {"weight_decay": inf}, {"sigma_bins": -1}, {"sigma_bins": "1"},
+        {"gain_range": [0.9, 1.1, 2]}, {"gain_range": [1.1, 0.9]}, {"gain_range": [0.0, 1.1]},
+        {"gain_range": [-0.5, 1.1]}, {"gain_range": 1.0}, {"bias_range": [0.05]},
+        {"bias_range": [0.05, -0.05]}, {"bias_range": [-0.05, nan]},
+    ]
+    for i, train in enumerate(bad):
+        cfg = {**SMALL_CONFIG, "train": {**SMALL_CONFIG["train"], **train}}
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["train", "--dataset", str(out), "--out", str(tmp_path / f"t{i}"),
+                   "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2, train
+        assert err.startswith("error: train ") and "internal error" not in err, train
+        assert not (tmp_path / f"t{i}" / "weights.bin").exists()
 
 
 def test_report_merges(small_dataset, tmp_path, capsys):

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ttckit.core import (
+    TTC_REFERENCE_MODES,
     FrameGap,
     TTC_MAX,
     TTC_MIN,
@@ -75,6 +78,18 @@ def test_round_trip_target_frame():
         assert back == pytest.approx(alpha, rel=1e-12)
 
 
+@given(
+    alpha=st.floats(0.05, 20.0),
+    dt=st.floats(1e-3, 2.0),
+    mode=st.sampled_from(TTC_REFERENCE_MODES),
+)
+def test_round_trip_property(alpha, dt, mode):
+    # every scale ratio whose TTC is not truncated comes back from it
+    tau = ttc_from_scale_ratio(alpha, dt, ttc_reference=mode)
+    assume(abs(tau) < TTC_MAX)
+    assert scale_ratio_from_ttc(tau, dt, ttc_reference=mode) == pytest.approx(alpha, rel=1e-12)
+
+
 def test_reference_vs_target_frame_offset():
     # the two conventions differ by exactly dt for the same alpha
     alpha, dt = 0.9, 0.5
@@ -92,6 +107,23 @@ def test_convert_scale_ratio_fps_identity_and_round_trip():
     assert convert_scale_ratio_fps(0.7, 5.0, 5.0) == 0.7
     down = convert_scale_ratio_fps(0.9, 10.0, 2.0)
     assert convert_scale_ratio_fps(down, 2.0, 10.0) == pytest.approx(0.9, rel=1e-12)
+
+
+@given(
+    alpha=st.floats(0.05, 20.0),
+    fps_n=st.floats(0.1, 100.0),
+    fps_m=st.floats(0.1, 100.0),
+)
+def test_convert_scale_ratio_fps_there_and_back_property(alpha, fps_n, fps_m):
+    # wherever a rate has an equivalent, converting back recovers the ratio;
+    # the rounding of 1/alpha - 1 grows with the rate ratio (at most 1e3 here)
+    # and alpha (at most 20), to about 5e-12
+    try:
+        there = convert_scale_ratio_fps(alpha, fps_n, fps_m)
+    except ScaleConversionError:
+        assume(False)
+    assert there > 0
+    assert convert_scale_ratio_fps(there, fps_m, fps_n) == pytest.approx(alpha, rel=1e-10)
 
 
 def test_convert_scale_ratio_fps_preserves_target_frame_ttc():

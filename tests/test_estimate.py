@@ -1,13 +1,17 @@
 """Estimators against the synthetic oracle and hand-built fixtures."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttckit.boxes import BoundingBox
+from ttckit.core import TTC_REFERENCE_MODES
 from ttckit.errors import SequenceInvalidError
 from ttckit.estimate import (
+    ESTIMATOR_NAMES,
     ScaleSearchConfig,
     _pixel_mse_scores,
     candidate_grid_patches,
@@ -15,6 +19,7 @@ from ttckit.estimate import (
     detection_ratio_estimate,
     feature_scale_estimate,
     feature_scores,
+    fuse_logits,
     make_estimator,
     pixel_mse_estimate,
     pooled_cosine_scores,
@@ -225,6 +230,64 @@ def test_alpha_hat_always_in_range_and_tau_truncated():
                 est = est_fn(seq, cfg)
                 assert cfg.alpha_min <= est.alpha_hat <= cfg.alpha_max
                 assert -20.0 <= est.tau_hat <= 20.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(ESTIMATOR_NAMES),
+    seed=st.integers(0, 2**16),
+    size0=st.tuples(st.floats(6.0, 40.0), st.floats(6.0, 40.0)),
+    size1=st.tuples(st.floats(6.0, 40.0), st.floats(6.0, 40.0)),
+    drift=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+    ttc_reference=st.sampled_from(TTC_REFERENCE_MODES),
+    multi_reference=st.booleans(),
+)
+def test_estimates_stay_in_the_search_range(
+    name, seed, size0, size1, drift, ttc_reference, multi_reference
+):
+    # boxes from 6 to 40 px put the detection ratio far outside the search
+    # range, and unrelated noise frames give the searches no true match
+    rng = np.random.default_rng(seed)
+    frames = []
+    for i in range(6):
+        t = i / 5
+        box = BoundingBox(
+            40.0 + drift[0] * t, 32.0 + drift[1] * t,
+            size0[0] + (size1[0] - size0[0]) * t, size0[1] + (size1[1] - size0[1]) * t,
+        )
+        image = rng.uniform(0.0, 1.0, size=(64, 80, 3)).astype(np.float32)
+        frames.append(FrameSample(timestamp_s=i * 0.1, box=box, image=image))
+    seq = Sequence(sequence_id="range", fps=10.0, frames=frames)
+    if name == "feature_scale":
+        base = ScaleSearchConfig.feature_defaults(shift_c=1, target_w=12, target_h=12)
+    else:
+        base = ScaleSearchConfig(n_bins=20, shift_c=1)
+    cfg = replace(base, ttc_reference=ttc_reference, multi_reference=multi_reference)
+    est = make_estimator(name, cfg)(seq)
+    assert cfg.alpha_min <= est.alpha_hat <= cfg.alpha_max
+    assert -20.0 <= est.tau_hat <= 20.0
+
+
+@given(
+    logits=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=30),
+    top_k=st.integers(1, 30),
+)
+@example(logits=[-1000.0] * 4, top_k=2)
+@example(logits=[-1e308, -800.0, -801.0, -1e308], top_k=3)
+def test_fuse_logits_stays_within_the_end_bins(logits, top_k):
+    # any finite logits, also those whose sigmoid weights all round to 0
+    cfg = ScaleSearchConfig.feature_defaults(n_bins=len(logits), top_k=min(top_k, len(logits)))
+    bins = cfg.bins()
+    assert bins[0] <= fuse_logits(np.array(logits), cfg) <= bins[-1]
+
+
+def test_fuse_logits_weights_bins_in_log_space_when_the_sigmoids_underflow():
+    # sigmoid(z) ~ exp(z) far below 0, so two logits 1 apart weigh e : 1
+    cfg = ScaleSearchConfig.feature_defaults(n_bins=4, top_k=2)
+    bins = cfg.bins()
+    want = (np.e * bins[2] + bins[0]) / (np.e + 1.0)
+    logits = np.array([-1001.0, -1003.0, -1000.0, -1004.0])
+    assert fuse_logits(logits, cfg) == pytest.approx(want, rel=1e-12)
 
 
 def test_make_estimator_dispatch():

@@ -11,11 +11,11 @@ from ttckit.estimate import (
     ScaleSearchConfig,
     candidate_grid_patches,
     feature_scores,
+    identity_head,
     target_grid_patch,
 )
-from ttckit.features import ConvStackExtractor, HandCraftedExtractor, hand_crafted_features
+from ttckit.features import hand_crafted_features, intensity_mask
 from ttckit.learn import (
-    FeatureScalePipeline,
     TrainConfig,
     TrainSample,
     _augmented_scores,
@@ -25,6 +25,7 @@ from ttckit.learn import (
     bce_loss,
     cosine_lr,
     finite_diff_gradcheck,
+    head_loss_and_grads,
     load_weights,
     save_weights,
     sgd_step,
@@ -176,39 +177,37 @@ def _gradcheck_sample(seed=0, size=32):
     )
 
 
+def _sample_scores(sample, cfg):
+    """A pair's (n_bins, n_off) pooled cosine scores on hand-crafted features."""
+    fmap0 = hand_crafted_features(sample.image0).astype(np.float64)
+    fmap1 = hand_crafted_features(sample.image1).astype(np.float64)
+    return feature_scores(fmap0, fmap1, sample.center0, sample.box1, cfg)[0]
+
+
 def test_gradcheck_fc_path():
     cfg = _cfg(n_bins=6, shift_c=0, target=8)
     for seed in range(3):
         rng = np.random.default_rng(100 + seed)
-        pipeline = FeatureScalePipeline(
-            cfg,
-            fc_weight=np.eye(6) + rng.normal(0, 0.1, size=(6, 6)),
-            fc_bias=rng.normal(0, 0.1, size=6),
+        sample = _gradcheck_sample(seed)
+        err = finite_diff_gradcheck(
+            _sample_scores(sample, cfg),
+            np.eye(6) + rng.normal(0, 0.1, size=(6, 6)),
+            rng.normal(0, 0.1, size=6),
+            soft_label(sample.alpha_gt, cfg),
+            epsilon=1e-3,
         )
-        err = finite_diff_gradcheck(pipeline, _gradcheck_sample(seed), epsilon=1e-3)
         assert err <= 1e-4
 
 
 def test_gradcheck_fc_path_with_shift_max():
     # max-over-shifts is piecewise linear; away from ties the check still holds
     cfg = _cfg(n_bins=5, shift_c=1, target=6)
-    pipeline = FeatureScalePipeline(cfg)
-    err = finite_diff_gradcheck(pipeline, _gradcheck_sample(7), epsilon=1e-4)
+    sample = _gradcheck_sample(7)
+    err = finite_diff_gradcheck(
+        _sample_scores(sample, cfg), *identity_head(5), soft_label(sample.alpha_gt, cfg),
+        epsilon=1e-4,
+    )
     assert err <= 1e-3
-
-
-def test_gradcheck_full_conv_stack():
-    # the tanh stack has strong third derivatives (bias directions shift
-    # every position at once), so the difference step must be small enough
-    # for the oracle's own truncation error (~eps^2 * f''') to sit well
-    # below the tolerance; float64 roundoff is still negligible at 1e-6
-    cfg = _cfg(n_bins=5, shift_c=0, target=6)
-    for seed in range(2):
-        extractor = ConvStackExtractor(mid_channels=2, out_channels=2, seed=seed, kernel=5)
-        pipeline = FeatureScalePipeline(cfg, extractor=extractor)
-        assert pipeline.n_params() <= 5000
-        err = finite_diff_gradcheck(pipeline, _gradcheck_sample(seed, size=16), epsilon=1e-6)
-        assert err <= 1e-3
 
 
 def test_gradcheck_zero_input_finite():
@@ -216,22 +215,13 @@ def test_gradcheck_zero_input_finite():
     sample = _gradcheck_sample(3, size=16)
     sample.image0 = np.zeros_like(sample.image0)
     sample.image1 = np.zeros_like(sample.image1)
-    pipeline = FeatureScalePipeline(cfg)
-    loss, grads = pipeline.loss_and_grads(sample)
+    scores = _sample_scores(sample, cfg)
+    label = soft_label(sample.alpha_gt, cfg)
+    loss, grads = head_loss_and_grads(scores, *identity_head(5), label)
     assert np.isfinite(loss)
     for g in grads.values():
         assert np.all(np.isfinite(g))
-
-
-def test_pipeline_scores_match_estimator_path():
-    cfg = _cfg(n_bins=8, shift_c=1, target=10)
-    sample = _gradcheck_sample(11, size=40)
-    pipeline = FeatureScalePipeline(cfg)
-    got = pipeline.scores(sample)
-    fmap0 = hand_crafted_features(sample.image0).astype(np.float64)
-    fmap1 = hand_crafted_features(sample.image1).astype(np.float64)
-    want, _ = feature_scores(fmap0, fmap1, sample.center0, sample.box1, cfg)
-    assert np.allclose(got, want, atol=1e-9)
+    assert np.isfinite(finite_diff_gradcheck(scores, *identity_head(5), label))
 
 
 def test_feature_augmentation_matches_pixel_augmentation():
@@ -240,7 +230,7 @@ def test_feature_augmentation_matches_pixel_augmentation():
     img = rng.uniform(0.2, 0.7, size=(24, 24, 3))
     g, b = 1.12, -0.03
     direct = hand_crafted_features(img * g + b).astype(np.float64)
-    mask = HandCraftedExtractor.intensity_mask()
+    mask = intensity_mask()
     affine = hand_crafted_features(img).astype(np.float64) * g + b * mask
     assert np.allclose(direct, affine, atol=1e-6)
 
@@ -271,7 +261,7 @@ def test_cached_ingredient_scores_match_direct_path():
 
 def _ingredients(p0, p1, label):
     """Cached products of flattened patches p0 (n, off, P, C) and p1 (P, C)."""
-    mask = HandCraftedExtractor.intensity_mask()
+    mask = intensity_mask()
     return _PreparedSample(
         dot01=np.einsum("bspc,pc->bsp", p0, p1),
         dot0m=p0 @ mask,
@@ -303,7 +293,7 @@ def _flat_prep(level=0.4):
     # every candidate patch flat: each position's features are level * mask,
     # which a bias of -gain * level cancels to a zero-norm patch
     rng = np.random.default_rng(9)
-    p0 = np.broadcast_to(level * HandCraftedExtractor.intensity_mask(), (4, 9, 30, 12))
+    p0 = np.broadcast_to(level * intensity_mask(), (4, 9, 30, 12))
     p1 = rng.normal(size=(30, 12))
     return _ingredients(np.ascontiguousarray(p0), p1, np.zeros(4))
 
@@ -361,13 +351,12 @@ def test_prepare_fast_ingredients_come_from_the_estimator_patches():
     # estimator's whole-stack patch sampling on the region-of-interest
     # feature maps, bit for bit, at shift radii 0, 1 and 2
     seq = mixed_interval_suite(1, seed=77)[0]
-    extractor = HandCraftedExtractor()
     for cfg in (_PREP_CFG, _cfg(n_bins=5, shift_c=0, target=9), _cfg(n_bins=4, shift_c=2, target=7)):
         prep = _prepare_fast(seq, cfg, 1.0)
         sample = TrainSample.from_sequence(seq, cfg)
         x0, y0, x1, y1 = _roi_bounds(sample, cfg, sample.image1.shape[:2])
-        f0 = extractor(sample.image0[y0:y1, x0:x1]).astype(np.float64)
-        f1 = extractor(sample.image1[y0:y1, x0:x1]).astype(np.float64)
+        f0 = hand_crafted_features(sample.image0[y0:y1, x0:x1]).astype(np.float64)
+        f1 = hand_crafted_features(sample.image1[y0:y1, x0:x1]).astype(np.float64)
         center = (sample.center0[0] - x0, sample.center0[1] - y0)
         box = BoundingBox(sample.box1.cx - x0, sample.box1.cy - y0, sample.box1.w, sample.box1.h)
         p0 = candidate_grid_patches(f0, center, box, cfg)

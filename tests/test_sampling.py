@@ -11,7 +11,6 @@ from ttckit.errors import DomainError
 from ttckit.estimate import ScaleSearchConfig, candidate_patch_coords
 from ttckit.sampling import (
     bilinear_sample,
-    bilinear_sample_adjoint,
     crop_resize,
     grid_sample_features,
     lattice_row_blocks,
@@ -290,32 +289,3 @@ def test_lattice_path_handles_one_row_and_one_column_images():
     _assert_bit_identical(col, ys, xs)
     assert np.array_equal(bilinear_sample(row, ys, xs)[0], [1.0, 1.0, 2.0, 7.0])
     assert np.array_equal(bilinear_sample(col, ys, xs)[:, 0], [1.0, 1.0, 1.5, 7.0])
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), image=_images())
-def test_adjoint_matches_sampler_in_dot_product(data, image):
-    # <sample(f), d> == <f, adjoint(d)> for lattices, batched lattices and
-    # point/broadcast coordinates, with coordinates past every edge
-    h, w = image.shape[:2]
-    n = data.draw(st.integers(1, 6))
-    m = data.draw(st.integers(1, 6))
-    y_shape, x_shape = data.draw(st.sampled_from([
-        ((n, 1), (1, m)),  # lattice
-        ((2, n, 1), (2, 1, m)),  # batched lattices
-        ((2, n, 1), (1, m)),  # a lattice broadcast over a batch axis
-        ((n,), (n,)),  # points
-        ((n, m), (n, m)),  # a general 2-D grid
-        ((n, 1), (m,)),  # broadcast, but not a lattice
-    ]))
-    ys = _coords(data.draw, y_shape, h)
-    xs = _coords(data.draw, x_shape, w)
-    f = image.astype(np.float64)
-    sampled = bilinear_sample(f, ys, xs)
-    d = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=sampled.shape)
-    adj = bilinear_sample_adjoint(d, ys, xs, f.shape)
-    assert adj.shape == f.shape
-    lhs = float(np.sum(sampled * d))
-    rhs = float(np.sum(f * adj))
-    scale = float(np.sum(np.abs(sampled * d))) + 1.0
-    assert abs(lhs - rhs) <= 1e-12 * scale
