@@ -9,6 +9,7 @@ reference when available.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +86,24 @@ class DepthTrack:
         return cls(arr[:, 0], arr[:, 1])
 
 
+@functools.lru_cache(maxsize=64)
+def _hypothesis_pairs(seed: int, m: int, n_iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ordered (i, j) pairs of ``n_iters`` 2-point draws over m points.
+
+    The draws come from a fresh ``PCG64(seed)``, so they depend on these
+    three numbers alone.  A repeated ordered pair scores the same count
+    and SSE as its first copy and can never replace it, so only first
+    occurrences are kept, in draw order.  The arrays are read-only.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = np.array([rng.choice(m, size=2, replace=False) for _ in range(n_iters)],
+                     dtype=np.intp).reshape(n_iters, 2)
+    _, first = np.unique(draws, axis=0, return_index=True)
+    pairs = draws[np.sort(first)].T.copy()
+    pairs.flags.writeable = False
+    return pairs[0], pairs[1]
+
+
 def ransac_fit_velocity(
     track: DepthTrack,
     q: int,
@@ -98,6 +117,11 @@ def ransac_fit_velocity(
     RANSAC with 2-point minimal samples and a final least-squares refit on
     the consensus set.  The closing rate is -slope (depth shrinking at
     10 m/s means v = +10).  Deterministic for a fixed seed.
+
+    The ``n_iters`` hypotheses are drawn once per (seed, window length,
+    n_iters) and scored together.  The winner has the most inliers and,
+    among those, the smallest inlier SSE, the earliest draw winning a tie:
+    the pick that scoring the draws one at a time makes.
     """
     if q < 2:
         raise DomainError(f"window q must be >= 2, got {q}")
@@ -108,32 +132,26 @@ def ransac_fit_velocity(
     y = track.depths[-q:]
     m = len(t)
 
-    def refit(mask: np.ndarray) -> float:
-        slope, _ = np.polyfit(t[mask], y[mask], 1)
-        return float(slope)
-
     if m == 2:
         slope = (y[1] - y[0]) / (t[1] - t[0])
         return -float(slope), np.ones(2, dtype=bool)
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    best_mask: np.ndarray | None = None
-    best_count = 0
-    best_sse = np.inf
-    for _ in range(n_iters):
-        i, j = rng.choice(m, size=2, replace=False)
-        dt = t[j] - t[i]
-        slope = (y[j] - y[i]) / dt
-        intercept = y[i] - slope * t[i]
-        resid = y - (intercept + slope * t)
-        mask = np.abs(resid) <= inlier_threshold
-        count = int(mask.sum())
-        sse = float(np.sum(resid[mask] ** 2))
-        if count > best_count or (count == best_count and sse < best_sse):
-            best_mask, best_count, best_sse = mask, count, sse
-    if best_mask is None or best_count < 2:
+    i, j = _hypothesis_pairs(seed, m, n_iters)
+    slope = (y[j] - y[i]) / (t[j] - t[i])
+    intercept = y[i] - slope * t[i]
+    resid = y - (intercept[:, None] + slope[:, None] * t)
+    mask = np.abs(resid) <= inlier_threshold
+    counts = mask.sum(axis=1)
+    best_count = int(counts.max()) if counts.size else 0
+    if best_count < 2:
         raise FitFailedError("no consensus set with >= 2 inliers")
-    return -refit(best_mask), best_mask
+    # Every top row has best_count inliers, so its squared inlier residuals
+    # form one contiguous row here, summed as np.sum sums that row alone.
+    top = np.flatnonzero(counts == best_count)
+    sse = np.sum((resid[top][mask[top]] ** 2).reshape(top.size, best_count), axis=1)
+    best_mask = mask[top[np.argmin(sse)]].copy()
+    slope, _ = np.polyfit(t[best_mask], y[best_mask], 1)
+    return -float(slope), best_mask
 
 
 @dataclass

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, config_hash
+from .core import check_int
 from .errors import DomainError, TtcKitError
 from .estimate import ESTIMATOR_NAMES, ScaleSearchConfig, make_estimator
 from .evaluation import (
@@ -104,13 +105,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_annotate(args) -> int:
+    seed = check_int("annotate --seed", args.seed or 0)
     dataset_dir = Path(args.dataset)
     index = read_index(dataset_dir)
     deltas = []
     for seq_id in index["sequences"]:
         seq = read_sequence_dir(dataset_dir / seq_id)
         old_tau = seq.label.tau_s if seq.label else None
-        new_label = annotate_sequence(seq, seed=args.seed or 0)
+        new_label = annotate_sequence(seq, seed=seed)
         seq.label = new_label
         if old_tau is not None:
             deltas.append(abs(new_label.tau_s - old_tau))

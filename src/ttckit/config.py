@@ -13,6 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .core import check_int
 from .errors import DomainError
 from .estimate import ScaleSearchConfig
 from .learn import TrainConfig
@@ -98,6 +99,9 @@ class RunConfig:
     search_feature: ScaleSearchConfig = field(default_factory=ScaleSearchConfig.feature_defaults)
     train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_int("seed", self.seed)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -18,6 +18,7 @@ Conventions used throughout the toolkit:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -104,6 +105,17 @@ def ttc_from_depth_velocity(
     if abs(v) < eps_v:
         return TTC_MAX
     return truncate_ttc(y / v)
+
+
+def check_int(name: str, value, low: int = 0) -> int:
+    """Return ``value`` if it is an integer (not a bool) >= ``low``, else raise DomainError.
+
+    Counts and numpy seeds must be such integers; a float, a bool or a
+    negative seed would otherwise fail deep inside a run.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def _check_reference_mode(ttc_reference: str) -> None:

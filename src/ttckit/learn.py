@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .boxes import BoundingBox, expand_box
+from .core import check_int
 from .errors import DomainError, FitFailedError, TrainingDivergedError
 from .estimate import (
     COSINE_EPS,
@@ -62,8 +63,9 @@ class TrainConfig:
     bias_range: tuple[float, float] = (-0.05, 0.05)
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1:
-            raise DomainError("epochs and batch size must be positive")
+        check_int("train epochs", self.epochs, 1)
+        check_int("train batch_size", self.batch_size, 1)
+        check_int("train seed", self.seed)
         rates = {"momentum": self.momentum, "weight_decay": self.weight_decay,
                  "sigma_bins": self.sigma_bins}
         if self.base_lr is not None:

@@ -27,11 +27,10 @@ def encode_png(image: np.ndarray) -> bytes:
         raise ManifestError(f"expected (H, W, 3) uint8 image, got {image.shape} {image.dtype}")
     h, w = image.shape[:2]
     ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-    raw = bytearray()
-    for row in image:
-        raw.append(0)  # filter type: None
-        raw.extend(row.tobytes())
-    idat = zlib.compress(bytes(raw), 6)
+    # each scanline is its filter byte (0: None) followed by its pixels
+    raw = np.zeros((h, 1 + 3 * w), dtype=np.uint8)
+    raw[:, 1:] = image.reshape(h, 3 * w)
+    idat = zlib.compress(raw.tobytes(), 6)
     return _SIGNATURE + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 
 from .boxes import BoundingBox, box_drop_reason
-from .core import DEFAULT_VELOCITY_EPS, ttc_from_depth_velocity
+from .core import DEFAULT_VELOCITY_EPS, check_int, ttc_from_depth_velocity
 from .errors import DomainError, SequenceInvalidError
 from .manifest import FrameSample, Sequence, SequenceLabel
 from .sampling import bilinear_sample
@@ -95,6 +95,7 @@ class NoiseModel:
             raise DomainError(f"bad gain range {self.gain_range}")
         if self.bias_range[0] > self.bias_range[1]:
             raise DomainError(f"bad bias range {self.bias_range}")
+        check_int("noise seed", self.seed)
 
 
 def _frame_noise(noise: NoiseModel | None, rng: np.random.Generator | None):
@@ -122,6 +123,25 @@ def projected_box(
     return BoundingBox(u, v, w, h)
 
 
+def supersample_mean(dense: np.ndarray, supersample: int) -> np.ndarray:
+    """Average each ``supersample x supersample`` block of an (H*s, W*s, 3) array.
+
+    Equals ``dense.reshape(H, s, W, s, 3).mean(axis=(1, 3))`` bit for bit:
+    it makes the additions that mean makes, in its order (plane (0, 0),
+    then the others by row offset and then column offset, divided once),
+    but each addition runs over a whole plane instead of an inner loop
+    ``supersample`` elements long.  (With a single channel numpy orders
+    its additions differently, so the equality holds for RGB only.)
+    """
+    s = supersample
+    planes = dense.reshape(dense.shape[0] // s, s, dense.shape[1] // s, s, 3)
+    out = planes[:, 0, :, 0].copy()
+    for k in range(1, s * s):
+        out += planes[:, k // s, :, k % s]
+    out /= s * s
+    return out
+
+
 def render_frame(
     camera: CameraModel,
     target: PlanarTarget,
@@ -145,6 +165,8 @@ def render_frame(
     bilinear texture samples over its footprint; plain point sampling
     aliases badly once the texture is minified a few times, which would
     leak a scale-dependent bias into anything matched against the render.
+    The average is ``supersample_mean``: numpy's mean over the two sample
+    axes, bit for bit, summed one whole sample plane at a time.
     """
     if supersample < 1:
         raise DomainError(f"supersample factor must be >= 1, got {supersample}")
@@ -184,9 +206,7 @@ def render_frame(
         tx = (cols - exact_box.x0) / w * tw - 0.5
         ty = (rows - exact_box.y0) / h * th - 0.5
         dense = bilinear_sample(target.texture, ty[:, None], tx[None, :])
-        n_rows = rows_i.size
-        n_cols = cols_i.size
-        tex_avg = dense.reshape(n_rows, supersample, n_cols, supersample, 3).mean(axis=(1, 3))
+        tex_avg = supersample_mean(dense, supersample)
         patch = img[y_lo : y_hi + 1, x_lo : x_hi + 1]
         img[y_lo : y_hi + 1, x_lo : x_hi + 1] = patch + coverage * (tex_avg - patch)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ttckit.annotate import (
     DepthTrack,
@@ -109,6 +111,78 @@ def test_ransac_outlier_tolerance_property():
 def test_ransac_needs_two_points():
     with pytest.raises(FitFailedError):
         ransac_fit_velocity(DepthTrack(np.array([0.0]), np.array([10.0])), 5)
+
+
+def _loop_ransac(track, q, seed, n_iters, inlier_threshold):
+    """RANSAC scored one hypothesis at a time, as ransac_fit_velocity once did."""
+    t = track.times[-q:]
+    y = track.depths[-q:]
+    m = len(t)
+    if m == 2:
+        return -float((y[1] - y[0]) / (t[1] - t[0])), np.ones(2, dtype=bool)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    best_mask, best_count, best_sse = None, 0, np.inf
+    for _ in range(n_iters):
+        i, j = rng.choice(m, size=2, replace=False)
+        slope = (y[j] - y[i]) / (t[j] - t[i])
+        intercept = y[i] - slope * t[i]
+        resid = y - (intercept + slope * t)
+        mask = np.abs(resid) <= inlier_threshold
+        count = int(mask.sum())
+        sse = float(np.sum(resid[mask] ** 2))
+        if count > best_count or (count == best_count and sse < best_sse):
+            best_mask, best_count, best_sse = mask, count, sse
+    if best_mask is None or best_count < 2:
+        raise FitFailedError("no consensus set with >= 2 inliers")
+    slope, _ = np.polyfit(t[best_mask], y[best_mask], 1)
+    return -float(slope), best_mask
+
+
+def _fit_or_error(fit):
+    try:
+        return fit()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    track_seed=st.integers(0, 2**32 - 1),
+    length=st.integers(2, 24),
+    q=st.integers(2, 20),
+    seed=st.integers(0, 2**20),
+    kind=st.sampled_from(["outliers", "exact_outliers", "clean", "all_inlier", "ties", "flat"]),
+    n_iters=st.sampled_from([100, 100, 100, 7, 1, 0]),
+    inlier_threshold=st.sampled_from([0.5, 0.5, 0.05, 3.0, 0.0]),
+)
+@example(track_seed=0, length=10, q=10, seed=0, kind="clean", n_iters=0, inlier_threshold=0.5)
+def test_ransac_matches_the_one_at_a_time_loop(track_seed, length, q, seed, kind, n_iters,
+                                               inlier_threshold):
+    # hypotheses drawn once and scored together pick the same consensus set,
+    # bit for bit, as scoring each draw in turn
+    rng = np.random.default_rng(track_seed)
+    t = np.cumsum(rng.uniform(0.05, 0.2, length))
+    depths = 40.0 - rng.uniform(-5.0, 15.0) * t
+    if kind == "flat":
+        depths = np.full(length, 25.0)
+    elif kind in ("clean", "outliers"):
+        depths = depths + rng.normal(0.0, 0.2, length)
+    if kind in ("outliers", "exact_outliers"):
+        # on an exact line many hypotheses share one inlier set, and their
+        # SSEs differ by rounding alone
+        idx = rng.choice(length, size=int(rng.integers(0, length // 2 + 1)), replace=False)
+        depths[idx] += rng.choice([-1.0, 1.0], idx.size) * rng.uniform(1.0, 8.0, idx.size)
+    elif kind == "ties":
+        depths = np.round(depths * 2.0) / 2.0
+    track = DepthTrack(t, np.maximum(depths, 0.1))
+    want = _fit_or_error(lambda: _loop_ransac(track, q, seed, n_iters, inlier_threshold))
+    got = _fit_or_error(lambda: ransac_fit_velocity(
+        track, q, seed=seed, n_iters=n_iters, inlier_threshold=inlier_threshold))
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+    else:
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
 
 
 def test_ttc_label_hand_values():

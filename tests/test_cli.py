@@ -321,6 +321,8 @@ def test_train_refuses_out_of_range_settings(small_dataset, tmp_path, capsys):
         {"gain_range": [0.9, 1.1, 2]}, {"gain_range": [1.1, 0.9]}, {"gain_range": [0.0, 1.1]},
         {"gain_range": [-0.5, 1.1]}, {"gain_range": 1.0}, {"bias_range": [0.05]},
         {"bias_range": [0.05, -0.05]}, {"bias_range": [-0.05, nan]},
+        {"epochs": 2.5}, {"epochs": True}, {"batch_size": 4.0}, {"batch_size": "4"},
+        {"seed": -1}, {"seed": 0.5},
     ]
     for i, train in enumerate(bad):
         cfg = {**SMALL_CONFIG, "train": {**SMALL_CONFIG["train"], **train}}
@@ -332,6 +334,34 @@ def test_train_refuses_out_of_range_settings(small_dataset, tmp_path, capsys):
         assert rc == 2, train
         assert err.startswith("error: train ") and "internal error" not in err, train
         assert not (tmp_path / f"t{i}" / "weights.bin").exists()
+
+
+def test_bad_seeds_exit_2(small_dataset, tmp_path, capsys):
+    # numpy takes only non-negative integer seeds; each of these used to
+    # fail inside the run with exit 1
+    _, cfg_path, out = small_dataset
+    index_bytes = (out / "index.json").read_bytes()
+    configs = []
+    for i, bad in enumerate([{"seed": -3}, {"seed": 1.5}, {"noise": {"seed": -1}},
+                             {"noise": {"seed": False}}]):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, **bad}))
+        configs.append(["synth", "--config", str(path)])
+    runs = [
+        *configs,
+        ["synth", "--seed", "-2"],
+        ["train", "--dataset", str(out), "--config", str(cfg_path), "--seed", "-1"],
+        ["annotate", "--dataset", str(out), "--seed", "-1"],
+    ]
+    for i, argv in enumerate(runs):
+        if argv[0] != "annotate":
+            argv = argv + ["--out", str(tmp_path / f"out{i}")]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2, argv
+        assert err.startswith("error: ") and "seed" in err and "internal error" not in err, argv
+        assert not (tmp_path / f"out{i}").exists(), argv
+    assert (out / "index.json").read_bytes() == index_bytes
 
 
 def test_report_merges(small_dataset, tmp_path, capsys):

@@ -1,7 +1,12 @@
 """PNG codec round trips and dataset manifest IO."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ttckit.boxes import BoundingBox
 from ttckit.errors import ManifestError
@@ -28,6 +33,37 @@ def test_png_deterministic_bytes():
     rng = np.random.default_rng(1)
     img = rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
     assert encode_png(img) == encode_png(img.copy())
+
+
+def _row_loop_png(image):
+    """encode_png framing each scanline in a Python loop, as it once did."""
+    def chunk(tag, payload):
+        crc = zlib.crc32(tag + payload) & 0xFFFFFFFF
+        return struct.pack(">I", len(payload)) + tag + payload + struct.pack(">I", crc)
+
+    h, w = image.shape[:2]
+    raw = bytearray()
+    for row in image:
+        raw.append(0)
+        raw.extend(row.tobytes())
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0))
+            + chunk(b"IDAT", zlib.compress(bytes(raw), 6)) + chunk(b"IEND", b""))
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(1, 192), w=st.integers(1, 320), seed=st.integers(0, 2**32 - 1),
+       flat=st.booleans(), strided=st.booleans())
+@example(h=1, w=1, seed=0, flat=False, strided=False)
+@example(h=192, w=320, seed=1, flat=False, strided=False)
+def test_png_bytes_match_the_row_loop_framing(h, w, seed, flat, strided):
+    rng = np.random.default_rng(seed)
+    if flat:  # long runs compress very differently from noise
+        img = np.full((h, w, 3), rng.integers(0, 256), dtype=np.uint8)
+    else:
+        img = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+    if strided:  # a view that is not C-contiguous
+        img = np.repeat(img, 2, axis=1)[:, ::2]
+    assert encode_png(img) == _row_loop_png(img)
 
 
 def test_png_rejects_garbage():

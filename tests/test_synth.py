@@ -22,6 +22,7 @@ from ttckit.synth import (
     projected_box,
     render_frame,
     sequence_for_ttc,
+    supersample_mean,
     window_drop_reason,
 )
 
@@ -136,6 +137,69 @@ def test_render_frame_box_is_projected_box():
                           vertical_offset_z=-0.3)
     frame = render_frame(cam, target, 30.0, 1.2)
     assert frame.exact_box == frame.box == projected_box(cam, target, 30.0, 1.2)
+
+
+def _mean_render(camera, target, depth_m, lateral_x, background, supersample):
+    """render_frame without noise, averaging supersamples with .mean(axis=(1, 3))."""
+    from ttckit.sampling import bilinear_sample
+
+    box = projected_box(camera, target, depth_m, lateral_x)
+    img = np.full((camera.height, camera.width, 3), float(background))
+    x_lo = max(0, int(np.floor(box.x0)))
+    x_hi = min(camera.width - 1, int(np.ceil(box.x1)) - 1)
+    y_lo = max(0, int(np.floor(box.y0)))
+    y_hi = min(camera.height - 1, int(np.ceil(box.y1)) - 1)
+    if x_hi >= x_lo and y_hi >= y_lo:
+        th, tw = target.texture.shape[:2]
+        cols_i = np.arange(x_lo, x_hi + 1)
+        rows_i = np.arange(y_lo, y_hi + 1)
+        cov_x = np.clip(np.minimum(cols_i + 1.0, box.x1) - np.maximum(cols_i, box.x0), 0.0, 1.0)
+        cov_y = np.clip(np.minimum(rows_i + 1.0, box.y1) - np.maximum(rows_i, box.y0), 0.0, 1.0)
+        coverage = (cov_y[:, None] * cov_x[None, :])[:, :, None]
+        sub = (np.arange(supersample) + 0.5) / supersample
+        cols = (cols_i[:, None] + sub[None, :]).reshape(-1)
+        rows = (rows_i[:, None] + sub[None, :]).reshape(-1)
+        tx = (cols - box.x0) / box.w * tw - 0.5
+        ty = (rows - box.y0) / box.h * th - 0.5
+        dense = bilinear_sample(target.texture, ty[:, None], tx[None, :])
+        tex_avg = dense.reshape(rows_i.size, supersample, cols_i.size, supersample, 3).mean(
+            axis=(1, 3))
+        patch = img[y_lo : y_hi + 1, x_lo : x_hi + 1]
+        img[y_lo : y_hi + 1, x_lo : x_hi + 1] = patch + coverage * (tex_avg - patch)
+    np.clip(img, 0.0, 1.0, out=img)
+    return img.astype(np.float32)
+
+
+@settings(max_examples=100, deadline=None)
+@given(supersample=st.integers(1, 4), h=st.integers(1, 200), w=st.integers(1, 330),
+       seed=st.integers(0, 2**32 - 1))
+def test_supersample_mean_is_numpys_mean_bit_for_bit(supersample, h, w, seed):
+    # float64 sums in another order differ in the last bits; these must not
+    s = supersample
+    dense = np.random.default_rng(seed).uniform(0.0, 1.0, (h * s, w * s, 3))
+    want = dense.reshape(h, s, w, s, 3).mean(axis=(1, 3))
+    assert np.array_equal(supersample_mean(dense, s), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    supersample=st.integers(1, 4),
+    depth=st.floats(3.0, 60.0),
+    lateral=st.floats(-4.0, 4.0),
+    vertical=st.floats(-2.0, 2.0),
+    texture_seed=st.integers(0, 1000),
+    background=st.floats(0.0, 1.0),
+)
+def test_render_matches_the_mean_of_its_supersamples(supersample, depth, lateral, vertical,
+                                                     texture_seed, background):
+    # summing the supersample planes in place gives the mean's bits exactly,
+    # for boxes inside the image and boxes running past its border
+    cam = CameraModel.centered(400.0, 160, 96)
+    target = PlanarTarget(2.0, 1.5, noise_texture(texture_seed), vertical_offset_z=vertical)
+    frame = render_frame(cam, target, depth, lateral, background=background,
+                         supersample=supersample)
+    want = _mean_render(cam, target, depth, lateral, background, supersample)
+    assert np.array_equal(frame.image, want)
 
 
 _WINDOW_CAMERA = CameraModel.centered(800.0, 320, 192)
