@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .core import check_int
+from .core import check_int, is_finite_real
 from .errors import DomainError
 from .estimate import ScaleSearchConfig
 from .learn import TrainConfig
+from .scenarios import TEMPLATE_IDS
 from .synth import CameraModel, NoiseModel, PlanarTarget, checker_texture, noise_texture
 
 
@@ -79,7 +81,7 @@ class TargetConfig:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    templates: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
+    templates: tuple[int, ...] = TEMPLATE_IDS
     variants_per_template: int = 2
     sequences_per_variant: int = 1
     fps: float = 10.0
@@ -87,6 +89,25 @@ class SynthConfig:
     start_min: float = 0.7
     background: float = 0.08
     vary_texture: bool = True  # new texture seed per sequence
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.templates, (tuple, list)) and all(
+                isinstance(t, numbers.Integral) and not isinstance(t, bool)
+                and t in TEMPLATE_IDS for t in self.templates)):
+            raise DomainError(f"synth templates must be a list of template ids from "
+                              f"{list(TEMPLATE_IDS)}, got {self.templates!r}")
+        check_int("synth variants_per_template", self.variants_per_template, 1)
+        check_int("synth sequences_per_variant", self.sequences_per_variant, 1)
+        check_int("synth length", self.length, 2)
+        if not (is_finite_real(self.fps) and self.fps > 0):
+            raise DomainError(f"synth fps must be finite and > 0, got {self.fps!r}")
+        if not (is_finite_real(self.start_min) and self.start_min >= 0):
+            raise DomainError(f"synth start_min must be finite and >= 0, got {self.start_min!r}")
+        if not (is_finite_real(self.background) and 0 <= self.background <= 1):
+            raise DomainError(f"synth background must be finite and in [0, 1], "
+                              f"got {self.background!r}")
+        if not isinstance(self.vary_texture, bool):
+            raise DomainError(f"synth vary_texture must be true or false, got {self.vary_texture!r}")
 
 
 @dataclass(frozen=True)

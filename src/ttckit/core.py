@@ -118,6 +118,11 @@ def check_int(name: str, value, low: int = 0) -> int:
     return value
 
 
+def is_finite_real(value) -> bool:
+    """True for a finite real number (an int, a float or a numpy scalar)."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 def _check_reference_mode(ttc_reference: str) -> None:
     if ttc_reference not in TTC_REFERENCE_MODES:
         raise DomainError(

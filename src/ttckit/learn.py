@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .boxes import BoundingBox, expand_box
-from .core import check_int
+from .core import check_int, is_finite_real
 from .errors import DomainError, FitFailedError, TrainingDivergedError
 from .estimate import (
     COSINE_EPS,
@@ -44,10 +43,6 @@ from .estimate import (
 from .evaluation import mid_metric
 from .features import hand_crafted_features, intensity_mask
 from .manifest import Sequence
-
-
-def _finite(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -71,11 +66,11 @@ class TrainConfig:
         if self.base_lr is not None:
             rates["base_lr"] = self.base_lr
         for name, value in rates.items():
-            if not (_finite(value) and value >= 0):
+            if not (is_finite_real(value) and value >= 0):
                 raise DomainError(f"train {name} must be finite and >= 0, got {value!r}")
         for name, pair in (("gain_range", self.gain_range), ("bias_range", self.bias_range)):
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                    and all(map(_finite, pair)) and pair[0] <= pair[1]):
+                    and all(map(is_finite_real, pair)) and pair[0] <= pair[1]):
                 raise DomainError(f"train {name} must be [low, high], two finite "
                                   f"numbers with low <= high, got {pair!r}")
         if self.gain_range[0] <= 0:

@@ -38,7 +38,9 @@ class FrameSample:
 
         A raster read from disk is not kept on the frame, so memory stays
         flat however many frames a pass reads; a caller that needs it
-        twice keeps its own reference.
+        twice keeps its own reference.  A missing PNG is a ManifestError,
+        like an unreadable one, so ``eval`` records it as that sequence's
+        failure.
         """
         if self.image is not None:
             return self.image
@@ -47,7 +49,11 @@ class FrameSample:
         path = Path(self.image_path)
         if root is not None and not path.is_absolute():
             path = Path(root) / path
-        return read_png(path).astype(np.float32) / 255.0
+        try:
+            raster = read_png(path)
+        except FileNotFoundError as exc:
+            raise ManifestError(f"frame image not found: {path}") from exc
+        return raster.astype(np.float32) / 255.0
 
 
 @dataclass

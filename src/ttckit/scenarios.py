@@ -241,6 +241,10 @@ def _frange(lo: float, hi: float, step: float) -> list[float]:
     return values
 
 
+#: Ids of the built-in scenario templates.
+TEMPLATE_IDS = (1, 2, 3, 4, 5, 6)
+
+
 def builtin_scripts(templates: list[int] | None = None) -> list[ScenarioScript]:
     """Expand the built-in scenario templates into concrete variants.
 
@@ -265,7 +269,7 @@ def builtin_scripts(templates: list[int] | None = None) -> list[ScenarioScript]:
             )
         )
 
-    wanted = set(templates) if templates is not None else {1, 2, 3, 4, 5, 6}
+    wanted = set(templates if templates is not None else TEMPLATE_IDS)
 
     if 1 in wanted:
         for v in (40.0, 60.0, 80.0):

@@ -1,6 +1,8 @@
 """End-to-end CLI pipelines on a small synthetic dataset."""
 
 import json
+import shutil
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from ttckit.cli import main
 from ttckit.config import RunConfig, config_hash
+from ttckit.errors import DomainError, ManifestError
 from ttckit.manifest import read_index, read_sequence_dir
 
 SMALL_CONFIG = {
@@ -78,6 +81,91 @@ def test_synth_empty_selection(tmp_path):
     out = tmp_path / "empty"
     assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert read_index(out)["count"] == 0
+
+
+def test_synth_refuses_out_of_range_settings(tmp_path, capsys):
+    # each setting used to die inside the run (exit 1), write an empty or
+    # nonsense dataset (exit 0), or fail with an unrelated message
+    nan = float("nan")
+    bad = [
+        {"templates": [9]}, {"templates": [0]}, {"templates": [1.0]}, {"templates": [True]},
+        {"templates": "1"}, {"variants_per_template": 1.5}, {"variants_per_template": 0},
+        {"sequences_per_variant": 1.5}, {"sequences_per_variant": 0},
+        {"length": 6.5}, {"length": 1}, {"fps": -10.0}, {"fps": 0.0}, {"fps": nan},
+        {"start_min": -1.0}, {"start_min": nan}, {"background": 3.0}, {"background": -0.1},
+        {"background": nan}, {"vary_texture": 1},
+    ]
+    for i, synth in enumerate(bad):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, "synth": {**SMALL_CONFIG["synth"], **synth}}))
+        out = tmp_path / f"out{i}"
+        rc = main(["synth", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, synth
+        assert err.startswith("error: synth ") and "internal error" not in err, synth
+        assert not out.exists(), synth
+
+
+def _synth_small(tmp_path) -> tuple[int, Path]:
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(SMALL_CONFIG))
+    out = tmp_path / "data"
+    return main(["synth", "--config", str(cfg_path), "--out", str(out)]), out
+
+
+def test_synth_reports_a_write_error_and_stops_its_writer(tmp_path, capsys, monkeypatch):
+    # the 8th PNG is the second window's second frame, written on the
+    # writer thread; its error reaches the main thread with exit 2
+    import ttckit.manifest
+
+    write_png = ttckit.manifest.write_png
+    calls = []
+
+    def failing_write_png(path, image):
+        calls.append(path)
+        if len(calls) == 8:
+            raise ManifestError(f"disk full writing {path.name}")
+        write_png(path, image)
+
+    monkeypatch.setattr(ttckit.manifest, "write_png", failing_write_png)
+    threads = threading.active_count()
+    rc, out = _synth_small(tmp_path)
+    assert rc == 2
+    assert capsys.readouterr().err == "error: disk full writing frame_1.png\n"
+    assert not (out / "index.json").exists()
+    assert threading.active_count() == threads
+
+
+def test_synth_keeps_the_windows_written_before_a_render_error(
+    small_dataset, tmp_path, capsys, monkeypatch
+):
+    # the window in flight when the third render fails is still written
+    # whole: every frame and its manifest, byte for byte as a full run
+    import ttckit.cli
+
+    generate = ttckit.cli.generate_from_trajectory
+    rendered = []
+
+    def failing_generate(*args, **kwargs):
+        if len(rendered) == 2:
+            raise DomainError("render failed")
+        rendered.append(kwargs["sequence_id"])
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(ttckit.cli, "generate_from_trajectory", failing_generate)
+    threads = threading.active_count()
+    rc, out = _synth_small(tmp_path)
+    assert rc == 2
+    assert capsys.readouterr().err == "error: render failed\n"
+    assert not (out / "index.json").exists()
+    assert threading.active_count() == threads
+    full = small_dataset[2]
+    assert sorted(p.name for p in out.iterdir()) == sorted(rendered)
+    for seq_id in rendered:
+        names = [f"frame_{i}.png" for i in range(6)] + ["manifest.json"]
+        assert sorted(p.name for p in (out / seq_id).iterdir()) == sorted(names)
+        for name in names:
+            assert (out / seq_id / name).read_bytes() == (full / seq_id / name).read_bytes()
 
 
 def test_annotate_round_trip(small_dataset, tmp_path):
@@ -268,6 +356,28 @@ def test_eval_rejects_a_gap_no_sequence_can_hold(small_dataset, tmp_path, capsys
         assert not report.exists()
 
 
+def test_eval_refuses_when_every_sequence_fails(small_dataset, tmp_path, capsys):
+    # with no PNG left every estimate fails; a report of zeros would read
+    # as a perfect score, so eval exits 2 and writes none
+    _, cfg_path, out = small_dataset
+    copy = tmp_path / "no_frames"
+    shutil.copytree(out, copy)
+    for png in copy.glob("*/*.png"):
+        png.unlink()
+    report = tmp_path / "report.json"
+    rc = main([
+        "eval", "--dataset", str(copy), "--estimator", "pixel_mse",
+        "--config", str(cfg_path), "--out", str(report),
+    ])
+    assert rc == 2
+    first = sorted(read_index(copy)["sequences"])[0]
+    assert capsys.readouterr().err == (
+        f"error: every one of 4 sequences failed "
+        f"(first: frame image not found: {copy / first / 'frame_0.png'})\n"
+    )
+    assert not report.exists() and not report.with_suffix(".csv").exists()
+
+
 @pytest.mark.parametrize("untrained, trained, warned", [
     (55.41, 55.72, True),
     (55.41, 55.41, False),
@@ -394,8 +504,6 @@ def test_usage_errors_exit_2(tmp_path):
 def test_pipeline_annotate_labels_match_synth(small_dataset, tmp_path):
     # synth -> annotate label agreement on constant-velocity stretches
     _, cfg_path, out = small_dataset
-    import shutil
-
     copy = tmp_path / "check"
     shutil.copytree(out, copy)
     before = {
