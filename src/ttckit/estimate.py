@@ -36,7 +36,6 @@ from .errors import DomainError, ScaleConversionError, SequenceInvalidError
 from .features import hand_crafted_features
 from .manifest import FrameSample, Sequence
 from .sampling import (
-    bilinear_sample,
     crop_positions,
     crop_resize,
     grid_positions,
@@ -351,53 +350,24 @@ def _multi_reference_finish(seq, cfg, alpha_default, profile, flat, name, alpha_
 # feature-space scale classification
 
 
-def candidate_patch_coords(
-    center: tuple[float, float], b1: BoundingBox, cfg: ScaleSearchConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid-sample coordinates for every (bin, shift) candidate patch.
-
-    Returns (ys, xs), each (n_bins, n_offsets, out, 1)/(...,1, out), ready
-    to broadcast into bilinear sampling, as ``candidate_grid_patches`` does.
-    """
-    offsets = shift_offsets(cfg.shift_c).astype(np.float64)
-    ys_list, xs_list = _bin_positions(grid_positions, center, b1, cfg, cfg.target_w, cfg.target_h)
-    ys_all = ys_list[:, None, :, None] + offsets[None, :, 1, None, None]
-    xs_all = xs_list[:, None, None, :] + offsets[None, :, 0, None, None]
-    return ys_all, xs_all
-
-
-def candidate_grid_patches(
-    fmap0: np.ndarray,
-    center: tuple[float, float],
-    b1: BoundingBox,
-    cfg: ScaleSearchConfig,
-) -> np.ndarray:
-    """All candidate patches from the reference feature map:
-    (n_bins, n_offsets, out_h, out_w, C).
-
-    The whole-stack reference that ``candidate_patches_by_bin`` and
-    training's cached products are tested against.
-    """
-    ys_all, xs_all = candidate_patch_coords(center, b1, cfg)
-    return bilinear_sample(fmap0, ys_all, xs_all)
-
-
 def candidate_patches_by_bin(
     fmap0: np.ndarray,
     center: tuple[float, float],
     b1: BoundingBox,
     cfg: ScaleSearchConfig,
 ) -> Iterator[np.ndarray]:
-    """``candidate_grid_patches`` one scale bin at a time, in bin order.
+    """Every (scale bin, center shift) candidate patch of the reference
+    feature map, one scale bin at a time, in bin order.
 
     Yields (1, n_offsets, out_h, out_w, C) arrays, equal bit for bit to
-    the whole stack's slices ``[i : i + 1]``, sampling each only when it
-    is asked for, so a caller that reduces each bin as it comes never
-    holds the whole stack.  A bin's shifted patches tile one augmented
-    lattice, (2c+1) * out_h rows by (2c+1) * out_w columns, which the
-    sampler hands back in 2c+1 blocks of rows, one per dy; each block's
-    dx patches are copied into their (dx, dy) slots.  Every bin is yielded
-    in the same buffer, which the next bin overwrites.
+    the slices ``[i : i + 1]`` of one bilinear sample of all the bins'
+    shifted grids at once (the tests keep that whole-stack reference),
+    sampling each only when it is asked for, so a caller that reduces each
+    bin as it comes never holds the whole stack.  A bin's shifted patches
+    tile one augmented lattice, (2c+1) * out_h rows by (2c+1) * out_w
+    columns, which the sampler hands back in 2c+1 blocks of rows, one per
+    dy; each block's dx patches are copied into their (dx, dy) slots.
+    Every bin is yielded in the same buffer, which the next bin overwrites.
     """
     c = cfg.shift_c
     n_side = 2 * c + 1

@@ -9,18 +9,28 @@ its head step from :func:`head_loss_and_grads`, the step whose gradient
 The fast training path exploits the hand-crafted extractor's affine
 response to illumination: features(g*I + b) = g*features(I) + b*mask,
 so photometric augmentation happens in feature space without touching
-pixels.  Each pair's candidate and target patches are sampled once, before
-the first epoch, by the estimator's own ``candidate_patches_by_bin`` (one
-scale bin at a time, each bin one augmented lattice of all its shifts,
-handed over in a buffer the next bin reuses) and ``target_grid_patch``;
-only their inner products are kept, and every epoch recombines them for
-its (gain, bias) draws.
+pixels.  Each pair's candidate and target patches are sampled once by the
+estimator's own ``candidate_patches_by_bin`` (one scale bin at a time,
+each bin one augmented lattice of all its shifts, handed over in a buffer
+the next bin reuses) and ``target_grid_patch``; only their inner products
+are kept, and they are recombined for each of the pair's (gain, bias)
+draws.
+
+Neither the shuffle nor the draws nor a pair's augmented scores depend on
+the head, so ``train_loop`` draws the whole schedule up front, from the
+same generator in the same order as its epochs consume it.  Each pair is
+then scored once for every draw the schedule gives it: its products are
+made on the calling thread and its scores computed on one of two worker
+threads while the next pair is prepared.  A pair's products live only
+while its scores are computed, at most two pairs' at a time; the epochs
+run on the kept (n_bins, n_off) scores alone.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -334,6 +344,10 @@ def _roi_bounds(sample: TrainSample, cfg: ScaleSearchConfig, shape: tuple[int, i
 class _PreparedSample:
     """Cached bilinear/cosine ingredients of one training pair.
 
+    ``train_loop`` keeps one only while that pair's scores for every draw
+    of the schedule are computed, then drops it: the three
+    (n_bins, n_off, P) maps are the bulk of training's memory.
+
     Photometric augmentation is affine in feature space
     (F' = g*F + b*mask), grid sampling is linear, and the cosine's dot
     products expand over that affine map, so five cached inner-product
@@ -392,7 +406,8 @@ def _augmented_scores(prep: _PreparedSample, draws) -> np.ndarray:
     with num = g0*g1*dot01 + g0*b1*dot0m + b0*g1*dot1m + b0*b1*c and
     n0 = max(g0*g0*norm0 + 2*g0*b0*dot0m + b0*b0*c, 0), so the scores are
     bit-identical to that expression.  It runs one scale bin at a time, in
-    place in three (n_off, P) buffers that stay in cache.
+    place in three (n_off, P) buffers that stay in cache; the mean over P
+    is np.mean's own sum per bin and one true divide of the whole array.
     """
     g0, b0, g1, b1 = draws
     c = prep.mask_sq
@@ -417,7 +432,8 @@ def _augmented_scores(prep: _PreparedSample, draws) -> np.ndarray:
         np.sqrt(denom, out=denom)
         np.maximum(denom, COSINE_EPS, out=denom)
         num /= denom
-        scores[i] = num.mean(axis=1)
+        np.add.reduce(num, axis=1, out=scores[i])
+    scores /= num.shape[1]
     return scores
 
 
@@ -429,6 +445,59 @@ def _val_mid(fc_w, fc_b, cfg, val_scores, val_alpha10, val_eff_fps) -> float:
         alpha = min(max(alpha, cfg.alpha_min), cfg.alpha_max)
         mids.append(mid_metric(alpha_to_10hz(alpha, eff), alpha_gt_10))
     return float(np.mean(mids))
+
+
+def _draw_schedule(n: int, train_cfg: TrainConfig):
+    """Every epoch's batches and each pair's (gain, bias) draws.
+
+    Draws from a fresh ``PCG64(seed)`` in the order the epochs consume
+    them: per epoch one permutation of the n pairs, then for each batch
+    (the next ``batch_size`` of the permutation, sorted) four uniforms per
+    pair in ascending order.  Returns (epochs, draws): ``epochs`` holds
+    each epoch's list of sorted index arrays, and ``draws[j]`` pair j's
+    draws in the order its batches come.
+    """
+    rng = np.random.Generator(np.random.PCG64(train_cfg.seed))
+    epochs: list[list[np.ndarray]] = []
+    draws: list[list[tuple[float, float, float, float]]] = [[] for _ in range(n)]
+    for _ in range(train_cfg.epochs):
+        perm = rng.permutation(n)
+        batches = [np.sort(perm[start : start + train_cfg.batch_size])
+                   for start in range(0, n, train_cfg.batch_size)]
+        for batch in batches:
+            for idx in batch:
+                draws[idx].append((
+                    rng.uniform(*train_cfg.gain_range),
+                    rng.uniform(*train_cfg.bias_range),
+                    rng.uniform(*train_cfg.gain_range),
+                    rng.uniform(*train_cfg.bias_range),
+                ))
+        epochs.append(batches)
+    return epochs, draws
+
+
+def _scores_for_draws(prep: _PreparedSample, draws) -> tuple[np.ndarray, list[np.ndarray]]:
+    return prep.label, [_augmented_scores(prep, d) for d in draws]
+
+
+def _score_pairs(seqs: list[Sequence], draws, cfg: ScaleSearchConfig, sigma: float):
+    """(label, scores per draw) of each sequence's pair, in sequence order.
+
+    ``_prepare_fast`` runs on the calling thread, one pair after another;
+    each pair's scores are computed on one of two worker threads while the
+    next pair is prepared.  Pair j - 2's scores are awaited before pair j
+    is prepared, so at most two pairs' cached products are alive at once.
+    A preparation error propagates once the pairs in flight have finished.
+    """
+    futures = []
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for j, (seq, pair_draws) in enumerate(zip(seqs, draws)):
+            if j >= 2:
+                futures[j - 2].result()
+            prep = _prepare_fast(seq, cfg, sigma)
+            futures.append(pool.submit(_scores_for_draws, prep, pair_draws))
+            del prep  # the worker holds the only reference, dropped once scored
+        return [f.result() for f in futures]
 
 
 def train_loop(
@@ -443,26 +512,29 @@ def train_loop(
     Deterministic for a fixed seed: the shuffle and photometric
     augmentation streams are drawn from one generator in a fixed order,
     and gradient accumulation within a batch runs in ascending dataset
-    order.  Emits a checkpoint per epoch when ``out_dir`` is given and
-    aborts (keeping the last good checkpoint) if the loss goes non-finite.
+    order.  The schedule is drawn before any pair is scored, and each
+    pair is scored once for all its draws (``_score_pairs``); the epochs
+    then consume those scores in schedule order.  Emits a checkpoint per
+    epoch when ``out_dir`` is given and aborts (keeping the last good
+    checkpoint) if the loss goes non-finite.
     """
     if not train_seqs:
         raise FitFailedError("no training sequences")
-    prepared = [_prepare_fast(s, cfg, train_cfg.sigma_bins) for s in train_seqs]
-
+    n = len(train_seqs)
+    epochs, draws = _draw_schedule(n, train_cfg)
     identity_draws = (1.0, 0.0, 1.0, 0.0)
-    val_scores, val_alpha10, val_eff = [], [], []
-    for seq in val_seqs:
-        prep = _prepare_fast(seq, cfg, train_cfg.sigma_bins)
-        val_scores.append(_augmented_scores(prep, identity_draws))
-        val_alpha10.append(seq.label.alpha_10hz)
-        val_eff.append(seq.fps / cfg.frame_gap)
+    scored = _score_pairs(list(train_seqs) + list(val_seqs),
+                          draws + [[identity_draws]] * len(val_seqs),
+                          cfg, train_cfg.sigma_bins)
+    labels = [label for label, _ in scored[:n]]
+    streams = [iter(scores) for _, scores in scored[:n]]
+    val_scores = [scores[0] for _, scores in scored[n:]]
+    val_alpha10 = [seq.label.alpha_10hz for seq in val_seqs]
+    val_eff = [seq.fps / cfg.frame_gap for seq in val_seqs]
 
     fc_w, fc_b = training_head_init(cfg.n_bins)
     params = {"fc.weight": fc_w, "fc.bias": fc_b}
     momenta: dict[str, np.ndarray] = {}
-    rng = np.random.Generator(np.random.PCG64(train_cfg.seed))
-    n = len(prepared)
 
     # the untrained reference is the estimator's default identity head
     id_w, id_b = identity_head(cfg.n_bins)
@@ -470,26 +542,15 @@ def train_loop(
     history: list[tuple[int, float, float]] = []
     last_good = {k: v.copy() for k, v in params.items()}
 
-    for epoch in range(train_cfg.epochs):
+    for epoch, batches in enumerate(epochs):
         lr = cosine_lr(train_cfg.lr, epoch / train_cfg.epochs)
-        perm = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, train_cfg.batch_size):
-            batch = np.sort(perm[start : start + train_cfg.batch_size])
+        for batch in batches:
             grad_w = np.zeros_like(fc_w)
             grad_b = np.zeros_like(fc_b)
             batch_loss = 0.0
             for idx in batch:
-                prep = prepared[idx]
-                draws = (
-                    rng.uniform(*train_cfg.gain_range),
-                    rng.uniform(*train_cfg.bias_range),
-                    rng.uniform(*train_cfg.gain_range),
-                    rng.uniform(*train_cfg.bias_range),
-                )
-                loss, grads = head_loss_and_grads(
-                    _augmented_scores(prep, draws), fc_w, fc_b, prep.label
-                )
+                loss, grads = head_loss_and_grads(next(streams[idx]), fc_w, fc_b, labels[idx])
                 batch_loss += loss
                 grad_w += grads["fc.weight"]
                 grad_b += grads["fc.bias"]

@@ -1,13 +1,17 @@
 """End-to-end CLI pipelines on a small synthetic dataset."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ttckit
 from ttckit.cli import main
 from ttckit.config import RunConfig, config_hash
 from ttckit.errors import DomainError, ManifestError
@@ -418,6 +422,37 @@ def test_train_without_validation_sequences_says_so(small_dataset, tmp_path, cap
     assert lines[0].endswith("(0 validation)")
     assert lines[1] == "val MiD not measured: no validation sequences"
     assert not any("untrained" in line or "warning" in line for line in lines)
+
+
+@pytest.mark.parametrize("position", [1, 4])
+def test_train_refuses_an_unlabeled_sequence(validated_dataset, tmp_path, capsys, position):
+    # position 1 is a training sequence, 4 the validation one; either
+    # stops training with exit 2 and leaves no training thread behind
+    _, cfg_path, out = validated_dataset
+    data = tmp_path / "data"
+    shutil.copytree(out, data)
+    seq_id = read_index(data)["sequences"][position]
+    manifest = data / seq_id / "manifest.json"
+    raw = json.loads(manifest.read_text())
+    raw["label"] = None
+    manifest.write_text(json.dumps(raw))
+    threads = threading.active_count()
+    rc = main(["train", "--dataset", str(data), "--out", str(tmp_path / "t"),
+               "--config", str(cfg_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: sequence {seq_id} is unlabeled\n"
+    assert not (tmp_path / "t" / "weights.bin").exists()
+    assert threading.active_count() == threads
+
+
+def test_importing_the_cli_starts_no_thread():
+    # every thread pool is opened by the command that uses it, never at import
+    src = str(Path(ttckit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import threading, ttckit.cli; print(threading.active_count())"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "1\n"
 
 
 def test_train_refuses_out_of_range_settings(small_dataset, tmp_path, capsys):

@@ -14,7 +14,6 @@ from ttckit.estimate import (
     ESTIMATOR_NAMES,
     ScaleSearchConfig,
     _pixel_mse_scores,
-    candidate_grid_patches,
     candidate_patches_by_bin,
     detection_ratio_estimate,
     feature_scale_estimate,
@@ -27,7 +26,13 @@ from ttckit.estimate import (
     target_grid_patch,
 )
 from ttckit.manifest import FrameSample, Sequence
-from ttckit.sampling import bilinear_sample, crop_positions, crop_resize
+from ttckit.sampling import (
+    bilinear_sample,
+    crop_positions,
+    crop_resize,
+    grid_positions,
+    shift_offsets,
+)
 from ttckit.synth import CameraModel, PlanarTarget, noise_texture, sequence_for_ttc
 
 CAM = CameraModel.centered(800.0, 320, 192)
@@ -473,6 +478,19 @@ def test_pixel_mse_scores_equal_the_full_lattice_search(data, shift_c, out_h, ou
     assert np.array_equal(mses, _full_lattice_pixel_mse(ref, tgt_crop, center, b1, cfg))
 
 
+def _candidate_grid_patches(fmap0, center, b1, cfg):
+    """Every (bin, shift) candidate patch in one bilinear call,
+    (n_bins, n_off, out_h, out_w, C): the whole-stack reference that
+    ``candidate_patches_by_bin`` and ``feature_scores`` must equal."""
+    offsets = shift_offsets(cfg.shift_c).astype(np.float64)
+    center_box = BoundingBox(center[0], center[1], b1.w, b1.h)
+    grids = [grid_positions(box, cfg.target_w, cfg.target_h)
+             for box in scaled_candidate_boxes(center_box, b1, cfg)]
+    ys = np.array([y for y, _ in grids])[:, None, :, None] + offsets[None, :, 1, None, None]
+    xs = np.array([x for _, x in grids])[:, None, None, :] + offsets[None, :, 0, None, None]
+    return bilinear_sample(fmap0, ys, xs)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     cx=st.floats(-10.0, 50.0),
@@ -492,7 +510,7 @@ def test_feature_scores_equal_the_whole_stack_scores(cx, cy, bw, bh, n_bins, shi
     b1 = BoundingBox(20.0, 15.0, bw, bh)
     scores, _ = feature_scores(fmap0, fmap1, (cx, cy), b1, cfg)
     want = pooled_cosine_scores(
-        candidate_grid_patches(fmap0, (cx, cy), b1, cfg), target_grid_patch(fmap1, b1, cfg)
+        _candidate_grid_patches(fmap0, (cx, cy), b1, cfg), target_grid_patch(fmap1, b1, cfg)
     )
     assert np.array_equal(scores, want)
 
@@ -513,7 +531,7 @@ def test_patches_by_bin_are_the_whole_stack_slices(cx, cy, bw, bh, n_bins, shift
         n_bins=n_bins, top_k=1, shift_c=shift_c, target_w=9, target_h=6
     )
     b1 = BoundingBox(20.0, 15.0, bw, bh)
-    whole = candidate_grid_patches(fmap0, (cx, cy), b1, cfg)
+    whole = _candidate_grid_patches(fmap0, (cx, cy), b1, cfg)
     count = 0
     for i, patches in enumerate(candidate_patches_by_bin(fmap0, (cx, cy), b1, cfg)):
         want = whole[i : i + 1]

@@ -1,27 +1,38 @@
 """Soft labels, BCE, SGD, gradient checks, and the training loop."""
 
+import dataclasses
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttckit.boxes import BoundingBox
-from ttckit.errors import DomainError, SequenceInvalidError, TrainingDivergedError
+from ttckit.errors import (
+    DomainError,
+    FitFailedError,
+    SequenceInvalidError,
+    TrainingDivergedError,
+)
 from ttckit.estimate import (
     ScaleSearchConfig,
-    candidate_grid_patches,
     feature_scores,
     identity_head,
+    scaled_candidate_boxes,
     target_grid_patch,
 )
 from ttckit.features import hand_crafted_features, intensity_mask
 from ttckit.learn import (
     TrainConfig,
+    TrainResult,
     TrainSample,
     _augmented_scores,
     _prepare_fast,
     _PreparedSample,
     _roi_bounds,
+    _val_mid,
     bce_loss,
     cosine_lr,
     finite_diff_gradcheck,
@@ -31,7 +42,9 @@ from ttckit.learn import (
     sgd_step,
     soft_label,
     train_loop,
+    training_head_init,
 )
+from ttckit.sampling import bilinear_sample, grid_positions, shift_offsets
 from ttckit.suites import mixed_interval_suite
 from ttckit.synth import NoiseModel
 
@@ -346,6 +359,18 @@ def test_train_sample_takes_the_estimator_frame_pair():
             TrainSample.from_sequence(seq, _cfg().with_gap(gap))
 
 
+def _candidate_grid_patches(fmap0, center, b1, cfg):
+    """Every (bin, shift) candidate patch in one bilinear call,
+    (n_bins, n_off, out_h, out_w, C): the whole-stack reference."""
+    offsets = shift_offsets(cfg.shift_c).astype(np.float64)
+    center_box = BoundingBox(center[0], center[1], b1.w, b1.h)
+    grids = [grid_positions(box, cfg.target_w, cfg.target_h)
+             for box in scaled_candidate_boxes(center_box, b1, cfg)]
+    ys = np.array([y for y, _ in grids])[:, None, :, None] + offsets[None, :, 1, None, None]
+    xs = np.array([x for _, x in grids])[:, None, None, :] + offsets[None, :, 0, None, None]
+    return bilinear_sample(fmap0, ys, xs)
+
+
 def test_prepare_fast_ingredients_come_from_the_estimator_patches():
     # the cached products, made one scale bin at a time, are those of the
     # estimator's whole-stack patch sampling on the region-of-interest
@@ -359,7 +384,7 @@ def test_prepare_fast_ingredients_come_from_the_estimator_patches():
         f1 = hand_crafted_features(sample.image1[y0:y1, x0:x1]).astype(np.float64)
         center = (sample.center0[0] - x0, sample.center0[1] - y0)
         box = BoundingBox(sample.box1.cx - x0, sample.box1.cy - y0, sample.box1.w, sample.box1.h)
-        p0 = candidate_grid_patches(f0, center, box, cfg)
+        p0 = _candidate_grid_patches(f0, center, box, cfg)
         p1 = target_grid_patch(f1, box, cfg)
         n_off = (2 * cfg.shift_c + 1) ** 2
         want = _ingredients(
@@ -397,8 +422,6 @@ def test_train_loop_smoke_and_determinism():
 
 
 def test_train_loop_zero_lr_keeps_weights():
-    from ttckit.learn import training_head_init
-
     cfg = _cfg(n_bins=10, shift_c=0, target=10)
     seqs = _train_suite(8, seed=60)
     tcfg = TrainConfig(epochs=2, batch_size=4, base_lr=0.0, weight_decay=0.0, seed=0)
@@ -417,3 +440,121 @@ def test_train_loop_emits_checkpoints(tmp_path):
     assert (tmp_path / "weights_epoch001.bin.json").is_file()
     params, _ = load_weights(tmp_path / "weights_epoch001.bin")
     assert params["fc.weight"].shape == (8, 8)
+
+
+def _serial_train_loop(train_seqs, val_seqs, cfg, train_cfg, out_dir=None):
+    """The training loop as it ran before its schedule was drawn up front:
+    every pair's cached products are held for all epochs and scored at
+    each draw, in draw order.  Kept as the reference the scheduled loop
+    must equal bit for bit."""
+    if not train_seqs:
+        raise FitFailedError("no training sequences")
+    prepared = [_prepare_fast(s, cfg, train_cfg.sigma_bins) for s in train_seqs]
+
+    identity_draws = (1.0, 0.0, 1.0, 0.0)
+    val_scores, val_alpha10, val_eff = [], [], []
+    for seq in val_seqs:
+        prep = _prepare_fast(seq, cfg, train_cfg.sigma_bins)
+        val_scores.append(_augmented_scores(prep, identity_draws))
+        val_alpha10.append(seq.label.alpha_10hz)
+        val_eff.append(seq.fps / cfg.frame_gap)
+
+    fc_w, fc_b = training_head_init(cfg.n_bins)
+    params = {"fc.weight": fc_w, "fc.bias": fc_b}
+    momenta = {}
+    rng = np.random.Generator(np.random.PCG64(train_cfg.seed))
+    n = len(prepared)
+
+    id_w, id_b = identity_head(cfg.n_bins)
+    val_mid_untrained = _val_mid(id_w, id_b, cfg, val_scores, val_alpha10, val_eff) if val_seqs else 0.0
+    history = []
+    last_good = {k: v.copy() for k, v in params.items()}
+
+    for epoch in range(train_cfg.epochs):
+        lr = cosine_lr(train_cfg.lr, epoch / train_cfg.epochs)
+        perm = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, train_cfg.batch_size):
+            batch = np.sort(perm[start : start + train_cfg.batch_size])
+            grad_w = np.zeros_like(fc_w)
+            grad_b = np.zeros_like(fc_b)
+            batch_loss = 0.0
+            for idx in batch:
+                prep = prepared[idx]
+                draws = (
+                    rng.uniform(*train_cfg.gain_range),
+                    rng.uniform(*train_cfg.bias_range),
+                    rng.uniform(*train_cfg.gain_range),
+                    rng.uniform(*train_cfg.bias_range),
+                )
+                loss, grads = head_loss_and_grads(
+                    _augmented_scores(prep, draws), fc_w, fc_b, prep.label
+                )
+                batch_loss += loss
+                grad_w += grads["fc.weight"]
+                grad_b += grads["fc.bias"]
+            k = len(batch)
+            grad_w /= k
+            grad_b /= k
+            batch_loss /= k
+            epoch_loss += batch_loss * k
+            sgd_step(params, {"fc.weight": grad_w, "fc.bias": grad_b}, momenta,
+                     lr, train_cfg.momentum, train_cfg.weight_decay)
+        epoch_loss /= n
+        if not np.isfinite(epoch_loss):
+            raise TrainingDivergedError(
+                f"non-finite loss at epoch {epoch}", epoch, last_good
+            )
+        last_good = {k: v.copy() for k, v in params.items()}
+        val_mid = _val_mid(fc_w, fc_b, cfg, val_scores, val_alpha10, val_eff) if val_seqs else 0.0
+        history.append((epoch, float(epoch_loss), val_mid))
+        if out_dir is not None:
+            out_dir = Path(out_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            save_weights(out_dir / f"weights_epoch{epoch:03d}.bin", params)
+
+    return TrainResult(params=params, history=history, val_mid_untrained=val_mid_untrained)
+
+
+@pytest.mark.parametrize("n_train, n_val, batch_size, epochs, seed", [
+    (7, 2, 3, 3, 0),    # batches of 3, 3 and 1
+    (5, 0, 8, 2, 11),   # one batch larger than the set, no validation
+    (6, 3, 6, 1, 5),    # one batch of exactly the set
+    (4, 1, 3, 2, 2024),
+])
+def test_train_loop_equals_the_serial_reference(tmp_path, n_train, n_val, batch_size, epochs, seed):
+    cfg = _cfg(n_bins=8, shift_c=1, target=10)
+    train_seqs = _train_suite(n_train, seed=80 + seed)
+    val_seqs = _train_suite(n_val, seed=90 + seed, noise_seed=1) if n_val else []
+    tcfg = TrainConfig(epochs=epochs, batch_size=batch_size, seed=seed)
+    got = train_loop(train_seqs, val_seqs, cfg, tcfg, out_dir=tmp_path / "got")
+    want = _serial_train_loop(train_seqs, val_seqs, cfg, tcfg, out_dir=tmp_path / "want")
+    for name in ("fc.weight", "fc.bias"):
+        assert np.array_equal(got.params[name], want.params[name]), name
+    assert got.history == want.history
+    assert got.val_mid_untrained == want.val_mid_untrained
+    written = sorted(p.name for p in (tmp_path / "want").iterdir())
+    assert len(written) == 2 * epochs
+    assert sorted(p.name for p in (tmp_path / "got").iterdir()) == written
+    for name in written:
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+
+
+@pytest.mark.parametrize("split, position", [("train", 2), ("train", 4), ("val", 1)])
+def test_train_loop_refuses_an_unlabeled_pair_and_stops_its_workers(split, position):
+    # the same error as the serial loop, raised while other pairs are in
+    # flight; every worker thread is joined on return and on the error
+    cfg = _cfg(n_bins=6, shift_c=0, target=8)
+    seqs = {"train": _train_suite(5, seed=33), "val": _train_suite(2, seed=34)}
+    tcfg = TrainConfig(epochs=1, batch_size=2, seed=1)
+    threads = threading.active_count()
+    train_loop(seqs["train"], seqs["val"], cfg, tcfg)
+    assert threading.active_count() == threads
+    seqs[split][position] = dataclasses.replace(seqs[split][position], label=None)
+    with pytest.raises(DomainError) as got:
+        train_loop(seqs["train"], seqs["val"], cfg, tcfg)
+    assert threading.active_count() == threads
+    with pytest.raises(DomainError) as want:
+        _serial_train_loop(seqs["train"], seqs["val"], cfg, tcfg)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value) == f"sequence {seqs[split][position].sequence_id} is unlabeled"

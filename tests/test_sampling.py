@@ -8,10 +8,11 @@ from hypothesis.extra.numpy import arrays
 
 from ttckit.boxes import MIN_BOX_SIZE_PX, BoundingBox, box_drop_reason, expand_box
 from ttckit.errors import DomainError
-from ttckit.estimate import ScaleSearchConfig, candidate_patch_coords
+from ttckit.estimate import ScaleSearchConfig, scaled_candidate_boxes
 from ttckit.sampling import (
     bilinear_sample,
     crop_resize,
+    grid_positions,
     grid_sample_features,
     lattice_row_blocks,
     shift_offsets,
@@ -195,6 +196,18 @@ def test_lattice_path_bit_identical_to_point_gather(data, image):
     _assert_bit_identical(image, ys, xs)
 
 
+def _candidate_patch_coords(center, b1, cfg):
+    """Grid-sample coordinates of every (bin, shift) candidate patch, (ys, xs)
+    of shapes (n_bins, n_off, out_h, 1) and (n_bins, n_off, 1, out_w)."""
+    offsets = shift_offsets(cfg.shift_c).astype(np.float64)
+    center_box = BoundingBox(center[0], center[1], b1.w, b1.h)
+    grids = [grid_positions(box, cfg.target_w, cfg.target_h)
+             for box in scaled_candidate_boxes(center_box, b1, cfg)]
+    ys = np.array([y for y, _ in grids])[:, None, :, None] + offsets[None, :, 1, None, None]
+    xs = np.array([x for _, x in grids])[:, None, None, :] + offsets[None, :, 0, None, None]
+    return ys, xs
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     cx=st.floats(-10.0, 50.0),
@@ -211,7 +224,7 @@ def test_candidate_patch_lattices_bit_identical(cx, cy, bw, bh, n_bins, shift_c,
     cfg = ScaleSearchConfig.feature_defaults(
         n_bins=n_bins, top_k=1, shift_c=shift_c, target_w=7, target_h=5
     )
-    ys, xs = candidate_patch_coords((cx, cy), BoundingBox(20.0, 15.0, bw, bh), cfg)
+    ys, xs = _candidate_patch_coords((cx, cy), BoundingBox(20.0, 15.0, bw, bh), cfg)
     assert ys.shape == (n_bins, (2 * shift_c + 1) ** 2, 5, 1)
     assert xs.shape == (n_bins, (2 * shift_c + 1) ** 2, 1, 7)
     _assert_bit_identical(fmap, ys, xs)
