@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,6 +50,10 @@ _FLAT_PROFILE_TOL = 1e-12
 COSINE_EPS = 1e-12
 # a top sigmoid weight below this fuses in log space (see fuse_logits)
 _MIN_TOP_WEIGHT = 1e-200
+# a pixel-search lattice of at most this many samples, (2c+1)^2 * out_h *
+# out_w, is sampled and scored as one block (the 31 and 53 px crops at
+# radius 3); a larger one one dy row group at a time (_pixel_mse_scores)
+_ONE_BLOCK_SAMPLES = 160_000
 
 
 @dataclass(frozen=True)
@@ -260,28 +265,49 @@ def _pixel_mse_scores(
 
     Returns (mse (n_bins, n_offsets), offsets) with offsets lexicographic
     in (dx, dy).  Each bin's shifted crops tile one augmented sampling
-    lattice, (2c+1) * out_h rows by (2c+1) * out_w columns, whose block of
-    rows for one dy holds every dx shift side by side.  All bins' lattices
-    go to the sampler in one batched call, which hands them back one such
-    block at a time in one reused buffer, so the working set is a
-    (out_h, (2c+1) * out_w) slab, not a whole lattice; each block's sum
-    over (row, column) is the whole-lattice sum over those axes, added in
-    the same order, so the scores do not depend on the blocking.
+    lattice, (2c+1) * out_h rows by (2c+1) * out_w columns, whose group
+    of rows for one dy holds every dx shift side by side.
+
+    The bins are scored in two halves at once: the calling thread takes
+    bins ``[0, ceil(n_bins / 2))`` and one worker thread, started for
+    this search in a ``with`` block, the rest.  Each half makes its own
+    batched sampler call, which hands its lattices back a block at a time
+    in one reused buffer, and writes only its own bins' rows of the
+    result.  A lattice of at most ``_ONE_BLOCK_SAMPLES`` samples comes
+    back as one block, so the small crops make few, large numpy calls,
+    which the two threads run in parallel instead of trading the GIL; a
+    larger lattice comes back one dy row group per block, which bounds
+    the buffers to an (out_h, (2c+1) * out_w) slab.  Every sample keeps
+    its own corners and weights, and each block's sum over (row, column)
+    is the whole-lattice sum over those axes, added in the same order, so
+    the scores depend neither on the blocking nor on the halves.
     """
     out_h, out_w = tgt_crop.shape
     c = cfg.shift_c
     n_side = 2 * c + 1
     ys, xs = _bin_positions(crop_positions, center, b1, cfg, out_w, out_h)
-    per_shift = np.empty((cfg.n_bins * n_side, n_side))  # (bin, dy_idx) by dx_idx
-    # the target once per dx shift, side by side like a block's crops: a
-    # same-shape subtraction, faster than broadcasting tgt_crop per block
-    target = np.tile(tgt_crop, n_side)
-    blocks = lattice_row_blocks(ref_gray, _shift_lattice(ys, c), _shift_lattice(xs, c), n_side)
-    for k, block in enumerate(blocks):
-        # squared differences in place in the block buffer
-        np.subtract(block, target, out=block)
-        np.multiply(block, block, out=block)
-        per_shift[k] = block.reshape(out_h, n_side, out_w).sum(axis=(0, 2))
+    ys, xs = _shift_lattice(ys, c), _shift_lattice(xs, c)
+    groups = n_side if n_side * n_side * out_h * out_w <= _ONE_BLOCK_SAMPLES else 1
+    # (bin, dy_idx) by dx_idx; each half writes only its own bins' rows
+    per_shift = np.empty((cfg.n_bins * n_side, n_side))
+    # the target once per dx shift and dy group, tiled like a block's
+    # crops: a same-shape subtraction, faster than broadcasting tgt_crop
+    target = np.tile(tgt_crop, (groups, n_side))
+
+    def score(first: int, stop: int) -> None:
+        blocks = lattice_row_blocks(ref_gray, ys[first:stop], xs[first:stop], n_side // groups)
+        rows = per_shift[first * n_side : stop * n_side].reshape(-1, groups, n_side)
+        for k, block in enumerate(blocks):
+            # squared differences in place in the block buffer
+            np.subtract(block, target, out=block)
+            np.multiply(block, block, out=block)
+            rows[k] = block.reshape(groups, out_h, n_side, out_w).sum(axis=(1, 3))
+
+    half = -(-cfg.n_bins // 2)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        rest = pool.submit(score, half, cfg.n_bins)
+        score(0, half)
+        rest.result()
     # lexicographic (dx, dy) within each bin; np.mean is the sum over the count
     mses = per_shift.reshape(cfg.n_bins, n_side, n_side).transpose(0, 2, 1).reshape(cfg.n_bins, -1)
     mses /= out_h * out_w

@@ -577,8 +577,14 @@ def train_loop(
     return TrainResult(params=params, history=history, val_mid_untrained=val_mid_untrained)
 
 
-def write_loss_curve(path: Path, history: list[tuple[int, float, float]]) -> None:
+def write_loss_curve(
+    path: Path, history: list[tuple[int, float, float]], validated: bool
+) -> None:
+    """One CSV row per epoch.  Without ``validated`` the ``val_mid`` field
+    is left empty: no val MiD was measured, and 0 would read as a perfect
+    score."""
     lines = ["epoch,train_loss,val_mid"]
     for epoch, loss, val_mid in history:
-        lines.append(f"{epoch},{loss:.8f},{val_mid:.6f}")
+        val_field = f"{val_mid:.6f}" if validated else ""
+        lines.append(f"{epoch},{loss:.8f},{val_field}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -35,7 +35,15 @@ the lattice in ``n`` equal blocks of consecutive rows, each computed only
 when it is asked for; a caller that reduces each block as it comes never
 holds the whole lattice, and a block small enough stays in cache.  The
 blocks concatenate to the whole lattice bit for bit, and
-``bilinear_sample``'s lattice path is the one-block case.
+``bilinear_sample``'s lattice path is the one-block case.  Each call
+owns its buffers, so calls on different threads over the same read-only
+image do not interfere: the pixel search scores two halves of its scale
+bins at once, each half with its own call on its own thread (the caller
+and one worker started for that search; nothing here starts a thread).
+It asks for one block per lattice when a lattice has at most 160,000
+samples, so each numpy call is large enough to run in parallel with the
+other thread's, and for one block per vertical shift above that, which
+bounds the buffers (``estimate._pixel_mse_scores``).
 """
 
 from __future__ import annotations

@@ -414,7 +414,7 @@ def test_train_without_validation_sequences_says_so(small_dataset, tmp_path, cap
     # four sequences hold out none for validation; no val MiD is printed,
     # since 0.00 would read as a perfect score
     _, cfg_path, out = small_dataset
-    assert read_index(out)["count"] < 5
+    assert read_index(out)["count"] == 4
     train_dir = tmp_path / "trained"
     rc = main(["train", "--dataset", str(out), "--out", str(train_dir), "--config", str(cfg_path)])
     assert rc == 0
@@ -422,6 +422,23 @@ def test_train_without_validation_sequences_says_so(small_dataset, tmp_path, cap
     assert lines[0].endswith("(0 validation)")
     assert lines[1] == "val MiD not measured: no validation sequences"
     assert not any("untrained" in line or "warning" in line for line in lines)
+    # nor is one written: loss_curve.csv leaves the val_mid field empty
+    header, *rows = (train_dir / "loss_curve.csv").read_text().splitlines()
+    assert header == "epoch,train_loss,val_mid"
+    assert len(rows) == SMALL_CONFIG["train"]["epochs"]
+    for epoch, row in enumerate(rows):
+        fields = row.split(",")
+        assert fields[0] == str(epoch) and np.isfinite(float(fields[1]))
+        assert fields[2] == ""
+
+
+def test_train_with_validation_sequences_writes_val_mid(validated_dataset, tmp_path):
+    _, cfg_path, out = validated_dataset
+    train_dir = tmp_path / "trained"
+    rc = main(["train", "--dataset", str(out), "--out", str(train_dir), "--config", str(cfg_path)])
+    assert rc == 0
+    rows = (train_dir / "loss_curve.csv").read_text().splitlines()[1:]
+    assert rows and all(float(row.split(",")[2]) > 0.0 for row in rows)
 
 
 @pytest.mark.parametrize("position", [1, 4])

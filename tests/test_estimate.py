@@ -1,5 +1,9 @@
 """Estimators against the synthetic oracle and hand-built fixtures."""
 
+import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ttckit import estimate, png, sampling
 from ttckit.boxes import BoundingBox
 from ttckit.core import TTC_REFERENCE_MODES
-from ttckit.errors import SequenceInvalidError
+from ttckit.errors import DomainError, SequenceInvalidError
 from ttckit.estimate import (
     ESTIMATOR_NAMES,
     ScaleSearchConfig,
@@ -25,7 +30,7 @@ from ttckit.estimate import (
     scaled_candidate_boxes,
     target_grid_patch,
 )
-from ttckit.manifest import FrameSample, Sequence
+from ttckit.manifest import FrameSample, Sequence, load_dataset, write_index, write_sequence_dir
 from ttckit.sampling import (
     bilinear_sample,
     crop_positions,
@@ -476,6 +481,131 @@ def test_pixel_mse_scores_equal_the_full_lattice_search(data, shift_c, out_h, ou
     mses, offsets = _pixel_mse_scores(ref, tgt_crop, center, b1, cfg)
     assert offsets.shape == ((2 * shift_c + 1) ** 2, 2)
     assert np.array_equal(mses, _full_lattice_pixel_mse(ref, tgt_crop, center, b1, cfg))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shift_c=st.integers(0, 3),
+    # half the crops are 60-100 px a side, so large lattices are drawn too
+    crop=st.one_of(st.tuples(st.integers(2, 100), st.integers(2, 100)),
+                   st.tuples(st.integers(60, 100), st.integers(60, 100))),
+    n_bins=st.integers(2, 5),
+    size=st.tuples(st.integers(3, 120), st.integers(3, 120)),
+    place=st.tuples(*[st.floats(-0.1, 1.1)] * 4, st.floats(0.05, 2.0), st.floats(0.05, 2.0)),
+)
+# 53 px at radius 3 is one block per lattice, 86 px one dy row group per
+# block; three bins split into halves of two and one
+@example(seed=1, shift_c=3, crop=(53, 53), n_bins=3, size=(90, 100),
+         place=(0.5, 0.5, 0.45, 0.55, 0.6, 0.6))
+@example(seed=2, shift_c=3, crop=(86, 86), n_bins=3, size=(120, 110),
+         place=(-0.1, 1.1, 1.05, -0.05, 0.9, 0.8))
+def test_pixel_mse_scores_equal_the_full_lattice_search_at_any_block_shape(
+    seed, shift_c, crop, n_bins, size, place
+):
+    # crops up to 100 px fall on both sides of the one-block threshold, and
+    # an odd bin count splits the search into unequal halves
+    rng = np.random.default_rng(seed)
+    out_h, out_w = crop
+    h, w = size
+    ref = rng.uniform(size=(h, w))
+    tgt_crop = rng.uniform(size=(out_h, out_w))
+    # centers and boxes reach past every edge of the reference image
+    cx, cy, bx, by, bw, bh = place
+    center = (cx * w, cy * h)
+    b1 = BoundingBox(bx * w, by * h, bw * w, bh * h)
+    cfg = ScaleSearchConfig(n_bins=n_bins, top_k=1, shift_c=shift_c, alpha_min=0.7, alpha_max=1.4)
+    mses, _ = _pixel_mse_scores(ref, tgt_crop, center, b1, cfg)
+    assert np.array_equal(mses, _full_lattice_pixel_mse(ref, tgt_crop, center, b1, cfg))
+
+
+def test_pixel_mse_estimate_leaves_no_thread():
+    seq = _oracle_sequence()
+    threads = threading.active_count()
+    for multi_reference in (False, True):
+        est = pixel_mse_estimate(seq, ScaleSearchConfig(shift_c=1, multi_reference=multi_reference))
+        assert math.isfinite(est.tau_hat)
+        assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("bad_bin", [1, 3])
+def test_pixel_mse_error_in_either_half_reaches_the_caller(monkeypatch, bad_bin):
+    # five bins split into halves of three (calling thread) and two (the
+    # worker); the first lattice at least as tall as bad_bin's fails, as
+    # it would when one call sampled every bin in order
+    real = estimate.lattice_row_blocks
+
+    def failing_blocks(image, ys, xs, n):
+        for b in range(len(ys)):
+            if np.ptp(ys[b]) >= limit:
+                raise DomainError(f"lattice {np.ptp(ys[b])!r} rows tall")
+            yield from real(image, ys[b], xs[b], n)
+
+    rng = np.random.default_rng(14)
+    ref = rng.uniform(size=(60, 70))
+    cfg = ScaleSearchConfig(n_bins=5, shift_c=2, alpha_min=0.8, alpha_max=1.3)
+    center, b1 = (33.3, 27.8), BoundingBox(35.2, 29.6, 17.4, 12.6)
+    tgt_crop = rng.uniform(size=(13, 17))
+    ys, xs = estimate._bin_positions(crop_positions, center, b1, cfg, 17, 13)
+    ys, xs = estimate._shift_lattice(ys, 2), estimate._shift_lattice(xs, 2)
+    limit = np.ptp(ys[bad_bin])
+    with pytest.raises(DomainError) as serial:
+        for _ in failing_blocks(ref, ys, xs, 5):
+            pass
+    monkeypatch.setattr(estimate, "lattice_row_blocks", failing_blocks)
+    threads = threading.active_count()
+    with pytest.raises(DomainError) as split:
+        _pixel_mse_scores(ref, tgt_crop, center, b1, cfg)
+    assert type(split.value) is type(serial.value)
+    assert str(split.value) == str(serial.value)
+    assert threading.active_count() == threads
+
+
+def test_concurrent_pixel_searches_equal_the_full_lattice_search():
+    # six searches on three threads, each search with its own worker, and a
+    # short switch interval: every half owns its buffers and its rows
+    rng = np.random.default_rng(15)
+    ref = rng.uniform(size=(90, 110))
+    cfg = ScaleSearchConfig(n_bins=5, top_k=1, shift_c=3, alpha_min=0.8, alpha_max=1.3)
+    cases = [
+        (ref, rng.uniform(size=(40, 36)), (50.2, 41.7), BoundingBox(52.0, 44.5, 36.0, 40.0), cfg),
+        (ref, rng.uniform(size=(70, 62)), (57.9, 46.3), BoundingBox(55.1, 43.8, 62.0, 70.0), cfg),
+    ] * 3
+    want = [_full_lattice_pixel_mse(*case) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            futures = [pool.submit(_pixel_mse_scores, *case) for case in cases]
+            got = [future.result(timeout=120)[0] for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_pixel_search_layers_run_on_the_calling_thread(tmp_path, monkeypatch):
+    # the functions a traced run wraps record one span stack for every
+    # thread, so the pixel path must call them from the caller's thread only
+    seq = _oracle_sequence()
+    write_sequence_dir(seq, tmp_path)
+    write_index(tmp_path, [seq.sequence_id], "test")
+    (seq,) = load_dataset(tmp_path)
+    seen = []
+
+    def on_caller(fn):
+        def wrapped(*args, **kwargs):
+            seen.append((fn.__name__, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(estimate, "crop_resize", on_caller(estimate.crop_resize))
+    monkeypatch.setattr(sampling, "bilinear_sample", on_caller(sampling.bilinear_sample))
+    monkeypatch.setattr(FrameSample, "load_image", on_caller(FrameSample.load_image))
+    monkeypatch.setattr(png, "decode_png", on_caller(png.decode_png))
+    pixel_mse_estimate(seq, ScaleSearchConfig(shift_c=1, multi_reference=True))
+    names = {name for name, _ in seen}
+    assert names == {"crop_resize", "bilinear_sample", "load_image", "decode_png"}
+    assert {ident for _, ident in seen} == {threading.get_ident()}
 
 
 def _candidate_grid_patches(fmap0, center, b1, cfg):
