@@ -30,11 +30,16 @@ train_seqs = uniform_alpha_suite(80, seed=100, noise=noise, prefix="tr")
 val_seqs = uniform_alpha_suite(24, seed=101, noise=noise, prefix="va")
 result = train_loop(train_seqs, val_seqs, cfg, TrainConfig(epochs=12, batch_size=16, seed=0))
 
-print(f"untrained (identity head) validation MiD: {result.val_mid_untrained:.1f}")
+def mid_text(mid, width=0):
+    # no validation sequences means no val MiD, which 0.0 would misreport
+    return "not measured" if mid is None else f"{mid:{width}.1f}"
+
+
+print(f"untrained (identity head) validation MiD: {mid_text(result.val_mid_untrained)}")
 print("epoch  train_loss  val_MiD")
 for epoch, loss, vm in result.history:
     bar = "#" * int(loss * 40)
-    print(f"{epoch:5d}  {loss:9.4f}  {vm:7.1f}  {bar}")
+    print(f"{epoch:5d}  {loss:9.4f}  {mid_text(vm, 7)}  {bar}")
 
 W = result.params["fc.weight"]
 print("\nlearned head diagonal (per-bin gain):")

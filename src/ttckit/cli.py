@@ -210,7 +210,7 @@ def cmd_train(args) -> int:
     result = train_loop(train, val, search, tcfg, out_dir=out_dir / "checkpoints")
     save_weights(out_dir / "weights.bin", result.params,
                  extra={"dataset_config_hash": index["config_hash"]})
-    write_loss_curve(out_dir / "loss_curve.csv", result.history, validated=bool(val))
+    write_loss_curve(out_dir / "loss_curve.csv", result.history)
     last = result.history[-1]
     print(f"trained {tcfg.epochs} epochs on {len(train)} sequences ({len(val)} validation)")
     if not val:

@@ -497,7 +497,7 @@ def _feature_alpha_at_gap(seq, cfg, gap, fc_weight, fc_bias, fmap_cache, tgt_hw)
     ref, tgt = _estimate_pair(seq, gap)
     ref_idx = len(seq.frames) - 1 - gap
     if ref_idx not in fmap_cache:
-        fmap_cache[ref_idx] = hand_crafted_features(ref.load_image()).astype(np.float64)
+        fmap_cache[ref_idx] = hand_crafted_features(ref.load_image())
     fmap0 = fmap_cache[ref_idx]
     fmap1 = fmap_cache[len(seq.frames) - 1]
     h, w = tgt_hw
@@ -529,7 +529,7 @@ def feature_scale_estimate(
     gap = cfg.frame_gap
     tgt_img = seq.frames[-1].load_image()
     tgt_hw = tgt_img.shape[:2]
-    fmap_cache = {len(seq.frames) - 1: hand_crafted_features(tgt_img).astype(np.float64)}
+    fmap_cache = {len(seq.frames) - 1: hand_crafted_features(tgt_img)}
     alpha, profile, flat = _feature_alpha_at_gap(
         seq, cfg, gap, fc_weight, fc_bias, fmap_cache, tgt_hw
     )

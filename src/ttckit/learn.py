@@ -319,9 +319,14 @@ def load_weights(path: Path) -> tuple[dict[str, np.ndarray], dict]:
 
 @dataclass
 class TrainResult:
+    """Trained head, per-epoch (epoch, train_loss, val_mid), and the
+    identity head's val MiD.  Every val MiD is ``None`` when there are no
+    validation sequences: none was measured, and 0 would read as a perfect
+    score."""
+
     params: dict[str, np.ndarray]
-    history: list[tuple[int, float, float]]  # (epoch, train_loss, val_mid)
-    val_mid_untrained: float
+    history: list[tuple[int, float, float | None]]
+    val_mid_untrained: float | None
 
 
 def _roi_bounds(sample: TrainSample, cfg: ScaleSearchConfig, shape: tuple[int, int]):
@@ -368,8 +373,8 @@ def _prepare_fast(seq: Sequence, cfg: ScaleSearchConfig, sigma: float) -> _Prepa
     """One pair's cached products; exact only for ``hand_crafted_features``, affine in light."""
     sample = TrainSample.from_sequence(seq, cfg)
     x0, y0, x1, y1 = _roi_bounds(sample, cfg, sample.image1.shape[:2])
-    f0 = hand_crafted_features(sample.image0[y0:y1, x0:x1]).astype(np.float64)
-    f1 = hand_crafted_features(sample.image1[y0:y1, x0:x1]).astype(np.float64)
+    f0 = hand_crafted_features(sample.image0[y0:y1, x0:x1])
+    f1 = hand_crafted_features(sample.image1[y0:y1, x0:x1])
     shifted = TrainSample(
         image0=sample.image0,
         image1=sample.image1,
@@ -538,8 +543,8 @@ def train_loop(
 
     # the untrained reference is the estimator's default identity head
     id_w, id_b = identity_head(cfg.n_bins)
-    val_mid_untrained = _val_mid(id_w, id_b, cfg, val_scores, val_alpha10, val_eff) if val_seqs else 0.0
-    history: list[tuple[int, float, float]] = []
+    val_mid_untrained = _val_mid(id_w, id_b, cfg, val_scores, val_alpha10, val_eff) if val_seqs else None
+    history: list[tuple[int, float, float | None]] = []
     last_good = {k: v.copy() for k, v in params.items()}
 
     for epoch, batches in enumerate(epochs):
@@ -567,7 +572,7 @@ def train_loop(
                 f"non-finite loss at epoch {epoch}", epoch, last_good
             )
         last_good = {k: v.copy() for k, v in params.items()}
-        val_mid = _val_mid(fc_w, fc_b, cfg, val_scores, val_alpha10, val_eff) if val_seqs else 0.0
+        val_mid = _val_mid(fc_w, fc_b, cfg, val_scores, val_alpha10, val_eff) if val_seqs else None
         history.append((epoch, float(epoch_loss), val_mid))
         if out_dir is not None:
             out_dir = Path(out_dir)
@@ -577,14 +582,11 @@ def train_loop(
     return TrainResult(params=params, history=history, val_mid_untrained=val_mid_untrained)
 
 
-def write_loss_curve(
-    path: Path, history: list[tuple[int, float, float]], validated: bool
-) -> None:
-    """One CSV row per epoch.  Without ``validated`` the ``val_mid`` field
-    is left empty: no val MiD was measured, and 0 would read as a perfect
-    score."""
+def write_loss_curve(path: Path, history: list[tuple[int, float, float | None]]) -> None:
+    """One CSV row per epoch; the ``val_mid`` field is left empty where it
+    is ``None`` (no validation sequences)."""
     lines = ["epoch,train_loss,val_mid"]
     for epoch, loss, val_mid in history:
-        val_field = f"{val_mid:.6f}" if validated else ""
+        val_field = "" if val_mid is None else f"{val_mid:.6f}"
         lines.append(f"{epoch},{loss:.8f},{val_field}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -17,11 +17,11 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .boxes import BoundingBox, box_drop_reason
 from .core import DEFAULT_VELOCITY_EPS, check_int, ttc_from_depth_velocity
 from .errors import DomainError, SequenceInvalidError
+from .features import box_mean
 from .manifest import FrameSample, Sequence, SequenceLabel
 from .sampling import bilinear_sample
 from .scenarios import ScenarioScript, Trajectory, constant_velocity_script, simulate_script
@@ -432,11 +432,15 @@ def sequence_for_ttc(
 def noise_texture(
     seed: int, size: int = 64, low: float = 0.2, high: float = 0.95, smooth_passes: int = 2
 ) -> np.ndarray:
-    """Smooth random RGB texture stretched to span [low, high]."""
+    """Smooth random RGB texture stretched to span [low, high].
+
+    Uniform noise is smoothed by ``smooth_passes`` 3x3 box means
+    (``features.box_mean``, edge samples repeated) before the stretch.
+    """
     rng = np.random.Generator(np.random.PCG64(seed))
     tex = rng.uniform(0.0, 1.0, size=(size, size, 3))
     for _ in range(smooth_passes):
-        tex = uniform_filter(tex, size=(3, 3, 1), mode="nearest")
+        tex = box_mean(tex, (3, 3, 1))
     tex -= tex.min()
     ptp = tex.max()
     if ptp <= 0:  # cannot happen for random input; keep the guard cheap

@@ -466,7 +466,7 @@ def _serial_train_loop(train_seqs, val_seqs, cfg, train_cfg, out_dir=None):
     n = len(prepared)
 
     id_w, id_b = identity_head(cfg.n_bins)
-    val_mid_untrained = _val_mid(id_w, id_b, cfg, val_scores, val_alpha10, val_eff) if val_seqs else 0.0
+    val_mid_untrained = _val_mid(id_w, id_b, cfg, val_scores, val_alpha10, val_eff) if val_seqs else None
     history = []
     last_good = {k: v.copy() for k, v in params.items()}
 
@@ -506,7 +506,7 @@ def _serial_train_loop(train_seqs, val_seqs, cfg, train_cfg, out_dir=None):
                 f"non-finite loss at epoch {epoch}", epoch, last_good
             )
         last_good = {k: v.copy() for k, v in params.items()}
-        val_mid = _val_mid(fc_w, fc_b, cfg, val_scores, val_alpha10, val_eff) if val_seqs else 0.0
+        val_mid = _val_mid(fc_w, fc_b, cfg, val_scores, val_alpha10, val_eff) if val_seqs else None
         history.append((epoch, float(epoch_loss), val_mid))
         if out_dir is not None:
             out_dir = Path(out_dir)
