@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -381,9 +381,11 @@ def candidate_patches_by_bin(
     center: tuple[float, float],
     b1: BoundingBox,
     cfg: ScaleSearchConfig,
+    bins: slice = slice(None),
 ) -> Iterator[np.ndarray]:
     """Every (scale bin, center shift) candidate patch of the reference
-    feature map, one scale bin at a time, in bin order.
+    feature map, one scale bin at a time, in bin order; only the bins in
+    ``bins``, if given.
 
     Yields (1, n_offsets, out_h, out_w, C) arrays, equal bit for bit to
     the slices ``[i : i + 1]`` of one bilinear sample of all the bins'
@@ -402,7 +404,8 @@ def candidate_patches_by_bin(
     patches = np.empty(
         (n_side * n_side, h, w) + fmap0.shape[2:], np.result_type(fmap0.dtype, np.float64)
     )
-    blocks = lattice_row_blocks(fmap0, _shift_lattice(ys, c), _shift_lattice(xs, c), n_side)
+    ys, xs = _shift_lattice(ys[bins], c), _shift_lattice(xs[bins], c)
+    blocks = lattice_row_blocks(fmap0, ys, xs, n_side)
     for k, block in enumerate(blocks):
         dy_idx = k % n_side
         # offsets are lexicographic in (dx, dy): one dy's patches sit n_side apart
@@ -437,15 +440,41 @@ def feature_scores(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw (pre-head) similarity scores: (n_bins, n_offsets), plus offsets.
 
-    Scores one scale bin's patches at a time, so only one bin's patches
-    are held at once.
+    As in the pixel search, the bins are scored in two halves at once:
+    the calling thread takes bins ``[0, ceil(n_bins / 2))`` and one
+    worker thread, started for this call in a ``with`` block, the rest.
+    Each half samples and scores its own bins one at a time, so each
+    thread holds one bin's patches, and the scores equal one-bin-at-a-time
+    scoring bit for bit (``_split_feature_scores``).
+    """
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return _split_feature_scores(fmap0, fmap1, center, b1, cfg, pool)
+
+
+def _split_feature_scores(fmap0, fmap1, center, b1, cfg, pool):
+    """``feature_scores`` with the second half of the bins on ``pool``.
+
+    Each half writes only its own bins' rows of the result, and a bin's
+    scores do not depend on the other bins.  An error in either half
+    reaches the caller, the calling half's first; either way the worker's
+    half has finished by the time this returns or raises.
     """
     target = target_grid_patch(fmap1, b1, cfg)
-    scores = [
-        pooled_cosine_scores(patches, target)
-        for patches in candidate_patches_by_bin(fmap0, center, b1, cfg)
-    ]
-    return np.concatenate(scores), shift_offsets(cfg.shift_c)
+    scores = np.empty((cfg.n_bins, (2 * cfg.shift_c + 1) ** 2))
+
+    def score(first: int, stop: int) -> None:
+        bins = candidate_patches_by_bin(fmap0, center, b1, cfg, slice(first, stop))
+        for i, patches in enumerate(bins, first):
+            scores[i : i + 1] = pooled_cosine_scores(patches, target)
+
+    half = -(-cfg.n_bins // 2)
+    rest = pool.submit(score, half, cfg.n_bins)
+    try:
+        score(0, half)
+    finally:
+        wait([rest])
+    rest.result()
+    return scores, shift_offsets(cfg.shift_c)
 
 
 def identity_head(n_bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -493,16 +522,25 @@ def fuse_logits(logits: np.ndarray, cfg: ScaleSearchConfig) -> float:
     return min(max(alpha, float(bins[0])), float(bins[-1]))
 
 
-def _feature_alpha_at_gap(seq, cfg, gap, fc_weight, fc_bias, fmap_cache, tgt_hw):
+def _frame_features(frame: FrameSample) -> np.ndarray:
+    return hand_crafted_features(frame.load_image())
+
+
+def _feature_alpha_at_gap(seq, cfg, gap, fc_weight, fc_bias, fmaps, tgt_hw, pool):
     ref, tgt = _estimate_pair(seq, gap)
     ref_idx = len(seq.frames) - 1 - gap
-    if ref_idx not in fmap_cache:
-        fmap_cache[ref_idx] = hand_crafted_features(ref.load_image())
-    fmap0 = fmap_cache[ref_idx]
-    fmap1 = fmap_cache[len(seq.frames) - 1]
+    fmap0 = fmaps.get(ref_idx)
+    if isinstance(fmap0, Future):
+        # extracted on a worker; its error is raised here, after the pair's checks
+        fmap0 = fmaps[ref_idx] = fmap0.result()
+    elif fmap0 is None:
+        fmap0 = fmaps[ref_idx] = _frame_features(ref)
+    fmap1 = fmaps[len(seq.frames) - 1]
     h, w = tgt_hw
     b1 = expand_box(tgt.box, cfg.expand_cap, (w, h))
-    scores, offsets = feature_scores(fmap0, fmap1, (ref.box.cx, ref.box.cy), b1, cfg)
+    scores, offsets = _split_feature_scores(
+        fmap0, fmap1, (ref.box.cx, ref.box.cy), b1, cfg, pool
+    )
     logits, best_idx = head_logits(scores, fc_weight, fc_bias)
     profile = SimilarityProfile(
         scores=logits, semantics="logit", best_shift=offsets[best_idx]
@@ -520,6 +558,18 @@ def feature_scale_estimate(
 
     Features are ``hand_crafted_features``.  With no trained head the
     identity head is used: logits are the pooled cosine scores themselves.
+
+    One worker thread, started for this estimate in a ``with`` block,
+    decodes the reference frame and extracts its features while the
+    calling thread does the target frame's; only the target raster's
+    shape is kept after that.  The same worker then scores the second
+    half of the bins, as ``feature_scores`` does, at every gap of a
+    ``multi_reference`` estimate too, whose other reference frames are
+    read on the calling thread, once each.  One worker per estimate keeps
+    the feature-train benchmark's peak RSS flat; a worker for the features
+    and another for each scoring call raised it by 4-10 MB in some runs.
+    Errors are raised in the serial order: the target frame's, then the
+    pair's checks, then the reference frame's.
     """
     if fc_weight is None or fc_bias is None:
         fc_weight, fc_bias = identity_head(cfg.n_bins)
@@ -527,18 +577,26 @@ def feature_scale_estimate(
     fc_bias = np.asarray(fc_bias, dtype=np.float64)
 
     gap = cfg.frame_gap
-    tgt_img = seq.frames[-1].load_image()
-    tgt_hw = tgt_img.shape[:2]
-    fmap_cache = {len(seq.frames) - 1: hand_crafted_features(tgt_img)}
-    alpha, profile, flat = _feature_alpha_at_gap(
-        seq, cfg, gap, fc_weight, fc_bias, fmap_cache, tgt_hw
-    )
-    if not cfg.multi_reference:
-        return _finish(alpha, cfg, seq.fps, gap, profile, "feature_scale", flat)
-    return _multi_reference_finish(
-        seq, cfg, alpha, profile, flat, "feature_scale",
-        lambda g: _feature_alpha_at_gap(seq, cfg, g, fc_weight, fc_bias, fmap_cache, tgt_hw)[0],
-    )
+    last = len(seq.frames) - 1
+    # frame index -> feature map, or the future of one
+    fmaps: dict[int, np.ndarray | Future] = {}
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        if last - gap >= 0:
+            fmaps[last - gap] = pool.submit(_frame_features, seq.frames[last - gap])
+        tgt_img = seq.frames[last].load_image()
+        tgt_hw = tgt_img.shape[:2]
+        fmaps[last] = hand_crafted_features(tgt_img)
+        del tgt_img
+
+        def alpha_at(g: int):
+            return _feature_alpha_at_gap(seq, cfg, g, fc_weight, fc_bias, fmaps, tgt_hw, pool)
+
+        alpha, profile, flat = alpha_at(gap)
+        if not cfg.multi_reference:
+            return _finish(alpha, cfg, seq.fps, gap, profile, "feature_scale", flat)
+        return _multi_reference_finish(
+            seq, cfg, alpha, profile, flat, "feature_scale", lambda g: alpha_at(g)[0]
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -115,19 +115,23 @@ def evaluate_dataset(
 ) -> EvaluationReport:
     """Run an estimator over labeled sequences and aggregate MiD/RTE.
 
-    Sequences are processed in id order.  Estimator failures become
-    failure records and are excluded from the means; sequences are
-    bucketed by their ground-truth interval.
+    Sequences are processed in id order.  Every sequence must be
+    labeled: the first unlabeled one raises ``DomainError`` before any
+    estimate is made.  Estimator failures become failure records and are
+    excluded from the means; sequences are bucketed by their ground-truth
+    interval.
     """
+    ordered = sorted(sequences, key=lambda s: s.sequence_id)
+    for seq in ordered:
+        if seq.label is None:
+            raise DomainError(f"sequence {seq.sequence_id} is unlabeled")
     records: list[dict] = []
     mids: dict[TtcInterval, list[float]] = {iv: [] for iv in INTERVAL_ORDER}
     rtes: dict[TtcInterval, list[float]] = {iv: [] for iv in INTERVAL_ORDER}
     n_failures = 0
     n_rte_excluded = 0
 
-    for seq in sorted(sequences, key=lambda s: s.sequence_id):
-        if seq.label is None:
-            raise DomainError(f"sequence {seq.sequence_id} is unlabeled")
+    for seq in ordered:
         tau_gt = truncate_ttc(seq.label.tau_s)
         alpha_gt_10 = seq.label.alpha_10hz
         interval = ttc_interval(tau_gt)

@@ -35,15 +35,20 @@ the lattice in ``n`` equal blocks of consecutive rows, each computed only
 when it is asked for; a caller that reduces each block as it comes never
 holds the whole lattice, and a block small enough stays in cache.  The
 blocks concatenate to the whole lattice bit for bit, and
-``bilinear_sample``'s lattice path is the one-block case.  Each call
-owns its buffers, so calls on different threads over the same read-only
-image do not interfere: the pixel search scores two halves of its scale
-bins at once, each half with its own call on its own thread (the caller
-and one worker started for that search; nothing here starts a thread).
-It asks for one block per lattice when a lattice has at most 160,000
-samples, so each numpy call is large enough to run in parallel with the
-other thread's, and for one block per vertical shift above that, which
-bounds the buffers (``estimate._pixel_mse_scores``).
+``bilinear_sample``'s lattice path is the one-block case.  A float64
+image is read in place.  Any other image, such as a float32 feature map,
+is promoted one lattice at a time, and only the rows and columns that
+lattice touches, into one float64 strip buffer per call; every sample
+reads the same texel values, so the promotion does not change a bit.
+Each call owns its buffers, so calls on different threads over the same
+read-only image do not interfere: the pixel and feature searches each
+score two halves of their scale bins at once, each half with its own
+call on its own thread (the caller and one worker started for that
+search; nothing here starts a thread).  The pixel search asks for one
+block per lattice when a lattice has at most 160,000 samples, so each
+numpy call is large enough to run in parallel with the other thread's,
+and for one block per vertical shift above that, which bounds the
+buffers (``estimate._pixel_mse_scores``).
 """
 
 from __future__ import annotations
@@ -79,7 +84,10 @@ def lattice_row_blocks(
     next block overwrites it too, so a block that must outlive the next
     one has to be copied.  The strip, right-term and block buffers are
     allocated once per call, and each lattice's x-interpolated strip of
-    image rows is built before its first block.
+    image rows is built before its first block.  A float64 image's rows
+    are read in place; any other image's are promoted to float64, only
+    the columns between the lattice's clamped lowest and highest x
+    corners, into a strip buffer sized for the largest such patch.
     """
     ys = np.asarray(ys, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
@@ -95,15 +103,22 @@ def lattice_row_blocks(
         raise DomainError(f"{n_rows} lattice rows do not split into {n} equal blocks")
     h, w = image.shape[:2]
     # floor and clamp are monotonic, so each lattice's first and last strip
-    # rows are the corners of its lowest and highest y coordinate
+    # rows (columns) are the corners of its lowest and highest y (x)
     lo = _corners(np.clip(ys.min(axis=1), 0.0, h - 1.0), h)[0]
     spans = _corners(np.clip(ys.max(axis=1), 0.0, h - 1.0), h)[1] + 1 - lo
     # the products would promote to float64, so the buffers are float64
-    # and only each strip of image rows is promoted, not the whole image
+    # and only each lattice's strip is promoted, not the whole image
     dtype = np.result_type(image.dtype, np.float64)
     rows_buf, right_buf = (
         np.empty((int(spans.max()), xs.shape[1]) + image.shape[2:], dtype) for _ in range(2)
     )
+    promote = image.dtype != dtype
+    if promote:
+        # one texel per row, so each lattice's strip is a contiguous
+        # reshape of its head: np.take would copy a strided one first
+        left = _corners(np.clip(xs.min(axis=1), 0.0, w - 1.0), w)[0]
+        widths = _corners(np.clip(xs.max(axis=1), 0.0, w - 1.0), w)[1] + 1 - left
+        strip_buf = np.empty((int((spans * widths).max()),) + image.shape[2:], dtype)
     step = n_rows // n
     out, bot = (np.empty((step, xs.shape[1]) + image.shape[2:], dtype) for _ in range(2))
     # the indices are already clamped, so "clip" never moves one; unlike
@@ -116,7 +131,14 @@ def lattice_row_blocks(
         y0 -= lo[b]
         y1 -= lo[b]
         gy = 1.0 - fy
-        strip = image[lo[b] : lo[b] + span].astype(dtype, copy=False)
+        if promote:
+            x0 -= left[b]
+            x1 -= left[b]
+            texels = image[lo[b] : lo[b] + span, left[b] : left[b] + widths[b]]
+            strip = strip_buf[: span * widths[b]].reshape(texels.shape)
+            np.copyto(strip, texels)
+        else:
+            strip = image[lo[b] : lo[b] + span]
         rows, right = rows_buf[:span], right_buf[:span]
         np.take(strip, x0, axis=1, out=rows, mode="clip")
         np.multiply(rows, 1.0 - fx, out=rows)

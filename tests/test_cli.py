@@ -382,6 +382,80 @@ def test_eval_refuses_when_every_sequence_fails(small_dataset, tmp_path, capsys)
     assert not report.exists() and not report.with_suffix(".csv").exists()
 
 
+def test_eval_feature_scale_records_a_reference_frame_error_from_its_worker(
+    small_dataset, tmp_path, capsys
+):
+    # the reference frame (frame 0 at gap 5) is decoded on the estimate's
+    # worker thread; its error is that sequence's failure record, as when
+    # it was decoded on the calling thread, and no thread outlives eval
+    _, cfg_path, out = small_dataset
+    copy = tmp_path / "data"
+    shutil.copytree(out, copy)
+    first, *rest = sorted(read_index(copy)["sequences"])
+    (copy / first / "frame_0.png").unlink()
+    report = tmp_path / "report.json"
+    argv = ["eval", "--dataset", str(copy), "--estimator", "feature_scale",
+            "--config", str(cfg_path), "--out", str(report)]
+    threads = threading.active_count()
+    assert main(argv) == 0
+    assert threading.active_count() == threads
+    records = {rec["id"]: rec for rec in json.loads(report.read_text())["records"]}
+    assert records[first]["failed"] is True
+    assert records[first]["error"] == f"frame image not found: {copy / first / 'frame_0.png'}"
+    assert not any(records[seq_id]["failed"] for seq_id in rest)
+    capsys.readouterr()
+    # with every reference frame gone every estimate fails: exit 2, no report
+    for seq_id in rest:
+        (copy / seq_id / "frame_0.png").unlink()
+    report.unlink()
+    assert main(argv) == 2
+    assert threading.active_count() == threads
+    assert capsys.readouterr().err == (
+        f"error: every one of 4 sequences failed "
+        f"(first: frame image not found: {copy / first / 'frame_0.png'})\n"
+    )
+    assert not report.exists()
+    # the target frame, read on the calling thread, fails first, as before
+    (copy / first / "frame_5.png").unlink()
+    assert main(argv) == 2
+    assert threading.active_count() == threads
+    assert f"(first: frame image not found: {copy / first / 'frame_5.png'})" in (
+        capsys.readouterr().err
+    )
+
+
+def test_eval_refuses_an_unlabeled_sequence_before_estimating(
+    small_dataset, tmp_path, capsys, monkeypatch
+):
+    # the last sequence in id order is unlabeled: eval exits 2 with no
+    # report, and no sequence is estimated first
+    import ttckit.estimate
+
+    _, cfg_path, out = small_dataset
+    data = tmp_path / "data"
+    shutil.copytree(out, data)
+    seq_id = sorted(read_index(data)["sequences"])[-1]
+    manifest = data / seq_id / "manifest.json"
+    raw = json.loads(manifest.read_text())
+    raw["label"] = None
+    manifest.write_text(json.dumps(raw))
+    estimated = []
+    real = ttckit.estimate.pixel_mse_estimate
+
+    def counting_estimate(seq, cfg):
+        estimated.append(seq.sequence_id)
+        return real(seq, cfg)
+
+    monkeypatch.setattr(ttckit.estimate, "pixel_mse_estimate", counting_estimate)
+    report = tmp_path / "report.json"
+    rc = main(["eval", "--dataset", str(data), "--estimator", "pixel_mse",
+               "--config", str(cfg_path), "--out", str(report)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: sequence {seq_id} is unlabeled\n"
+    assert estimated == []
+    assert not report.exists() and not report.with_suffix(".csv").exists()
+
+
 @pytest.mark.parametrize("untrained, trained, warned", [
     (55.41, 55.72, True),
     (55.41, 55.41, False),

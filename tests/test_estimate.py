@@ -12,24 +12,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttckit import estimate, png, sampling
-from ttckit.boxes import BoundingBox
-from ttckit.core import TTC_REFERENCE_MODES
-from ttckit.errors import DomainError, SequenceInvalidError
+from ttckit.boxes import BoundingBox, expand_box
+from ttckit.core import TTC_REFERENCE_MODES, ttc_from_scale_ratio
+from ttckit.errors import DomainError, ManifestError, SequenceInvalidError
 from ttckit.estimate import (
     ESTIMATOR_NAMES,
     ScaleSearchConfig,
     _pixel_mse_scores,
+    alpha_to_10hz,
     candidate_patches_by_bin,
     detection_ratio_estimate,
     feature_scale_estimate,
     feature_scores,
     fuse_logits,
+    head_logits,
     make_estimator,
     pixel_mse_estimate,
     pooled_cosine_scores,
     scaled_candidate_boxes,
     target_grid_patch,
 )
+from ttckit.features import hand_crafted_features
 from ttckit.manifest import FrameSample, Sequence, load_dataset, write_index, write_sequence_dir
 from ttckit.sampling import (
     bilinear_sample,
@@ -669,3 +672,114 @@ def test_patches_by_bin_are_the_whole_stack_slices(cx, cy, bw, bh, n_bins, shift
         assert np.array_equal(patches, want)
         count += 1
     assert count == n_bins
+
+
+def _serial_feature_scores(fmap0, fmap1, center, b1, cfg):
+    """One scale bin after another on the calling thread: the serial
+    scoring that ``feature_scores``' two halves must equal."""
+    target = target_grid_patch(fmap1, b1, cfg)
+    scores = [
+        pooled_cosine_scores(patches, target)
+        for patches in candidate_patches_by_bin(fmap0, center, b1, cfg)
+    ]
+    return np.concatenate(scores)
+
+
+@pytest.mark.parametrize("shift_c", [0, 1, 2])
+@pytest.mark.parametrize("n_bins", [2, 3, 20, 21])
+def test_feature_score_halves_equal_the_serial_scores(n_bins, shift_c):
+    # float32 maps as hand_crafted_features makes them; candidate boxes
+    # reach past the left and top edges of the reference map
+    rng = np.random.default_rng(100 * n_bins + shift_c)
+    fmap0, fmap1 = rng.normal(size=(2, 30, 40, 12)).astype(np.float32)
+    cfg = ScaleSearchConfig.feature_defaults(
+        n_bins=n_bins, top_k=1, shift_c=shift_c, target_w=9, target_h=6
+    )
+    center, b1 = (4.3, 3.1), BoundingBox(20.0, 15.0, 13.5, 9.25)
+    threads = threading.active_count()
+    scores, offsets = feature_scores(fmap0, fmap1, center, b1, cfg)
+    assert threading.active_count() == threads
+    assert scores.shape == (n_bins, (2 * shift_c + 1) ** 2) and scores.dtype == np.float64
+    assert np.array_equal(scores, _serial_feature_scores(fmap0, fmap1, center, b1, cfg))
+    assert np.array_equal(offsets, shift_offsets(shift_c))
+
+
+def _serial_feature_estimate(seq, cfg, fc_weight, fc_bias):
+    """A multi-reference feature-scale estimate computed serially from
+    its definition: per-gap fused alphas averaged at 10 Hz."""
+    last = len(seq.frames) - 1
+    fmaps = [hand_crafted_features(frame.load_image()) for frame in seq.frames]
+    h, w = seq.frames[last].load_image().shape[:2]
+    b1 = expand_box(seq.frames[last].box, cfg.expand_cap, (w, h))
+
+    def alpha_at(g):
+        ref = seq.frames[last - g]
+        scores = _serial_feature_scores(fmaps[last - g], fmaps[last], (ref.box.cx, ref.box.cy),
+                                        b1, cfg)
+        logits, best_idx = head_logits(scores, fc_weight, fc_bias)
+        alpha = min(max(fuse_logits(logits, cfg), cfg.alpha_min), cfg.alpha_max)
+        return alpha, logits, shift_offsets(cfg.shift_c)[best_idx]
+
+    alpha, logits, best_shift = alpha_at(cfg.frame_gap)
+    alpha_10 = float(np.mean([alpha_to_10hz(alpha_at(g)[0], seq.fps / g)
+                              for g in range(1, last + 1)]))
+    return alpha, alpha_10, ttc_from_scale_ratio(alpha_10, 0.1, cfg.ttc_reference), logits, best_shift
+
+
+def test_multi_reference_feature_estimate_equals_its_serial_version():
+    seq = _oracle_sequence(tau=5.0, seed=31, seq_id="mr1")
+    cfg = ScaleSearchConfig.feature_defaults(multi_reference=True, shift_c=2)
+    rng = np.random.default_rng(16)
+    fc_weight = np.eye(cfg.n_bins) + rng.normal(scale=0.05, size=(cfg.n_bins, cfg.n_bins))
+    fc_bias = rng.normal(scale=0.01, size=cfg.n_bins)
+    threads = threading.active_count()
+    est = feature_scale_estimate(seq, cfg, fc_weight, fc_bias)
+    assert threading.active_count() == threads
+    alpha, alpha_10, tau, logits, best_shift = _serial_feature_estimate(seq, cfg, fc_weight, fc_bias)
+    assert (est.alpha_hat, est.alpha_hat_10hz, est.tau_hat) == (alpha, alpha_10, tau)
+    assert np.array_equal(est.profile.scores, logits)
+    assert np.array_equal(est.profile.best_shift, best_shift)
+
+
+@pytest.mark.parametrize("failing", [("worker",), ("caller", "worker")])
+def test_feature_score_error_in_either_half_reaches_the_caller(monkeypatch, failing):
+    # twenty bins split into [0, 10) on the calling thread and [10, 20) on
+    # the worker; with both halves failing, the calling half's error wins
+    real = estimate.candidate_patches_by_bin
+    main = threading.get_ident()
+
+    def failing_patches(fmap0, center, b1, cfg, bins=slice(None)):
+        side = "caller" if threading.get_ident() == main else "worker"
+        if side in failing:
+            raise DomainError(f"{side} half from bin {bins.start}")
+        yield from real(fmap0, center, b1, cfg, bins)
+
+    rng = np.random.default_rng(17)
+    fmap0, fmap1 = rng.normal(size=(2, 30, 40, 12)).astype(np.float32)
+    cfg = ScaleSearchConfig.feature_defaults(top_k=1, target_w=9, target_h=6)
+    monkeypatch.setattr(estimate, "candidate_patches_by_bin", failing_patches)
+    threads = threading.active_count()
+    with pytest.raises(DomainError) as got:
+        feature_scores(fmap0, fmap1, (20.0, 15.0), BoundingBox(20.0, 15.0, 12.0, 8.0), cfg)
+    want = "caller half from bin 0" if "caller" in failing else "worker half from bin 10"
+    assert str(got.value) == want
+    assert threading.active_count() == threads
+
+
+def test_feature_scale_errors_keep_the_serial_order(tmp_path):
+    # the reference frame is read on a worker, but its error still comes
+    # after the target frame's and after the pair's box check
+    seq = _identity_sequence()
+    missing = str(tmp_path / "missing.png")
+    cfg = ScaleSearchConfig.feature_defaults()
+    threads = threading.active_count()
+    ref = replace(seq.frames[0], image=None, image_path=missing)
+    with pytest.raises(ManifestError, match="frame image not found"):
+        feature_scale_estimate(replace(seq, frames=[ref, *seq.frames[1:]]), cfg)
+    unboxed = replace(seq.frames[-1], box=None)
+    with pytest.raises(SequenceInvalidError, match="must carry boxes"):
+        feature_scale_estimate(replace(seq, frames=[ref, *seq.frames[1:-1], unboxed]), cfg)
+    target = replace(unboxed, image=None, image_path=str(tmp_path / "target.png"))
+    with pytest.raises(ManifestError, match="target.png"):
+        feature_scale_estimate(replace(seq, frames=[ref, *seq.frames[1:-1], target]), cfg)
+    assert threading.active_count() == threads

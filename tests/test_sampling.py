@@ -276,6 +276,58 @@ def test_batched_row_blocks_equal_one_lattice_calls(data, image):
             assert g.dtype == v.dtype and np.array_equal(g, v)
 
 
+@pytest.mark.parametrize("channels", [None, 1, 3, 12])
+def test_float32_row_blocks_equal_the_full_width_promotion(channels):
+    # a float32 image promotes only the columns each lattice touches; the
+    # reference promotes every row of the image whole, as a full-width
+    # float64 strip would be, and the float64 path reads that in place
+    rng = np.random.default_rng(channels or 0)
+    shape = (37, 53) if channels is None else (37, 53, channels)
+    image = rng.normal(size=shape).astype(np.float32)
+    # lattices of different spans and column ranges, one clamped at the
+    # top and left edges, one at the bottom and right, one past both
+    # sides, and one inside a single column
+    ys = np.stack([
+        np.linspace(-4.0, 8.5, 6),
+        np.linspace(30.2, 41.0, 6),
+        np.linspace(-3.0, 40.0, 6),
+        np.linspace(17.25, 18.75, 6),
+    ])
+    xs = np.stack([
+        np.linspace(-6.0, 3.7, 5),
+        np.linspace(44.1, 60.0, 5),
+        np.linspace(-2.0, 55.0, 5),
+        np.linspace(20.0, 20.0, 5),
+    ])
+    promoted = image.astype(np.float64)
+    for n in (1, 2, 3, 6):
+        want = [block.copy() for block in lattice_row_blocks(promoted, ys, xs, n)]
+        got = [block.copy() for block in lattice_row_blocks(image, ys, xs, n)]
+        assert len(got) == len(want) == 4 * n
+        for g, v in zip(got, want):
+            assert g.dtype == v.dtype == np.float64 and np.array_equal(g, v)
+
+
+def test_row_blocks_promote_only_the_touched_columns():
+    # a narrow lattice on a wide image: the float64 image is read in place,
+    # and a float32 one promotes far less than one full-width strip
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    image = rng.normal(size=(40, 4000, 3))
+    ys, xs = np.linspace(5.0, 25.0, 8), np.linspace(100.0, 140.0, 6)
+    full_strip = 22 * 4000 * 3 * 8  # rows 5 to 26, every column, in float64
+    for img in (image, image.astype(np.float32)):
+        tracemalloc.start()
+        try:
+            for _ in lattice_row_blocks(img, ys, xs, 2):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_strip // 20, (img.dtype, peak)
+
+
 def test_row_blocks_reject_uneven_splits_and_bad_coordinates():
     img = np.zeros((4, 5))
     ys, xs = np.arange(6.0), np.arange(3.0)
