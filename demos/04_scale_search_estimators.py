@@ -27,12 +27,18 @@ print(f"ground truth: alpha(gap 5) = {truth:.5f}, tau = {seq.label.tau_s:.2f} s"
 cfg = ScaleSearchConfig(shift_c=1)  # pixel defaults otherwise: 125 bins, top-3
 est = pixel_mse_estimate(seq, cfg)
 print(f"\npixel MSE estimate: alpha {est.alpha_hat:.5f}, tau {est.tau_hat:.3f} s")
+# the search finishes exactly only the bins a cheap lower bound cannot
+# rule out of the top-3; the others keep that bound, marked with ≥
+exact = est.profile.exact
+n_exact = cfg.n_bins if exact is None else int(exact.sum())
+print(f"{n_exact} of {cfg.n_bins} bins scored exactly, the rest bounded from below")
 print("similarity valley around the truth (MSE per bin, lower = better):")
 bins = cfg.bins()
 best = int(np.argmin(est.profile.scores))
 for i in range(max(0, best - 3), min(cfg.n_bins, best + 4)):
     marker = " <- best" if i == best else ""
-    print(f"  alpha {bins[i]:.4f}  mse {est.profile.scores[i]:.6f}{marker}")
+    sign = "≥" if exact is not None and not exact[i] else " "
+    print(f"  alpha {bins[i]:.4f}  mse {sign}{est.profile.scores[i]:.6f}{marker}")
 
 print("\n=== estimator comparison ===")
 noise = NoiseModel(box_center_jitter_px=2, box_scale_jitter=0.04, seed=5)

@@ -183,9 +183,17 @@ def cmd_estimate(args) -> int:
         print("low-confidence profile (flat similarity)")
     if est.profile is not None:
         scores = est.profile.scores
-        order = np.argsort(scores if est.profile.semantics == "mse" else -scores)[:5]
+        # exact scores only, in the stable order both estimators fuse by: a
+        # bin the pixel search pruned holds just a lower bound on its MSE
+        if est.profile.exact is None:
+            exact = np.arange(len(scores))
+            print("top bins:")
+        else:
+            exact = np.flatnonzero(est.profile.exact)
+            print(f"top bins: (the {len(exact)} of {len(scores)} scored exactly)")
+        keys = scores[exact] if est.profile.semantics == "mse" else -scores[exact]
+        order = exact[np.argsort(keys, kind="stable")][:5]
         bins = search.bins()
-        print("top bins:")
         for i in order:
             dx, dy = est.profile.best_shift[i]
             print(f"  alpha {bins[i]:.4f}  score {scores[i]:.6g}  shift ({dx:+d},{dy:+d})")

@@ -6,9 +6,10 @@ frame, clamp it into the search range, then convert to TTC and to the
 10 Hz-equivalent scale ratio.
 
 * ``detection_ratio_estimate`` -- box-geometry baseline (area ratio).
-* ``pixel_mse_estimate`` -- scores every candidate scale by MSE between
-  the rescaled reference crop and the target crop, fuses the top-k bins
-  with reciprocal-MSE weights.
+* ``pixel_mse_estimate`` -- scores candidate scales by MSE between the
+  rescaled reference crop and the target crop, fuses the top-k bins with
+  reciprocal-MSE weights; only the bins that can reach the top-k are
+  scored in full (see below).
 * ``feature_scale_estimate`` -- scores candidates by pooled cosine
   similarity of grid-sampled feature patches, calibrated by a small
   per-bin linear head, fused with sigmoid weights.
@@ -16,6 +17,19 @@ frame, clamp it into the search range, then convert to TTC and to the
 Candidate boxes sit at the reference box center with the *target* box
 dims scaled by each alpha bin; an exhaustive (2c+1)^2 integer center
 shift absorbs detection misalignment.
+
+The pixel search is pruned exactly, in two passes.  The bound pass
+scores every bin's shifted candidates at every third row and column of
+the target crop only.  Those squared differences are, bit for bit, a
+subset of the n = out_h * out_w nonnegative terms the exact MSE sums, so
+a bin's smallest partial sum over n, scaled by 1 - 4 n u (u = 2^-53, a
+margin for the rounding of both sums, ``_pixel_mse_bounds``), is a proven
+lower bound on its best MSE.  The exact pass runs the unchanged scorer
+on the bins in order of bound and stops when every bin left has a bound
+strictly above the top_k-th exact MSE, or scores every bin when the
+bounds cannot prove the profile not flat.  The fused alpha and the flag
+are those of the full search, bit for bit; only the pruned bins'
+profile entries are bounds (``SimilarityProfile.exact``).
 """
 
 from __future__ import annotations
@@ -52,8 +66,13 @@ COSINE_EPS = 1e-12
 _MIN_TOP_WEIGHT = 1e-200
 # a pixel-search lattice of at most this many samples, (2c+1)^2 * out_h *
 # out_w, is sampled and scored as one block (the 31 and 53 px crops at
-# radius 3); a larger one one dy row group at a time (_pixel_mse_scores)
+# radius 3); a larger one one dy row group at a time (_shift_sq_sums)
 _ONE_BLOCK_SAMPLES = 160_000
+# the pixel search's bound pass samples every third row and column of the
+# target crop, about a ninth of the exact pass's samples (_pixel_mse_bounds)
+_BOUND_STRIDE = 3
+# unit roundoff of float64, 2^-53
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -115,11 +134,22 @@ class ScaleSearchConfig:
 @dataclass
 class SimilarityProfile:
     """Per-bin scores before fusion; lower is better for 'mse' semantics,
-    higher for 'logit'."""
+    higher for 'logit'.
+
+    ``exact`` is None when every entry is the bin's exact score, as in the
+    feature search.  The pixel search finishes exactly only the bins that
+    can still reach its top-k; it marks the others False, and their
+    entries are proven lower bounds on their best MSE, each with the
+    shift of its smallest partial sum over a sample subset (the bound
+    pass and its rounding margin are derived in ``_pixel_mse_bounds``).
+    Every bound is strictly above the top_k-th exact MSE, so the top-k,
+    the minimum and the fused estimate are those of the full profile.
+    """
 
     scores: np.ndarray  # (n_bins,)
     semantics: str  # "mse" | "logit"
     best_shift: np.ndarray  # (n_bins, 2) int offsets (dx, dy)
+    exact: np.ndarray | None = None  # (n_bins,) bool, or None: all exact
 
 
 @dataclass
@@ -228,16 +258,19 @@ def detection_ratio_estimate(seq: Sequence, cfg: ScaleSearchConfig) -> TtcEstima
 
 def _bin_positions(
     positions, center: tuple[float, float], b1: BoundingBox, cfg: ScaleSearchConfig,
-    out_w: int, out_h: int,
+    out_w: int, out_h: int, bins: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """1-D sampling coordinates of every bin's candidate box, unshifted.
 
     ``positions`` is ``crop_positions`` or ``grid_positions``; returns
-    (ys (n_bins, out_h), xs (n_bins, out_w)).
+    (ys (n_bins, out_h), xs (n_bins, out_w)), or only the rows of the bin
+    indices ``bins``, in that order, if given.
     """
-    ys, xs = np.empty((cfg.n_bins, out_h)), np.empty((cfg.n_bins, out_w))
-    center_box = BoundingBox(center[0], center[1], b1.w, b1.h)
-    for i, box in enumerate(scaled_candidate_boxes(center_box, b1, cfg)):
+    boxes = scaled_candidate_boxes(BoundingBox(center[0], center[1], b1.w, b1.h), b1, cfg)
+    if bins is not None:
+        boxes = [boxes[i] for i in bins]
+    ys, xs = np.empty((len(boxes), out_h)), np.empty((len(boxes), out_w))
+    for i, box in enumerate(boxes):
         ys[i], xs[i] = positions(box, out_w, out_h)
     return ys, xs
 
@@ -254,47 +287,47 @@ def _shift_lattice(coords: np.ndarray, c: int) -> np.ndarray:
     return shifted.reshape(coords.shape[:-1] + (-1,))
 
 
-def _pixel_mse_scores(
-    ref_gray: np.ndarray,
-    tgt_crop: np.ndarray,
-    center: tuple[float, float],
-    b1: BoundingBox,
-    cfg: ScaleSearchConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """MSE of every (scale bin, center shift) candidate against the target crop.
+def _shift_sq_sums(ref_gray, tgt_crop, ys, xs, c, pool) -> np.ndarray:
+    """Summed squared differences of every (bin, center shift) crop.
 
-    Returns (mse (n_bins, n_offsets), offsets) with offsets lexicographic
-    in (dx, dy).  Each bin's shifted crops tile one augmented sampling
+    ``ys`` (n, out_h) and ``xs`` (n, out_w) are the unshifted sampling
+    coordinates of n bins' candidate crops and ``tgt_crop`` is
+    (out_h, out_w).  Returns (n, (2c+1)^2) sums, offsets lexicographic in
+    (dx, dy).  Each bin's shifted crops tile one augmented sampling
     lattice, (2c+1) * out_h rows by (2c+1) * out_w columns, whose group
     of rows for one dy holds every dx shift side by side.
 
     The bins are scored in two halves at once: the calling thread takes
-    bins ``[0, ceil(n_bins / 2))`` and one worker thread, started for
-    this search in a ``with`` block, the rest.  Each half makes its own
-    batched sampler call, which hands its lattices back a block at a time
-    in one reused buffer, and writes only its own bins' rows of the
-    result.  A lattice of at most ``_ONE_BLOCK_SAMPLES`` samples comes
-    back as one block, so the small crops make few, large numpy calls,
-    which the two threads run in parallel instead of trading the GIL; a
-    larger lattice comes back one dy row group per block, which bounds
-    the buffers to an (out_h, (2c+1) * out_w) slab.  Every sample keeps
-    its own corners and weights, and each block's sum over (row, column)
-    is the whole-lattice sum over those axes, added in the same order, so
-    the scores depend neither on the blocking nor on the halves.
+    the first ``ceil(n / 2)`` and ``pool``'s one worker thread the rest.
+    Each half makes its own batched sampler call, which hands its
+    lattices back a block at a time in one reused buffer, and writes only
+    its own bins' rows of the result.  A lattice of at most
+    ``_ONE_BLOCK_SAMPLES`` samples comes back as one block, so the small
+    crops make few, large numpy calls, which the two threads run in
+    parallel instead of trading the GIL; a larger lattice comes back one
+    dy row group per block, which bounds the buffers to an
+    (out_h, (2c+1) * out_w) slab.  Every sample keeps its own corners and
+    weights, and each block's sum over (row, column) is the whole-lattice
+    sum over those axes, added in the same order, so a bin's sums depend
+    neither on the blocking, nor on the halves, nor on the other bins
+    scored with it.  An error in either half reaches the caller, the
+    calling half's first; either way the worker's half has finished by
+    the time this returns or raises.
     """
     out_h, out_w = tgt_crop.shape
-    c = cfg.shift_c
     n_side = 2 * c + 1
-    ys, xs = _bin_positions(crop_positions, center, b1, cfg, out_w, out_h)
+    n = len(ys)
     ys, xs = _shift_lattice(ys, c), _shift_lattice(xs, c)
     groups = n_side if n_side * n_side * out_h * out_w <= _ONE_BLOCK_SAMPLES else 1
     # (bin, dy_idx) by dx_idx; each half writes only its own bins' rows
-    per_shift = np.empty((cfg.n_bins * n_side, n_side))
+    per_shift = np.empty((n * n_side, n_side))
     # the target once per dx shift and dy group, tiled like a block's
     # crops: a same-shape subtraction, faster than broadcasting tgt_crop
     target = np.tile(tgt_crop, (groups, n_side))
 
     def score(first: int, stop: int) -> None:
+        if first == stop:  # a single bin leaves the worker's half empty
+            return
         blocks = lattice_row_blocks(ref_gray, ys[first:stop], xs[first:stop], n_side // groups)
         rows = per_shift[first * n_side : stop * n_side].reshape(-1, groups, n_side)
         for k, block in enumerate(blocks):
@@ -303,15 +336,131 @@ def _pixel_mse_scores(
             np.multiply(block, block, out=block)
             rows[k] = block.reshape(groups, out_h, n_side, out_w).sum(axis=(1, 3))
 
-    half = -(-cfg.n_bins // 2)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        rest = pool.submit(score, half, cfg.n_bins)
+    half = -(-n // 2)
+    rest = pool.submit(score, half, n)
+    try:
         score(0, half)
-        rest.result()
-    # lexicographic (dx, dy) within each bin; np.mean is the sum over the count
-    mses = per_shift.reshape(cfg.n_bins, n_side, n_side).transpose(0, 2, 1).reshape(cfg.n_bins, -1)
-    mses /= out_h * out_w
-    return mses, shift_offsets(c)
+    finally:
+        wait([rest])
+    rest.result()
+    # lexicographic (dx, dy) within each bin
+    return per_shift.reshape(n, n_side, n_side).transpose(0, 2, 1).reshape(n, -1)
+
+
+def _pixel_mse_scores(
+    ref_gray: np.ndarray,
+    tgt_crop: np.ndarray,
+    center: tuple[float, float],
+    b1: BoundingBox,
+    cfg: ScaleSearchConfig,
+    bins: np.ndarray | None = None,
+    pool: ThreadPoolExecutor | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """MSE of every (scale bin, center shift) candidate against the target crop.
+
+    Returns (mse (n_bins, n_offsets), offsets) with offsets lexicographic
+    in (dx, dy); only the rows of the bin indices ``bins``, in that
+    order, if given.  The bins are scored in two halves at once
+    (``_shift_sq_sums``), the second on ``pool``'s one worker, or on a
+    worker started for this call in a ``with`` block.  A bin's MSEs do
+    not depend on which other bins are scored with it.
+    """
+    if pool is None:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return _pixel_mse_scores(ref_gray, tgt_crop, center, b1, cfg, bins, pool)
+    out_h, out_w = tgt_crop.shape
+    ys, xs = _bin_positions(crop_positions, center, b1, cfg, out_w, out_h, bins)
+    sums = _shift_sq_sums(ref_gray, tgt_crop, ys, xs, cfg.shift_c, pool)
+    # np.mean is the sum over the count
+    sums /= out_h * out_w
+    return sums, shift_offsets(cfg.shift_c)
+
+
+def _pixel_mse_bounds(ref_gray, tgt_crop, center, b1, cfg, pool):
+    """A proven lower bound on every bin's best MSE, and the shift giving it.
+
+    The bound pass samples each bin's shifted candidates only at every
+    ``_BOUND_STRIDE``-th row and column of the target crop, through the
+    same scorer, and keeps each bin's smallest partial sum over its
+    shifts.  The m sampled squared differences of a shift are, bit for
+    bit, m of the n = out_h * out_w terms that the exact pass sums for it
+    (each sample keeps its own corners and weights), and every term is
+    >= 0, so the exact partial sum P is at most the exact full sum S.
+    Rounding is what needs the margin.  Summed in any order, n
+    nonnegative terms round to within a factor (1 +- gamma_n) of their
+    exact sum, gamma_n = n u / (1 - n u) with u = 2^-53, so the exact
+    pass's MSE is at least S / n * (1 - gamma_n) * (1 - u) and the
+    rounded P is at most P * (1 + gamma_m), m <= n.  The bound
+    fl(fl(P / n) * (1 - 4 n u)) then stays below the exact pass's MSE:
+    (1 - 4 n u) (1 + u)^2 (1 + gamma_n) <= (1 - gamma_n) (1 - u) for
+    2 <= n <= 2^48: to first order it reads -3 n u + 2 u <= -n u - u,
+    true for n >= 2 (a crop is at least 2 x 2 samples), and the higher
+    terms stay below that slack while n u <= 2^-5 (checked in exact
+    rationals for small n and at powers of two up to 2^48).
+    """
+    out_h, out_w = tgt_crop.shape
+    n = out_h * out_w
+    s = _BOUND_STRIDE
+    ys, xs = _bin_positions(crop_positions, center, b1, cfg, out_w, out_h)
+    partial = _shift_sq_sums(ref_gray, tgt_crop[::s, ::s], ys[:, ::s], xs[:, ::s], cfg.shift_c, pool)
+    shift_idx = np.argmin(partial, axis=1)
+    bounds = partial[np.arange(cfg.n_bins), shift_idx] / n
+    # 4 n u is a multiple of 2^-53 below 1, so 1 - 4 n u is exact
+    bounds *= 1.0 - 4 * n * _UNIT_ROUNDOFF
+    return bounds, shift_idx
+
+
+def _proven_not_flat(scores: np.ndarray, exact: np.ndarray) -> bool:
+    """Whether a profile of exact MSEs and lower bounds is surely not flat.
+
+    The exact entries hold the profile's true minimum (every bound is
+    above an exact score) and every entry is at most the true maximum M.
+    ``_flat`` would call the true profile flat when fl(M - min) <=
+    tol * max(1, M); a spread of more than twice the tolerance at the
+    largest known entry rules that out for every M at or above it.
+    """
+    hi = float(scores.max())
+    return float(hi - scores[exact].min()) > 2.0 * _FLAT_PROFILE_TOL * max(1.0, hi)
+
+
+def _pruned_pixel_search(ref_gray, tgt_crop, center, b1, cfg, pool):
+    """Best MSE per bin, exact for every bin that can reach the top-k.
+
+    Returns (scores, shift_idx, exact).  A bound pass gives every bin a
+    lower bound on its best MSE (``_pixel_mse_bounds``).  The exact pass
+    scores the ``top_k`` (rounded up to even, so both threads work) bins
+    of lowest bound with ``_pixel_mse_scores``, then, in one more call,
+    every other bin whose bound is at most the top_k-th exact MSE so far;
+    that threshold only falls, so each bin left has a bound strictly
+    above the final top_k-th exact MSE, and so has its true best MSE: it
+    cannot enter a stable top-k, nor be the minimum.  Such a bin keeps
+    its bound and the shift of its smallest partial sum, and is marked
+    False in ``exact``.  When the bounds cannot prove that the profile is
+    not flat, every bin is scored exactly, so ``_flat`` sees true MSEs.
+    """
+    bounds, shift_idx = _pixel_mse_bounds(ref_gray, tgt_crop, center, b1, cfg, pool)
+    scores = bounds.copy()
+    exact = np.zeros(cfg.n_bins, dtype=bool)
+
+    def finish(bins: np.ndarray) -> None:
+        bins = np.sort(bins)
+        mses, _ = _pixel_mse_scores(ref_gray, tgt_crop, center, b1, cfg, bins, pool)
+        best_idx = np.argmin(mses, axis=1)
+        scores[bins] = mses[np.arange(len(bins)), best_idx]
+        shift_idx[bins] = best_idx
+        exact[bins] = True
+
+    order = np.argsort(bounds, kind="stable")
+    first = min(cfg.n_bins, cfg.top_k + cfg.top_k % 2)
+    finish(order[:first])
+    threshold = np.partition(scores[exact], cfg.top_k - 1)[cfg.top_k - 1]
+    rest = order[first:]
+    rest = rest[bounds[rest] <= threshold]
+    if rest.size:
+        finish(rest)
+    if not exact.all() and not _proven_not_flat(scores, exact):
+        finish(np.flatnonzero(~exact))
+    return scores, shift_idx, exact
 
 
 def _pixel_alpha_at_gap(seq: Sequence, cfg: ScaleSearchConfig, gap: int):
@@ -322,18 +471,23 @@ def _pixel_alpha_at_gap(seq: Sequence, cfg: ScaleSearchConfig, gap: int):
     out_w = max(2, int(round(b1.w)))
     out_h = max(2, int(round(b1.h)))
     tgt_crop = crop_resize(_gray(tgt_img), b1, out_w, out_h)
-    mses, offsets = _pixel_mse_scores(
-        _gray(ref_img), tgt_crop, (ref.box.cx, ref.box.cy), b1, cfg
-    )
-    best_off = np.argmin(mses, axis=1)
-    best = mses[np.arange(cfg.n_bins), best_off]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        best, shift_idx, exact = _pruned_pixel_search(
+            _gray(ref_img), tgt_crop, (ref.box.cx, ref.box.cy), b1, cfg, pool
+        )
+    all_exact = bool(exact.all())
     profile = SimilarityProfile(
-        scores=best, semantics="mse", best_shift=offsets[best_off]
+        scores=best,
+        semantics="mse",
+        best_shift=shift_offsets(cfg.shift_c)[shift_idx],
+        exact=None if all_exact else exact,
     )
+    # the stable top-k are exact bins: every bound is above the k-th exact MSE
     order = np.argsort(best, kind="stable")[: cfg.top_k]
     weights = 1.0 / (best[order] + cfg.eps)
     alpha = float(np.sum(weights * cfg.bins()[order]) / np.sum(weights))
-    return alpha, profile, _flat(best)
+    # with a bound left, _pruned_pixel_search proved the profile not flat
+    return alpha, profile, all_exact and _flat(best)
 
 
 def pixel_mse_estimate(seq: Sequence, cfg: ScaleSearchConfig) -> TtcEstimate:

@@ -48,7 +48,16 @@ search; nothing here starts a thread).  The pixel search asks for one
 block per lattice when a lattice has at most 160,000 samples, so each
 numpy call is large enough to run in parallel with the other thread's,
 and for one block per vertical shift above that, which bounds the
-buffers (``estimate._pixel_mse_scores``).
+buffers (``estimate._shift_sq_sums``).
+
+A sample depends only on its own coordinates, so a lattice over a subset
+of rows and columns samples, bit for bit, the same values as the full
+lattice does at those points.  The pixel search relies on that: its
+bound pass samples every bin at every third row and column of the
+target crop, and the partial sums of those squared differences, with a
+margin of 4 n u for the rounding of an n-term sum (u = 2^-53), bound the
+full sums from below, so it finishes exactly only the bins that can
+still reach its top-k (``estimate._pixel_mse_bounds``).
 """
 
 from __future__ import annotations

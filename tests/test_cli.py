@@ -201,6 +201,31 @@ def test_estimate_prints_profile(small_dataset, capsys):
     assert "alpha_hat" in printed and "top bins:" in printed
 
 
+def test_estimate_prints_the_exact_bins_in_stable_order(small_dataset, capsys, monkeypatch):
+    # a tied 40-bin profile whose default (unstable) argsort starts
+    # 3 6 5 4 7, with one pruned bin holding a bound below every score
+    import ttckit.cli
+    from ttckit.estimate import SimilarityProfile, TtcEstimate
+
+    scores = np.random.default_rng(0).integers(0, 3, size=40).astype(float)
+    assert np.argsort(scores)[:5].tolist() == [3, 6, 5, 4, 7]
+    exact = np.ones(40, dtype=bool)
+    exact[5] = False
+    scores[5] = -1.0
+    profile = SimilarityProfile(scores, "mse", np.zeros((40, 2), dtype=int), exact)
+    est = TtcEstimate(0.9, 0.98, 4.5, profile, "pixel_mse")
+    monkeypatch.setattr(ttckit.cli, "make_estimator", lambda *args: lambda seq: est)
+    _, cfg_path, out = small_dataset
+    seq_id = read_index(out)["sequences"][0]
+    assert main(["estimate", "--dataset", str(out), "--seq", seq_id,
+                 "--estimator", "pixel_mse", "--config", str(cfg_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    head = printed.index("top bins: (the 39 of 40 scored exactly)")
+    bins = RunConfig.from_json_file(cfg_path).search_pixel.bins()
+    want = [f"  alpha {bins[i]:.4f}  score 0  shift (+0,+0)" for i in (3, 4, 6, 7, 8)]
+    assert printed[head + 1 : head + 6] == want
+
+
 def test_eval_writes_reports(small_dataset, capsys):
     _, cfg_path, out = small_dataset
     report_path = out / "rep_detection.json"

@@ -41,7 +41,8 @@ from ttckit.sampling import (
     grid_positions,
     shift_offsets,
 )
-from ttckit.synth import CameraModel, PlanarTarget, noise_texture, sequence_for_ttc
+from ttckit.suites import DEFAULT_SUITE_CAMERA, constant_velocity_suite
+from ttckit.synth import CameraModel, NoiseModel, PlanarTarget, noise_texture, sequence_for_ttc
 
 CAM = CameraModel.centered(800.0, 320, 192)
 
@@ -522,13 +523,44 @@ def test_pixel_mse_scores_equal_the_full_lattice_search_at_any_block_shape(
     assert np.array_equal(mses, _full_lattice_pixel_mse(ref, tgt_crop, center, b1, cfg))
 
 
-def test_pixel_mse_estimate_leaves_no_thread():
+def test_pixel_mse_estimate_leaves_no_thread(monkeypatch):
+    # both passes of every search run on the calling thread and one worker,
+    # which is gone when the estimate returns
     seq = _oracle_sequence()
+    real = estimate.lattice_row_blocks
+    seen = []
+
+    def recording_blocks(image, ys, xs, n):
+        seen.append((np.shape(ys)[-1], threading.get_ident()))
+        return real(image, ys, xs, n)
+
+    monkeypatch.setattr(estimate, "lattice_row_blocks", recording_blocks)
     threads = threading.active_count()
     for multi_reference in (False, True):
+        seen.clear()
         est = pixel_mse_estimate(seq, ScaleSearchConfig(shift_c=1, multi_reference=multi_reference))
         assert math.isfinite(est.tau_hat)
         assert threading.active_count() == threads
+        # bound-pass lattices have a third of the exact pass's rows
+        for rows in {rows for rows, _ in seen}:
+            assert len({ident for r, ident in seen if r == rows}) == 2
+        assert len({rows for rows, _ in seen}) == 2
+
+
+def _search_inputs(seq, cfg):
+    """The (ref_gray, tgt_crop, center, b1, cfg) of the pruned search at the
+    configured gap, captured from one estimate."""
+    captured = []
+    real = estimate._pruned_pixel_search
+
+    def capture(*args):
+        captured.append(args[:5])
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate, "_pruned_pixel_search", capture)
+        pixel_mse_estimate(seq, cfg)
+    return captured[0]
 
 
 @pytest.mark.parametrize("bad_bin", [1, 3])
@@ -562,6 +594,188 @@ def test_pixel_mse_error_in_either_half_reaches_the_caller(monkeypatch, bad_bin)
     assert type(split.value) is type(serial.value)
     assert str(split.value) == str(serial.value)
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("pass_", ["bound", "exact"])
+@pytest.mark.parametrize("side", ["caller", "worker"])
+def test_pixel_mse_error_in_either_pass_reaches_the_caller(monkeypatch, pass_, side):
+    # nine bins: the bound pass splits them into halves of five (calling
+    # thread) and four (the worker), the exact pass's first call its four
+    # bins of lowest bound into two and two.  In the chosen pass, every
+    # lattice at least as tall as the first bad one fails, from one in the
+    # chosen half on, as it would when one call sampled the pass's bins in
+    # order; the other pass runs as usual
+    real = estimate.lattice_row_blocks
+    seq = _identity_sequence(seed=3)
+    cfg = ScaleSearchConfig(n_bins=9, top_k=3, shift_c=1, alpha_min=0.8, alpha_max=1.25)
+    ref_gray, tgt_crop, center, b1, _ = _search_inputs(seq, cfg)
+    out_h, out_w = tgt_crop.shape
+    ys, xs = estimate._bin_positions(crop_positions, center, b1, cfg, out_w, out_h)
+    if pass_ == "bound":
+        ys, xs = ys[:, ::3], xs[:, ::3]
+        batch = np.arange(cfg.n_bins)
+    else:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            bounds, _ = estimate._pixel_mse_bounds(ref_gray, tgt_crop, center, b1, cfg, pool)
+        batch = np.sort(np.argsort(bounds, kind="stable")[:4])
+    ys, xs = estimate._shift_lattice(ys[batch], 1), estimate._shift_lattice(xs[batch], 1)
+    # lattices grow with the bin, and the two passes' lattices differ in height
+    rows, limit = ys.shape[1], np.ptp(ys[1 if side == "caller" else len(batch) - 1])
+
+    def failing_blocks(image, ys, xs, n):
+        for b in range(len(ys)):
+            if ys.shape[1] == rows and np.ptp(ys[b]) >= limit:
+                raise DomainError(f"lattice {np.ptp(ys[b])!r} rows tall")
+            yield from real(image, ys[b], xs[b], n)
+
+    with pytest.raises(DomainError) as serial:
+        for _ in failing_blocks(ref_gray, ys, xs, 3):
+            pass
+    monkeypatch.setattr(estimate, "lattice_row_blocks", failing_blocks)
+    threads = threading.active_count()
+    with pytest.raises(DomainError) as split:
+        pixel_mse_estimate(seq, cfg)
+    assert type(split.value) is type(serial.value)
+    assert str(split.value) == str(serial.value)
+    assert threading.active_count() == threads
+
+
+def _full_search(ref_gray, tgt_crop, center, b1, cfg, pool):
+    """``_pruned_pixel_search`` with nothing pruned: every bin's best MSE
+    from the whole-lattice reference search."""
+    mses = _full_lattice_pixel_mse(ref_gray, tgt_crop, center, b1, cfg)
+    shift_idx = np.argmin(mses, axis=1)
+    return mses[np.arange(cfg.n_bins), shift_idx], shift_idx, np.ones(cfg.n_bins, dtype=bool)
+
+
+def _assert_pruning_is_exact(seq, cfg):
+    """The pruned estimate against the full search: the same fused bits,
+    the same exact bins, and bounds at or below the true best MSEs."""
+    pruned = pixel_mse_estimate(seq, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate, "_pruned_pixel_search", _full_search)
+        full = pixel_mse_estimate(seq, cfg)
+    assert (pruned.alpha_hat, pruned.alpha_hat_10hz) == (full.alpha_hat, full.alpha_hat_10hz)
+    assert pruned.tau_hat == full.tau_hat
+    assert type(pruned.low_confidence) is bool
+    assert pruned.low_confidence == full.low_confidence
+    got, want = pruned.profile, full.profile
+    exact = np.ones(cfg.n_bins, dtype=bool) if got.exact is None else got.exact
+    assert got.exact is None or not got.exact.all()
+    assert np.array_equal(got.scores[exact], want.scores[exact])
+    assert np.array_equal(got.best_shift[exact], want.best_shift[exact])
+    assert np.all(got.scores[~exact] <= want.scores[~exact])
+    return pruned
+
+
+def _frames_sequence(images, boxes):
+    frames = [FrameSample(timestamp_s=0.1 * i, box=box, image=image)
+              for i, (image, box) in enumerate(zip(images, boxes))]
+    return Sequence(sequence_id="pr", fps=10.0, frames=frames)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shift_c=st.integers(0, 3),
+    # (n_bins, top_k), top_k up to n_bins but often small, which prunes more
+    bins=st.integers(2, 24).flatmap(lambda n: st.tuples(
+        st.just(n), st.one_of(st.integers(1, min(n, 3)), st.integers(1, n)))),
+    gap=st.integers(1, 2),
+    multi_reference=st.booleans(),
+    noise=st.sampled_from([0.0, 0.02, None]),
+    inside=st.booleans(),
+)
+def test_pruned_pixel_search_is_exact(seed, shift_c, bins, gap, multi_reference, noise, inside):
+    rng = np.random.default_rng(seed)
+    h, w = rng.integers(8, 41, size=2)
+    # blocky images, so that the MSE varies with the scale; the target frame
+    # is the reference, with noise added, or an unrelated image (None)
+    block = rng.integers(1, 11)
+    ref = np.kron(rng.uniform(size=(h // block + 1, w // block + 1)), np.ones((block, block)))[:h, :w]
+    tgt = rng.uniform(size=ref.shape) if noise is None else ref + rng.normal(0.0, noise, ref.shape)
+    # boxes well inside the image, or with centers past every edge
+    # (expand_box leaves a box past the border as it is)
+    lo, hi = (0.3, 0.7) if inside else (-8.0 / min(h, w), 1.0 + 8.0 / min(h, w))
+
+    def box(cx, cy):
+        top = 0.5 if inside else 1.2
+        return BoundingBox(float(cx), float(cy), rng.uniform(2.0, top * w), rng.uniform(2.0, top * h))
+
+    boxes = [box(rng.uniform(lo * w, hi * w), rng.uniform(lo * h, hi * h)) for _ in range(2)]
+    # the target box within the shift radius of the reference box's center,
+    # so that the bins near 1 score near 0 and the others can be pruned
+    dx, dy = rng.integers(-shift_c, shift_c + 1, size=2)
+    boxes.append(box(boxes[2 - gap].cx + dx, boxes[2 - gap].cy + dy))
+    n_bins, top_k = bins
+    cfg = ScaleSearchConfig(n_bins=n_bins, top_k=top_k, shift_c=shift_c, alpha_min=0.5, alpha_max=2.0,
+                            frame_gap=gap, multi_reference=multi_reference)
+    _assert_pruning_is_exact(_frames_sequence([ref, ref, tgt], boxes), cfg)
+
+
+def test_pruned_pixel_search_ties_at_the_kth_bin():
+    # zero reference but for a bright band that only the larger candidates
+    # reach: every candidate inside the zero region scores mean(t^2) to the
+    # bit, so bins 0-3 tie, the 3rd and 4th exact MSEs among them, and the
+    # stable top-3 keeps bins 0-2; bins 5-11, whose crops cover more of the
+    # band, are pruned
+    rng = np.random.default_rng(21)
+    ref = np.zeros((64, 96))
+    ref[:, 52:] = 1.0
+    tgt = np.zeros((64, 96))
+    tgt[22:42, 30:50] = rng.uniform(0.0, 0.1, size=(20, 20))
+    box = BoundingBox(40.0, 32.0, 20.0, 20.0)
+    cfg = ScaleSearchConfig(n_bins=12, top_k=3, shift_c=1, alpha_min=0.6, alpha_max=2.8, expand_cap=1.0)
+    est = _assert_pruning_is_exact(_frames_sequence([ref] * 5 + [tgt], [box] * 6), cfg)
+    scores, exact = est.profile.scores, est.profile.exact
+    assert np.all(scores[:4] == scores[0]) and np.all(scores[4:] > scores[0])
+    assert exact.tolist() == [True] * 5 + [False] * 7
+    assert est.alpha_hat == pytest.approx(float(cfg.bins()[:3].mean()))
+
+
+def test_pruned_pixel_search_scores_a_constant_frame_fully():
+    img = np.full((40, 60), 0.5)
+    box = BoundingBox(30.0, 20.0, 16.0, 12.0)
+    est = _assert_pruning_is_exact(_frames_sequence([img] * 6, [box] * 6), ScaleSearchConfig(shift_c=2))
+    assert est.low_confidence and est.profile.exact is None
+
+
+def test_pruned_pixel_search_scores_a_near_flat_profile_fully():
+    # an identity pair whose texture is 1e-7 deep: the MSEs vary by far more
+    # than the bound pass's factor of about nine, but their whole spread is
+    # below the flat-profile tolerance, which the bounds cannot rule out, so
+    # every bin is finished and the profile is flagged
+    rng = np.random.default_rng(22)
+    img = 0.5 + 1e-7 * np.kron(rng.uniform(size=(12, 16)), np.ones((4, 4)))
+    box = BoundingBox(32.0, 24.0, 20.0, 16.0)
+    cfg = ScaleSearchConfig(n_bins=25, shift_c=1, expand_cap=1.0)
+    ref_gray, tgt_crop, center, b1, _ = _search_inputs(_frames_sequence([img] * 6, [box] * 6), cfg)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        bounds, _ = estimate._pixel_mse_bounds(ref_gray, tgt_crop, center, b1, cfg, pool)
+    full, _, _ = _full_search(ref_gray, tgt_crop, center, b1, cfg, None)
+    assert np.sum(bounds > np.sort(full)[cfg.top_k - 1]) > 0
+    est = _assert_pruning_is_exact(_frames_sequence([img] * 6, [box] * 6), cfg)
+    assert est.low_confidence and est.profile.exact is None
+
+
+def test_pixel_search_finishes_few_bins_on_a_noisy_suite_sequence(monkeypatch):
+    # one 48 px sequence with the pixel-search benchmark's box noise: the
+    # full search scored all 125 bins exactly; the pruned one scores 13
+    (seq,) = constant_velocity_suite(
+        1, camera=DEFAULT_SUITE_CAMERA, seed=7, y_last=DEFAULT_SUITE_CAMERA.f * 2.0 / 48.0,
+        noise=NoiseModel(box_center_jitter_px=2, box_scale_jitter=0.03, seed=7),
+    )
+    real = estimate._pixel_mse_scores
+    scored = []
+
+    def counting_scores(*args, **kwargs):
+        mses, offsets = real(*args, **kwargs)
+        scored.append(len(mses))
+        return mses, offsets
+
+    monkeypatch.setattr(estimate, "_pixel_mse_scores", counting_scores)
+    est = pixel_mse_estimate(seq, ScaleSearchConfig())
+    assert sum(scored) == int(est.profile.exact.sum()) < 32
 
 
 def test_concurrent_pixel_searches_equal_the_full_lattice_search():
