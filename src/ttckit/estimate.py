@@ -18,12 +18,16 @@ Candidate boxes sit at the reference box center with the *target* box
 dims scaled by each alpha bin; an exhaustive (2c+1)^2 integer center
 shift absorbs detection misalignment.
 
-The pixel search is pruned exactly, in two passes.  The bound pass
-scores every bin's shifted candidates at every third row and column of
-the target crop only.  Those squared differences are, bit for bit, a
-subset of the n = out_h * out_w nonnegative terms the exact MSE sums, so
-a bin's smallest partial sum over n, scaled by 1 - 4 n u (u = 2^-53, a
-margin for the rounding of both sums, ``_pixel_mse_bounds``), is a proven
+The pixel search is pruned exactly, in two passes over every bin's
+sampling positions, which each search computes once, in one numpy
+expression (``_bin_positions``).  The bound pass scores every bin's
+shifted candidates at every third row and column of the target crop
+only.  Its lattices are small, so the sampler stacks several
+consecutive bins' lattices into each numpy call (``lattice_row_blocks``).
+Those squared differences are, bit for bit, a subset of the
+n = out_h * out_w nonnegative terms the exact MSE sums, so a bin's
+smallest partial sum over n, scaled by 1 - 4 n u (u = 2^-53, a margin
+for the rounding of both sums, ``_pixel_mse_bounds``), is a proven
 lower bound on its best MSE.  The exact pass runs the unchanged scorer
 on the bins in order of bound and stops when every bin left has a bound
 strictly above the top_k-th exact MSE, or scores every bin when the
@@ -38,6 +42,7 @@ import math
 from collections.abc import Iterator
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -222,8 +227,21 @@ def _finish(
 
 
 def _gray(image: np.ndarray) -> np.ndarray:
-    img = np.asarray(image, dtype=np.float64)
-    return img.mean(axis=2) if img.ndim == 3 else img
+    """The channel mean in float64, equal to ``mean(axis=2)`` bit for bit.
+
+    The channels are added in order into one float64 copy of the first,
+    then divided by their count: the sum and division ``mean`` makes for
+    fewer than eight channels (an RGB frame has three), without a float64
+    copy of every channel.
+    """
+    img = np.asarray(image)
+    if img.ndim != 3:
+        return np.asarray(img, dtype=np.float64)
+    gray = img[..., 0].astype(np.float64)
+    for channel in range(1, img.shape[2]):
+        gray += img[..., channel]
+    gray /= img.shape[2]
+    return gray
 
 
 def _flat(scores: np.ndarray) -> bool:
@@ -258,21 +276,25 @@ def detection_ratio_estimate(seq: Sequence, cfg: ScaleSearchConfig) -> TtcEstima
 
 def _bin_positions(
     positions, center: tuple[float, float], b1: BoundingBox, cfg: ScaleSearchConfig,
-    out_w: int, out_h: int, bins: np.ndarray | None = None,
+    out_w: int, out_h: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """1-D sampling coordinates of every bin's candidate box, unshifted.
 
     ``positions`` is ``crop_positions`` or ``grid_positions``; returns
-    (ys (n_bins, out_h), xs (n_bins, out_w)), or only the rows of the bin
-    indices ``bins``, in that order, if given.
+    (ys (n_bins, out_h), xs (n_bins, out_w)).  Every bin is placed in one
+    call: ``positions`` reads the candidate boxes' corners and sides as
+    (n_bins, 1) columns, each computed with the float operations of
+    ``scaled_candidate_boxes`` and ``BoundingBox.x0``/``y0``, so each
+    coordinate equals the one-box-at-a-time one bit for bit.
     """
-    boxes = scaled_candidate_boxes(BoundingBox(center[0], center[1], b1.w, b1.h), b1, cfg)
-    if bins is not None:
-        boxes = [boxes[i] for i in bins]
-    ys, xs = np.empty((len(boxes), out_h)), np.empty((len(boxes), out_w))
-    for i, box in enumerate(boxes):
-        ys[i], xs[i] = positions(box, out_w, out_h)
-    return ys, xs
+    alphas = cfg.bins()[:, None]
+    with np.errstate(over="ignore"):
+        w, h = alphas * b1.w, alphas * b1.h
+    if not (np.isfinite(w).all() and np.isfinite(h).all()):
+        raise DomainError(f"candidate boxes of {b1.w}x{b1.h} scaled up to "
+                          f"{cfg.alpha_max} must have finite sides")
+    boxes = SimpleNamespace(x0=center[0] - w / 2.0, y0=center[1] - h / 2.0, w=w, h=h)
+    return positions(boxes, out_w, out_h)
 
 
 def _shift_lattice(coords: np.ndarray, c: int) -> np.ndarray:
@@ -302,17 +324,21 @@ def _shift_sq_sums(ref_gray, tgt_crop, ys, xs, c, pool) -> np.ndarray:
     Each half makes its own batched sampler call, which hands its
     lattices back a block at a time in one reused buffer, and writes only
     its own bins' rows of the result.  A lattice of at most
-    ``_ONE_BLOCK_SAMPLES`` samples comes back as one block, so the small
+    ``_ONE_BLOCK_SAMPLES`` samples is asked for as one block, so the small
     crops make few, large numpy calls, which the two threads run in
-    parallel instead of trading the GIL; a larger lattice comes back one
-    dy row group per block, which bounds the buffers to an
-    (out_h, (2c+1) * out_w) slab.  Every sample keeps its own corners and
-    weights, and each block's sum over (row, column) is the whole-lattice
-    sum over those axes, added in the same order, so a bin's sums depend
-    neither on the blocking, nor on the halves, nor on the other bins
-    scored with it.  An error in either half reaches the caller, the
-    calling half's first; either way the worker's half has finished by
-    the time this returns or raises.
+    parallel instead of trading the GIL; the sampler stacks several such
+    lattices into one (g, rows, columns) block when they are small, as
+    the bound pass's are.  A larger lattice comes back one dy row group
+    per block, which bounds the buffers to an (out_h, (2c+1) * out_w)
+    slab.  Each block is reduced over its lattice axis, the lattice count
+    read from the block's size, so a block of one lattice, with or
+    without that axis, is reduced the same way.  Every sample keeps its
+    own corners and weights, and each lattice's sum over (row, column) is
+    the whole-lattice sum over those axes, added in the same order, so a
+    bin's sums depend neither on the blocking or grouping, nor on the
+    halves, nor on the other bins scored with it.  An error in either
+    half reaches the caller, the calling half's first; either way the
+    worker's half has finished by the time this returns or raises.
     """
     out_h, out_w = tgt_crop.shape
     n_side = 2 * c + 1
@@ -330,11 +356,15 @@ def _shift_sq_sums(ref_gray, tgt_crop, ys, xs, c, pool) -> np.ndarray:
             return
         blocks = lattice_row_blocks(ref_gray, ys[first:stop], xs[first:stop], n_side // groups)
         rows = per_shift[first * n_side : stop * n_side].reshape(-1, groups, n_side)
-        for k, block in enumerate(blocks):
+        first_row = 0
+        for block in blocks:
             # squared differences in place in the block buffer
             np.subtract(block, target, out=block)
             np.multiply(block, block, out=block)
-            rows[k] = block.reshape(groups, out_h, n_side, out_w).sum(axis=(1, 3))
+            # one block holds one dy row group, or one or more whole lattices
+            sums = block.reshape(-1, groups, out_h, n_side, out_w).sum(axis=(2, 4))
+            rows[first_row : first_row + len(sums)] = sums
+            first_row += len(sums)
 
     half = -(-n // 2)
     rest = pool.submit(score, half, n)
@@ -355,6 +385,7 @@ def _pixel_mse_scores(
     cfg: ScaleSearchConfig,
     bins: np.ndarray | None = None,
     pool: ThreadPoolExecutor | None = None,
+    positions: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """MSE of every (scale bin, center shift) candidate against the target crop.
 
@@ -363,20 +394,23 @@ def _pixel_mse_scores(
     order, if given.  The bins are scored in two halves at once
     (``_shift_sq_sums``), the second on ``pool``'s one worker, or on a
     worker started for this call in a ``with`` block.  A bin's MSEs do
-    not depend on which other bins are scored with it.
+    not depend on which other bins are scored with it.  ``positions`` is
+    every bin's ``_bin_positions``, if the caller has them already.
     """
     if pool is None:
         with ThreadPoolExecutor(max_workers=1) as pool:
-            return _pixel_mse_scores(ref_gray, tgt_crop, center, b1, cfg, bins, pool)
+            return _pixel_mse_scores(ref_gray, tgt_crop, center, b1, cfg, bins, pool, positions)
     out_h, out_w = tgt_crop.shape
-    ys, xs = _bin_positions(crop_positions, center, b1, cfg, out_w, out_h, bins)
+    ys, xs = positions or _bin_positions(crop_positions, center, b1, cfg, out_w, out_h)
+    if bins is not None:
+        ys, xs = ys[bins], xs[bins]
     sums = _shift_sq_sums(ref_gray, tgt_crop, ys, xs, cfg.shift_c, pool)
     # np.mean is the sum over the count
     sums /= out_h * out_w
     return sums, shift_offsets(cfg.shift_c)
 
 
-def _pixel_mse_bounds(ref_gray, tgt_crop, center, b1, cfg, pool):
+def _pixel_mse_bounds(ref_gray, tgt_crop, center, b1, cfg, pool, positions=None):
     """A proven lower bound on every bin's best MSE, and the shift giving it.
 
     The bound pass samples each bin's shifted candidates only at every
@@ -397,11 +431,14 @@ def _pixel_mse_bounds(ref_gray, tgt_crop, center, b1, cfg, pool):
     true for n >= 2 (a crop is at least 2 x 2 samples), and the higher
     terms stay below that slack while n u <= 2^-5 (checked in exact
     rationals for small n and at powers of two up to 2^48).
+
+    ``positions`` is every bin's ``_bin_positions``, if the caller has
+    them already.
     """
     out_h, out_w = tgt_crop.shape
     n = out_h * out_w
     s = _BOUND_STRIDE
-    ys, xs = _bin_positions(crop_positions, center, b1, cfg, out_w, out_h)
+    ys, xs = positions or _bin_positions(crop_positions, center, b1, cfg, out_w, out_h)
     partial = _shift_sq_sums(ref_gray, tgt_crop[::s, ::s], ys[:, ::s], xs[:, ::s], cfg.shift_c, pool)
     shift_idx = np.argmin(partial, axis=1)
     bounds = partial[np.arange(cfg.n_bins), shift_idx] / n
@@ -426,7 +463,8 @@ def _proven_not_flat(scores: np.ndarray, exact: np.ndarray) -> bool:
 def _pruned_pixel_search(ref_gray, tgt_crop, center, b1, cfg, pool):
     """Best MSE per bin, exact for every bin that can reach the top-k.
 
-    Returns (scores, shift_idx, exact).  A bound pass gives every bin a
+    Returns (scores, shift_idx, exact).  Every bin's sampling positions
+    are computed once, for both passes.  A bound pass gives every bin a
     lower bound on its best MSE (``_pixel_mse_bounds``).  The exact pass
     scores the ``top_k`` (rounded up to even, so both threads work) bins
     of lowest bound with ``_pixel_mse_scores``, then, in one more call,
@@ -438,13 +476,15 @@ def _pruned_pixel_search(ref_gray, tgt_crop, center, b1, cfg, pool):
     False in ``exact``.  When the bounds cannot prove that the profile is
     not flat, every bin is scored exactly, so ``_flat`` sees true MSEs.
     """
-    bounds, shift_idx = _pixel_mse_bounds(ref_gray, tgt_crop, center, b1, cfg, pool)
+    out_h, out_w = tgt_crop.shape
+    positions = _bin_positions(crop_positions, center, b1, cfg, out_w, out_h)
+    bounds, shift_idx = _pixel_mse_bounds(ref_gray, tgt_crop, center, b1, cfg, pool, positions)
     scores = bounds.copy()
     exact = np.zeros(cfg.n_bins, dtype=bool)
 
     def finish(bins: np.ndarray) -> None:
         bins = np.sort(bins)
-        mses, _ = _pixel_mse_scores(ref_gray, tgt_crop, center, b1, cfg, bins, pool)
+        mses, _ = _pixel_mse_scores(ref_gray, tgt_crop, center, b1, cfg, bins, pool, positions)
         best_idx = np.argmin(mses, axis=1)
         scores[bins] = mses[np.arange(len(bins)), best_idx]
         shift_idx[bins] = best_idx
@@ -465,15 +505,19 @@ def _pruned_pixel_search(ref_gray, tgt_crop, center, b1, cfg, pool):
 
 def _pixel_alpha_at_gap(seq: Sequence, cfg: ScaleSearchConfig, gap: int):
     ref, tgt = _estimate_pair(seq, gap)
-    ref_img, tgt_img = ref.load_image(), tgt.load_image()
-    h, w = tgt_img.shape[:2]
+    # the search holds only the reference gray and the target crop, not
+    # the decoded frames
+    ref_gray = _gray(ref.load_image())
+    tgt_gray = _gray(tgt.load_image())
+    h, w = tgt_gray.shape
     b1 = expand_box(tgt.box, cfg.expand_cap, (w, h))
     out_w = max(2, int(round(b1.w)))
     out_h = max(2, int(round(b1.h)))
-    tgt_crop = crop_resize(_gray(tgt_img), b1, out_w, out_h)
+    tgt_crop = crop_resize(tgt_gray, b1, out_w, out_h)
+    del tgt_gray
     with ThreadPoolExecutor(max_workers=1) as pool:
         best, shift_idx, exact = _pruned_pixel_search(
-            _gray(ref_img), tgt_crop, (ref.box.cx, ref.box.cy), b1, cfg, pool
+            ref_gray, tgt_crop, (ref.box.cx, ref.box.cy), b1, cfg, pool
         )
     all_exact = bool(exact.all())
     profile = SimilarityProfile(
@@ -559,11 +603,17 @@ def candidate_patches_by_bin(
         (n_side * n_side, h, w) + fmap0.shape[2:], np.result_type(fmap0.dtype, np.float64)
     )
     ys, xs = _shift_lattice(ys[bins], c), _shift_lattice(xs[bins], c)
-    blocks = lattice_row_blocks(fmap0, ys, xs, n_side)
-    for k, block in enumerate(blocks):
+    # a block is one dy row group of one bin, or at shift radius 0 one or
+    # more whole bins
+    dy_groups = (
+        rows
+        for block in lattice_row_blocks(fmap0, ys, xs, n_side)
+        for rows in block.reshape((-1, h, n_side * w) + fmap0.shape[2:])
+    )
+    for k, rows in enumerate(dy_groups):
         dy_idx = k % n_side
         # offsets are lexicographic in (dx, dy): one dy's patches sit n_side apart
-        patches[dy_idx::n_side] = np.swapaxes(block.reshape((h, n_side, w) + block.shape[2:]), 0, 1)
+        patches[dy_idx::n_side] = np.swapaxes(rows.reshape((h, n_side, w) + rows.shape[2:]), 0, 1)
         if dy_idx == n_side - 1:
             yield patches[None]
 

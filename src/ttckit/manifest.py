@@ -53,6 +53,8 @@ class FrameSample:
             raster = read_png(path)
         except FileNotFoundError as exc:
             raise ManifestError(f"frame image not found: {path}") from exc
+        except ManifestError as exc:
+            raise ManifestError(f"frame image unreadable: {path} ({exc})") from exc
         return raster.astype(np.float32) / 255.0
 
 

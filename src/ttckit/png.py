@@ -42,18 +42,32 @@ def _paeth(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def decode_png(data: bytes) -> np.ndarray:
-    """Decode an 8-bit RGB PNG into an (H, W, 3) uint8 array."""
+    """Decode an 8-bit RGB PNG into an (H, W, 3) uint8 array.
+
+    A malformed file (a truncated chunk, no IHDR or IDAT, a corrupt zlib
+    stream, a payload of the wrong size, an unknown filter) raises
+    ``ManifestError``, so ``eval`` records it as that sequence's failure.
+    When no scanline is filtered, as in every file ``encode_png`` writes,
+    the pixels are one reshape of the payload; filters 1-4 are undone row
+    by row.
+    """
     if data[:8] != _SIGNATURE:
         raise ManifestError("not a PNG file")
     pos = 8
     width = height = None
     idat = bytearray()
     while pos < len(data):
+        if pos + 12 > len(data):
+            raise ManifestError("truncated PNG chunk header")
         (length,) = struct.unpack(">I", data[pos : pos + 4])
         tag = data[pos + 4 : pos + 8]
+        if pos + 12 + length > len(data):
+            raise ManifestError(f"truncated PNG {tag!r} chunk")
         payload = data[pos + 8 : pos + 8 + length]
         pos += 12 + length
         if tag == b"IHDR":
+            if length != 13:
+                raise ManifestError(f"PNG IHDR of {length} bytes, need 13")
             width, height, depth, color, comp, filt, interlace = struct.unpack(
                 ">IIBBBBB", payload
             )
@@ -65,17 +79,24 @@ def decode_png(data: bytes) -> np.ndarray:
             break
     if width is None:
         raise ManifestError("PNG missing IHDR")
-    raw = zlib.decompress(bytes(idat))
+    if not idat:
+        raise ManifestError("PNG missing IDAT")
+    try:
+        raw = zlib.decompress(bytes(idat))
+    except zlib.error as exc:
+        raise ManifestError(f"corrupt PNG image data: {exc}") from exc
     stride = width * 3
     if len(raw) != height * (stride + 1):
         raise ManifestError("PNG payload size mismatch")
+    # each scanline is its filter byte followed by its pixels
+    lines = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
+    if not lines[:, 0].any():
+        return np.ascontiguousarray(lines[:, 1:]).reshape(height, width, 3)
     out = np.zeros((height, stride), dtype=np.uint8)
     prev = np.zeros(stride, dtype=np.uint8)
     for i in range(height):
-        ftype = raw[i * (stride + 1)]
-        row = np.frombuffer(
-            raw, dtype=np.uint8, count=stride, offset=i * (stride + 1) + 1
-        ).copy()
+        ftype = lines[i, 0]
+        row = lines[i, 1:].copy()
         if ftype == 0:
             pass
         elif ftype == 2:  # Up

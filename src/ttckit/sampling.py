@@ -35,20 +35,32 @@ the lattice in ``n`` equal blocks of consecutive rows, each computed only
 when it is asked for; a caller that reduces each block as it comes never
 holds the whole lattice, and a block small enough stays in cache.  The
 blocks concatenate to the whole lattice bit for bit, and
-``bilinear_sample``'s lattice path is the one-block case.  A float64
-image is read in place.  Any other image, such as a float32 feature map,
-is promoted one lattice at a time, and only the rows and columns that
-lattice touches, into one float64 strip buffer per call; every sample
-reads the same texel values, so the promotion does not change a bit.
-Each call owns its buffers, so calls on different threads over the same
-read-only image do not interfere: the pixel and feature searches each
-score two halves of their scale bins at once, each half with its own
-call on its own thread (the caller and one worker started for that
-search; nothing here starts a thread).  The pixel search asks for one
-block per lattice when a lattice has at most 160,000 samples, so each
-numpy call is large enough to run in parallel with the other thread's,
-and for one block per vertical shift above that, which bounds the
-buffers (``estimate._shift_sq_sums``).
+``bilinear_sample``'s lattice path is the one-block case.  A batch of
+lattices asked in one block each comes back in ``(g, N, M)`` blocks of
+g consecutive lattices, as many as fit in ``_GROUP_VALUES`` (40,000)
+values: the group shares one strip of image rows, interpolated along x
+at all its lattices' columns in one ``np.take``, and the y pass reads
+that strip as (strip row, lattice) rows in one more, so small lattices
+share each numpy call instead of each paying its fixed cost.  Every
+sample keeps its own corners, weights and operation order, so grouping
+changes no bit.  The corners and weights of every lattice are computed
+once per call, and the strip, block and scratch buffers are allocated
+once per call, sized for the largest block: buffers
+allocated per group, or for a much larger budget, can be mapped and
+faulted in afresh again and again, which costs more than grouping
+saves.  A float64 image is read in place.  Any other image, such as a float32
+feature map, is promoted one group at a time, and only the rows and
+columns that group touches, into one float64 strip buffer per call;
+every sample reads the same texel values, so the promotion does not
+change a bit.  Each call owns its buffers, so calls on different
+threads over the same read-only image do not interfere: the pixel and
+feature searches each score two halves of their scale bins at once,
+each half with its own call on its own thread (the caller and one
+worker started for that search; nothing here starts a thread).  The
+pixel search asks for one block per lattice when a lattice has at most
+160,000 samples, so each numpy call is large enough to run in parallel
+with the other thread's, and for one block per vertical shift above
+that, which bounds the buffers (``estimate._shift_sq_sums``).
 
 A sample depends only on its own coordinates, so a lattice over a subset
 of rows and columns samples, bit for bit, the same values as the full
@@ -62,12 +74,18 @@ still reach its top-k (``estimate._pixel_mse_bounds``).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 import numpy as np
 
 from .boxes import BoundingBox
 from .errors import DomainError
+
+# a batch sampled in one block per lattice is stacked into blocks of at
+# most this many values (samples times channels), consecutive lattices
+# each, so small lattices share each numpy call (lattice_row_blocks)
+_GROUP_VALUES = 40_000
 
 
 def _corners(coords: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -79,89 +97,122 @@ def _corners(coords: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.
 def lattice_row_blocks(
     image: np.ndarray, ys: np.ndarray, xs: np.ndarray, n: int
 ) -> Iterator[np.ndarray]:
-    """Yield the samples at every ``(ys[i], xs[j])`` in ``n`` row blocks.
+    """Yield the samples at every ``(ys[i], xs[j])`` in row blocks.
 
     ``ys`` and ``xs`` are 1-D texel coordinates of one lattice, or a batch
     of B lattices, ``ys`` of shape ``(B, N)`` with ``xs`` of shape
     ``(B, M)``; they are edge-clamped as in ``bilinear_sample``, and ``n``
-    must divide the row count N.  With ``r = N // n``, the blocks come in
-    (lattice, block) order, B * n of them, and block k of a lattice holds
-    its rows ``k * r`` to ``(k + 1) * r - 1`` as an ``(r, M)`` array (plus
-    the channel axis, if any).
+    must divide the row count N.  One lattice comes in ``n`` blocks: with
+    ``r = N // n``, block k holds its rows ``k * r`` to ``(k + 1) * r - 1``
+    as an ``(r, M)`` array (plus the channel axis, if any).  So does each
+    lattice of a batch, in (lattice, block) order, when ``n > 1``.  A
+    batch asked in one block per lattice (``n == 1``) comes in
+    ``(g, N, M)`` blocks of g consecutive lattices each: as many as fit in
+    ``_GROUP_VALUES`` sampled values, at least one, and fewer in the last
+    block if B is not a multiple of g.
 
-    Every block is the same buffer: the caller may overwrite it, but the
-    next block overwrites it too, so a block that must outlive the next
-    one has to be copied.  The strip, right-term and block buffers are
-    allocated once per call, and each lattice's x-interpolated strip of
-    image rows is built before its first block.  A float64 image's rows
-    are read in place; any other image's are promoted to float64, only
-    the columns between the lattice's clamped lowest and highest x
-    corners, into a strip buffer sized for the largest such patch.
+    Every block is a view of the same buffer: the caller may overwrite
+    it, but the next block overwrites it too, so a block that must outlive
+    the next one has to be copied.  The corners and weights of every
+    lattice are computed once per call, and the strip, block and scratch
+    buffers allocated once, sized for the largest block; the x pass's
+    right terms and the y pass's bottom terms share the scratch buffer.
+    Each group of lattices (a lone lattice is a group of one) has one
+    x-interpolated strip of image rows, the rows between its lowest and
+    highest y corners, built before its first block at all its lattices'
+    columns at once; the y pass reads it as (strip row, lattice) rows.  A
+    float64 image's rows are read in place; any other image's are
+    promoted to float64, only the columns between the group's clamped
+    lowest and highest x corners, into a strip buffer sized for the
+    largest such patch.
     """
     ys = np.asarray(ys, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
     if ys.ndim != xs.ndim or ys.ndim not in (1, 2) or ys.shape[:-1] != xs.shape[:-1]:
         raise DomainError(f"lattice coordinates must be 1-D or (B, N) with (B, M), "
                           f"got {ys.shape} and {xs.shape}")
+    grouped = ys.ndim == 2 and n == 1
     if ys.ndim == 1:
         ys, xs = ys[None], xs[None]
-    n_rows = ys.shape[1]
+    n_lat, n_rows = ys.shape
+    n_cols = xs.shape[1]
     if not ys.size:
         raise DomainError(f"no lattice rows to sample, got coordinates {ys.shape}")
     if n < 1 or n_rows % n:
         raise DomainError(f"{n_rows} lattice rows do not split into {n} equal blocks")
     h, w = image.shape[:2]
-    # floor and clamp are monotonic, so each lattice's first and last strip
-    # rows (columns) are the corners of its lowest and highest y (x)
-    lo = _corners(np.clip(ys.min(axis=1), 0.0, h - 1.0), h)[0]
-    spans = _corners(np.clip(ys.max(axis=1), 0.0, h - 1.0), h)[1] + 1 - lo
+    chans = image.shape[2:]
+    depth = math.prod(chans)  # values per sample
+    y0, y1, fy = _corners(np.clip(ys, 0.0, h - 1.0), h)
+    x0, x1, fx = _corners(np.clip(xs, 0.0, w - 1.0), w)
+    # the weights as factors of (row, column[, channel]) arrays
+    fy = fy.reshape(fy.shape + (1,) * (image.ndim - 1))
+    fx = fx.reshape(fx.shape + (1,) * (image.ndim - 2))
+    gy, gx = 1.0 - fy, 1.0 - fx
+    size = max(1, _GROUP_VALUES // (n_rows * n_cols * depth)) if grouped else 1
+    starts = np.arange(0, n_lat, size)
+    sizes = np.minimum(size, n_lat - starts)
+    # floor and clamp are monotonic, so each group's first and last strip
+    # rows (columns) are the lowest and highest corners of its lattices
+    lo = np.minimum.reduceat(y0.min(axis=1), starts)
+    spans = np.maximum.reduceat(y1.max(axis=1), starts) + 1 - lo
+    group = np.repeat(np.arange(len(starts)), sizes)
+    # a group's strip holds lattice l's x-interpolated row r at row r * g + l
+    # of its (strip rows x lattices, M) view
+    pos = (np.arange(n_lat) - starts[group])[:, None]
+    for y in (y0, y1):
+        y -= lo[group, None]
+        y *= sizes[group, None]
+        y += pos
     # the products would promote to float64, so the buffers are float64
-    # and only each lattice's strip is promoted, not the whole image
+    # and only each group's strip is promoted, not the whole image
     dtype = np.result_type(image.dtype, np.float64)
-    rows_buf, right_buf = (
-        np.empty((int(spans.max()), xs.shape[1]) + image.shape[2:], dtype) for _ in range(2)
-    )
+    rows_buf = np.empty(int((spans * sizes).max()) * n_cols * depth, dtype)
     promote = image.dtype != dtype
     if promote:
-        # one texel per row, so each lattice's strip is a contiguous
+        # one texel per row, so each group's strip is a contiguous
         # reshape of its head: np.take would copy a strided one first
-        left = _corners(np.clip(xs.min(axis=1), 0.0, w - 1.0), w)[0]
-        widths = _corners(np.clip(xs.max(axis=1), 0.0, w - 1.0), w)[1] + 1 - left
-        strip_buf = np.empty((int((spans * widths).max()),) + image.shape[2:], dtype)
+        left = np.minimum.reduceat(x0.min(axis=1), starts)
+        widths = np.maximum.reduceat(x1.max(axis=1), starts) + 1 - left
+        x0 -= left[group, None]
+        x1 -= left[group, None]
+        strip_buf = np.empty((int((spans * widths).max()),) + chans, dtype)
     step = n_rows // n
-    out, bot = (np.empty((step, xs.shape[1]) + image.shape[2:], dtype) for _ in range(2))
+    out_buf = np.empty(size * step * n_cols * depth, dtype)
+    # the x pass's right terms and the y pass's bottom terms are never
+    # live at once, so they share one buffer
+    right_buf = np.empty(max(rows_buf.size, out_buf.size), dtype)
     # the indices are already clamped, so "clip" never moves one; unlike
     # the default "raise", it writes straight into out= without a check
-    for b, span in enumerate(spans):
-        y0, y1, fy = _corners(np.clip(ys[b], 0.0, h - 1.0), h)
-        x0, x1, fx = _corners(np.clip(xs[b], 0.0, w - 1.0), w)
-        fy = fy.reshape((-1,) + (1,) * (image.ndim - 1))
-        fx = fx.reshape((-1,) + (1,) * (image.ndim - 2))
-        y0 -= lo[b]
-        y1 -= lo[b]
-        gy = 1.0 - fy
+    for k, (first, g, span) in enumerate(zip(starts, sizes, spans)):
+        lats = slice(first, first + g)
         if promote:
-            x0 -= left[b]
-            x1 -= left[b]
-            texels = image[lo[b] : lo[b] + span, left[b] : left[b] + widths[b]]
-            strip = strip_buf[: span * widths[b]].reshape(texels.shape)
+            texels = image[lo[k] : lo[k] + span, left[k] : left[k] + widths[k]]
+            strip = strip_buf[: span * widths[k]].reshape(texels.shape)
             np.copyto(strip, texels)
         else:
-            strip = image[lo[b] : lo[b] + span]
-        rows, right = rows_buf[:span], right_buf[:span]
-        np.take(strip, x0, axis=1, out=rows, mode="clip")
-        np.multiply(rows, 1.0 - fx, out=rows)
-        np.take(strip, x1, axis=1, out=right, mode="clip")
-        np.multiply(right, fx, out=right)
+            strip = image[lo[k] : lo[k] + span]
+        shape = (span, g * n_cols) + chans
+        rows = rows_buf[: span * g * n_cols * depth].reshape(shape)
+        right = right_buf[: rows.size].reshape(shape)
+        np.take(strip, x0[lats].reshape(-1), axis=1, out=rows, mode="clip")
+        np.multiply(rows, gx[lats].reshape((-1,) + gx.shape[2:]), out=rows)
+        np.take(strip, x1[lats].reshape(-1), axis=1, out=right, mode="clip")
+        np.multiply(right, fx[lats].reshape((-1,) + fx.shape[2:]), out=right)
         np.add(rows, right, out=rows)
+        rows = rows.reshape((span * g, n_cols) + chans)
+        shape = (g * step, n_cols) + chans
+        out = out_buf[: g * step * n_cols * depth].reshape(shape)
+        bot = right_buf[: out.size].reshape(shape)
+        block_shape = (g, n_rows, n_cols) + chans if grouped else shape
         for start in range(0, n_rows, step):
-            block = slice(start, start + step)
-            np.take(rows, y0[block], axis=0, out=out, mode="clip")
-            np.multiply(out, gy[block], out=out)
-            np.take(rows, y1[block], axis=0, out=bot, mode="clip")
-            np.multiply(bot, fy[block], out=bot)
+            block = (lats, slice(start, start + step))
+            np.take(rows, y0[block].reshape(-1), axis=0, out=out, mode="clip")
+            np.multiply(out, gy[block].reshape((-1,) + gy.shape[2:]), out=out)
+            np.take(rows, y1[block].reshape(-1), axis=0, out=bot, mode="clip")
+            np.multiply(bot, fy[block].reshape((-1,) + fy.shape[2:]), out=bot)
             np.add(out, bot, out=out)
-            yield out
+            yield out.reshape(block_shape)
 
 
 def bilinear_sample(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -183,8 +234,10 @@ def bilinear_sample(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.nda
         ys = np.broadcast_to(ys[..., 0], batch + (n,)).reshape(-1, n)
         xs = np.broadcast_to(xs[..., 0, :], batch + (m,)).reshape(-1, m)
         out = np.empty((len(ys), n, m) + image.shape[2:], np.result_type(image.dtype, np.float64))
-        for b, block in enumerate(lattice_row_blocks(image, ys, xs, 1)):
-            out[b] = block
+        first = 0
+        for block in lattice_row_blocks(image, ys, xs, 1):
+            out[first : first + len(block)] = block
+            first += len(block)
         return out.reshape(batch + out.shape[1:])
     h, w = image.shape[:2]
     y0, y1, fy = _corners(np.clip(ys, 0.0, h - 1.0), h)
@@ -200,7 +253,12 @@ def bilinear_sample(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.nda
 def crop_positions(
     box: BoundingBox, out_w: int, out_h: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """1-D texel coordinates of the crop-resize sampling grid."""
+    """1-D texel coordinates of the crop-resize sampling grid.
+
+    ``box`` may also hold n boxes' ``x0``, ``y0``, ``w`` and ``h`` as
+    (n, 1) arrays; the coordinates are then (n, out_h) and (n, out_w),
+    each box's row made with the same float operations as for that box.
+    """
     if out_w < 1 or out_h < 1:
         raise DomainError(f"output dims must be positive, got {out_w}x{out_h}")
     xs = box.x0 + np.arange(out_w) * (box.w / out_w)
@@ -219,7 +277,10 @@ def crop_resize(
 def grid_positions(
     box: BoundingBox, out_w: int, out_h: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """1-D texel coordinates of the corner-aligned feature sampling grid."""
+    """1-D texel coordinates of the corner-aligned feature sampling grid.
+
+    ``box`` may hold n boxes as (n, 1) arrays, as in ``crop_positions``.
+    """
     if out_w < 2 or out_h < 2:
         raise DomainError(f"grid dims must be >= 2, got {out_w}x{out_h}")
     xs = box.x0 + np.arange(out_w) * ((box.w - 1.0) / (out_w - 1))

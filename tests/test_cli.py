@@ -407,6 +407,30 @@ def test_eval_refuses_when_every_sequence_fails(small_dataset, tmp_path, capsys)
     assert not report.exists() and not report.with_suffix(".csv").exists()
 
 
+def test_eval_records_a_truncated_frame_as_that_sequences_failure(small_dataset, tmp_path):
+    # a malformed PNG fails its sequence like a missing one: eval exits 0
+    # and reports the other sequences
+    _, cfg_path, out = small_dataset
+    copy = tmp_path / "data"
+    shutil.copytree(out, copy)
+    first, *rest = sorted(read_index(copy)["sequences"])
+    frame = copy / first / "frame_5.png"
+    frame.write_bytes(frame.read_bytes()[:200])
+    report = tmp_path / "report.json"
+    assert main([
+        "eval", "--dataset", str(copy), "--estimator", "pixel_mse",
+        "--config", str(cfg_path), "--out", str(report),
+    ]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["n_failures"] == 1
+    records = {rec["id"]: rec for rec in doc["records"]}
+    assert records[first]["failed"] is True
+    assert records[first]["error"] == (
+        f"frame image unreadable: {frame} (truncated PNG b'IDAT' chunk)"
+    )
+    assert not any(records[seq_id]["failed"] for seq_id in rest)
+
+
 def test_eval_feature_scale_records_a_reference_frame_error_from_its_worker(
     small_dataset, tmp_path, capsys
 ):

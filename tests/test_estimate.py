@@ -3,7 +3,7 @@
 import math
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -521,6 +521,126 @@ def test_pixel_mse_scores_equal_the_full_lattice_search_at_any_block_shape(
     cfg = ScaleSearchConfig(n_bins=n_bins, top_k=1, shift_c=shift_c, alpha_min=0.7, alpha_max=1.4)
     mses, _ = _pixel_mse_scores(ref, tgt_crop, center, b1, cfg)
     assert np.array_equal(mses, _full_lattice_pixel_mse(ref, tgt_crop, center, b1, cfg))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cx=st.floats(-40.0, 360.0),
+    cy=st.floats(-40.0, 230.0),
+    bw=st.floats(2.0, 120.0),
+    bh=st.floats(2.0, 120.0),
+    n_bins=st.integers(2, 130),
+    alpha_min=st.floats(0.2, 1.2),
+    alpha_span=st.floats(0.01, 1.5),
+    out_w=st.integers(2, 90),
+    out_h=st.integers(2, 90),
+)
+def test_bin_positions_equal_the_per_box_positions(
+    cx, cy, bw, bh, n_bins, alpha_min, alpha_span, out_w, out_h
+):
+    # every bin placed in one call equals its BoundingBox's crop or grid
+    # positions, bit for bit
+    cfg = ScaleSearchConfig(n_bins=n_bins, top_k=1, alpha_min=alpha_min,
+                            alpha_max=alpha_min + alpha_span)
+    b1 = BoundingBox(cx + 1.7, cy - 0.9, bw, bh)
+    boxes = scaled_candidate_boxes(BoundingBox(cx, cy, bw, bh), b1, cfg)
+    for positions in (crop_positions, grid_positions):
+        ys, xs = estimate._bin_positions(positions, (cx, cy), b1, cfg, out_w, out_h)
+        want = [positions(box, out_w, out_h) for box in boxes]
+        assert np.array_equal(ys, np.stack([y for y, _ in want]))
+        assert np.array_equal(xs, np.stack([x for _, x in want]))
+
+
+def test_bin_positions_refuse_boxes_with_infinite_sides():
+    cfg = ScaleSearchConfig(n_bins=3, top_k=1, alpha_min=1.0, alpha_max=1e308)
+    with pytest.raises(DomainError):
+        estimate._bin_positions(crop_positions, (10.0, 10.0), BoundingBox(10.0, 10.0, 20.0, 20.0),
+                                cfg, 20, 20)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gray_equals_the_float64_channel_mean(dtype):
+    rng = np.random.default_rng(21)
+    images = [rng.uniform(-2.0, 3.0, size=(int(rng.integers(1, 40)), int(rng.integers(1, 40)), 3))
+              for _ in range(30)]
+    # frames as load_image decodes them: 8-bit levels over 255
+    images.append(rng.integers(0, 256, size=(192, 320, 3)) / np.float32(255.0))
+    for img in images:
+        img = img.astype(dtype)
+        got = estimate._gray(img)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.asarray(img, np.float64).mean(axis=2))
+    flat = rng.uniform(size=(7, 9)).astype(dtype)
+    assert np.array_equal(estimate._gray(flat), np.asarray(flat, np.float64))
+
+
+class _InlinePool:
+    """An executor that runs each task when it is submitted, on the
+    calling thread, so a search's two halves run one after the other."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _bound_pass_inputs():
+    # a 31 px crop, the smallest pixel-search band, at the default 125 bins
+    # and radius 3: its bound lattices are 77 x 77 samples
+    rng = np.random.default_rng(22)
+    ref = rng.uniform(size=(192, 320))
+    tgt_crop = rng.uniform(size=(31, 31))
+    return ref, tgt_crop, (160.3, 95.7), BoundingBox(161.0, 96.2, 31.0, 31.0), ScaleSearchConfig()
+
+
+def test_pixel_mse_bounds_equal_one_lattice_sampling(monkeypatch):
+    # at the real budget the bound pass samples its 77 x 77 lattices six
+    # to a block, the last block of each half short (63 and 62 bins); its
+    # bounds and shifts equal those of sampling every lattice alone
+    real = estimate.lattice_row_blocks
+    inputs = _bound_pass_inputs()
+    shapes = []
+
+    def recording_blocks(image, ys, xs, n):
+        for block in real(image, ys, xs, n):
+            shapes.append(block.shape)
+            yield block
+
+    def one_lattice_blocks(image, ys, xs, n):
+        for b in range(len(ys)):
+            yield from real(image, ys[b], xs[b], n)
+
+    monkeypatch.setattr(estimate, "lattice_row_blocks", recording_blocks)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        bounds, shift_idx = estimate._pixel_mse_bounds(*inputs, pool)
+    assert sorted(set(shapes)) == [(2, 77, 77), (3, 77, 77), (6, 77, 77)]
+    assert sum(shape[0] for shape in shapes) == 125
+    monkeypatch.setattr(estimate, "lattice_row_blocks", one_lattice_blocks)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        want_bounds, want_idx = estimate._pixel_mse_bounds(*inputs, pool)
+    assert np.array_equal(bounds, want_bounds) and np.array_equal(shift_idx, want_idx)
+
+
+def test_pixel_mse_bound_pass_peak_allocation_is_bounded():
+    # the sampler's strip and block buffers are allocated once per call,
+    # so one 125-bin bound pass, its halves run one after the other,
+    # peaks at about 1.46 MB: one half's three buffers (a strip of at most
+    # 53 rows x 462 columns, a 6 x 77 x 77 block and a right/bottom-term
+    # buffer as large as the block, 0.77 MB), its corners and weights, and
+    # the pass's bin positions.  Allocating the buffers once per block
+    # instead peaks at about 2.16 MB, since each block's new buffers are
+    # allocated while the last block is still held; 1.8 MB lies between
+    import tracemalloc
+
+    inputs = _bound_pass_inputs()
+    estimate._pixel_mse_bounds(*inputs, _InlinePool())
+    tracemalloc.start()
+    try:
+        estimate._pixel_mse_bounds(*inputs, _InlinePool())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_800_000, peak
 
 
 def test_pixel_mse_estimate_leaves_no_thread(monkeypatch):

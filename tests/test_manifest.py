@@ -73,6 +73,83 @@ def test_png_rejects_garbage():
         encode_png(np.zeros((4, 4), dtype=np.uint8))
 
 
+def _chunk(tag, payload):
+    crc = zlib.crc32(tag + payload) & 0xFFFFFFFF
+    return struct.pack(">I", len(payload)) + tag + payload + struct.pack(">I", crc)
+
+
+def _filtered_png(image, filters):
+    """An RGB PNG whose scanline i is filtered by ``filters[i]``, each filter
+    applied as the PNG specification defines it: the filtered byte is the
+    raw byte minus a prediction from the raw bytes to its left (a), above
+    (b) and above-left (c), modulo 256."""
+    h, w = image.shape[:2]
+    raw = image.reshape(h, 3 * w).astype(np.int64)
+    lines = []
+    for i, ftype in enumerate(filters):
+        cur = raw[i]
+        up = raw[i - 1] if i else np.zeros_like(cur)
+        a = np.concatenate([np.zeros(3, np.int64), cur[:-3]])
+        b = up
+        c = np.concatenate([np.zeros(3, np.int64), up[:-3]])
+        if ftype == 0:
+            pred = 0
+        elif ftype == 1:  # Sub
+            pred = a
+        elif ftype == 2:  # Up
+            pred = b
+        elif ftype == 3:  # Average
+            pred = (a + b) // 2
+        else:  # Paeth
+            p = a + b - c
+            pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
+            pred = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+        lines.append(bytes([ftype]) + ((cur - pred) % 256).astype(np.uint8).tobytes())
+    return (b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0))
+            + _chunk(b"IDAT", zlib.compress(b"".join(lines))) + _chunk(b"IEND", b""))
+
+
+@pytest.mark.parametrize("filters", [
+    "sub", "up", "average", "paeth", "mixed",
+])
+def test_png_decodes_every_scanline_filter(filters):
+    rng = np.random.default_rng(4)
+    img = rng.integers(0, 256, size=(10, 7, 3), dtype=np.uint8)
+    # a smooth ramp too, whose predictions are mostly right
+    ramp = np.add.outer(np.arange(10), np.arange(7))[..., None] * np.array([3, 5, 7])
+    h = len(img)
+    rows = {"sub": [1] * h, "up": [2] * h, "average": [3] * h, "paeth": [4] * h,
+            "mixed": [0, 1, 2, 3, 4, 4, 3, 2, 1, 0]}[filters]
+    for image in (img, ramp.astype(np.uint8)):
+        assert np.array_equal(decode_png(_filtered_png(image, rows)), image)
+    # no filter at all takes the one-reshape path; so does encode_png's output
+    assert np.array_equal(decode_png(_filtered_png(img, [0] * h)), img)
+
+
+def test_png_rejects_malformed_files():
+    img = np.random.default_rng(5).integers(0, 256, size=(12, 9, 3), dtype=np.uint8)
+    good = encode_png(img)
+    ihdr = _chunk(b"IHDR", struct.pack(">IIBBBBB", 9, 12, 8, 2, 0, 0, 0))
+    idat = good[8 + len(ihdr) : -12]
+    corrupt = bytearray(good)
+    corrupt[8 + len(ihdr) + 8 + 4] ^= 0xFF  # inside the zlib stream
+    bad = {
+        "truncated chunk": good[: len(good) // 2],
+        "truncated chunk header": good[:-6],
+        "truncated IHDR": good[:8] + ihdr[:10],
+        "short IHDR": good[:8] + _chunk(b"IHDR", b"\x00" * 9) + idat,
+        "corrupt zlib stream": bytes(corrupt),
+        "missing IDAT": good[:8] + ihdr + _chunk(b"IEND", b""),
+        "missing IHDR": good[:8] + idat + _chunk(b"IEND", b""),
+        "wrong payload size": good[:8] + ihdr + _chunk(b"IDAT", zlib.compress(b"\x00" * 10)),
+        "unknown filter": _filtered_png(img, [0] * 11 + [5]),
+    }
+    for name, data in bad.items():
+        with pytest.raises(ManifestError):
+            decode_png(data)
+    assert np.array_equal(decode_png(good), img)
+
+
 def test_png_file_round_trip(tmp_path):
     img = np.zeros((5, 6, 3), dtype=np.uint8)
     img[2, 3] = (10, 200, 30)

@@ -1,11 +1,14 @@
 """Boxes, bilinear crops and lattices, grid sampling, shift offsets."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ttckit import sampling
 from ttckit.boxes import MIN_BOX_SIZE_PX, BoundingBox, box_drop_reason, expand_box
 from ttckit.errors import DomainError
 from ttckit.estimate import ScaleSearchConfig, scaled_candidate_boxes
@@ -270,10 +273,42 @@ def test_batched_row_blocks_equal_one_lattice_calls(data, image):
             # every block is the one buffer: the next block overwrites a held one
             assert np.shares_memory(block, held) and np.array_equal(held, block)
             got.append(block.copy())
+        if n == 1:
+            # one block per lattice: lattices this small all share one block
+            assert len(got) == 1 and got[0].shape == (batch, rows, m) + image.shape[2:]
+            got = list(got[0])
         assert len(got) == len(want) == batch * n
         for g, v in zip(got, want):
             assert g.shape == v.shape == (rows // n, m) + image.shape[2:]
             assert g.dtype == v.dtype and np.array_equal(g, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), image=_images())
+def test_grouped_row_blocks_equal_one_lattice_calls(data, image):
+    # a batch in one block per lattice comes in blocks of as many
+    # consecutive lattices as fit the value budget, at least one, the last
+    # block short when that count does not divide the batch; a small
+    # budget stands in for the real one, which these lattices fit whole
+    h, w = image.shape[:2]
+    batch = data.draw(st.integers(1, 7))
+    rows = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(1, 6))
+    ys = _coords(data.draw, (batch, rows), h)
+    xs = _coords(data.draw, (batch, m), w)
+    values = rows * m * math.prod(image.shape[2:])
+    budget = data.draw(st.integers(1, 4 * values))
+    size = max(1, budget // values)
+    want = np.stack([next(lattice_row_blocks(image, ys[b], xs[b], 1)) for b in range(batch)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_GROUP_VALUES", budget)
+        got = [block.copy() for block in lattice_row_blocks(image, ys, xs, 1)]
+    assert [len(block) for block in got] == [
+        min(size, batch - first) for first in range(0, batch, size)
+    ]
+    assert all(block.shape[1:] == (rows, m) + image.shape[2:] for block in got)
+    got = np.concatenate(got)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("channels", [None, 1, 3, 12])
@@ -303,7 +338,8 @@ def test_float32_row_blocks_equal_the_full_width_promotion(channels):
     for n in (1, 2, 3, 6):
         want = [block.copy() for block in lattice_row_blocks(promoted, ys, xs, n)]
         got = [block.copy() for block in lattice_row_blocks(image, ys, xs, n)]
-        assert len(got) == len(want) == 4 * n
+        # in one block per lattice, the four lattices share one block
+        assert len(got) == len(want) == (1 if n == 1 else 4 * n)
         for g, v in zip(got, want):
             assert g.dtype == v.dtype == np.float64 and np.array_equal(g, v)
 
