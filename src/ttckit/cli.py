@@ -149,7 +149,7 @@ def cmd_annotate(args) -> int:
 
 def _search_config(cfg: RunConfig, estimator: str, gap: int | None) -> ScaleSearchConfig:
     base = cfg.search_feature if estimator == "feature_scale" else cfg.search_pixel
-    return base.with_gap(gap) if gap else base
+    return base if gap is None else base.with_gap(gap)
 
 
 def _build_estimator(args, cfg: RunConfig):
@@ -209,7 +209,7 @@ def cmd_train(args) -> int:
         raise DomainError(f"dataset {dataset_dir} is empty")
     val = [s for i, s in enumerate(sequences) if i % 5 == 4]
     train = [s for i, s in enumerate(sequences) if i % 5 != 4]
-    search = cfg.search_feature.with_gap(args.gap) if args.gap else cfg.search_feature
+    search = _search_config(cfg, "feature_scale", args.gap)
     tcfg = cfg.train if args.seed is None else TrainConfig(
         **{**cfg.train.__dict__, "seed": args.seed}
     )

@@ -309,6 +309,27 @@ def _shift_lattice(coords: np.ndarray, c: int) -> np.ndarray:
     return shifted.reshape(coords.shape[:-1] + (-1,))
 
 
+def _split_halves(n: int, score, pool: ThreadPoolExecutor) -> None:
+    """Run ``score(first, stop)`` over [0, n) in two halves at once.
+
+    The calling thread takes ``[0, ceil(n / 2))`` and ``pool``'s one
+    worker thread the rest; an empty half is not run.  An error in either
+    half reaches the caller, the calling half's first; either way the
+    worker's half has finished by the time this returns or raises.
+    """
+    half = -(-n // 2)
+    if half == n:  # one item or none: no second half
+        if n:
+            score(0, n)
+        return
+    rest = pool.submit(score, half, n)
+    try:
+        score(0, half)
+    finally:
+        wait([rest])
+    rest.result()
+
+
 def _shift_sq_sums(ref_gray, tgt_crop, ys, xs, c, pool) -> np.ndarray:
     """Summed squared differences of every (bin, center shift) crop.
 
@@ -319,13 +340,13 @@ def _shift_sq_sums(ref_gray, tgt_crop, ys, xs, c, pool) -> np.ndarray:
     lattice, (2c+1) * out_h rows by (2c+1) * out_w columns, whose group
     of rows for one dy holds every dx shift side by side.
 
-    The bins are scored in two halves at once: the calling thread takes
-    the first ``ceil(n / 2)`` and ``pool``'s one worker thread the rest.
-    Each half makes its own batched sampler call, which hands its
-    lattices back a block at a time in one reused buffer, and writes only
-    its own bins' rows of the result.  A lattice of at most
-    ``_ONE_BLOCK_SAMPLES`` samples is asked for as one block, so the small
-    crops make few, large numpy calls, which the two threads run in
+    The bins are scored in two halves at once (``_split_halves``), the
+    second on ``pool``'s one worker thread.  Each half makes its own
+    batched sampler call, which hands its lattices back a block at a time
+    in one reused buffer, and writes only its own bins' rows of the
+    result.  A lattice of at most ``_ONE_BLOCK_SAMPLES`` samples is asked
+    for as one block, so the small crops make few, large numpy calls,
+    which the two threads run in
     parallel instead of trading the GIL; the sampler stacks several such
     lattices into one (g, rows, columns) block when they are small, as
     the bound pass's are.  A larger lattice comes back one dy row group
@@ -336,9 +357,7 @@ def _shift_sq_sums(ref_gray, tgt_crop, ys, xs, c, pool) -> np.ndarray:
     own corners and weights, and each lattice's sum over (row, column) is
     the whole-lattice sum over those axes, added in the same order, so a
     bin's sums depend neither on the blocking or grouping, nor on the
-    halves, nor on the other bins scored with it.  An error in either
-    half reaches the caller, the calling half's first; either way the
-    worker's half has finished by the time this returns or raises.
+    halves, nor on the other bins scored with it.
     """
     out_h, out_w = tgt_crop.shape
     n_side = 2 * c + 1
@@ -352,8 +371,6 @@ def _shift_sq_sums(ref_gray, tgt_crop, ys, xs, c, pool) -> np.ndarray:
     target = np.tile(tgt_crop, (groups, n_side))
 
     def score(first: int, stop: int) -> None:
-        if first == stop:  # a single bin leaves the worker's half empty
-            return
         blocks = lattice_row_blocks(ref_gray, ys[first:stop], xs[first:stop], n_side // groups)
         rows = per_shift[first * n_side : stop * n_side].reshape(-1, groups, n_side)
         first_row = 0
@@ -366,13 +383,7 @@ def _shift_sq_sums(ref_gray, tgt_crop, ys, xs, c, pool) -> np.ndarray:
             rows[first_row : first_row + len(sums)] = sums
             first_row += len(sums)
 
-    half = -(-n // 2)
-    rest = pool.submit(score, half, n)
-    try:
-        score(0, half)
-    finally:
-        wait([rest])
-    rest.result()
+    _split_halves(n, score, pool)
     # lexicographic (dx, dy) within each bin
     return per_shift.reshape(n, n_side, n_side).transpose(0, 2, 1).reshape(n, -1)
 
@@ -656,12 +667,11 @@ def feature_scores(
 
 
 def _split_feature_scores(fmap0, fmap1, center, b1, cfg, pool):
-    """``feature_scores`` with the second half of the bins on ``pool``.
+    """``feature_scores`` with the second half of the bins on ``pool``
+    (``_split_halves``).
 
     Each half writes only its own bins' rows of the result, and a bin's
-    scores do not depend on the other bins.  An error in either half
-    reaches the caller, the calling half's first; either way the worker's
-    half has finished by the time this returns or raises.
+    scores do not depend on the other bins.
     """
     target = target_grid_patch(fmap1, b1, cfg)
     scores = np.empty((cfg.n_bins, (2 * cfg.shift_c + 1) ** 2))
@@ -671,13 +681,7 @@ def _split_feature_scores(fmap0, fmap1, center, b1, cfg, pool):
         for i, patches in enumerate(bins, first):
             scores[i : i + 1] = pooled_cosine_scores(patches, target)
 
-    half = -(-cfg.n_bins // 2)
-    rest = pool.submit(score, half, cfg.n_bins)
-    try:
-        score(0, half)
-    finally:
-        wait([rest])
-    rest.result()
+    _split_halves(cfg.n_bins, score, pool)
     return scores, shift_offsets(cfg.shift_c)
 
 

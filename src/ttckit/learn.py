@@ -12,18 +12,19 @@ so photometric augmentation happens in feature space without touching
 pixels.  Each pair's candidate and target patches are sampled once by the
 estimator's own ``candidate_patches_by_bin`` (one scale bin at a time,
 each bin one augmented lattice of all its shifts, handed over in a buffer
-the next bin reuses) and ``target_grid_patch``; only their inner products
-are kept, and they are recombined for each of the pair's (gain, bias)
-draws.
+the next bin reuses) and ``target_grid_patch``; each bin's patches are
+reduced to inner products, from which that bin's scores for every one of
+the pair's (gain, bias) draws are computed before the next bin is
+sampled (``_draw_scores``).
 
 Neither the shuffle nor the draws nor a pair's augmented scores depend on
 the head, so ``train_loop`` draws the whole schedule up front, from the
-same generator in the same order as its epochs consume it.  Each pair is
-then scored once for every draw the schedule gives it: its products are
-made on the calling thread and its scores computed on one of two worker
-threads while the next pair is prepared.  A pair's products live only
-while its scores are computed, at most two pairs' at a time; the epochs
-run on the kept (n_bins, n_off) scores alone.
+same generator in the same order as its epochs consume it.  The pairs
+are then scored one after another, each once for every draw the schedule
+gives it, its bins in two halves at once: the calling thread takes the
+first half and the one worker thread of ``train_loop``'s pool the rest.
+No pair's products outlive its bin; the epochs run on the kept
+(n_draws, n_bins, n_off) scores alone.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .estimate import (
     COSINE_EPS,
     ScaleSearchConfig,
     _estimate_pair,
+    _split_halves,
     alpha_to_10hz,
     candidate_patches_by_bin,
     fuse_logits,
@@ -345,100 +347,100 @@ def _roi_bounds(sample: TrainSample, cfg: ScaleSearchConfig, shape: tuple[int, i
     return x0, y0, x1, y1
 
 
-@dataclass
-class _PreparedSample:
-    """Cached bilinear/cosine ingredients of one training pair.
+# draws scored per numpy call: at the default 50 x 50 grid and shift
+# radius 1 one thread's three (k, n_off, P) buffers take 1.6 MB, inside
+# a 2 MB L2; batches of 2 to 6 draws measured alike, 1 and 8 slower
+_DRAW_BATCH = 3
 
-    ``train_loop`` keeps one only while that pair's scores for every draw
-    of the schedule are computed, then drops it: the three
-    (n_bins, n_off, P) maps are the bulk of training's memory.
 
-    Photometric augmentation is affine in feature space
-    (F' = g*F + b*mask), grid sampling is linear, and the cosine's dot
-    products expand over that affine map, so five cached inner-product
-    maps reproduce the scores of any (gain, bias) draw exactly:
-    <p0', p1'> = g0*g1*A + g0*b1*B0 + b0*g1*B1 + b0*b1*C, etc.
+def _pair_scores(seq: Sequence, draws, cfg: ScaleSearchConfig, sigma: float, pool):
+    """One pair's soft label and (n_draws, n_bins, n_off) scores, one
+    (n_bins, n_off) array per (gain, bias) draw; exact only for
+    ``hand_crafted_features``, affine in light.
+
+    The features are those of the region of interest the search can
+    touch; the frames are dropped before the bins are scored.
     """
-
-    dot01: np.ndarray  # (n_bins, n_off, P) <p0, p1>
-    dot0m: np.ndarray  # (n_bins, n_off, P) <p0, mask>
-    norm0: np.ndarray  # (n_bins, n_off, P) <p0, p0>
-    dot1m: np.ndarray  # (P,) <p1, mask>
-    norm1: np.ndarray  # (P,) <p1, p1>
-    mask_sq: float  # <mask, mask>
-    label: np.ndarray
-
-
-def _prepare_fast(seq: Sequence, cfg: ScaleSearchConfig, sigma: float) -> _PreparedSample:
-    """One pair's cached products; exact only for ``hand_crafted_features``, affine in light."""
     sample = TrainSample.from_sequence(seq, cfg)
     x0, y0, x1, y1 = _roi_bounds(sample, cfg, sample.image1.shape[:2])
     f0 = hand_crafted_features(sample.image0[y0:y1, x0:x1])
     f1 = hand_crafted_features(sample.image1[y0:y1, x0:x1])
-    shifted = TrainSample(
-        image0=sample.image0,
-        image1=sample.image1,
-        center0=(sample.center0[0] - x0, sample.center0[1] - y0),
-        box1=BoundingBox(sample.box1.cx - x0, sample.box1.cy - y0, sample.box1.w, sample.box1.h),
-        alpha_gt=sample.alpha_gt,
-    )
-    mask = intensity_mask()
-    p1 = target_grid_patch(f1, shifted.box1, cfg)
-    p1 = p1.reshape(-1, p1.shape[-1])
-    n_off = (2 * cfg.shift_c + 1) ** 2
-    dot01, dot0m, norm0 = (np.empty((cfg.n_bins, n_off, len(p1))) for _ in range(3))
-    bins = candidate_patches_by_bin(f0, shifted.center0, shifted.box1, cfg)
-    for i, p0 in enumerate(bins):
-        p0 = p0.reshape((1, n_off) + p1.shape)
-        dot01[i : i + 1] = np.einsum("bspc,pc->bsp", p0, p1)
-        dot0m[i : i + 1] = p0 @ mask
-        norm0[i : i + 1] = np.einsum("bspc,bspc->bsp", p0, p0)
-    return _PreparedSample(
-        dot01=dot01,
-        dot0m=dot0m,
-        norm0=norm0,
-        dot1m=p1 @ mask,
-        norm1=np.einsum("pc,pc->p", p1, p1),
-        mask_sq=float(mask @ mask),
-        label=soft_label(sample.alpha_gt, cfg, sigma),
-    )
+    center = (sample.center0[0] - x0, sample.center0[1] - y0)
+    box = BoundingBox(sample.box1.cx - x0, sample.box1.cy - y0, sample.box1.w, sample.box1.h)
+    label = soft_label(sample.alpha_gt, cfg, sigma)
+    del sample
+    return label, _draw_scores(f0, f1, center, box, cfg, draws, pool)
 
 
-def _augmented_scores(prep: _PreparedSample, draws) -> np.ndarray:
-    """Pooled cosine scores of one (gain, bias) draw, from the cached products.
+def _draw_scores(f0, f1, center, box, cfg: ScaleSearchConfig, draws, pool) -> np.ndarray:
+    """Pooled cosine scores of every (gain, bias) draw, (n_draws, n_bins, n_off).
+
+    Photometric augmentation is affine in feature space
+    (F' = g*F + b*mask), grid sampling is linear, and the cosine's inner
+    products expand over that affine map:
+    <p0', p1'> = g0*g1*<p0, p1> + g0*b1*<p0, mask> + b0*g1*<p1, mask>
+    + b0*b1*<mask, mask>, and likewise the norms.  So each bin's
+    candidate patches are sampled once, reduced to three (n_off, P)
+    inner-product maps, and every draw is scored from those.
 
     Evaluates, operation for operation, ``num / max(sqrt(n0 * n1), eps)``
     with num = g0*g1*dot01 + g0*b1*dot0m + b0*g1*dot1m + b0*b1*c and
     n0 = max(g0*g0*norm0 + 2*g0*b0*dot0m + b0*b0*c, 0), so the scores are
-    bit-identical to that expression.  It runs one scale bin at a time, in
-    place in three (n_off, P) buffers that stay in cache; the mean over P
-    is np.mean's own sum per bin and one true divide of the whole array.
+    bit-identical to that expression.  The bins are scored in two halves
+    at once (``_split_halves``), the second on ``pool``'s one worker.
+    Each half samples its bins one at a time (``candidate_patches_by_bin``),
+    so each thread holds one bin's patches and maps, and scores the draws
+    ``_DRAW_BATCH`` at a time, in place in three (k, n_off, P) buffers,
+    each draw's scalars a (k, 1, 1) column.  The mean over P is np.mean's
+    own sum per (draw, bin) and one true divide of the whole array.
     """
-    g0, b0, g1, b1 = draws
-    c = prep.mask_sq
-    bias1 = b0 * g1 * prep.dot1m
+    mask = intensity_mask()
+    c = float(mask @ mask)
+    p1 = target_grid_patch(f1, box, cfg)
+    p1 = p1.reshape(-1, p1.shape[-1])
+    dot1m = p1 @ mask
+    norm1 = np.einsum("pc,pc->p", p1, p1)
+    # each draw's scalars as (n_draws, 1, 1) columns
+    g0, b0, g1, b1 = np.array(draws, dtype=np.float64).T[:, :, None, None]
+    bias1 = b0 * g1 * dot1m
     # flat patches are exactly proportional to the mask, so the quadratic
     # can cancel to ~0; clamp against rounding residue before the sqrt
-    n1 = np.maximum(g1 * g1 * prep.norm1 + 2.0 * g1 * b1 * prep.dot1m + b1 * b1 * c, 0.0)
-    num, term, denom = (np.empty(prep.dot01.shape[1:]) for _ in range(3))
-    scores = np.empty(prep.dot01.shape[:2])
-    for i in range(len(scores)):
-        np.multiply(g0 * g1, prep.dot01[i], out=num)
-        np.multiply(g0 * b1, prep.dot0m[i], out=term)
-        num += term
-        num += bias1
-        num += b0 * b1 * c
-        np.multiply(g0 * g0, prep.norm0[i], out=denom)
-        np.multiply(2.0 * g0 * b0, prep.dot0m[i], out=term)
-        denom += term
-        denom += b0 * b0 * c
-        np.maximum(denom, 0.0, out=denom)
-        denom *= n1
-        np.sqrt(denom, out=denom)
-        np.maximum(denom, COSINE_EPS, out=denom)
-        num /= denom
-        np.add.reduce(num, axis=1, out=scores[i])
-    scores /= num.shape[1]
+    n1 = np.maximum(g1 * g1 * norm1 + 2.0 * g1 * b1 * dot1m + b1 * b1 * c, 0.0)
+    g0g1, g0b1, b0b1c = g0 * g1, g0 * b1, b0 * b1 * c
+    g0g0, g0b0x2, b0b0c = g0 * g0, 2.0 * g0 * b0, b0 * b0 * c
+    n_draws, n_off = len(draws), (2 * cfg.shift_c + 1) ** 2
+    scores = np.empty((n_draws, cfg.n_bins, n_off))
+
+    def score(first: int, stop: int) -> None:
+        num, term, denom = (np.empty((min(_DRAW_BATCH, n_draws), n_off, len(p1)))
+                            for _ in range(3))
+        bins = candidate_patches_by_bin(f0, center, box, cfg, slice(first, stop))
+        for i, p0 in enumerate(bins, first):
+            p0 = p0.reshape((1, n_off) + p1.shape)
+            dot01 = np.einsum("bspc,pc->bsp", p0, p1)[0]
+            dot0m = (p0 @ mask)[0]
+            norm0 = np.einsum("bspc,bspc->bsp", p0, p0)[0]
+            for d in range(0, n_draws, _DRAW_BATCH):
+                k = slice(d, min(d + _DRAW_BATCH, n_draws))
+                nm, tm, dn = num[: k.stop - d], term[: k.stop - d], denom[: k.stop - d]
+                np.multiply(g0g1[k], dot01, out=nm)
+                np.multiply(g0b1[k], dot0m, out=tm)
+                nm += tm
+                nm += bias1[k]
+                nm += b0b1c[k]
+                np.multiply(g0g0[k], norm0, out=dn)
+                np.multiply(g0b0x2[k], dot0m, out=tm)
+                dn += tm
+                dn += b0b0c[k]
+                np.maximum(dn, 0.0, out=dn)
+                dn *= n1[k]
+                np.sqrt(dn, out=dn)
+                np.maximum(dn, COSINE_EPS, out=dn)
+                nm /= dn
+                np.add.reduce(nm, axis=2, out=scores[k, i])
+
+    _split_halves(cfg.n_bins, score, pool)
+    scores /= len(p1)
     return scores
 
 
@@ -481,30 +483,6 @@ def _draw_schedule(n: int, train_cfg: TrainConfig):
     return epochs, draws
 
 
-def _scores_for_draws(prep: _PreparedSample, draws) -> tuple[np.ndarray, list[np.ndarray]]:
-    return prep.label, [_augmented_scores(prep, d) for d in draws]
-
-
-def _score_pairs(seqs: list[Sequence], draws, cfg: ScaleSearchConfig, sigma: float):
-    """(label, scores per draw) of each sequence's pair, in sequence order.
-
-    ``_prepare_fast`` runs on the calling thread, one pair after another;
-    each pair's scores are computed on one of two worker threads while the
-    next pair is prepared.  Pair j - 2's scores are awaited before pair j
-    is prepared, so at most two pairs' cached products are alive at once.
-    A preparation error propagates once the pairs in flight have finished.
-    """
-    futures = []
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        for j, (seq, pair_draws) in enumerate(zip(seqs, draws)):
-            if j >= 2:
-                futures[j - 2].result()
-            prep = _prepare_fast(seq, cfg, sigma)
-            futures.append(pool.submit(_scores_for_draws, prep, pair_draws))
-            del prep  # the worker holds the only reference, dropped once scored
-        return [f.result() for f in futures]
-
-
 def train_loop(
     train_seqs: list[Sequence],
     val_seqs: list[Sequence],
@@ -518,7 +496,8 @@ def train_loop(
     augmentation streams are drawn from one generator in a fixed order,
     and gradient accumulation within a batch runs in ascending dataset
     order.  The schedule is drawn before any pair is scored, and each
-    pair is scored once for all its draws (``_score_pairs``); the epochs
+    pair is scored once for all its draws (``_pair_scores``), train pairs
+    then val pairs, with one worker thread for the whole loop; the epochs
     then consume those scores in schedule order.  Emits a checkpoint per
     epoch when ``out_dir`` is given and aborts (keeping the last good
     checkpoint) if the loss goes non-finite.
@@ -527,13 +506,14 @@ def train_loop(
         raise FitFailedError("no training sequences")
     n = len(train_seqs)
     epochs, draws = _draw_schedule(n, train_cfg)
-    identity_draws = (1.0, 0.0, 1.0, 0.0)
-    scored = _score_pairs(list(train_seqs) + list(val_seqs),
-                          draws + [[identity_draws]] * len(val_seqs),
-                          cfg, train_cfg.sigma_bins)
-    labels = [label for label, _ in scored[:n]]
-    streams = [iter(scores) for _, scores in scored[:n]]
-    val_scores = [scores[0] for _, scores in scored[n:]]
+    identity_draws = [(1.0, 0.0, 1.0, 0.0)]
+    sigma = train_cfg.sigma_bins
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        scored = [_pair_scores(seq, d, cfg, sigma, pool) for seq, d in zip(train_seqs, draws)]
+        val_scores = [_pair_scores(seq, identity_draws, cfg, sigma, pool)[1][0]
+                      for seq in val_seqs]
+    labels = [label for label, _ in scored]
+    streams = [iter(scores) for _, scores in scored]
     val_alpha10 = [seq.label.alpha_10hz for seq in val_seqs]
     val_eff = [seq.fps / cfg.frame_gap for seq in val_seqs]
 

@@ -385,6 +385,48 @@ def test_eval_rejects_a_gap_no_sequence_can_hold(small_dataset, tmp_path, capsys
         assert not report.exists()
 
 
+def test_train_refuses_gap_zero(small_dataset, tmp_path, capsys):
+    # gap 0 is refused, not read as "no --gap" and run at the config's 5
+    _, cfg_path, out = small_dataset
+    rc = main([
+        "train", "--dataset", str(out), "--out", str(tmp_path / "train"),
+        "--config", str(cfg_path), "--gap", "0",
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "frame gap must be >= 1, got 0" in captured.err
+    assert "trained" not in captured.out
+    assert not (tmp_path / "train").exists()
+
+
+def test_eval_refuses_gap_zero(small_dataset, tmp_path, capsys):
+    _, cfg_path, out = small_dataset
+    report = tmp_path / "report.json"
+    rc = main([
+        "eval", "--dataset", str(out), "--estimator", "pixel_mse",
+        "--config", str(cfg_path), "--gap", "0", "--out", str(report),
+        "--csv", str(tmp_path / "report.csv"),
+    ])
+    assert rc == 2
+    assert "frame gap must be >= 1, got 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_estimate_refuses_gap_zero(small_dataset, tmp_path, capsys):
+    _, cfg_path, out = small_dataset
+    seq = sorted(read_index(out)["sequences"])[0]
+    before = sorted(p.relative_to(out) for p in out.rglob("*"))
+    rc = main([
+        "estimate", "--dataset", str(out), "--seq", seq, "--estimator", "feature_scale",
+        "--config", str(cfg_path), "--gap", "0",
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "frame gap must be >= 1, got 0" in captured.err
+    assert captured.out == ""
+    assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
+
+
 def test_eval_refuses_when_every_sequence_fails(small_dataset, tmp_path, capsys):
     # with no PNG left every estimate fails; a report of zeros would read
     # as a perfect score, so eval exits 2 and writes none

@@ -2,13 +2,16 @@
 
 import dataclasses
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttckit import learn
 from ttckit.boxes import BoundingBox
 from ttckit.errors import (
     DomainError,
@@ -25,12 +28,12 @@ from ttckit.estimate import (
 )
 from ttckit.features import hand_crafted_features, intensity_mask
 from ttckit.learn import (
+    _DRAW_BATCH,
     TrainConfig,
     TrainResult,
     TrainSample,
-    _augmented_scores,
-    _prepare_fast,
-    _PreparedSample,
+    _draw_scores,
+    _pair_scores,
     _roi_bounds,
     _val_mid,
     bce_loss,
@@ -248,14 +251,23 @@ def test_feature_augmentation_matches_pixel_augmentation():
     assert np.allclose(direct, affine, atol=1e-6)
 
 
+def _scored(seq, draws, cfg, sigma=1.0):
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return _pair_scores(seq, draws, cfg, sigma, pool)
+
+
+def _draw_scores_on(f0, f1, center, box, cfg, draws):
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return _draw_scores(f0, f1, center, box, cfg, draws, pool)
+
+
 def test_cached_ingredient_scores_match_direct_path():
-    # the trainer's cached inner-product expansion must reproduce the
-    # scores of explicitly augmented images fed through the estimator path
+    # the trainer's inner-product expansion must reproduce the scores of
+    # explicitly augmented images fed through the estimator path
     cfg = _cfg(n_bins=10, shift_c=1, target=12)
     seq = mixed_interval_suite(1, seed=77)[0]
-    prep = _prepare_fast(seq, cfg, 1.0)
     draws = (1.07, -0.02, 0.95, 0.03)
-    got = _augmented_scores(prep, draws)
+    got, plain = _scored(seq, [draws, (1.0, 0.0, 1.0, 0.0)], cfg)[1]
 
     sample = TrainSample.from_sequence(seq, cfg)
     img0 = sample.image0 * draws[0] + draws[1]
@@ -265,24 +277,39 @@ def test_cached_ingredient_scores_match_direct_path():
     want, _ = feature_scores(fmap0, fmap1, sample.center0, sample.box1, cfg)
     assert np.allclose(got, want, atol=2e-5)
     # identity draws reproduce the plain estimator scores
-    plain = _augmented_scores(prep, (1.0, 0.0, 1.0, 0.0))
     fmap0p = hand_crafted_features(sample.image0).astype(np.float64)
     fmap1p = hand_crafted_features(sample.image1).astype(np.float64)
     want_plain, _ = feature_scores(fmap0p, fmap1p, sample.center0, sample.box1, cfg)
     assert np.allclose(plain, want_plain, atol=2e-5)
 
 
-def _ingredients(p0, p1, label):
-    """Cached products of flattened patches p0 (n, off, P, C) and p1 (P, C)."""
+def _candidate_grid_patches(fmap0, center, b1, cfg):
+    """Every (bin, shift) candidate patch in one bilinear call,
+    (n_bins, n_off, out_h, out_w, C): the whole-stack reference."""
+    offsets = shift_offsets(cfg.shift_c).astype(np.float64)
+    center_box = BoundingBox(center[0], center[1], b1.w, b1.h)
+    grids = [grid_positions(box, cfg.target_w, cfg.target_h)
+             for box in scaled_candidate_boxes(center_box, b1, cfg)]
+    ys = np.array([y for y, _ in grids])[:, None, :, None] + offsets[None, :, 1, None, None]
+    xs = np.array([x for _, x in grids])[:, None, None, :] + offsets[None, :, 0, None, None]
+    return bilinear_sample(fmap0, ys, xs)
+
+
+def _ingredients(f0, f1, center, box, cfg):
+    """Every bin's inner products with the whole-stack patches: <p0, p1>,
+    <p0, mask>, <p0, p0> (n_bins, n_off, P), <p1, mask>, <p1, p1> (P,)
+    and <mask, mask>."""
     mask = intensity_mask()
-    return _PreparedSample(
+    n_off = (2 * cfg.shift_c + 1) ** 2
+    p0 = _candidate_grid_patches(f0, center, box, cfg).reshape(cfg.n_bins, n_off, -1, 12)
+    p1 = target_grid_patch(f1, box, cfg).reshape(-1, 12)
+    return SimpleNamespace(
         dot01=np.einsum("bspc,pc->bsp", p0, p1),
         dot0m=p0 @ mask,
         norm0=np.einsum("bspc,bspc->bsp", p0, p0),
         dot1m=p1 @ mask,
         norm1=np.einsum("pc,pc->p", p1, p1),
         mask_sq=float(mask @ mask),
-        label=label,
     )
 
 
@@ -302,21 +329,43 @@ def _augmented_scores_out_of_place(prep, draws):
     return (num / denom).mean(axis=2)
 
 
-def _flat_prep(level=0.4):
-    # every candidate patch flat: each position's features are level * mask,
-    # which a bias of -gain * level cancels to a zero-norm patch
+def _roi_pair(seq, cfg):
+    """A pair's region-of-interest feature maps, the reference center and
+    target box in their frame, and the ground-truth ratio, as the trainer
+    takes them."""
+    sample = TrainSample.from_sequence(seq, cfg)
+    x0, y0, x1, y1 = _roi_bounds(sample, cfg, sample.image1.shape[:2])
+    f0 = hand_crafted_features(sample.image0[y0:y1, x0:x1]).astype(np.float64)
+    f1 = hand_crafted_features(sample.image1[y0:y1, x0:x1]).astype(np.float64)
+    center = (sample.center0[0] - x0, sample.center0[1] - y0)
+    box = BoundingBox(sample.box1.cx - x0, sample.box1.cy - y0, sample.box1.w, sample.box1.h)
+    return f0, f1, center, box, sample.alpha_gt
+
+
+def _flat_pair(level=0.4):
+    # a flat reference map, every position's features level * mask, which
+    # a bias of -gain * level cancels to patches of rounding residue
     rng = np.random.default_rng(9)
-    p0 = np.broadcast_to(level * intensity_mask(), (4, 9, 30, 12))
-    p1 = rng.normal(size=(30, 12))
-    return _ingredients(np.ascontiguousarray(p0), p1, np.zeros(4))
+    f0 = np.ascontiguousarray(np.broadcast_to(level * intensity_mask(), (40, 48, 12)))
+    f1 = rng.normal(size=(40, 48, 12))
+    return f0, f1, (24.3, 19.6), BoundingBox(23.8, 20.4, 14.2, 12.7)
+
+
+def _random_pair(seed=12):
+    rng = np.random.default_rng(seed)
+    f0, f1 = rng.normal(size=(2, 44, 52, 12)).astype(np.float32)
+    return f0, f1, (26.4, 21.7), BoundingBox(25.2, 22.9, 15.6, 13.1)
 
 
 _PREP_CFG = _cfg(n_bins=10, shift_c=1, target=12)
 
 
 @pytest.fixture(scope="module")
-def prep():
-    return _prepare_fast(mixed_interval_suite(1, seed=77)[0], _PREP_CFG, 1.0)
+def pairs():
+    """The real and the flat pair, each with its whole-stack ingredients."""
+    f0, f1, center, box, _ = _roi_pair(mixed_interval_suite(1, seed=77)[0], _PREP_CFG)
+    return [(pair, _ingredients(*pair, _PREP_CFG))
+            for pair in ((f0, f1, center, box), _flat_pair())]
 
 
 _gains = st.floats(0.5, 1.5)
@@ -324,25 +373,49 @@ _biases = st.floats(-0.2, 0.2)
 
 
 @settings(max_examples=60, deadline=None)
-@given(g0=_gains, b0=_biases, g1=_gains, b1=_biases)
-def test_augmented_scores_equal_the_out_of_place_expression(prep, g0, b0, g1, b1):
-    for ingredients in (prep, _flat_prep()):
-        got = _augmented_scores(ingredients, (g0, b0, g1, b1))
-        assert np.array_equal(got, _augmented_scores_out_of_place(ingredients, (g0, b0, g1, b1)))
+@given(draws=st.lists(st.tuples(_gains, _biases, _gains, _biases),
+                      min_size=1, max_size=2 * _DRAW_BATCH + 1))
+def test_augmented_scores_equal_the_out_of_place_expression(pairs, draws):
+    for pair, ingredients in pairs:
+        got = _draw_scores_on(*pair, _PREP_CFG, draws)
+        assert got.shape == (len(draws), 10, 9)
+        for scores, d in zip(got, draws):
+            assert np.array_equal(scores, _augmented_scores_out_of_place(ingredients, d))
 
 
-def test_augmented_scores_identity_and_cancelled_flat_draws(prep):
+def test_augmented_scores_identity_and_cancelled_flat_draws(pairs):
     identity = (1.0, 0.0, 1.0, 0.0)
-    for ingredients in (prep, _flat_prep()):
-        got = _augmented_scores(ingredients, identity)
+    for pair, ingredients in pairs:
+        got = _draw_scores_on(*pair, _PREP_CFG, [identity])[0]
         assert np.array_equal(got, _augmented_scores_out_of_place(ingredients, identity))
     # a bias cancelling the flat patches leaves norms of rounding residue,
-    # which the clamps keep finite
-    flat = _flat_prep()
-    cancel = (1.1, -1.1 * 0.4, 0.9, 0.05)
-    got = _augmented_scores(flat, cancel)
-    assert np.array_equal(got, _augmented_scores_out_of_place(flat, cancel))
+    # which the clamps keep finite: exactly 0 at gains 1.1 and 0.8, below 0
+    # at 0.93 and above 0 at 1.13
+    flat, ingredients = pairs[1]
+    cancel = [(g0, -g0 * 0.4, 0.9, 0.05) for g0 in (1.1, 0.8, 0.93, 1.13)] + [identity]
+    got = _draw_scores_on(*flat, _PREP_CFG, cancel)
+    for scores, d in zip(got, cancel):
+        assert np.array_equal(scores, _augmented_scores_out_of_place(ingredients, d))
     assert np.all(np.isfinite(got))
+
+
+@pytest.mark.parametrize("n_bins", [2, 3, 20, 21])
+@pytest.mark.parametrize("shift_c", [0, 1, 2])
+def test_draw_scores_equal_the_reference_at_every_batch_edge(n_bins, shift_c):
+    # both halves of the bins, and draw counts that fill no batch, one
+    # batch short, exactly one, one over, and many with a short last one
+    cfg = _cfg(n_bins=n_bins, shift_c=shift_c, target=9)
+    rng = np.random.default_rng(n_bins * 3 + shift_c)
+    draws = [tuple(rng.uniform((0.9, -0.05, 0.9, -0.05), (1.1, 0.05, 1.1, 0.05)))
+             for _ in range(37)]
+    for pair in (_random_pair(), _flat_pair()):
+        ingredients = _ingredients(*pair, cfg)
+        want = [_augmented_scores_out_of_place(ingredients, d) for d in draws]
+        for count in sorted({1, max(1, _DRAW_BATCH - 1), _DRAW_BATCH, _DRAW_BATCH + 1, 37}):
+            got = _draw_scores_on(*pair, cfg, draws[:count])
+            assert got.shape == (count, n_bins, (2 * shift_c + 1) ** 2)
+            for j in range(count):
+                assert np.array_equal(got[j], want[j]), (count, j)
 
 
 def test_train_sample_takes_the_estimator_frame_pair():
@@ -359,41 +432,20 @@ def test_train_sample_takes_the_estimator_frame_pair():
             TrainSample.from_sequence(seq, _cfg().with_gap(gap))
 
 
-def _candidate_grid_patches(fmap0, center, b1, cfg):
-    """Every (bin, shift) candidate patch in one bilinear call,
-    (n_bins, n_off, out_h, out_w, C): the whole-stack reference."""
-    offsets = shift_offsets(cfg.shift_c).astype(np.float64)
-    center_box = BoundingBox(center[0], center[1], b1.w, b1.h)
-    grids = [grid_positions(box, cfg.target_w, cfg.target_h)
-             for box in scaled_candidate_boxes(center_box, b1, cfg)]
-    ys = np.array([y for y, _ in grids])[:, None, :, None] + offsets[None, :, 1, None, None]
-    xs = np.array([x for _, x in grids])[:, None, None, :] + offsets[None, :, 0, None, None]
-    return bilinear_sample(fmap0, ys, xs)
-
-
-def test_prepare_fast_ingredients_come_from_the_estimator_patches():
-    # the cached products, made one scale bin at a time, are those of the
-    # estimator's whole-stack patch sampling on the region-of-interest
-    # feature maps, bit for bit, at shift radii 0, 1 and 2
+def test_pair_scores_come_from_the_estimator_patches():
+    # a pair's scores, sampled one scale bin at a time on two threads, are
+    # those of the estimator's whole-stack patch sampling on the
+    # region-of-interest feature maps, bit for bit, at shift radii 0, 1 and 2
     seq = mixed_interval_suite(1, seed=77)[0]
+    draws = [(1.0, 0.0, 1.0, 0.0), (1.07, -0.02, 0.95, 0.03), (0.93, 0.04, 1.02, -0.01),
+             (1.01, 0.01, 0.91, 0.02)]
     for cfg in (_PREP_CFG, _cfg(n_bins=5, shift_c=0, target=9), _cfg(n_bins=4, shift_c=2, target=7)):
-        prep = _prepare_fast(seq, cfg, 1.0)
-        sample = TrainSample.from_sequence(seq, cfg)
-        x0, y0, x1, y1 = _roi_bounds(sample, cfg, sample.image1.shape[:2])
-        f0 = hand_crafted_features(sample.image0[y0:y1, x0:x1]).astype(np.float64)
-        f1 = hand_crafted_features(sample.image1[y0:y1, x0:x1]).astype(np.float64)
-        center = (sample.center0[0] - x0, sample.center0[1] - y0)
-        box = BoundingBox(sample.box1.cx - x0, sample.box1.cy - y0, sample.box1.w, sample.box1.h)
-        p0 = _candidate_grid_patches(f0, center, box, cfg)
-        p1 = target_grid_patch(f1, box, cfg)
-        n_off = (2 * cfg.shift_c + 1) ** 2
-        want = _ingredients(
-            p0.reshape(cfg.n_bins, n_off, -1, 12), p1.reshape(-1, 12),
-            soft_label(sample.alpha_gt, cfg, 1.0),
-        )
-        for name in ("dot01", "dot0m", "norm0", "dot1m", "norm1", "label"):
-            assert np.array_equal(getattr(prep, name), getattr(want, name)), (cfg.shift_c, name)
-        assert prep.mask_sq == want.mask_sq
+        label, got = _scored(seq, draws, cfg)
+        f0, f1, center, box, alpha_gt = _roi_pair(seq, cfg)
+        assert np.array_equal(label, soft_label(alpha_gt, cfg, 1.0))
+        ingredients = _ingredients(f0, f1, center, box, cfg)
+        for scores, d in zip(got, draws):
+            assert np.array_equal(scores, _augmented_scores_out_of_place(ingredients, d)), cfg.shift_c
 
 
 def _train_suite(n, seed, noise_seed=0):
@@ -444,18 +496,23 @@ def test_train_loop_emits_checkpoints(tmp_path):
 
 def _serial_train_loop(train_seqs, val_seqs, cfg, train_cfg, out_dir=None):
     """The training loop as it ran before its schedule was drawn up front:
-    every pair's cached products are held for all epochs and scored at
-    each draw, in draw order.  Kept as the reference the scheduled loop
-    must equal bit for bit."""
+    every pair's whole-stack inner products are held for all epochs and
+    scored at each draw, in draw order, out of place, on one thread.
+    Kept as the reference the scheduled loop must equal bit for bit."""
     if not train_seqs:
         raise FitFailedError("no training sequences")
-    prepared = [_prepare_fast(s, cfg, train_cfg.sigma_bins) for s in train_seqs]
+
+    def prepare(seq):
+        f0, f1, center, box, alpha_gt = _roi_pair(seq, cfg)
+        return soft_label(alpha_gt, cfg, train_cfg.sigma_bins), _ingredients(f0, f1, center, box, cfg)
+
+    prepared = [prepare(s) for s in train_seqs]
 
     identity_draws = (1.0, 0.0, 1.0, 0.0)
     val_scores, val_alpha10, val_eff = [], [], []
     for seq in val_seqs:
-        prep = _prepare_fast(seq, cfg, train_cfg.sigma_bins)
-        val_scores.append(_augmented_scores(prep, identity_draws))
+        _, prep = prepare(seq)
+        val_scores.append(_augmented_scores_out_of_place(prep, identity_draws))
         val_alpha10.append(seq.label.alpha_10hz)
         val_eff.append(seq.fps / cfg.frame_gap)
 
@@ -480,7 +537,7 @@ def _serial_train_loop(train_seqs, val_seqs, cfg, train_cfg, out_dir=None):
             grad_b = np.zeros_like(fc_b)
             batch_loss = 0.0
             for idx in batch:
-                prep = prepared[idx]
+                label, prep = prepared[idx]
                 draws = (
                     rng.uniform(*train_cfg.gain_range),
                     rng.uniform(*train_cfg.bias_range),
@@ -488,7 +545,7 @@ def _serial_train_loop(train_seqs, val_seqs, cfg, train_cfg, out_dir=None):
                     rng.uniform(*train_cfg.bias_range),
                 )
                 loss, grads = head_loss_and_grads(
-                    _augmented_scores(prep, draws), fc_w, fc_b, prep.label
+                    _augmented_scores_out_of_place(prep, draws), fc_w, fc_b, label
                 )
                 batch_loss += loss
                 grad_w += grads["fc.weight"]
@@ -542,8 +599,8 @@ def test_train_loop_equals_the_serial_reference(tmp_path, n_train, n_val, batch_
 
 @pytest.mark.parametrize("split, position", [("train", 2), ("train", 4), ("val", 1)])
 def test_train_loop_refuses_an_unlabeled_pair_and_stops_its_workers(split, position):
-    # the same error as the serial loop, raised while other pairs are in
-    # flight; every worker thread is joined on return and on the error
+    # the same error as the serial loop, raised after other pairs were
+    # scored; the worker thread is joined on return and on the error
     cfg = _cfg(n_bins=6, shift_c=0, target=8)
     seqs = {"train": _train_suite(5, seed=33), "val": _train_suite(2, seed=34)}
     tcfg = TrainConfig(epochs=1, batch_size=2, seed=1)
@@ -558,3 +615,82 @@ def test_train_loop_refuses_an_unlabeled_pair_and_stops_its_workers(split, posit
         _serial_train_loop(seqs["train"], seqs["val"], cfg, tcfg)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value) == f"sequence {seqs[split][position].sequence_id} is unlabeled"
+
+
+def test_train_loop_starts_one_worker_thread_and_leaves_none(monkeypatch):
+    # one worker for the whole loop, train and val pairs alike: every
+    # pair's second half of the bins is sampled on it
+    real_start, real_patches = threading.Thread.start, learn.candidate_patches_by_bin
+    started, sampling = [], set()
+
+    def counting_start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    def recording_patches(*args):
+        sampling.add(threading.current_thread())
+        yield from real_patches(*args)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    monkeypatch.setattr(learn, "candidate_patches_by_bin", recording_patches)
+    cfg = _cfg(n_bins=6, shift_c=0, target=8)
+    threads = threading.active_count()
+    train_loop(_train_suite(4, seed=33), _train_suite(2, seed=34), cfg,
+               TrainConfig(epochs=2, batch_size=2, seed=1))
+    assert threading.active_count() == threads
+    assert len(started) == 1
+    assert sampling == {threading.main_thread(), started[0]}
+    assert not started[0].is_alive()
+
+
+@pytest.mark.parametrize("bad_bins", [(1,), (4,), (1, 4)])
+def test_pair_scorer_error_in_either_half_reaches_the_caller(monkeypatch, bad_bins):
+    # six bins split into [0, 3) on the calling thread and [3, 6) on the
+    # worker; the bad bins fail when sampled, and the error is the one
+    # sampling the bins in order gives: with both halves failing, the
+    # calling half's
+    real = learn.candidate_patches_by_bin
+
+    def failing_patches(fmap0, center, b1, cfg, bins=slice(None)):
+        for i, patches in enumerate(real(fmap0, center, b1, cfg, bins), bins.start or 0):
+            if i in bad_bins:
+                raise DomainError(f"bin {i} cannot be sampled")
+            yield patches
+
+    cfg = _cfg(n_bins=6, shift_c=1, target=8)
+    f0, f1, center, box = _random_pair()
+    with pytest.raises(DomainError) as serial:
+        for _ in failing_patches(f0, center, box, cfg):
+            pass
+    monkeypatch.setattr(learn, "candidate_patches_by_bin", failing_patches)
+    threads = threading.active_count()
+    with pytest.raises(DomainError) as got:
+        train_loop(_train_suite(3, seed=35), [], cfg, TrainConfig(epochs=1, batch_size=2))
+    assert type(got.value) is type(serial.value)
+    assert str(got.value) == str(serial.value)
+    assert threading.active_count() == threads
+
+
+def test_scoring_one_pair_allocates_less_than_one_product_map():
+    # a pair's bins are reduced to inner products and scored one at a
+    # time, so scoring it holds less than one (n_bins, n_off, P) float64
+    # map: each thread holds one bin's patches, products and draw
+    # buffers, besides the region's features and the sampler's per-bin
+    # positions.  With many bins this peaks at about 6.5 MB against a
+    # 9.2 MB map; caching the pair's three maps, as the trainer did,
+    # peaked at about 32 MB
+    import tracemalloc
+
+    cfg = _cfg(n_bins=500, shift_c=1, target=16)
+    seq = mixed_interval_suite(1, seed=77)[0]
+    draws = [(1.07, -0.02, 0.95, 0.03)] * 8
+    one_map = cfg.n_bins * 9 * 16 * 16 * 8
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        _pair_scores(seq, draws, cfg, 1.0, pool)
+        tracemalloc.start()
+        try:
+            _pair_scores(seq, draws, cfg, 1.0, pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < one_map, (peak, one_map)
