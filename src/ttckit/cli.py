@@ -5,18 +5,25 @@ Subcommands: synth, annotate, estimate, train, eval, report.  Exit codes:
 deterministic given the seeds in the run configuration, and no
 environment variable changes them.
 
-``synth`` writes each rendered window on one background thread while it
-renders the next, holding at most one window in flight; zlib and numpy
-release the GIL, so the two overlap.  A write error is reported after the
-next window has rendered, with the same exit code as before, and no
-``index.json`` is written.
+``synth`` plans every window first (variant and start draws, textures,
+trajectories and ``window_drop_reason``, all analytic), then renders and
+writes the plan on two threads: the calling thread and one worker each
+claim the next unclaimed window in plan order, render it and write it,
+until the plan runs out.  zlib and numpy release the GIL, so the two
+overlap, and claiming shares out windows of very different cost.  At most
+two windows are in flight.  Once a window fails to render or write, no new
+window is claimed, both threads are awaited, and the error of the failing
+window first in plan order is reported (exit 2, no ``index.json``): the
+error a serial run gives, with every window before it written whole.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -55,29 +62,29 @@ def cmd_synth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
 
-    written = []
-    with ThreadPoolExecutor(max_workers=1) as writer:
-        pending = None
-        for seq in _synth_windows(cfg):
-            if pending is not None:
-                pending.result()  # one window in flight; re-raises its write error
-            pending = writer.submit(write_sequence_dir, seq, out_dir)
-            written.append(seq.sequence_id)
-        if pending is not None:
-            pending.result()
+    plan = _plan_windows(cfg)
+    _render_and_write(plan, out_dir)
+    written = [window.keywords["sequence_id"] for window in plan]
 
     write_index(out_dir, written, chash)
     print(f"wrote {len(written)} sequences to {out_dir} (config {chash})")
     return 0
 
 
-def _synth_windows(cfg: RunConfig):
-    """Render the configured windows one by one, in plan and RNG-draw order."""
+def _plan_windows(cfg: RunConfig) -> list[partial]:
+    """Every configured window, in plan and RNG-draw order, not yet rendered.
+
+    Each window is a call of ``generate_from_trajectory`` with all of its
+    arguments bound: calling it renders that window.  Planning draws the
+    variants and window starts, makes the textures and trajectories and
+    keeps the windows ``window_drop_reason`` admits; all of it is analytic.
+    """
     camera = cfg.camera.to_model()
     scripts = builtin_scripts(list(cfg.synth.templates)) if cfg.synth.templates else []
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     horizon = 14.0
 
+    plan = []
     by_template: dict[int, list] = {}
     for script in scripts:
         by_template.setdefault(script.template, []).append(script)
@@ -101,7 +108,8 @@ def _synth_windows(cfg: RunConfig):
                 if window_drop_reason(traj, camera, target, start, cfg.synth.fps,
                                       cfg.synth.length) is not None:
                     continue
-                seq = generate_from_trajectory(
+                plan.append(partial(
+                    generate_from_trajectory,
                     traj,
                     camera,
                     target,
@@ -118,9 +126,45 @@ def _synth_windows(cfg: RunConfig):
                         "template": script.template,
                         "start_time": start,
                     },
-                )
-                yield seq
+                ))
                 made += 1
+    return plan
+
+
+def _render_and_write(plan: list[partial], out_dir: Path) -> None:
+    """Render and write every planned window, on the calling thread and one worker.
+
+    Each thread claims the next unclaimed window in plan order, renders
+    it and writes it, until the plan runs out.  Once a window fails no
+    new one is claimed; both threads finish the window they hold, and the
+    error raised is that of the failing window first in plan order.
+    Windows are claimed in order, so every window before it was rendered
+    and written: the error is the one a serial run gives.
+    """
+    lock = threading.Lock()
+    windows = iter(enumerate(plan))
+    failures: dict[int, BaseException] = {}
+
+    def claim_render_write() -> None:
+        while True:
+            with lock:
+                claimed = None if failures else next(windows, None)
+            if claimed is None:
+                return
+            index, window = claimed
+            try:
+                write_sequence_dir(window(), out_dir)
+            except BaseException as exc:  # re-raised below, in plan order
+                with lock:
+                    failures[index] = exc
+                return
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(claim_render_write)
+        claim_render_write()
+        worker.result()
+    if failures:
+        raise failures[min(failures)]
 
 
 def cmd_annotate(args) -> int:

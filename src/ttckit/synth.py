@@ -23,8 +23,12 @@ from .core import DEFAULT_VELOCITY_EPS, check_int, ttc_from_depth_velocity
 from .errors import DomainError, SequenceInvalidError
 from .features import box_mean
 from .manifest import FrameSample, Sequence, SequenceLabel
-from .sampling import bilinear_sample
+from .sampling import lattice_row_blocks
 from .scenarios import ScenarioScript, Trajectory, constant_velocity_script, simulate_script
+
+# texture samples in one row block of a frame's supersampled lattice
+# (render_frame); each sample holds three float64 channel values
+_BLOCK_SAMPLES = 20_000
 
 
 @dataclass(frozen=True)
@@ -123,7 +127,8 @@ def projected_box(
     return BoundingBox(u, v, w, h)
 
 
-def supersample_mean(dense: np.ndarray, supersample: int) -> np.ndarray:
+def supersample_mean(dense: np.ndarray, supersample: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Average each ``supersample x supersample`` block of an (H*s, W*s, 3) array.
 
     Equals ``dense.reshape(H, s, W, s, 3).mean(axis=(1, 3))`` bit for bit:
@@ -131,15 +136,27 @@ def supersample_mean(dense: np.ndarray, supersample: int) -> np.ndarray:
     then the others by row offset and then column offset, divided once),
     but each addition runs over a whole plane instead of an inner loop
     ``supersample`` elements long.  (With a single channel numpy orders
-    its additions differently, so the equality holds for RGB only.)
+    its additions differently, so the equality holds for RGB only.)  The
+    (H, W, 3) result goes into ``out`` when one is given.
     """
     s = supersample
     planes = dense.reshape(dense.shape[0] // s, s, dense.shape[1] // s, s, 3)
-    out = planes[:, 0, :, 0].copy()
+    if out is None:
+        out = planes[:, 0, :, 0].copy()
+    else:
+        np.copyto(out, planes[:, 0, :, 0])
     for k in range(1, s * s):
         out += planes[:, k // s, :, k % s]
     out /= s * s
     return out
+
+
+def _finish(values: np.ndarray, gain: float, bias: float) -> np.ndarray:
+    """Apply gain/bias and clamp to [0, 1], in place: every pixel's last float64 steps."""
+    if gain != 1.0 or bias != 0.0:
+        values *= gain
+        values += bias
+    return np.clip(values, 0.0, 1.0, out=values)
 
 
 def render_frame(
@@ -158,27 +175,36 @@ def render_frame(
 
     The emitted ``exact_box`` is the analytic projection before any
     noise; the observable ``box`` carries the jittered version when a
-    noise model is supplied.  Gain/bias act on the whole frame after
-    pasting, then values are clamped to [0, 1].
+    noise model is supplied.  Every pixel is computed in float64: the
+    texture is pasted over the background, gain/bias act after pasting,
+    and values are clamped to [0, 1] before the float32 cast.  Outside
+    the box that is the background alone, so the frame starts as the
+    finished background (one value for a scalar, the whole array
+    otherwise), and only the pixels the box covers are pasted and
+    finished.
 
     Each covered pixel averages a ``supersample x supersample`` grid of
     bilinear texture samples over its footprint; plain point sampling
     aliases badly once the texture is minified a few times, which would
     leak a scale-dependent bias into anything matched against the render.
     The average is ``supersample_mean``: numpy's mean over the two sample
-    axes, bit for bit, summed one whole sample plane at a time.
+    axes, bit for bit, summed one whole sample plane at a time.  The
+    sample lattice comes from one ``lattice_row_blocks`` call in blocks
+    of whole output rows, at most ``_BLOCK_SAMPLES`` samples each (the last
+    block padded with copies of the last row, whose results are dropped),
+    and each block is averaged as it comes, so a large box never holds its
+    whole dense lattice.
     """
-    if supersample < 1:
-        raise DomainError(f"supersample factor must be >= 1, got {supersample}")
+    check_int("supersample", supersample, 1)
     exact_box = projected_box(camera, target, depth_m, lateral_x)
     u, v, w, h = exact_box.cx, exact_box.cy, exact_box.w, exact_box.h
+    shape = (camera.height, camera.width, 3)
+    background = np.asarray(background, dtype=np.float64)
+    if background.ndim and background.shape != shape:
+        raise DomainError(f"background shape {background.shape} does not match camera")
 
-    if np.isscalar(background):
-        img = np.full((camera.height, camera.width, 3), float(background))
-    else:
-        img = np.array(background, dtype=np.float64)
-        if img.shape != (camera.height, camera.width, 3):
-            raise DomainError(f"background shape {img.shape} does not match camera")
+    dx, dy, s, gain, bias = _frame_noise(noise, rng)
+    img = np.full(shape, _finish(background.copy(), gain, bias), dtype=np.float32)
 
     # Paste over every pixel square overlapping the box (pixel i spans
     # [i, i+1]); edge pixels alpha-blend by their exact coverage so the
@@ -205,15 +231,21 @@ def render_frame(
         rows = (rows_i[:, None] + sub[None, :]).reshape(-1)
         tx = (cols - exact_box.x0) / w * tw - 0.5
         ty = (rows - exact_box.y0) / h * th - 0.5
-        dense = bilinear_sample(target.texture, ty[:, None], tx[None, :])
-        tex_avg = supersample_mean(dense, supersample)
-        patch = img[y_lo : y_hi + 1, x_lo : x_hi + 1]
-        img[y_lo : y_hi + 1, x_lo : x_hi + 1] = patch + coverage * (tex_avg - patch)
-
-    dx, dy, s, gain, bias = _frame_noise(noise, rng)
-    if gain != 1.0 or bias != 0.0:
-        img = img * gain + bias
-    np.clip(img, 0.0, 1.0, out=img)
+        n_rows = rows_i.size
+        n_blocks = -(-n_rows * supersample * tx.size // _BLOCK_SAMPLES)
+        step = -(-n_rows // n_blocks)  # output rows per block
+        ty = np.pad(ty, (0, (n_blocks * step - n_rows) * supersample), mode="edge")
+        tex_avg = np.empty((n_blocks * step, cols_i.size, 3))
+        for k, block in enumerate(lattice_row_blocks(target.texture, ty, tx, n_blocks)):
+            supersample_mean(block, supersample, out=tex_avg[k * step : (k + 1) * step])
+        # patch + coverage * (tex_avg - patch), in place
+        region = (slice(y_lo, y_hi + 1), slice(x_lo, x_hi + 1))
+        patch = np.broadcast_to(background, shape)[region]
+        blend = tex_avg[:n_rows]
+        blend -= patch
+        blend *= coverage
+        blend += patch
+        img[region] = _finish(blend, gain, bias)
 
     box = BoundingBox(u + dx, v + dy, w * s, h * s) if (dx, dy, s) != (0, 0, 1.0) else exact_box
     return FrameSample(
@@ -221,7 +253,7 @@ def render_frame(
         box=box,
         exact_box=exact_box,
         depth_m=depth_m,
-        image=img.astype(np.float32),
+        image=img,
     )
 
 

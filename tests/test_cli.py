@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import ttckit
-from ttckit.cli import main
+from ttckit.cli import _plan_windows, main
 from ttckit.config import RunConfig, config_hash
 from ttckit.errors import DomainError, ManifestError
-from ttckit.manifest import read_index, read_sequence_dir
+from ttckit.manifest import read_index, read_sequence_dir, write_index, write_sequence_dir
 
 SMALL_CONFIG = {
     "camera": {"f": 800.0, "width": 320, "height": 192},
@@ -117,59 +117,169 @@ def _synth_small(tmp_path) -> tuple[int, Path]:
     return main(["synth", "--config", str(cfg_path), "--out", str(out)]), out
 
 
-def test_synth_reports_a_write_error_and_stops_its_writer(tmp_path, capsys, monkeypatch):
-    # the 8th PNG is the second window's second frame, written on the
-    # writer thread; its error reaches the main thread with exit 2
+def _plan_ids(cfg: dict) -> list[str]:
+    return [window.keywords["sequence_id"] for window in _plan_windows(RunConfig.from_dict(cfg))]
+
+
+def _assert_whole_windows(out: Path, full: Path, ids: list[str], failed: int) -> None:
+    # every window before the failing one is written whole, byte for byte
+    # as a full run; the window after it, which the other thread may have
+    # held, may be there too, whole as well; no later window was claimed
+    names = [f"frame_{i}.png" for i in range(6)] + ["manifest.json"]
+    kept = sorted(p.name for p in out.iterdir() if p.name != ids[failed])
+    assert set(ids[:failed]) <= set(kept) <= set(ids[: failed + 2])
+    for seq_id in kept:
+        assert sorted(p.name for p in (out / seq_id).iterdir()) == sorted(names)
+        for name in names:
+            assert (out / seq_id / name).read_bytes() == (full / seq_id / name).read_bytes()
+
+
+def test_synth_reports_a_write_error_and_stops_its_writer(
+    small_dataset, tmp_path, capsys, monkeypatch
+):
+    # the second frame of the second window fails to write, on whichever
+    # thread holds that window; its error reaches the caller with exit 2,
+    # no new window is claimed, and both threads are awaited
     import ttckit.manifest
 
+    ids = _plan_ids(SMALL_CONFIG)
     write_png = ttckit.manifest.write_png
-    calls = []
 
     def failing_write_png(path, image):
-        calls.append(path)
-        if len(calls) == 8:
-            raise ManifestError(f"disk full writing {path.name}")
+        if path.parent.name == ids[1] and path.name == "frame_1.png":
+            raise ManifestError(f"disk full writing {ids[1]}/{path.name}")
         write_png(path, image)
 
     monkeypatch.setattr(ttckit.manifest, "write_png", failing_write_png)
     threads = threading.active_count()
     rc, out = _synth_small(tmp_path)
     assert rc == 2
-    assert capsys.readouterr().err == "error: disk full writing frame_1.png\n"
+    assert capsys.readouterr().err == f"error: disk full writing {ids[1]}/frame_1.png\n"
     assert not (out / "index.json").exists()
     assert threading.active_count() == threads
+    assert sorted(p.name for p in (out / ids[1]).iterdir()) == ["frame_0.png"]
+    _assert_whole_windows(out, small_dataset[2], ids, 1)
 
 
 def test_synth_keeps_the_windows_written_before_a_render_error(
     small_dataset, tmp_path, capsys, monkeypatch
 ):
-    # the window in flight when the third render fails is still written
-    # whole: every frame and its manifest, byte for byte as a full run
+    # the third window fails to render; the windows before it are still
+    # written whole, and the failing one is not written at all
     import ttckit.cli
 
+    ids = _plan_ids(SMALL_CONFIG)
     generate = ttckit.cli.generate_from_trajectory
-    rendered = []
 
     def failing_generate(*args, **kwargs):
-        if len(rendered) == 2:
-            raise DomainError("render failed")
-        rendered.append(kwargs["sequence_id"])
+        if kwargs["sequence_id"] == ids[2]:
+            raise DomainError(f"render of {ids[2]} failed")
         return generate(*args, **kwargs)
 
     monkeypatch.setattr(ttckit.cli, "generate_from_trajectory", failing_generate)
     threads = threading.active_count()
     rc, out = _synth_small(tmp_path)
     assert rc == 2
-    assert capsys.readouterr().err == "error: render failed\n"
+    assert capsys.readouterr().err == f"error: render of {ids[2]} failed\n"
     assert not (out / "index.json").exists()
     assert threading.active_count() == threads
-    full = small_dataset[2]
-    assert sorted(p.name for p in out.iterdir()) == sorted(rendered)
-    for seq_id in rendered:
-        names = [f"frame_{i}.png" for i in range(6)] + ["manifest.json"]
-        assert sorted(p.name for p in (out / seq_id).iterdir()) == sorted(names)
-        for name in names:
-            assert (out / seq_id / name).read_bytes() == (full / seq_id / name).read_bytes()
+    assert not (out / ids[2]).exists()
+    _assert_whole_windows(out, small_dataset[2], ids, 2)
+
+
+def test_synth_reports_the_failure_first_in_plan_order(
+    small_dataset, tmp_path, capsys, monkeypatch
+):
+    # windows 1 and 2 both fail, on different threads, and window 2 fails
+    # first: window 1 waits for that before it fails.  The error is window
+    # 1's, as in a serial run, which never gets to window 2
+    import ttckit.cli
+
+    ids = _plan_ids(SMALL_CONFIG)
+    generate = ttckit.cli.generate_from_trajectory
+    later_failed = threading.Event()
+
+    def failing_generate(*args, **kwargs):
+        seq_id = kwargs["sequence_id"]
+        if seq_id == ids[1]:
+            assert later_failed.wait(timeout=60)
+            raise DomainError(f"render of {seq_id} failed")
+        if seq_id == ids[2]:
+            later_failed.set()
+            raise DomainError(f"render of {seq_id} failed")
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(ttckit.cli, "generate_from_trajectory", failing_generate)
+    threads = threading.active_count()
+    rc, out = _synth_small(tmp_path)
+    assert rc == 2
+    assert later_failed.is_set()
+    assert capsys.readouterr().err == f"error: render of {ids[1]} failed\n"
+    assert not (out / "index.json").exists()
+    assert threading.active_count() == threads
+    assert not (out / ids[1]).exists() and not (out / ids[2]).exists()
+    _assert_whole_windows(out, small_dataset[2], ids, 1)
+
+
+MIXED_BOX_CONFIG = {
+    **SMALL_CONFIG,
+    # boxes of 27 to 192 px, with illumination noise
+    "synth": {"templates": [1, 2, 3, 4, 5, 6], "variants_per_template": 1,
+              "sequences_per_variant": 2},
+    "noise": {"box_center_jitter_px": 1, "box_scale_jitter": 0.02,
+              "gain_range": [0.95, 1.05], "bias_range": [-0.02, 0.02], "seed": 3},
+}
+
+
+@pytest.mark.parametrize("cfg", [SMALL_CONFIG, MIXED_BOX_CONFIG], ids=["small", "mixed_boxes"])
+def test_synth_writes_the_bytes_of_a_serial_run(tmp_path, cfg):
+    # the reference writes the planned windows in plan order on one thread
+    run_cfg = RunConfig.from_dict(cfg)
+    ref = tmp_path / "serial"
+    for window in _plan_windows(run_cfg):
+        write_sequence_dir(window(), ref)
+    write_index(ref, _plan_ids(cfg), config_hash(run_cfg))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "data"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    files = sorted(p.relative_to(ref) for p in ref.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    assert len(files) == 1 + 7 * len(_plan_ids(cfg))
+    for name in files:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_synth_starts_one_worker_thread_and_leaves_none(tmp_path, monkeypatch):
+    # the first two windows each wait until both are rendering, so the
+    # test fails (a broken barrier, exit 1) unless two threads render
+    import ttckit.cli
+
+    ids = _plan_ids(SMALL_CONFIG)
+    real_start, generate = threading.Thread.start, ttckit.cli.generate_from_trajectory
+    started, rendering = [], set()
+    both = threading.Barrier(2, timeout=60)
+
+    def counting_start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    def recording_generate(*args, **kwargs):
+        rendering.add(threading.current_thread())
+        if kwargs["sequence_id"] in ids[:2]:
+            both.wait()
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    monkeypatch.setattr(ttckit.cli, "generate_from_trajectory", recording_generate)
+    threads = threading.active_count()
+    rc, out = _synth_small(tmp_path)
+    assert rc == 0
+    assert threading.active_count() == threads
+    assert len(started) == 1
+    assert rendering == {threading.main_thread(), started[0]}
+    assert not started[0].is_alive()
+    assert read_index(out)["sequences"] == sorted(ids)
 
 
 def test_annotate_round_trip(small_dataset, tmp_path):

@@ -1,5 +1,6 @@
 """Renderer and sequence generator against brute-force pixel measurements."""
 
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from ttckit.boxes import box_drop_reason
 from ttckit.errors import DomainError, SequenceInvalidError
 from ttckit.scenarios import builtin_scripts, constant_velocity_script, simulate_script
+from ttckit.suites import textured_background
 from ttckit.synth import (
     CameraModel,
     NoiseModel,
@@ -25,6 +27,7 @@ from ttckit.synth import (
     supersample_mean,
     window_drop_reason,
 )
+from ttckit.synth import _frame_noise
 
 
 def _camera(f=1000.0, width=1024, height=576):
@@ -139,12 +142,20 @@ def test_render_frame_box_is_projected_box():
     assert frame.exact_box == frame.box == projected_box(cam, target, 30.0, 1.2)
 
 
-def _mean_render(camera, target, depth_m, lateral_x, background, supersample):
-    """render_frame without noise, averaging supersamples with .mean(axis=(1, 3))."""
+def _mean_render(camera, target, depth_m, lateral_x, background, supersample,
+                 gain=1.0, bias=0.0):
+    """render_frame as a whole float64 frame, averaging supersamples with .mean(axis=(1, 3)).
+
+    The texture is pasted over a float64 copy of the background, then
+    gain/bias act on the whole frame, which is clamped and cast.
+    """
     from ttckit.sampling import bilinear_sample
 
     box = projected_box(camera, target, depth_m, lateral_x)
-    img = np.full((camera.height, camera.width, 3), float(background))
+    if np.isscalar(background):
+        img = np.full((camera.height, camera.width, 3), float(background))
+    else:
+        img = np.array(background, dtype=np.float64)
     x_lo = max(0, int(np.floor(box.x0)))
     x_hi = min(camera.width - 1, int(np.ceil(box.x1)) - 1)
     y_lo = max(0, int(np.floor(box.y0)))
@@ -166,8 +177,22 @@ def _mean_render(camera, target, depth_m, lateral_x, background, supersample):
             axis=(1, 3))
         patch = img[y_lo : y_hi + 1, x_lo : x_hi + 1]
         img[y_lo : y_hi + 1, x_lo : x_hi + 1] = patch + coverage * (tex_avg - patch)
+    if gain != 1.0 or bias != 0.0:
+        img = img * gain + bias
     np.clip(img, 0.0, 1.0, out=img)
     return img.astype(np.float32)
+
+
+def _noisy_render(camera, target, depth, lateral, background, supersample, noisy, seed=0):
+    """render_frame and _mean_render of one frame, with the same gain/bias draw."""
+    noise = (NoiseModel(box_center_jitter_px=2, box_scale_jitter=0.03,
+                        gain_range=(0.7, 1.3), bias_range=(-0.15, 0.15)) if noisy else None)
+    rng = np.random.default_rng(seed) if noisy else None
+    frame = render_frame(camera, target, depth, lateral, background=background,
+                         supersample=supersample, noise=noise, rng=rng)
+    _, _, _, gain, bias = _frame_noise(noise, np.random.default_rng(seed) if noisy else None)
+    return frame, _mean_render(camera, target, depth, lateral, background, supersample,
+                               gain, bias)
 
 
 @settings(max_examples=100, deadline=None)
@@ -179,27 +204,96 @@ def test_supersample_mean_is_numpys_mean_bit_for_bit(supersample, h, w, seed):
     dense = np.random.default_rng(seed).uniform(0.0, 1.0, (h * s, w * s, 3))
     want = dense.reshape(h, s, w, s, 3).mean(axis=(1, 3))
     assert np.array_equal(supersample_mean(dense, s), want)
+    out = np.empty_like(want)
+    assert supersample_mean(dense, s, out=out) is out
+    assert np.array_equal(out, want)
 
 
-@settings(max_examples=60, deadline=None)
+_SUITE_CAMERA = CameraModel.centered(800.0, 320, 192)
+_TEXTURED = textured_background(_SUITE_CAMERA, 3)
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     supersample=st.integers(1, 4),
+    camera=st.sampled_from((CameraModel.centered(400.0, 160, 96), _SUITE_CAMERA)),
     depth=st.floats(3.0, 60.0),
     lateral=st.floats(-4.0, 4.0),
     vertical=st.floats(-2.0, 2.0),
     texture_seed=st.integers(0, 1000),
-    background=st.floats(0.0, 1.0),
+    background=st.floats(0.0, 1.0) | st.none(),
+    noisy=st.booleans(),
+    seed=st.integers(0, 1000),
 )
-def test_render_matches_the_mean_of_its_supersamples(supersample, depth, lateral, vertical,
-                                                     texture_seed, background):
-    # summing the supersample planes in place gives the mean's bits exactly,
-    # for boxes inside the image and boxes running past its border
-    cam = CameraModel.centered(400.0, 160, 96)
+def test_render_matches_the_mean_of_its_supersamples(supersample, camera, depth, lateral,
+                                                     vertical, texture_seed, background,
+                                                     noisy, seed):
+    # row blocks averaged in place, and only the box finished, give the
+    # bits of a whole-frame render that averages with numpy's mean: for
+    # boxes inside the image and boxes running past its border, scalar and
+    # textured backgrounds (None draws the textured one), with and without
+    # gain/bias
+    if background is None:
+        background = textured_background(camera, texture_seed)
     target = PlanarTarget(2.0, 1.5, noise_texture(texture_seed), vertical_offset_z=vertical)
-    frame = render_frame(cam, target, depth, lateral, background=background,
-                         supersample=supersample)
-    want = _mean_render(cam, target, depth, lateral, background, supersample)
+    frame, want = _noisy_render(camera, target, depth, lateral, background, supersample,
+                                noisy, seed)
+    assert frame.image.dtype == np.float32
     assert np.array_equal(frame.image, want)
+
+
+@pytest.mark.parametrize("background", [0.08, _TEXTURED], ids=["scalar", "textured"])
+@pytest.mark.parametrize("noisy", [False, True], ids=["plain", "gain_bias"])
+@pytest.mark.parametrize("depth, lateral, n_rows", [
+    (12.45, 0.0, 97),  # inside the image
+    (11.7, 1.5, 103),  # past the right border
+    (8.4, 0.0, 139),   # past the top and bottom
+    (5.4, 0.0, 163),   # past every border
+])
+def test_render_in_row_blocks_matches_the_whole_lattice(monkeypatch, depth, lateral, n_rows,
+                                                        background, noisy):
+    # prime output row counts, so the last row block is padded and its
+    # padded rows are dropped
+    import ttckit.synth
+
+    real, calls = ttckit.synth.lattice_row_blocks, []
+
+    def recording_blocks(image, ys, xs, n):
+        calls.append((len(ys), n))
+        return real(image, ys, xs, n)
+
+    monkeypatch.setattr(ttckit.synth, "lattice_row_blocks", recording_blocks)
+    target = PlanarTarget(2.0, 1.5, noise_texture(4), vertical_offset_z=0.3)
+    frame, want = _noisy_render(_SUITE_CAMERA, target, depth, lateral, background, 3, noisy)
+    ((lattice_rows, n_blocks),) = calls
+    assert n_blocks > 1
+    assert lattice_rows == 3 * n_blocks * -(-n_rows // n_blocks) > 3 * n_rows
+    assert np.array_equal(frame.image, want)
+
+
+def test_rendering_a_large_box_holds_no_dense_lattice():
+    # a 192 px box samples a (576, 576, 3) float64 lattice, 8 MB, and
+    # sampling it whole takes as much again in scratch; in row blocks the
+    # render stays well under one lattice
+    target = PlanarTarget(2.0, 2.0, noise_texture(3))
+    depth = _SUITE_CAMERA.f * 2.0 / 192.0
+    noise = NoiseModel(gain_range=(0.9, 1.1), bias_range=(-0.05, 0.05))
+    render_frame(_SUITE_CAMERA, target, depth)  # first-call allocations
+    tracemalloc.start()
+    try:
+        frame = render_frame(_SUITE_CAMERA, target, depth, noise=noise,
+                             rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frame.exact_box.w == pytest.approx(192.0)
+    assert peak < 0.6 * 576 * 576 * 3 * 8
+
+
+@pytest.mark.parametrize("supersample", [0, -1, 2.0, 2.5, True, "3"])
+def test_render_refuses_a_supersample_factor_that_is_not_a_positive_integer(supersample):
+    with pytest.raises(DomainError, match="supersample"):
+        render_frame(_camera(), _target(), 30.0, supersample=supersample)
 
 
 _WINDOW_CAMERA = CameraModel.centered(800.0, 320, 192)
