@@ -25,10 +25,15 @@ print("30 m away, receding at 6 m/s   ->", ttc_from_depth_velocity(30.0, -6.0), 
 
 print("\n=== from image scale ratios (alpha = size_ref / size_target) ===")
 for alpha in (0.95, 0.999, 1.0, 1.05):
-    tau = ttc_from_scale_ratio(alpha, dt=0.1)
+    tau = ttc_from_scale_ratio(alpha, dt=0.1, ttc_reference="target_frame")
     print(f"alpha {alpha:6.3f} over 0.1 s -> tau {tau:7.2f} s -> interval {ttc_interval(tau).value}")
 
-print("\nan object at tau = 2.0 s shows alpha =", scale_ratio_from_ttc(2.0, 0.1), "per 0.1 s step")
+# a ratio spans two frames, so its TTC can be read at either one of them
+print("\nan object at tau = 2.0 s shows, per 0.1 s step:")
+for frame, formula in (("reference_frame", "1 - 0.1/2.0"), ("target_frame", "2.0/2.1")):
+    alpha = scale_ratio_from_ttc(2.0, 0.1, ttc_reference=frame)
+    print(f"  alpha {alpha:.4f} if tau is read at the {frame.replace('_', ' ')} ({formula})")
+print("labels and estimates read TTC at the target frame, the later one")
 
 print("\n=== the same motion at different frame rates ===")
 alpha_10hz = 0.95

@@ -2,10 +2,12 @@
 
 All share one TTC-from-scale contract: predict the scale ratio alpha
 between a reference frame (``gap`` frames back) and the target (last)
-frame, clamp it into the search range, then convert to TTC and to the
-10 Hz-equivalent scale ratio.
+frame, clamp it into the search range, then convert to TTC at the target
+frame, the frame the labels measure, and to the 10 Hz-equivalent scale
+ratio.
 
-* ``detection_ratio_estimate`` -- box-geometry baseline (area ratio).
+* ``detection_ratio_estimate`` -- box-geometry baseline (square root of
+  the area ratio).
 * ``pixel_mse_estimate`` -- scores candidate scales by MSE between the
   rescaled reference crop and the target crop, fuses the top-k bins with
   reciprocal-MSE weights; only the bins that can reach the top-k are
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -48,7 +50,9 @@ import numpy as np
 
 from .boxes import BoundingBox, expand_box
 from .core import (
+    check_int,
     convert_scale_ratio_fps,
+    is_finite_real,
     scale_ratio_from_ttc,
     ttc_from_scale_ratio,
 )
@@ -67,6 +71,8 @@ from .sampling import (
 _FLAT_PROFILE_TOL = 1e-12
 # floor of a cosine's denominator: zero-norm patches score 0, not NaN
 COSINE_EPS = 1e-12
+# added to each top-k MSE before its reciprocal: a zero MSE weighs 1e12, not inf
+_MSE_EPS = 1e-12
 # a top sigmoid weight below this fuses in log space (see fuse_logits)
 _MIN_TOP_WEIGHT = 1e-200
 # a pixel-search lattice of at most this many samples, (2c+1)^2 * out_h *
@@ -98,22 +104,21 @@ class ScaleSearchConfig:
     frame_gap: int = 5
     target_w: int = 50
     target_h: int = 50
-    ttc_reference: str = "reference_frame"
-    detection_sqrt: bool = True
-    multi_reference: bool = False
-    eps: float = 1e-12
 
     def __post_init__(self) -> None:
+        for name, low in (("n_bins", 2), ("top_k", 1), ("shift_c", 0),
+                          ("frame_gap", 1), ("target_w", 2), ("target_h", 2)):
+            check_int(f"scale search {name}", getattr(self, name), low)
+        for name in ("alpha_min", "alpha_max", "expand_cap"):
+            if not is_finite_real(getattr(self, name)):
+                raise DomainError(f"scale search {name} must be a finite number, "
+                                  f"got {getattr(self, name)!r}")
         if not (0 < self.alpha_min < self.alpha_max):
             raise DomainError(f"bad alpha range [{self.alpha_min}, {self.alpha_max}]")
-        if self.n_bins < 2:
-            raise DomainError(f"need >= 2 scale bins, got {self.n_bins}")
-        if not (1 <= self.top_k <= self.n_bins):
+        if self.top_k > self.n_bins:
             raise DomainError(f"top_k {self.top_k} outside [1, {self.n_bins}]")
-        if self.shift_c < 0:
-            raise DomainError(f"shift radius must be >= 0, got {self.shift_c}")
-        if self.frame_gap < 1:
-            raise DomainError(f"frame gap must be >= 1, got {self.frame_gap}")
+        if self.expand_cap < 1:
+            raise DomainError(f"scale search expand_cap must be >= 1, got {self.expand_cap!r}")
 
     @classmethod
     def pixel_defaults(cls, **overrides) -> "ScaleSearchConfig":
@@ -212,9 +217,11 @@ def _finish(
     estimator: str,
     low_confidence: bool,
 ) -> TtcEstimate:
+    """Clamp alpha into the search range and convert it to TTC at the
+    target frame, the frame the ``synth`` and ``annotate`` labels measure
+    (alpha_10 = tau / (tau + 0.1)), and to its 10 Hz equivalent."""
     alpha_hat = float(min(max(alpha_hat, cfg.alpha_min), cfg.alpha_max))
-    dt = gap / fps
-    tau_hat = ttc_from_scale_ratio(alpha_hat, dt, cfg.ttc_reference)
+    tau_hat = ttc_from_scale_ratio(alpha_hat, gap / fps, "target_frame")
     alpha_10 = alpha_to_10hz(alpha_hat, fps / gap)
     return TtcEstimate(
         alpha_hat=alpha_hat,
@@ -257,16 +264,15 @@ def _flat(scores: np.ndarray) -> bool:
 def detection_ratio_estimate(seq: Sequence, cfg: ScaleSearchConfig) -> TtcEstimate:
     """Scale ratio straight from detection-box areas.
 
-    ``sqrt(area_ref / area_target)`` keeps the result a linear scale
-    ratio like the other estimators; set ``detection_sqrt=False`` for the
-    raw area ratio reading.
+    ``sqrt(area_ref / area_target)`` is a linear scale ratio like the
+    other estimators'; the raw area ratio is its square, not comparable
+    with them.
     """
     gap = cfg.frame_gap
     ref, tgt = _estimate_pair(seq, gap)
     if ref.box.area <= 0 or tgt.box.area <= 0:
         raise DomainError("zero-area box")
-    ratio = ref.box.area / tgt.box.area
-    alpha = math.sqrt(ratio) if cfg.detection_sqrt else ratio
+    alpha = math.sqrt(ref.box.area / tgt.box.area)
     return _finish(alpha, cfg, seq.fps, gap, None, "detection", False)
 
 
@@ -514,7 +520,14 @@ def _pruned_pixel_search(ref_gray, tgt_crop, center, b1, cfg, pool):
     return scores, shift_idx, exact
 
 
-def _pixel_alpha_at_gap(seq: Sequence, cfg: ScaleSearchConfig, gap: int):
+def pixel_mse_estimate(seq: Sequence, cfg: ScaleSearchConfig) -> TtcEstimate:
+    """Scale search by pixel MSE, top-k reciprocal-MSE fusion.
+
+    The crop target size follows the (expanded) target box.  Degenerate
+    flat profiles (e.g. constant frames) still produce an estimate but
+    carry ``low_confidence``.
+    """
+    gap = cfg.frame_gap
     ref, tgt = _estimate_pair(seq, gap)
     # the search holds only the reference gray and the target crop, not
     # the decoded frames
@@ -539,46 +552,11 @@ def _pixel_alpha_at_gap(seq: Sequence, cfg: ScaleSearchConfig, gap: int):
     )
     # the stable top-k are exact bins: every bound is above the k-th exact MSE
     order = np.argsort(best, kind="stable")[: cfg.top_k]
-    weights = 1.0 / (best[order] + cfg.eps)
+    weights = 1.0 / (best[order] + _MSE_EPS)
     alpha = float(np.sum(weights * cfg.bins()[order]) / np.sum(weights))
     # with a bound left, _pruned_pixel_search proved the profile not flat
-    return alpha, profile, all_exact and _flat(best)
-
-
-def pixel_mse_estimate(seq: Sequence, cfg: ScaleSearchConfig) -> TtcEstimate:
-    """Scale search by pixel MSE, top-k reciprocal-MSE fusion.
-
-    The crop target size follows the (expanded) target box.  Degenerate
-    flat profiles (e.g. constant frames) still produce an estimate but
-    carry ``low_confidence``.
-    """
-    gap = cfg.frame_gap
-    alpha, profile, flat = _pixel_alpha_at_gap(seq, cfg, gap)
-    if not cfg.multi_reference:
-        return _finish(alpha, cfg, seq.fps, gap, profile, "pixel_mse", flat)
-    return _multi_reference_finish(
-        seq, cfg, alpha, profile, flat, "pixel_mse",
-        lambda g: _pixel_alpha_at_gap(seq, cfg, g)[0],
-    )
-
-
-def _multi_reference_finish(seq, cfg, alpha_default, profile, flat, name, alpha_fn):
-    """Average per-gap estimates in 10 Hz scale-ratio space."""
-    alphas_10 = []
-    for g in range(1, len(seq.frames)):
-        a = alpha_default if g == cfg.frame_gap else alpha_fn(g)
-        a = float(min(max(a, cfg.alpha_min), cfg.alpha_max))
-        alphas_10.append(alpha_to_10hz(a, seq.fps / g))
-    alpha_10 = float(np.mean(alphas_10))
-    tau_hat = ttc_from_scale_ratio(alpha_10, 0.1, cfg.ttc_reference)
-    return TtcEstimate(
-        alpha_hat=float(min(max(alpha_default, cfg.alpha_min), cfg.alpha_max)),
-        alpha_hat_10hz=alpha_10,
-        tau_hat=tau_hat,
-        profile=profile,
-        estimator=name,
-        low_confidence=flat,
-    )
+    flat = all_exact and _flat(best)
+    return _finish(alpha, cfg, seq.fps, gap, profile, "pixel_mse", flat)
 
 
 # ---------------------------------------------------------------------------
@@ -734,28 +712,6 @@ def _frame_features(frame: FrameSample) -> np.ndarray:
     return hand_crafted_features(frame.load_image())
 
 
-def _feature_alpha_at_gap(seq, cfg, gap, fc_weight, fc_bias, fmaps, tgt_hw, pool):
-    ref, tgt = _estimate_pair(seq, gap)
-    ref_idx = len(seq.frames) - 1 - gap
-    fmap0 = fmaps.get(ref_idx)
-    if isinstance(fmap0, Future):
-        # extracted on a worker; its error is raised here, after the pair's checks
-        fmap0 = fmaps[ref_idx] = fmap0.result()
-    elif fmap0 is None:
-        fmap0 = fmaps[ref_idx] = _frame_features(ref)
-    fmap1 = fmaps[len(seq.frames) - 1]
-    h, w = tgt_hw
-    b1 = expand_box(tgt.box, cfg.expand_cap, (w, h))
-    scores, offsets = _split_feature_scores(
-        fmap0, fmap1, (ref.box.cx, ref.box.cy), b1, cfg, pool
-    )
-    logits, best_idx = head_logits(scores, fc_weight, fc_bias)
-    profile = SimilarityProfile(
-        scores=logits, semantics="logit", best_shift=offsets[best_idx]
-    )
-    return fuse_logits(logits, cfg), profile, _flat(logits)
-
-
 def feature_scale_estimate(
     seq: Sequence,
     cfg: ScaleSearchConfig,
@@ -771,13 +727,11 @@ def feature_scale_estimate(
     decodes the reference frame and extracts its features while the
     calling thread does the target frame's; only the target raster's
     shape is kept after that.  The same worker then scores the second
-    half of the bins, as ``feature_scores`` does, at every gap of a
-    ``multi_reference`` estimate too, whose other reference frames are
-    read on the calling thread, once each.  One worker per estimate keeps
-    the feature-train benchmark's peak RSS flat; a worker for the features
-    and another for each scoring call raised it by 4-10 MB in some runs.
-    Errors are raised in the serial order: the target frame's, then the
-    pair's checks, then the reference frame's.
+    half of the bins, as ``feature_scores`` does.  One worker per estimate
+    keeps the feature-train benchmark's peak RSS flat; a worker for the
+    features and another for the scoring raised it by 4-10 MB in some
+    runs.  Errors are raised in the serial order: the target frame's, then
+    the pair's checks, then the reference frame's.
     """
     if fc_weight is None or fc_bias is None:
         fc_weight, fc_bias = identity_head(cfg.n_bins)
@@ -786,25 +740,25 @@ def feature_scale_estimate(
 
     gap = cfg.frame_gap
     last = len(seq.frames) - 1
-    # frame index -> feature map, or the future of one
-    fmaps: dict[int, np.ndarray | Future] = {}
     with ThreadPoolExecutor(max_workers=1) as pool:
-        if last - gap >= 0:
-            fmaps[last - gap] = pool.submit(_frame_features, seq.frames[last - gap])
+        ref_features = pool.submit(_frame_features, seq.frames[last - gap]) if last >= gap else None
         tgt_img = seq.frames[last].load_image()
-        tgt_hw = tgt_img.shape[:2]
-        fmaps[last] = hand_crafted_features(tgt_img)
+        h, w = tgt_img.shape[:2]
+        fmap1 = hand_crafted_features(tgt_img)
         del tgt_img
-
-        def alpha_at(g: int):
-            return _feature_alpha_at_gap(seq, cfg, g, fc_weight, fc_bias, fmaps, tgt_hw, pool)
-
-        alpha, profile, flat = alpha_at(gap)
-        if not cfg.multi_reference:
-            return _finish(alpha, cfg, seq.fps, gap, profile, "feature_scale", flat)
-        return _multi_reference_finish(
-            seq, cfg, alpha, profile, flat, "feature_scale", lambda g: alpha_at(g)[0]
+        ref, tgt = _estimate_pair(seq, gap)
+        # extracted on the worker; its error is raised here, after the pair's checks
+        fmap0 = ref_features.result()
+        b1 = expand_box(tgt.box, cfg.expand_cap, (w, h))
+        scores, offsets = _split_feature_scores(
+            fmap0, fmap1, (ref.box.cx, ref.box.cy), b1, cfg, pool
         )
+    logits, best_idx = head_logits(scores, fc_weight, fc_bias)
+    profile = SimilarityProfile(
+        scores=logits, semantics="logit", best_shift=offsets[best_idx]
+    )
+    return _finish(fuse_logits(logits, cfg), cfg, seq.fps, gap, profile, "feature_scale",
+                   _flat(logits))
 
 
 # ---------------------------------------------------------------------------

@@ -504,7 +504,7 @@ def test_train_refuses_gap_zero(small_dataset, tmp_path, capsys):
     ])
     assert rc == 2
     captured = capsys.readouterr()
-    assert "frame gap must be >= 1, got 0" in captured.err
+    assert "scale search frame_gap must be an integer >= 1, got 0" in captured.err
     assert "trained" not in captured.out
     assert not (tmp_path / "train").exists()
 
@@ -518,7 +518,7 @@ def test_eval_refuses_gap_zero(small_dataset, tmp_path, capsys):
         "--csv", str(tmp_path / "report.csv"),
     ])
     assert rc == 2
-    assert "frame gap must be >= 1, got 0" in capsys.readouterr().err
+    assert "scale search frame_gap must be an integer >= 1, got 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -532,7 +532,7 @@ def test_estimate_refuses_gap_zero(small_dataset, tmp_path, capsys):
     ])
     assert rc == 2
     captured = capsys.readouterr()
-    assert "frame gap must be >= 1, got 0" in captured.err
+    assert "scale search frame_gap must be an integer >= 1, got 0" in captured.err
     assert captured.out == ""
     assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
 
@@ -799,6 +799,41 @@ def test_bad_seeds_exit_2(small_dataset, tmp_path, capsys):
         assert err.startswith("error: ") and "seed" in err and "internal error" not in err, argv
         assert not (tmp_path / f"out{i}").exists(), argv
     assert (out / "index.json").read_bytes() == index_bytes
+
+
+def test_eval_refuses_non_integer_and_non_finite_search_settings(small_dataset, tmp_path, capsys):
+    # the first three used to fail inside eval with exit 1 (TypeError), the
+    # last two to run silently with exit 0
+    _, _, out = small_dataset
+    for i, (key, value) in enumerate([("n_bins", 20.0), ("top_k", 2.0), ("shift_c", 1.5),
+                                      ("frame_gap", True), ("expand_cap", float("nan"))]):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, "search_pixel": {key: value}}))
+        report = tmp_path / f"r{i}.json"
+        rc = main(["eval", "--dataset", str(out), "--estimator", "pixel_mse",
+                   "--config", str(path), "--out", str(report)])
+        err = capsys.readouterr().err
+        assert rc == 2, key
+        assert err.startswith(f"error: scale search {key} must be"), err
+        assert not report.exists()
+
+
+@pytest.mark.parametrize("section", ["search_pixel", "search_feature"])
+def test_a_removed_search_key_exits_2_as_unknown(small_dataset, tmp_path, capsys, section):
+    # ttc_reference, detection_sqrt, multi_reference and eps were search
+    # settings once; a config that still sets one is refused, naming it
+    _, _, out = small_dataset
+    removed = {"ttc_reference": "reference_frame", "detection_sqrt": True,
+               "multi_reference": False, "eps": 1e-12}
+    for key, value in removed.items():
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, section: {key: value}}))
+        rc = main(["eval", "--dataset", str(out), "--estimator", "detection",
+                   "--config", str(path), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert rc == 2, key
+        assert f"unknown config keys under {section}: ['{key}']" in err, err
+        assert not (tmp_path / "r.json").exists()
 
 
 def test_report_merges(small_dataset, tmp_path, capsys):

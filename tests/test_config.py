@@ -1,6 +1,7 @@
 """Run-config serialization and hashing."""
 
 import json
+import math
 
 import pytest
 
@@ -69,3 +70,18 @@ def test_synth_config_defaults():
     s = SynthConfig()
     assert s.templates == (1, 2, 3, 4, 5, 6)
     assert s.fps == 10.0 and s.length == 6
+
+
+@pytest.mark.parametrize("section", ["search_pixel", "search_feature"])
+@pytest.mark.parametrize("key,value", [
+    ("n_bins", 20.0), ("top_k", 2.0), ("shift_c", 1.5), ("frame_gap", True),
+    ("frame_gap", 0), ("target_w", 20.0), ("target_h", "20"), ("n_bins", 1),
+    ("expand_cap", math.nan), ("expand_cap", 0.9), ("alpha_min", -math.inf),
+    ("alpha_max", math.nan), ("alpha_max", "1.5"),
+])
+def test_scale_search_refuses_non_integer_and_non_finite_values(section, key, value):
+    # each of these used to raise TypeError inside the run, or to run
+    # silently (a frame_gap of true at gap 1, a NaN expand_cap)
+    with pytest.raises(DomainError, match=f"scale search {key} must be"):
+        RunConfig.from_dict({section: {key: value}})
+

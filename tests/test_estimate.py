@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ttckit import estimate, png, sampling
 from ttckit.boxes import BoundingBox, expand_box
-from ttckit.core import TTC_REFERENCE_MODES, ttc_from_scale_ratio
+from ttckit.core import ttc_from_scale_ratio
 from ttckit.errors import DomainError, ManifestError, SequenceInvalidError
 from ttckit.estimate import (
     ESTIMATOR_NAMES,
@@ -32,6 +32,7 @@ from ttckit.estimate import (
     scaled_candidate_boxes,
     target_grid_patch,
 )
+from ttckit.evaluation import rte_metric
 from ttckit.features import hand_crafted_features
 from ttckit.manifest import FrameSample, Sequence, load_dataset, write_index, write_sequence_dir
 from ttckit.sampling import (
@@ -188,9 +189,19 @@ def test_detection_identity_and_hand_ratio():
     seq2 = Sequence(sequence_id="d", fps=10.0, frames=frames)
     est2 = detection_ratio_estimate(seq2, cfg)
     assert est2.alpha_hat == pytest.approx(1.0 / 1.1, rel=1e-12)
-    # raw area-ratio variant
-    est3 = detection_ratio_estimate(seq2, ScaleSearchConfig(detection_sqrt=False))
-    assert est3.alpha_hat == pytest.approx(1.0 / 1.21, rel=1e-12)
+
+
+@pytest.mark.parametrize("gap", [1, 2, 3, 4, 5])
+def test_an_exact_alpha_reports_the_label_ttc(gap):
+    # the labels are target-frame TTC (alpha_10 = tau / (tau + 0.1)); an
+    # exact alpha must give that TTC, not the reference frame's, gap / fps
+    # earlier and so gap / fps larger: 18.8% too large at tau 2.66 s, gap 5
+    cfg = ScaleSearchConfig(frame_gap=gap)
+    for seq in constant_velocity_suite(4, seed=3):
+        alpha = seq.label.alpha_by_gap[gap]
+        assert cfg.alpha_min < alpha < cfg.alpha_max
+        est = estimate._finish(alpha, cfg, seq.fps, gap, None, "oracle", False)
+        assert rte_metric(est.tau_hat, seq.label.tau_s) <= 1e-9
 
 
 def test_detection_matches_oracle_with_exact_boxes():
@@ -253,12 +264,8 @@ def test_alpha_hat_always_in_range_and_tau_truncated():
     size0=st.tuples(st.floats(6.0, 40.0), st.floats(6.0, 40.0)),
     size1=st.tuples(st.floats(6.0, 40.0), st.floats(6.0, 40.0)),
     drift=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
-    ttc_reference=st.sampled_from(TTC_REFERENCE_MODES),
-    multi_reference=st.booleans(),
 )
-def test_estimates_stay_in_the_search_range(
-    name, seed, size0, size1, drift, ttc_reference, multi_reference
-):
+def test_estimates_stay_in_the_search_range(name, seed, size0, size1, drift):
     # boxes from 6 to 40 px put the detection ratio far outside the search
     # range, and unrelated noise frames give the searches no true match
     rng = np.random.default_rng(seed)
@@ -273,10 +280,9 @@ def test_estimates_stay_in_the_search_range(
         frames.append(FrameSample(timestamp_s=i * 0.1, box=box, image=image))
     seq = Sequence(sequence_id="range", fps=10.0, frames=frames)
     if name == "feature_scale":
-        base = ScaleSearchConfig.feature_defaults(shift_c=1, target_w=12, target_h=12)
+        cfg = ScaleSearchConfig.feature_defaults(shift_c=1, target_w=12, target_h=12)
     else:
-        base = ScaleSearchConfig(n_bins=20, shift_c=1)
-    cfg = replace(base, ttc_reference=ttc_reference, multi_reference=multi_reference)
+        cfg = ScaleSearchConfig(n_bins=20, shift_c=1)
     est = make_estimator(name, cfg)(seq)
     assert cfg.alpha_min <= est.alpha_hat <= cfg.alpha_max
     assert -20.0 <= est.tau_hat <= 20.0
@@ -339,21 +345,6 @@ def test_pixel_mse_argmin_tracks_oracle_over_full_range():
         nearest_bin = int(np.argmin(np.abs(bins - truth)))
         assert abs(argmin_bin - nearest_bin) <= 1
         assert abs(est.alpha_hat - truth) <= cfg.bin_width
-
-
-def test_multi_reference_fusion():
-    seq = _oracle_sequence(tau=5.0, seed=31, seq_id="mr0")
-    single = pixel_mse_estimate(seq, ScaleSearchConfig(shift_c=1))
-    fused = pixel_mse_estimate(seq, ScaleSearchConfig(shift_c=1, multi_reference=True))
-    # per-gap estimates of the same constant-velocity pair agree at 10 Hz,
-    # so their mean stays near the single-gap conversion
-    assert fused.alpha_hat_10hz == pytest.approx(single.alpha_hat_10hz, abs=5e-3)
-    assert fused.alpha_hat == single.alpha_hat  # reported alpha is the default gap's
-    truth_10 = seq.label.alpha_10hz
-    assert abs(fused.alpha_hat_10hz - truth_10) < 5e-3
-
-    feat = feature_scale_estimate(seq, ScaleSearchConfig.feature_defaults(multi_reference=True))
-    assert abs(feat.alpha_hat_10hz - truth_10) < 0.02
 
 
 def test_center_shift_absorbs_box_offset():
@@ -656,15 +647,13 @@ def test_pixel_mse_estimate_leaves_no_thread(monkeypatch):
 
     monkeypatch.setattr(estimate, "lattice_row_blocks", recording_blocks)
     threads = threading.active_count()
-    for multi_reference in (False, True):
-        seen.clear()
-        est = pixel_mse_estimate(seq, ScaleSearchConfig(shift_c=1, multi_reference=multi_reference))
-        assert math.isfinite(est.tau_hat)
-        assert threading.active_count() == threads
-        # bound-pass lattices have a third of the exact pass's rows
-        for rows in {rows for rows, _ in seen}:
-            assert len({ident for r, ident in seen if r == rows}) == 2
-        assert len({rows for rows, _ in seen}) == 2
+    est = pixel_mse_estimate(seq, ScaleSearchConfig(shift_c=1))
+    assert math.isfinite(est.tau_hat)
+    assert threading.active_count() == threads
+    # bound-pass lattices have a third of the exact pass's rows
+    for rows in {rows for rows, _ in seen}:
+        assert len({ident for r, ident in seen if r == rows}) == 2
+    assert len({rows for rows, _ in seen}) == 2
 
 
 def _search_inputs(seq, cfg):
@@ -802,11 +791,10 @@ def _frames_sequence(images, boxes):
     bins=st.integers(2, 24).flatmap(lambda n: st.tuples(
         st.just(n), st.one_of(st.integers(1, min(n, 3)), st.integers(1, n)))),
     gap=st.integers(1, 2),
-    multi_reference=st.booleans(),
     noise=st.sampled_from([0.0, 0.02, None]),
     inside=st.booleans(),
 )
-def test_pruned_pixel_search_is_exact(seed, shift_c, bins, gap, multi_reference, noise, inside):
+def test_pruned_pixel_search_is_exact(seed, shift_c, bins, gap, noise, inside):
     rng = np.random.default_rng(seed)
     h, w = rng.integers(8, 41, size=2)
     # blocky images, so that the MSE varies with the scale; the target frame
@@ -829,7 +817,7 @@ def test_pruned_pixel_search_is_exact(seed, shift_c, bins, gap, multi_reference,
     boxes.append(box(boxes[2 - gap].cx + dx, boxes[2 - gap].cy + dy))
     n_bins, top_k = bins
     cfg = ScaleSearchConfig(n_bins=n_bins, top_k=top_k, shift_c=shift_c, alpha_min=0.5, alpha_max=2.0,
-                            frame_gap=gap, multi_reference=multi_reference)
+                            frame_gap=gap)
     _assert_pruning_is_exact(_frames_sequence([ref, ref, tgt], boxes), cfg)
 
 
@@ -939,7 +927,7 @@ def test_pixel_search_layers_run_on_the_calling_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(sampling, "bilinear_sample", on_caller(sampling.bilinear_sample))
     monkeypatch.setattr(FrameSample, "load_image", on_caller(FrameSample.load_image))
     monkeypatch.setattr(png, "decode_png", on_caller(png.decode_png))
-    pixel_mse_estimate(seq, ScaleSearchConfig(shift_c=1, multi_reference=True))
+    pixel_mse_estimate(seq, ScaleSearchConfig(shift_c=1))
     names = {name for name, _ in seen}
     assert names == {"crop_resize", "bilinear_sample", "load_image", "decode_png"}
     assert {ident for _, ident in seen} == {threading.get_ident()}
@@ -1039,30 +1027,25 @@ def test_feature_score_halves_equal_the_serial_scores(n_bins, shift_c):
 
 
 def _serial_feature_estimate(seq, cfg, fc_weight, fc_bias):
-    """A multi-reference feature-scale estimate computed serially from
-    its definition: per-gap fused alphas averaged at 10 Hz."""
-    last = len(seq.frames) - 1
-    fmaps = [hand_crafted_features(frame.load_image()) for frame in seq.frames]
-    h, w = seq.frames[last].load_image().shape[:2]
-    b1 = expand_box(seq.frames[last].box, cfg.expand_cap, (w, h))
-
-    def alpha_at(g):
-        ref = seq.frames[last - g]
-        scores = _serial_feature_scores(fmaps[last - g], fmaps[last], (ref.box.cx, ref.box.cy),
-                                        b1, cfg)
-        logits, best_idx = head_logits(scores, fc_weight, fc_bias)
-        alpha = min(max(fuse_logits(logits, cfg), cfg.alpha_min), cfg.alpha_max)
-        return alpha, logits, shift_offsets(cfg.shift_c)[best_idx]
-
-    alpha, logits, best_shift = alpha_at(cfg.frame_gap)
-    alpha_10 = float(np.mean([alpha_to_10hz(alpha_at(g)[0], seq.fps / g)
-                              for g in range(1, last + 1)]))
-    return alpha, alpha_10, ttc_from_scale_ratio(alpha_10, 0.1, cfg.ttc_reference), logits, best_shift
+    """A feature-scale estimate computed serially from its definition, on
+    the calling thread: the fused alpha at the configured gap, its 10 Hz
+    equivalent and its target-frame TTC."""
+    last, gap = len(seq.frames) - 1, cfg.frame_gap
+    ref, tgt = seq.frames[last - gap], seq.frames[last]
+    tgt_img = tgt.load_image()
+    h, w = tgt_img.shape[:2]
+    b1 = expand_box(tgt.box, cfg.expand_cap, (w, h))
+    scores = _serial_feature_scores(hand_crafted_features(ref.load_image()),
+                                    hand_crafted_features(tgt_img), (ref.box.cx, ref.box.cy), b1, cfg)
+    logits, best_idx = head_logits(scores, fc_weight, fc_bias)
+    alpha = min(max(fuse_logits(logits, cfg), cfg.alpha_min), cfg.alpha_max)
+    tau = ttc_from_scale_ratio(alpha, gap / seq.fps, "target_frame")
+    return alpha, alpha_to_10hz(alpha, seq.fps / gap), tau, logits, shift_offsets(cfg.shift_c)[best_idx]
 
 
-def test_multi_reference_feature_estimate_equals_its_serial_version():
+def test_feature_estimate_equals_its_serial_version():
     seq = _oracle_sequence(tau=5.0, seed=31, seq_id="mr1")
-    cfg = ScaleSearchConfig.feature_defaults(multi_reference=True, shift_c=2)
+    cfg = ScaleSearchConfig.feature_defaults(shift_c=2)
     rng = np.random.default_rng(16)
     fc_weight = np.eye(cfg.n_bins) + rng.normal(scale=0.05, size=(cfg.n_bins, cfg.n_bins))
     fc_bias = rng.normal(scale=0.01, size=cfg.n_bins)

@@ -64,7 +64,8 @@ def test_metrics_nonnegative_zero_iff_equal():
 
 
 def _toy_sequence(i, tau):
-    alpha10 = scale_ratio_from_ttc(tau, 0.1) if tau != 0 else 1.0
+    # the label convention: target-frame TTC, alpha_10 = tau / (tau + 0.1)
+    alpha10 = scale_ratio_from_ttc(tau, 0.1, "target_frame") if tau != 0 else 1.0
     return Sequence(
         sequence_id=f"s{i:03d}",
         fps=10.0,
@@ -94,7 +95,7 @@ def test_evaluate_perfect_estimator():
 
 def test_evaluate_interval_counts_match_hand_count():
     taus = [0.5, 1.0, 2.9, 3.0, 3.5, 5.9, 6.0, 7.0, 19.0, 20.0,
-            -0.1, -5.0, -20.0, 1.5, 2.0, 4.4, 6.6, 9.9, -2.2, 0.0]
+            -0.2, -5.0, -20.0, 1.5, 2.0, 4.4, 6.6, 9.9, -2.2, 0.0]
     seqs = [_toy_sequence(i, tau) for i, tau in enumerate(taus)]
     report = evaluate_dataset(seqs, _perfect_estimator, "perfect")
     by_hand = {
