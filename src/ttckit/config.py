@@ -22,19 +22,21 @@ from .scenarios import TEMPLATE_IDS
 from .synth import CameraModel, NoiseModel, PlanarTarget, checker_texture, noise_texture
 
 
-def _from_dict(cls, data: dict, path: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+def _from_dict(make, data: dict, path: str):
+    """The config section ``make(**data)``; ``make`` is the section's class
+    or the factory of its defaults, which the keys not given keep."""
+    section = fields(make())
+    unknown = set(data) - {f.name for f in section}
     if unknown:
         raise DomainError(f"unknown config keys under {path}: {sorted(unknown)}")
     kwargs = {}
-    for f in fields(cls):
+    for f in section:
         if f.name in data:
             value = data[f.name]
             if isinstance(value, list) and "tuple" in str(f.type):
                 value = tuple(value)
             kwargs[f.name] = value
-    return cls(**kwargs)
+    return make(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -133,21 +135,14 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        sub = {
-            "camera": CameraConfig,
-            "target": TargetConfig,
-            "noise": NoiseModel,
-            "synth": SynthConfig,
-            "search_pixel": ScaleSearchConfig,
-            "search_feature": ScaleSearchConfig,
-            "train": TrainConfig,
-        }
         kwargs = {}
-        for name, sub_cls in sub.items():
-            if name in data:
-                kwargs[name] = _from_dict(sub_cls, data[name], name)
-        if "seed" in data:
-            kwargs["seed"] = data["seed"]
+        for f in fields(cls):
+            if f.name == "seed" and "seed" in data:
+                kwargs["seed"] = data["seed"]
+            elif f.name in data:
+                # a section given in part keeps its own defaults, not
+                # those of its class: search_feature's are the feature ones
+                kwargs[f.name] = _from_dict(f.default_factory, data[f.name], f.name)
         return cls(**kwargs)
 
     @classmethod

@@ -14,7 +14,10 @@ ratio.
   scored in full (see below).
 * ``feature_scale_estimate`` -- scores candidates by pooled cosine
   similarity of grid-sampled feature patches, calibrated by a small
-  per-bin linear head, fused with sigmoid weights.
+  per-bin linear head, fused with sigmoid weights.  Its pair's inputs
+  (``pair_features``, the features of a region of interest) and scores
+  (``pooled_cosine_scores``) are those training uses: an estimate is the
+  identity-draw case of a training pair's scoring.
 
 Candidate boxes sit at the reference box center with the *target* box
 dims scaled by each alpha bin; an exhaustive (2c+1)^2 integer center
@@ -57,7 +60,7 @@ from .core import (
     ttc_from_scale_ratio,
 )
 from .errors import DomainError, ScaleConversionError, SequenceInvalidError
-from .features import hand_crafted_features
+from .features import hand_crafted_features, intensity_mask
 from .manifest import FrameSample, Sequence
 from .sampling import (
     crop_positions,
@@ -84,6 +87,16 @@ _ONE_BLOCK_SAMPLES = 160_000
 _BOUND_STRIDE = 3
 # unit roundoff of float64, 2^-53
 _UNIT_ROUNDOFF = 2.0**-53
+# the (gain, bias) draw of an unaugmented pair: eval's and the val pairs' scores
+IDENTITY_DRAW = (1.0, 0.0, 1.0, 0.0)
+# draws scored per numpy call: at the default 50 x 50 grid and shift
+# radius 1 one thread's three (k, n_off, P) buffers take 1.6 MB, inside
+# a 2 MB L2; batches of 2 to 6 draws measured alike, 1 and 8 slower
+_DRAW_BATCH = 3
+# pixels kept around every sample position by the feature region of
+# interest, more than the features' 5 x 5 contrast window and gradients
+# reach, so the region's features there are the whole frame's
+_ROI_MARGIN = 6
 
 
 @dataclass(frozen=True)
@@ -400,8 +413,8 @@ def _pixel_mse_scores(
     center: tuple[float, float],
     b1: BoundingBox,
     cfg: ScaleSearchConfig,
+    pool: ThreadPoolExecutor,
     bins: np.ndarray | None = None,
-    pool: ThreadPoolExecutor | None = None,
     positions: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """MSE of every (scale bin, center shift) candidate against the target crop.
@@ -409,14 +422,11 @@ def _pixel_mse_scores(
     Returns (mse (n_bins, n_offsets), offsets) with offsets lexicographic
     in (dx, dy); only the rows of the bin indices ``bins``, in that
     order, if given.  The bins are scored in two halves at once
-    (``_shift_sq_sums``), the second on ``pool``'s one worker, or on a
-    worker started for this call in a ``with`` block.  A bin's MSEs do
-    not depend on which other bins are scored with it.  ``positions`` is
-    every bin's ``_bin_positions``, if the caller has them already.
+    (``_shift_sq_sums``), the second on ``pool``'s one worker.  A bin's
+    MSEs do not depend on which other bins are scored with it.
+    ``positions`` is every bin's ``_bin_positions``, if the caller has
+    them already.
     """
-    if pool is None:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            return _pixel_mse_scores(ref_gray, tgt_crop, center, b1, cfg, bins, pool, positions)
     out_h, out_w = tgt_crop.shape
     ys, xs = positions or _bin_positions(crop_positions, center, b1, cfg, out_w, out_h)
     if bins is not None:
@@ -501,7 +511,7 @@ def _pruned_pixel_search(ref_gray, tgt_crop, center, b1, cfg, pool):
 
     def finish(bins: np.ndarray) -> None:
         bins = np.sort(bins)
-        mses, _ = _pixel_mse_scores(ref_gray, tgt_crop, center, b1, cfg, bins, pool, positions)
+        mses, _ = _pixel_mse_scores(ref_gray, tgt_crop, center, b1, cfg, pool, bins, positions)
         best_idx = np.argmin(mses, axis=1)
         scores[bins] = mses[np.arange(len(bins)), best_idx]
         shift_idx[bins] = best_idx
@@ -611,56 +621,132 @@ def target_grid_patch(fmap1: np.ndarray, b1: BoundingBox, cfg: ScaleSearchConfig
     return grid_sample_features(fmap1, b1, cfg.target_w, cfg.target_h)
 
 
-def pooled_cosine_scores(patches: np.ndarray, target_patch: np.ndarray) -> np.ndarray:
-    """Mean cosine similarity of each candidate patch vs the target patch.
+def _roi_bounds(center, b1: BoundingBox, cfg: ScaleSearchConfig, shape: tuple[int, int]):
+    """(x0, y0, x1, y1) of the pixels the feature search can read.
 
-    patches: (n_bins, n_off, H, W, C); target: (H, W, C) -> (n_bins, n_off).
-    Each position's denominator is clamped at ``COSINE_EPS``.
+    Every candidate box, shifted by up to ``shift_c``, and the target box,
+    with ``_ROI_MARGIN`` pixels on each side, clipped to the image.  A
+    search that lies wholly off the image keeps the margin's width of
+    image next to it, where every position is clamped to the image's edge.
     """
-    num = np.einsum("bshwc,hwc->bshw", patches, target_patch)
-    n0 = np.einsum("bshwc,bshwc->bshw", patches, patches)
-    n1 = np.einsum("hwc,hwc->hw", target_patch, target_patch)
-    denom = np.maximum(np.sqrt(n0 * n1[None, None]), COSINE_EPS)
-    return (num / denom).mean(axis=(2, 3))
+    h, w = shape
+    half_w = cfg.alpha_max * b1.w / 2.0 + cfg.shift_c
+    half_h = cfg.alpha_max * b1.h / 2.0 + cfg.shift_c
+    x_lo = min(center[0] - half_w, b1.x0) - _ROI_MARGIN
+    x_hi = max(center[0] + half_w, b1.x1) + _ROI_MARGIN
+    y_lo = min(center[1] - half_h, b1.y0) - _ROI_MARGIN
+    y_hi = max(center[1] + half_h, b1.y1) + _ROI_MARGIN
+    x0 = max(0, min(int(np.floor(x_lo)), w - _ROI_MARGIN))
+    y0 = max(0, min(int(np.floor(y_lo)), h - _ROI_MARGIN))
+    x1 = min(w, max(int(np.ceil(x_hi)) + 1, _ROI_MARGIN))
+    y1 = min(h, max(int(np.ceil(y_hi)) + 1, _ROI_MARGIN))
+    return x0, y0, x1, y1
 
 
-def feature_scores(
-    fmap0: np.ndarray,
-    fmap1: np.ndarray,
-    center: tuple[float, float],
-    b1: BoundingBox,
-    cfg: ScaleSearchConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (pre-head) similarity scores: (n_bins, n_offsets), plus offsets.
+def pair_features(
+    seq: Sequence, cfg: ScaleSearchConfig
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float], BoundingBox]:
+    """The feature search's inputs for the frame pair at ``cfg.frame_gap``.
 
-    As in the pixel search, the bins are scored in two halves at once:
-    the calling thread takes bins ``[0, ceil(n_bins / 2))`` and one
-    worker thread, started for this call in a ``with`` block, the rest.
-    Each half samples and scores its own bins one at a time, so each
-    thread holds one bin's patches, and the scores equal one-bin-at-a-time
-    scoring bit for bit (``_split_feature_scores``).
+    Returns (f0, f1, center, box): the reference and target frames'
+    ``hand_crafted_features`` over the region of interest
+    (``_roi_bounds``), and the reference box center and the expanded
+    target box in that region's coordinates.  Inside the margin the
+    region's features are the whole frame's, so its scores equal the
+    whole frame's up to the rounding of ``box_mean``'s running sum, which
+    starts at the region's edge.  Errors come in the order of a serial
+    read: the target frame's, then the pair's checks, then the reference
+    frame's.
     """
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        return _split_feature_scores(fmap0, fmap1, center, b1, cfg, pool)
+    tgt_img = seq.frames[-1].load_image()
+    ref, tgt = _estimate_pair(seq, cfg.frame_gap)
+    ref_img = ref.load_image()
+    h, w = tgt_img.shape[:2]
+    b1 = expand_box(tgt.box, cfg.expand_cap, (w, h))
+    x0, y0, x1, y1 = _roi_bounds((ref.box.cx, ref.box.cy), b1, cfg, (h, w))
+    f0 = hand_crafted_features(ref_img[y0:y1, x0:x1])
+    f1 = hand_crafted_features(tgt_img[y0:y1, x0:x1])
+    center = (ref.box.cx - x0, ref.box.cy - y0)
+    return f0, f1, center, BoundingBox(b1.cx - x0, b1.cy - y0, b1.w, b1.h)
 
 
-def _split_feature_scores(fmap0, fmap1, center, b1, cfg, pool):
-    """``feature_scores`` with the second half of the bins on ``pool``
-    (``_split_halves``).
+def pooled_cosine_scores(f0, f1, center, box, cfg: ScaleSearchConfig, draws, pool) -> np.ndarray:
+    """Pooled cosine scores of every (gain, bias) draw, (n_draws, n_bins, n_off).
 
-    Each half writes only its own bins' rows of the result, and a bin's
-    scores do not depend on the other bins.
+    The one feature-scoring routine: ``feature_scale_estimate`` scores its
+    pair at ``IDENTITY_DRAW``, as training scores a val pair, and training
+    scores each train pair at every draw its schedule gives it.  A score
+    is the mean over the target grid's P positions of each candidate
+    patch's cosine similarity with the target patch, each position's
+    denominator clamped at ``COSINE_EPS``.
+
+    Photometric augmentation is affine in feature space
+    (F' = g*F + b*mask), grid sampling is linear, and the cosine's inner
+    products expand over that affine map:
+    <p0', p1'> = g0*g1*<p0, p1> + g0*b1*<p0, mask> + b0*g1*<p1, mask>
+    + b0*b1*<mask, mask>, and likewise the norms.  So each bin's
+    candidate patches are sampled once, reduced to three (n_off, P)
+    inner-product maps, and every draw is scored from those.
+
+    Evaluates, operation for operation, ``num / max(sqrt(n0 * n1), eps)``
+    with num = g0*g1*dot01 + g0*b1*dot0m + b0*g1*dot1m + b0*b1*c and
+    n0 = max(g0*g0*norm0 + 2*g0*b0*dot0m + b0*b0*c, 0), so the scores are
+    bit-identical to that expression.  The bins are scored in two halves
+    at once (``_split_halves``), the second on ``pool``'s one worker.
+    Each half samples its bins one at a time (``candidate_patches_by_bin``),
+    so each thread holds one bin's patches and maps, and scores the draws
+    ``_DRAW_BATCH`` at a time, in place in three (k, n_off, P) buffers,
+    each draw's scalars a (k, 1, 1) column.  The mean over P is np.mean's
+    own sum per (draw, bin) and one true divide of the whole array.
     """
-    target = target_grid_patch(fmap1, b1, cfg)
-    scores = np.empty((cfg.n_bins, (2 * cfg.shift_c + 1) ** 2))
+    mask = intensity_mask()
+    c = float(mask @ mask)
+    p1 = target_grid_patch(f1, box, cfg)
+    p1 = p1.reshape(-1, p1.shape[-1])
+    dot1m = p1 @ mask
+    norm1 = np.einsum("pc,pc->p", p1, p1)
+    # each draw's scalars as (n_draws, 1, 1) columns
+    g0, b0, g1, b1 = np.array(draws, dtype=np.float64).T[:, :, None, None]
+    bias1 = b0 * g1 * dot1m
+    # flat patches are exactly proportional to the mask, so the quadratic
+    # can cancel to ~0; clamp against rounding residue before the sqrt
+    n1 = np.maximum(g1 * g1 * norm1 + 2.0 * g1 * b1 * dot1m + b1 * b1 * c, 0.0)
+    g0g1, g0b1, b0b1c = g0 * g1, g0 * b1, b0 * b1 * c
+    g0g0, g0b0x2, b0b0c = g0 * g0, 2.0 * g0 * b0, b0 * b0 * c
+    n_draws, n_off = len(draws), (2 * cfg.shift_c + 1) ** 2
+    scores = np.empty((n_draws, cfg.n_bins, n_off))
 
     def score(first: int, stop: int) -> None:
-        bins = candidate_patches_by_bin(fmap0, center, b1, cfg, slice(first, stop))
-        for i, patches in enumerate(bins, first):
-            scores[i : i + 1] = pooled_cosine_scores(patches, target)
+        num, term, denom = (np.empty((min(_DRAW_BATCH, n_draws), n_off, len(p1)))
+                            for _ in range(3))
+        bins = candidate_patches_by_bin(f0, center, box, cfg, slice(first, stop))
+        for i, p0 in enumerate(bins, first):
+            p0 = p0.reshape((1, n_off) + p1.shape)
+            dot01 = np.einsum("bspc,pc->bsp", p0, p1)[0]
+            dot0m = (p0 @ mask)[0]
+            norm0 = np.einsum("bspc,bspc->bsp", p0, p0)[0]
+            for d in range(0, n_draws, _DRAW_BATCH):
+                k = slice(d, min(d + _DRAW_BATCH, n_draws))
+                nm, tm, dn = num[: k.stop - d], term[: k.stop - d], denom[: k.stop - d]
+                np.multiply(g0g1[k], dot01, out=nm)
+                np.multiply(g0b1[k], dot0m, out=tm)
+                nm += tm
+                nm += bias1[k]
+                nm += b0b1c[k]
+                np.multiply(g0g0[k], norm0, out=dn)
+                np.multiply(g0b0x2[k], dot0m, out=tm)
+                dn += tm
+                dn += b0b0c[k]
+                np.maximum(dn, 0.0, out=dn)
+                dn *= n1[k]
+                np.sqrt(dn, out=dn)
+                np.maximum(dn, COSINE_EPS, out=dn)
+                nm /= dn
+                np.add.reduce(nm, axis=2, out=scores[k, i])
 
     _split_halves(cfg.n_bins, score, pool)
-    return scores, shift_offsets(cfg.shift_c)
+    scores /= len(p1)
+    return scores
 
 
 def identity_head(n_bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -708,10 +794,6 @@ def fuse_logits(logits: np.ndarray, cfg: ScaleSearchConfig) -> float:
     return min(max(alpha, float(bins[0])), float(bins[-1]))
 
 
-def _frame_features(frame: FrameSample) -> np.ndarray:
-    return hand_crafted_features(frame.load_image())
-
-
 def feature_scale_estimate(
     seq: Sequence,
     cfg: ScaleSearchConfig,
@@ -720,45 +802,27 @@ def feature_scale_estimate(
 ) -> TtcEstimate:
     """Feature-space scale classification with a per-bin linear head.
 
-    Features are ``hand_crafted_features``.  With no trained head the
-    identity head is used: logits are the pooled cosine scores themselves.
-
-    One worker thread, started for this estimate in a ``with`` block,
-    decodes the reference frame and extracts its features while the
-    calling thread does the target frame's; only the target raster's
-    shape is kept after that.  The same worker then scores the second
-    half of the bins, as ``feature_scores`` does.  One worker per estimate
-    keeps the feature-train benchmark's peak RSS flat; a worker for the
-    features and another for the scoring raised it by 4-10 MB in some
-    runs.  Errors are raised in the serial order: the target frame's, then
-    the pair's checks, then the reference frame's.
+    Features are ``hand_crafted_features`` of the pair's region of
+    interest (``pair_features``), scored at ``IDENTITY_DRAW`` by
+    ``pooled_cosine_scores``, exactly as training scores a val pair, the
+    second half of the bins on one worker thread started for this estimate
+    in a ``with`` block.  With no trained head the identity head is used:
+    logits are the pooled cosine scores themselves.
     """
     if fc_weight is None or fc_bias is None:
         fc_weight, fc_bias = identity_head(cfg.n_bins)
     fc_weight = np.asarray(fc_weight, dtype=np.float64)
     fc_bias = np.asarray(fc_bias, dtype=np.float64)
 
-    gap = cfg.frame_gap
-    last = len(seq.frames) - 1
+    f0, f1, center, box = pair_features(seq, cfg)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        ref_features = pool.submit(_frame_features, seq.frames[last - gap]) if last >= gap else None
-        tgt_img = seq.frames[last].load_image()
-        h, w = tgt_img.shape[:2]
-        fmap1 = hand_crafted_features(tgt_img)
-        del tgt_img
-        ref, tgt = _estimate_pair(seq, gap)
-        # extracted on the worker; its error is raised here, after the pair's checks
-        fmap0 = ref_features.result()
-        b1 = expand_box(tgt.box, cfg.expand_cap, (w, h))
-        scores, offsets = _split_feature_scores(
-            fmap0, fmap1, (ref.box.cx, ref.box.cy), b1, cfg, pool
-        )
+        scores = pooled_cosine_scores(f0, f1, center, box, cfg, [IDENTITY_DRAW], pool)[0]
     logits, best_idx = head_logits(scores, fc_weight, fc_bias)
     profile = SimilarityProfile(
-        scores=logits, semantics="logit", best_shift=offsets[best_idx]
+        scores=logits, semantics="logit", best_shift=shift_offsets(cfg.shift_c)[best_idx]
     )
-    return _finish(fuse_logits(logits, cfg), cfg, seq.fps, gap, profile, "feature_scale",
-                   _flat(logits))
+    return _finish(fuse_logits(logits, cfg), cfg, seq.fps, cfg.frame_gap, profile,
+                   "feature_scale", _flat(logits))
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,13 @@ soft label centered on the ground-truth scale bin.  ``train_loop`` takes
 its head step from :func:`head_loss_and_grads`, the step whose gradient
 :func:`finite_diff_gradcheck` checks against central differences.
 
-The fast training path exploits the hand-crafted extractor's affine
-response to illumination: features(g*I + b) = g*features(I) + b*mask,
-so photometric augmentation happens in feature space without touching
-pixels.  Each pair's candidate and target patches are sampled once by the
-estimator's own ``candidate_patches_by_bin`` (one scale bin at a time,
-each bin one augmented lattice of all its shifts, handed over in a buffer
-the next bin reuses) and ``target_grid_patch``; each bin's patches are
-reduced to inner products, from which that bin's scores for every one of
-the pair's (gain, bias) draws are computed before the next bin is
-sampled (``_draw_scores``).
+A pair is scored on the estimator's own path: ``estimate.pair_features``
+gives the features of the pair's region of interest, and
+``estimate.pooled_cosine_scores`` scores them at every (gain, bias) draw.
+That routine exploits the hand-crafted extractor's affine response to
+illumination, features(g*I + b) = g*features(I) + b*mask, so
+photometric augmentation happens in feature space without touching
+pixels; a val pair, like an estimate, is its identity draw.
 
 Neither the shuffle nor the draws nor a pair's augmented scores depend on
 the head, so ``train_loop`` draws the whole schedule up front, from the
@@ -23,8 +20,7 @@ same generator in the same order as its epochs consume it.  The pairs
 are then scored one after another, each once for every draw the schedule
 gives it, its bins in two halves at once: the calling thread takes the
 first half and the one worker thread of ``train_loop``'s pool the rest.
-No pair's products outlive its bin; the epochs run on the kept
-(n_draws, n_bins, n_off) scores alone.
+The epochs run on the kept (n_draws, n_bins, n_off) scores alone.
 """
 
 from __future__ import annotations
@@ -37,23 +33,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import BoundingBox, expand_box
-from .core import check_int, is_finite_real
+from .core import check_int, convert_scale_ratio_fps, is_finite_real
 from .errors import DomainError, FitFailedError, TrainingDivergedError
 from .estimate import (
-    COSINE_EPS,
+    IDENTITY_DRAW,
     ScaleSearchConfig,
-    _estimate_pair,
-    _split_halves,
     alpha_to_10hz,
-    candidate_patches_by_bin,
     fuse_logits,
     head_logits,
     identity_head,
-    target_grid_patch,
+    pair_features,
+    pooled_cosine_scores,
 )
 from .evaluation import mid_metric
-from .features import hand_crafted_features, intensity_mask
 from .manifest import Sequence
 
 
@@ -181,42 +173,7 @@ def sgd_step(
 
 
 # ---------------------------------------------------------------------------
-# training pairs and the gradient check
-
-
-@dataclass
-class TrainSample:
-    """One labeled frame pair: the estimator's reference and target frames,
-    the reference box center, the expanded target box and the ground-truth
-    scale ratio at the search gap."""
-
-    image0: np.ndarray
-    image1: np.ndarray
-    center0: tuple[float, float]
-    box1: BoundingBox  # already expanded
-    alpha_gt: float
-
-    @classmethod
-    def from_sequence(cls, seq: Sequence, cfg: ScaleSearchConfig) -> "TrainSample":
-        gap = cfg.frame_gap
-        ref, tgt = _estimate_pair(seq, gap)
-        img0, img1 = ref.load_image(), tgt.load_image()
-        h, w = img1.shape[:2]
-        if seq.label is None:
-            raise DomainError(f"sequence {seq.sequence_id} is unlabeled")
-        if seq.label.alpha_by_gap and gap in seq.label.alpha_by_gap:
-            alpha_gt = seq.label.alpha_by_gap[gap]
-        else:
-            from .core import convert_scale_ratio_fps
-
-            alpha_gt = convert_scale_ratio_fps(seq.label.alpha_10hz, 10.0, seq.fps / gap)
-        return cls(
-            image0=img0,
-            image1=img1,
-            center0=(ref.box.cx, ref.box.cy),
-            box1=expand_box(tgt.box, cfg.expand_cap, (w, h)),
-            alpha_gt=float(alpha_gt),
-        )
+# the gradient check
 
 
 def finite_diff_gradcheck(
@@ -331,117 +288,23 @@ class TrainResult:
     val_mid_untrained: float | None
 
 
-def _roi_bounds(sample: TrainSample, cfg: ScaleSearchConfig, shape: tuple[int, int]):
-    h, w = shape
-    half_w = cfg.alpha_max * sample.box1.w / 2.0 + cfg.shift_c
-    half_h = cfg.alpha_max * sample.box1.h / 2.0 + cfg.shift_c
-    margin = 6.0
-    x_lo = min(sample.center0[0] - half_w, sample.box1.x0) - margin
-    x_hi = max(sample.center0[0] + half_w, sample.box1.x1) + margin
-    y_lo = min(sample.center0[1] - half_h, sample.box1.y0) - margin
-    y_hi = max(sample.center0[1] + half_h, sample.box1.y1) + margin
-    x0 = max(0, int(np.floor(x_lo)))
-    y0 = max(0, int(np.floor(y_lo)))
-    x1 = min(w, int(np.ceil(x_hi)) + 1)
-    y1 = min(h, int(np.ceil(y_hi)) + 1)
-    return x0, y0, x1, y1
-
-
-# draws scored per numpy call: at the default 50 x 50 grid and shift
-# radius 1 one thread's three (k, n_off, P) buffers take 1.6 MB, inside
-# a 2 MB L2; batches of 2 to 6 draws measured alike, 1 and 8 slower
-_DRAW_BATCH = 3
+def _alpha_gt(seq: Sequence, gap: int) -> float:
+    """The labeled scale ratio at the search gap."""
+    if seq.label is None:
+        raise DomainError(f"sequence {seq.sequence_id} is unlabeled")
+    if seq.label.alpha_by_gap and gap in seq.label.alpha_by_gap:
+        return float(seq.label.alpha_by_gap[gap])
+    return float(convert_scale_ratio_fps(seq.label.alpha_10hz, 10.0, seq.fps / gap))
 
 
 def _pair_scores(seq: Sequence, draws, cfg: ScaleSearchConfig, sigma: float, pool):
     """One pair's soft label and (n_draws, n_bins, n_off) scores, one
-    (n_bins, n_off) array per (gain, bias) draw; exact only for
-    ``hand_crafted_features``, affine in light.
-
-    The features are those of the region of interest the search can
-    touch; the frames are dropped before the bins are scored.
-    """
-    sample = TrainSample.from_sequence(seq, cfg)
-    x0, y0, x1, y1 = _roi_bounds(sample, cfg, sample.image1.shape[:2])
-    f0 = hand_crafted_features(sample.image0[y0:y1, x0:x1])
-    f1 = hand_crafted_features(sample.image1[y0:y1, x0:x1])
-    center = (sample.center0[0] - x0, sample.center0[1] - y0)
-    box = BoundingBox(sample.box1.cx - x0, sample.box1.cy - y0, sample.box1.w, sample.box1.h)
-    label = soft_label(sample.alpha_gt, cfg, sigma)
-    del sample
-    return label, _draw_scores(f0, f1, center, box, cfg, draws, pool)
-
-
-def _draw_scores(f0, f1, center, box, cfg: ScaleSearchConfig, draws, pool) -> np.ndarray:
-    """Pooled cosine scores of every (gain, bias) draw, (n_draws, n_bins, n_off).
-
-    Photometric augmentation is affine in feature space
-    (F' = g*F + b*mask), grid sampling is linear, and the cosine's inner
-    products expand over that affine map:
-    <p0', p1'> = g0*g1*<p0, p1> + g0*b1*<p0, mask> + b0*g1*<p1, mask>
-    + b0*b1*<mask, mask>, and likewise the norms.  So each bin's
-    candidate patches are sampled once, reduced to three (n_off, P)
-    inner-product maps, and every draw is scored from those.
-
-    Evaluates, operation for operation, ``num / max(sqrt(n0 * n1), eps)``
-    with num = g0*g1*dot01 + g0*b1*dot0m + b0*g1*dot1m + b0*b1*c and
-    n0 = max(g0*g0*norm0 + 2*g0*b0*dot0m + b0*b0*c, 0), so the scores are
-    bit-identical to that expression.  The bins are scored in two halves
-    at once (``_split_halves``), the second on ``pool``'s one worker.
-    Each half samples its bins one at a time (``candidate_patches_by_bin``),
-    so each thread holds one bin's patches and maps, and scores the draws
-    ``_DRAW_BATCH`` at a time, in place in three (k, n_off, P) buffers,
-    each draw's scalars a (k, 1, 1) column.  The mean over P is np.mean's
-    own sum per (draw, bin) and one true divide of the whole array.
-    """
-    mask = intensity_mask()
-    c = float(mask @ mask)
-    p1 = target_grid_patch(f1, box, cfg)
-    p1 = p1.reshape(-1, p1.shape[-1])
-    dot1m = p1 @ mask
-    norm1 = np.einsum("pc,pc->p", p1, p1)
-    # each draw's scalars as (n_draws, 1, 1) columns
-    g0, b0, g1, b1 = np.array(draws, dtype=np.float64).T[:, :, None, None]
-    bias1 = b0 * g1 * dot1m
-    # flat patches are exactly proportional to the mask, so the quadratic
-    # can cancel to ~0; clamp against rounding residue before the sqrt
-    n1 = np.maximum(g1 * g1 * norm1 + 2.0 * g1 * b1 * dot1m + b1 * b1 * c, 0.0)
-    g0g1, g0b1, b0b1c = g0 * g1, g0 * b1, b0 * b1 * c
-    g0g0, g0b0x2, b0b0c = g0 * g0, 2.0 * g0 * b0, b0 * b0 * c
-    n_draws, n_off = len(draws), (2 * cfg.shift_c + 1) ** 2
-    scores = np.empty((n_draws, cfg.n_bins, n_off))
-
-    def score(first: int, stop: int) -> None:
-        num, term, denom = (np.empty((min(_DRAW_BATCH, n_draws), n_off, len(p1)))
-                            for _ in range(3))
-        bins = candidate_patches_by_bin(f0, center, box, cfg, slice(first, stop))
-        for i, p0 in enumerate(bins, first):
-            p0 = p0.reshape((1, n_off) + p1.shape)
-            dot01 = np.einsum("bspc,pc->bsp", p0, p1)[0]
-            dot0m = (p0 @ mask)[0]
-            norm0 = np.einsum("bspc,bspc->bsp", p0, p0)[0]
-            for d in range(0, n_draws, _DRAW_BATCH):
-                k = slice(d, min(d + _DRAW_BATCH, n_draws))
-                nm, tm, dn = num[: k.stop - d], term[: k.stop - d], denom[: k.stop - d]
-                np.multiply(g0g1[k], dot01, out=nm)
-                np.multiply(g0b1[k], dot0m, out=tm)
-                nm += tm
-                nm += bias1[k]
-                nm += b0b1c[k]
-                np.multiply(g0g0[k], norm0, out=dn)
-                np.multiply(g0b0x2[k], dot0m, out=tm)
-                dn += tm
-                dn += b0b0c[k]
-                np.maximum(dn, 0.0, out=dn)
-                dn *= n1[k]
-                np.sqrt(dn, out=dn)
-                np.maximum(dn, COSINE_EPS, out=dn)
-                nm /= dn
-                np.add.reduce(nm, axis=2, out=scores[k, i])
-
-    _split_halves(cfg.n_bins, score, pool)
-    scores /= len(p1)
-    return scores
+    (n_bins, n_off) array per (gain, bias) draw, on the estimator's path
+    (``pair_features``, ``pooled_cosine_scores``); exact only for
+    ``hand_crafted_features``, affine in light."""
+    f0, f1, center, box = pair_features(seq, cfg)
+    label = soft_label(_alpha_gt(seq, cfg.frame_gap), cfg, sigma)
+    return label, pooled_cosine_scores(f0, f1, center, box, cfg, draws, pool)
 
 
 def _val_mid(fc_w, fc_b, cfg, val_scores, val_alpha10, val_eff_fps) -> float:
@@ -506,11 +369,10 @@ def train_loop(
         raise FitFailedError("no training sequences")
     n = len(train_seqs)
     epochs, draws = _draw_schedule(n, train_cfg)
-    identity_draws = [(1.0, 0.0, 1.0, 0.0)]
     sigma = train_cfg.sigma_bins
     with ThreadPoolExecutor(max_workers=1) as pool:
         scored = [_pair_scores(seq, d, cfg, sigma, pool) for seq, d in zip(train_seqs, draws)]
-        val_scores = [_pair_scores(seq, identity_draws, cfg, sigma, pool)[1][0]
+        val_scores = [_pair_scores(seq, [IDENTITY_DRAW], cfg, sigma, pool)[1][0]
                       for seq in val_seqs]
     labels = [label for label, _ in scored]
     streams = [iter(scores) for _, scores in scored]

@@ -223,11 +223,39 @@ def write_index(dataset_dir: Path, sequence_ids: list[str], config_hash: str, ex
     (Path(dataset_dir) / "index.json").write_bytes(canonical_json_bytes(index))
 
 
+def _sequence_dir_name(name) -> bool:
+    """Whether ``name`` names a directory directly under the dataset."""
+    return isinstance(name, str) and name not in ("", "..") and Path(name).name == name
+
+
 def read_index(dataset_dir: Path) -> dict:
+    """Read a dataset's ``index.json``; a malformed index raises
+    ``ManifestError`` naming the file and the field.
+
+    ``sequences`` must list directory names directly under the dataset
+    (no separator, no ``..``, not absolute), ``count`` be an integer and
+    ``config_hash`` a string.
+    """
     path = Path(dataset_dir) / "index.json"
     if not path.is_file():
         raise ManifestError(f"no index.json under {dataset_dir}")
-    return json.loads(path.read_text())
+    try:
+        index = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ManifestError(f"index is not valid JSON: {path}") from exc
+    if not isinstance(index, dict):
+        raise ManifestError(f"{path}: the index must be a JSON object")
+    checks = {
+        "sequences": lambda v: isinstance(v, list) and all(map(_sequence_dir_name, v)),
+        "count": lambda v: isinstance(v, int) and not isinstance(v, bool),
+        "config_hash": lambda v: isinstance(v, str),
+    }
+    for field_name, valid in checks.items():
+        value = index.get(field_name)
+        if not valid(value):
+            raise ManifestError(f"{path}: index field {field_name} is missing or "
+                                f"malformed: {value!r}")
+    return index
 
 
 def load_dataset(dataset_dir: Path) -> list[Sequence]:

@@ -6,6 +6,8 @@ The suites here are deterministic; every tolerance is stated inline.
 
 import shutil
 import time
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,16 +16,16 @@ from ttckit.annotate import DepthTrack, annotate_sequence, ransac_fit_velocity
 from ttckit.boxes import BoundingBox
 from ttckit.core import convert_scale_ratio_fps, scale_ratio_from_ttc, ttc_from_scale_ratio
 from ttckit.estimate import (
+    IDENTITY_DRAW,
     ScaleSearchConfig,
     detection_ratio_estimate,
-    feature_scores,
     pixel_mse_estimate,
+    pooled_cosine_scores,
 )
 from ttckit.evaluation import mid_metric
 from ttckit.features import hand_crafted_features
 from ttckit.learn import (
     TrainConfig,
-    TrainSample,
     finite_diff_gradcheck,
     soft_label,
     train_loop,
@@ -258,9 +260,11 @@ def test_criterion_07_annotation_pipeline():
 # -- criterion 8: gradient checks --------------------------------------------
 
 
-def _gradcheck_sample(seed: int, size: int) -> TrainSample:
+def _gradcheck_sample(seed: int, size: int) -> SimpleNamespace:
+    """A random frame pair, its reference center, expanded target box and
+    ground-truth ratio."""
     rng = np.random.default_rng(seed)
-    return TrainSample(
+    return SimpleNamespace(
         image0=rng.uniform(0.1, 0.9, size=(size, size, 3)),
         image1=rng.uniform(0.1, 0.9, size=(size, size, 3)),
         center0=(size / 2.0 + rng.uniform(-2, 2), size / 2.0 + rng.uniform(-2, 2)),
@@ -281,7 +285,9 @@ def test_criterion_08_gradient_checks():
         sample = _gradcheck_sample(seed, 24)
         fmap0 = hand_crafted_features(sample.image0).astype(np.float64)
         fmap1 = hand_crafted_features(sample.image1).astype(np.float64)
-        scores, _ = feature_scores(fmap0, fmap1, sample.center0, sample.box1, fc_cfg)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            (scores,) = pooled_cosine_scores(fmap0, fmap1, sample.center0, sample.box1, fc_cfg,
+                                             [IDENTITY_DRAW], pool)
         err = finite_diff_gradcheck(
             scores,
             np.eye(6) + rng.normal(0, 0.1, size=(6, 6)),

@@ -586,9 +586,9 @@ def test_eval_records_a_truncated_frame_as_that_sequences_failure(small_dataset,
 def test_eval_feature_scale_records_a_reference_frame_error_from_its_worker(
     small_dataset, tmp_path, capsys
 ):
-    # the reference frame (frame 0 at gap 5) is decoded on the estimate's
-    # worker thread; its error is that sequence's failure record, as when
-    # it was decoded on the calling thread, and no thread outlives eval
+    # the reference frame (frame 0 at gap 5) is decoded after the target
+    # frame and the pair's checks; its error is that sequence's failure
+    # record, and no thread outlives eval
     _, cfg_path, out = small_dataset
     copy = tmp_path / "data"
     shutil.copytree(out, copy)
@@ -616,7 +616,7 @@ def test_eval_feature_scale_records_a_reference_frame_error_from_its_worker(
         f"(first: frame image not found: {copy / first / 'frame_0.png'})\n"
     )
     assert not report.exists()
-    # the target frame, read on the calling thread, fails first, as before
+    # the target frame, read first, fails first
     (copy / first / "frame_5.png").unlink()
     assert main(argv) == 2
     assert threading.active_count() == threads
@@ -799,6 +799,37 @@ def test_bad_seeds_exit_2(small_dataset, tmp_path, capsys):
         assert err.startswith("error: ") and "seed" in err and "internal error" not in err, argv
         assert not (tmp_path / f"out{i}").exists(), argv
     assert (out / "index.json").read_bytes() == index_bytes
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("sequences", lambda first, other: [1]),  # exit 1 before
+    ("sequences", lambda first, other: [f"../other/{first}"]),  # read silently before
+    ("sequences", lambda first, other: [str(other / first)]),
+    ("sequences", lambda first, other: first),
+    ("count", lambda first, other: "1"),
+    ("config_hash", lambda first, other: 5),
+    ("config_hash", None),
+], ids=["int-id", "parent-dir", "absolute", "not-a-list", "count-str", "hash-int", "no-hash"])
+def test_eval_refuses_a_malformed_index(small_dataset, tmp_path, capsys, field, bad):
+    # index.json is checked where it is read: a bad field exits 2 naming
+    # the file and the field, and no sequence outside the dataset is read
+    _, cfg_path, out = small_dataset
+    data, other = tmp_path / "data", tmp_path / "other"
+    shutil.copytree(out, data)
+    shutil.copytree(out, other)
+    index = json.loads((data / "index.json").read_text())
+    if bad is None:
+        del index[field]
+    else:
+        index[field] = bad(index["sequences"][0], other)
+    (data / "index.json").write_text(json.dumps(index))
+    report = tmp_path / "report.json"
+    rc = main(["eval", "--dataset", str(data), "--estimator", "detection",
+               "--config", str(cfg_path), "--out", str(report)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {data / 'index.json'}: index field {field} is missing or malformed: ")
+    assert not report.exists()
 
 
 def test_eval_refuses_non_integer_and_non_finite_search_settings(small_dataset, tmp_path, capsys):

@@ -14,6 +14,7 @@ from ttckit.config import (
     config_hash,
 )
 from ttckit.errors import DomainError
+from ttckit.estimate import ScaleSearchConfig
 
 
 def test_defaults_round_trip():
@@ -85,3 +86,15 @@ def test_scale_search_refuses_non_integer_and_non_finite_values(section, key, va
     with pytest.raises(DomainError, match=f"scale search {key} must be"):
         RunConfig.from_dict({section: {key: value}})
 
+
+
+@pytest.mark.parametrize("section, defaults", [
+    ("search_pixel", ScaleSearchConfig.pixel_defaults),
+    ("search_feature", ScaleSearchConfig.feature_defaults),
+])
+def test_a_partial_search_section_keeps_its_own_defaults(section, defaults):
+    # search_feature once took the pixel defaults for the keys not given:
+    # {"top_k": 2} gave 125 bins at shift radius 3, and a 125 x 125 head
+    cfg = RunConfig.from_dict({section: {"top_k": 2}})
+    assert getattr(cfg, section) == defaults(top_k=2)
+    assert RunConfig.from_dict({section: {}}) == RunConfig()

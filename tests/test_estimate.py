@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from feature_reference import augmented_scores_out_of_place, candidate_grid_patches, ingredients
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,20 +18,20 @@ from ttckit.core import ttc_from_scale_ratio
 from ttckit.errors import DomainError, ManifestError, SequenceInvalidError
 from ttckit.estimate import (
     ESTIMATOR_NAMES,
+    IDENTITY_DRAW,
     ScaleSearchConfig,
     _pixel_mse_scores,
     alpha_to_10hz,
     candidate_patches_by_bin,
     detection_ratio_estimate,
     feature_scale_estimate,
-    feature_scores,
     fuse_logits,
     head_logits,
     make_estimator,
+    pair_features,
     pixel_mse_estimate,
     pooled_cosine_scores,
     scaled_candidate_boxes,
-    target_grid_patch,
 )
 from ttckit.evaluation import rte_metric
 from ttckit.features import hand_crafted_features
@@ -42,7 +43,7 @@ from ttckit.sampling import (
     grid_positions,
     shift_offsets,
 )
-from ttckit.suites import DEFAULT_SUITE_CAMERA, constant_velocity_suite
+from ttckit.suites import DEFAULT_SUITE_CAMERA, constant_velocity_suite, mixed_interval_suite
 from ttckit.synth import CameraModel, NoiseModel, PlanarTarget, noise_texture, sequence_for_ttc
 
 CAM = CameraModel.centered(800.0, 320, 192)
@@ -67,6 +68,15 @@ def _identity_sequence(seed=0, size=(120, 160)):
         FrameSample(timestamp_s=i * 0.1, box=box, image=img) for i in range(6)
     ]
     return Sequence(sequence_id="ident", fps=10.0, frames=frames)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    """One worker for the scorers that take a pool, started before any
+    test counts threads."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(int).result()
+        yield pool
 
 
 def test_scale_search_config_validation():
@@ -392,13 +402,13 @@ def _bruteforce_pixel_mse(ref, tgt_crop, center, b1, cfg):
         ((8.6, 50.1), BoundingBox(9.0, 49.0, 23.0, 19.0)),  # candidates past two edges
     ],
 )
-def test_pixel_mse_scores_match_bruteforce_crop_loop(center, b1):
+def test_pixel_mse_scores_match_bruteforce_crop_loop(center, b1, pool):
     rng = np.random.default_rng(12)
     ref = rng.uniform(size=(60, 70))
     cfg = ScaleSearchConfig(n_bins=6, shift_c=2, alpha_min=0.8, alpha_max=1.3)
     out_w, out_h = int(round(b1.w)), int(round(b1.h))
     tgt_crop = crop_resize(ref, BoundingBox(center[0] + 1.3, center[1] - 0.6, 18.9, 13.1), out_w, out_h)
-    mses, offsets = _pixel_mse_scores(ref, tgt_crop, center, b1, cfg)
+    mses, offsets = _pixel_mse_scores(ref, tgt_crop, center, b1, cfg, pool)
     want, want_offsets = _bruteforce_pixel_mse(ref, tgt_crop, center, b1, cfg)
     assert [tuple(o) for o in offsets.tolist()] == want_offsets
     np.testing.assert_allclose(mses, want, rtol=1e-12, atol=0.0)
@@ -406,7 +416,7 @@ def test_pixel_mse_scores_match_bruteforce_crop_loop(center, b1):
     assert np.argmin(mses) == np.argmin(want)
 
 
-def test_pixel_mse_scores_recover_planted_offset():
+def test_pixel_mse_scores_recover_planted_offset(pool):
     # dyadic geometry keeps every lattice coordinate exact, so the planted
     # candidate scores exactly 0 in the search and in the crop loop alike
     rng = np.random.default_rng(13)
@@ -417,7 +427,7 @@ def test_pixel_mse_scores_recover_planted_offset():
     bin_i, (dx, dy) = 3, (2, -1)
     planted = scaled_candidate_boxes(BoundingBox(*center, b1.w, b1.h), b1, cfg)[bin_i]
     tgt_crop = crop_resize(ref, planted.shifted(dx, dy), 16, 12)
-    mses, offsets = _pixel_mse_scores(ref, tgt_crop, center, b1, cfg)
+    mses, offsets = _pixel_mse_scores(ref, tgt_crop, center, b1, cfg, pool)
     want, _ = _bruteforce_pixel_mse(ref, tgt_crop, center, b1, cfg)
     np.testing.assert_allclose(mses, want, rtol=1e-12, atol=0.0)
     best_bin, best_off = np.unravel_index(np.argmin(mses), mses.shape)
@@ -459,7 +469,7 @@ def _full_lattice_pixel_mse(ref, tgt_crop, center, b1, cfg):
     out_w=st.integers(2, 9),
     n_bins=st.integers(2, 4),
 )
-def test_pixel_mse_scores_equal_the_full_lattice_search(data, shift_c, out_h, out_w, n_bins):
+def test_pixel_mse_scores_equal_the_full_lattice_search(pool, data, shift_c, out_h, out_w, n_bins):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     h, w = data.draw(st.integers(3, 30)), data.draw(st.integers(3, 30))
     ref = rng.uniform(size=(h, w))
@@ -473,7 +483,7 @@ def test_pixel_mse_scores_equal_the_full_lattice_search(data, shift_c, out_h, ou
         data.draw(st.floats(1.0, 2.0 * h)),
     )
     cfg = ScaleSearchConfig(n_bins=n_bins, top_k=1, shift_c=shift_c, alpha_min=0.7, alpha_max=1.4)
-    mses, offsets = _pixel_mse_scores(ref, tgt_crop, center, b1, cfg)
+    mses, offsets = _pixel_mse_scores(ref, tgt_crop, center, b1, cfg, pool)
     assert offsets.shape == ((2 * shift_c + 1) ** 2, 2)
     assert np.array_equal(mses, _full_lattice_pixel_mse(ref, tgt_crop, center, b1, cfg))
 
@@ -496,7 +506,7 @@ def test_pixel_mse_scores_equal_the_full_lattice_search(data, shift_c, out_h, ou
 @example(seed=2, shift_c=3, crop=(86, 86), n_bins=3, size=(120, 110),
          place=(-0.1, 1.1, 1.05, -0.05, 0.9, 0.8))
 def test_pixel_mse_scores_equal_the_full_lattice_search_at_any_block_shape(
-    seed, shift_c, crop, n_bins, size, place
+    pool, seed, shift_c, crop, n_bins, size, place
 ):
     # crops up to 100 px fall on both sides of the one-block threshold, and
     # an odd bin count splits the search into unequal halves
@@ -510,7 +520,7 @@ def test_pixel_mse_scores_equal_the_full_lattice_search_at_any_block_shape(
     center = (cx * w, cy * h)
     b1 = BoundingBox(bx * w, by * h, bw * w, bh * h)
     cfg = ScaleSearchConfig(n_bins=n_bins, top_k=1, shift_c=shift_c, alpha_min=0.7, alpha_max=1.4)
-    mses, _ = _pixel_mse_scores(ref, tgt_crop, center, b1, cfg)
+    mses, _ = _pixel_mse_scores(ref, tgt_crop, center, b1, cfg, pool)
     assert np.array_equal(mses, _full_lattice_pixel_mse(ref, tgt_crop, center, b1, cfg))
 
 
@@ -673,7 +683,7 @@ def _search_inputs(seq, cfg):
 
 
 @pytest.mark.parametrize("bad_bin", [1, 3])
-def test_pixel_mse_error_in_either_half_reaches_the_caller(monkeypatch, bad_bin):
+def test_pixel_mse_error_in_either_half_reaches_the_caller(monkeypatch, pool, bad_bin):
     # five bins split into halves of three (calling thread) and two (the
     # worker); the first lattice at least as tall as bad_bin's fails, as
     # it would when one call sampled every bin in order
@@ -699,7 +709,7 @@ def test_pixel_mse_error_in_either_half_reaches_the_caller(monkeypatch, bad_bin)
     monkeypatch.setattr(estimate, "lattice_row_blocks", failing_blocks)
     threads = threading.active_count()
     with pytest.raises(DomainError) as split:
-        _pixel_mse_scores(ref, tgt_crop, center, b1, cfg)
+        _pixel_mse_scores(ref, tgt_crop, center, b1, cfg, pool)
     assert type(split.value) is type(serial.value)
     assert str(split.value) == str(serial.value)
     assert threading.active_count() == threads
@@ -897,11 +907,16 @@ def test_concurrent_pixel_searches_equal_the_full_lattice_search():
         (ref, rng.uniform(size=(70, 62)), (57.9, 46.3), BoundingBox(55.1, 43.8, 62.0, 70.0), cfg),
     ] * 3
     want = [_full_lattice_pixel_mse(*case) for case in cases]
+
+    def search(*case):
+        with ThreadPoolExecutor(max_workers=1) as own:
+            return _pixel_mse_scores(*case, own)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=3) as pool:
-            futures = [pool.submit(_pixel_mse_scores, *case) for case in cases]
+            futures = [pool.submit(search, *case) for case in cases]
             got = [future.result(timeout=120)[0] for future in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -933,19 +948,6 @@ def test_pixel_search_layers_run_on_the_calling_thread(tmp_path, monkeypatch):
     assert {ident for _, ident in seen} == {threading.get_ident()}
 
 
-def _candidate_grid_patches(fmap0, center, b1, cfg):
-    """Every (bin, shift) candidate patch in one bilinear call,
-    (n_bins, n_off, out_h, out_w, C): the whole-stack reference that
-    ``candidate_patches_by_bin`` and ``feature_scores`` must equal."""
-    offsets = shift_offsets(cfg.shift_c).astype(np.float64)
-    center_box = BoundingBox(center[0], center[1], b1.w, b1.h)
-    grids = [grid_positions(box, cfg.target_w, cfg.target_h)
-             for box in scaled_candidate_boxes(center_box, b1, cfg)]
-    ys = np.array([y for y, _ in grids])[:, None, :, None] + offsets[None, :, 1, None, None]
-    xs = np.array([x for _, x in grids])[:, None, None, :] + offsets[None, :, 0, None, None]
-    return bilinear_sample(fmap0, ys, xs)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     cx=st.floats(-10.0, 50.0),
@@ -955,7 +957,7 @@ def _candidate_grid_patches(fmap0, center, b1, cfg):
     n_bins=st.integers(2, 5),
     shift_c=st.integers(0, 2),
 )
-def test_feature_scores_equal_the_whole_stack_scores(cx, cy, bw, bh, n_bins, shift_c):
+def test_feature_scores_equal_the_whole_stack_scores(pool, cx, cy, bw, bh, n_bins, shift_c):
     # boxes reach past every edge of 30x40 feature maps
     rng = np.random.default_rng(1)
     fmap0, fmap1 = rng.normal(size=(2, 30, 40, 12))
@@ -963,11 +965,9 @@ def test_feature_scores_equal_the_whole_stack_scores(cx, cy, bw, bh, n_bins, shi
         n_bins=n_bins, top_k=1, shift_c=shift_c, target_w=9, target_h=6
     )
     b1 = BoundingBox(20.0, 15.0, bw, bh)
-    scores, _ = feature_scores(fmap0, fmap1, (cx, cy), b1, cfg)
-    want = pooled_cosine_scores(
-        _candidate_grid_patches(fmap0, (cx, cy), b1, cfg), target_grid_patch(fmap1, b1, cfg)
-    )
-    assert np.array_equal(scores, want)
+    (scores,) = pooled_cosine_scores(fmap0, fmap1, (cx, cy), b1, cfg, [IDENTITY_DRAW], pool)
+    prep = ingredients(fmap0, fmap1, (cx, cy), b1, cfg)
+    assert np.array_equal(scores, augmented_scores_out_of_place(prep, IDENTITY_DRAW))
 
 
 @settings(max_examples=25, deadline=None)
@@ -986,7 +986,7 @@ def test_patches_by_bin_are_the_whole_stack_slices(cx, cy, bw, bh, n_bins, shift
         n_bins=n_bins, top_k=1, shift_c=shift_c, target_w=9, target_h=6
     )
     b1 = BoundingBox(20.0, 15.0, bw, bh)
-    whole = _candidate_grid_patches(fmap0, (cx, cy), b1, cfg)
+    whole = candidate_grid_patches(fmap0, (cx, cy), b1, cfg)
     count = 0
     for i, patches in enumerate(candidate_patches_by_bin(fmap0, (cx, cy), b1, cfg)):
         want = whole[i : i + 1]
@@ -996,20 +996,9 @@ def test_patches_by_bin_are_the_whole_stack_slices(cx, cy, bw, bh, n_bins, shift
     assert count == n_bins
 
 
-def _serial_feature_scores(fmap0, fmap1, center, b1, cfg):
-    """One scale bin after another on the calling thread: the serial
-    scoring that ``feature_scores``' two halves must equal."""
-    target = target_grid_patch(fmap1, b1, cfg)
-    scores = [
-        pooled_cosine_scores(patches, target)
-        for patches in candidate_patches_by_bin(fmap0, center, b1, cfg)
-    ]
-    return np.concatenate(scores)
-
-
 @pytest.mark.parametrize("shift_c", [0, 1, 2])
 @pytest.mark.parametrize("n_bins", [2, 3, 20, 21])
-def test_feature_score_halves_equal_the_serial_scores(n_bins, shift_c):
+def test_feature_score_halves_equal_the_serial_scores(pool, n_bins, shift_c):
     # float32 maps as hand_crafted_features makes them; candidate boxes
     # reach past the left and top edges of the reference map
     rng = np.random.default_rng(100 * n_bins + shift_c)
@@ -1019,24 +1008,21 @@ def test_feature_score_halves_equal_the_serial_scores(n_bins, shift_c):
     )
     center, b1 = (4.3, 3.1), BoundingBox(20.0, 15.0, 13.5, 9.25)
     threads = threading.active_count()
-    scores, offsets = feature_scores(fmap0, fmap1, center, b1, cfg)
+    scores = pooled_cosine_scores(fmap0, fmap1, center, b1, cfg, [IDENTITY_DRAW], pool)
     assert threading.active_count() == threads
-    assert scores.shape == (n_bins, (2 * shift_c + 1) ** 2) and scores.dtype == np.float64
-    assert np.array_equal(scores, _serial_feature_scores(fmap0, fmap1, center, b1, cfg))
-    assert np.array_equal(offsets, shift_offsets(shift_c))
+    assert scores.shape == (1, n_bins, (2 * shift_c + 1) ** 2) and scores.dtype == np.float64
+    prep = ingredients(fmap0, fmap1, center, b1, cfg)
+    assert np.array_equal(scores[0], augmented_scores_out_of_place(prep, IDENTITY_DRAW))
 
 
 def _serial_feature_estimate(seq, cfg, fc_weight, fc_bias):
     """A feature-scale estimate computed serially from its definition, on
-    the calling thread: the fused alpha at the configured gap, its 10 Hz
-    equivalent and its target-frame TTC."""
-    last, gap = len(seq.frames) - 1, cfg.frame_gap
-    ref, tgt = seq.frames[last - gap], seq.frames[last]
-    tgt_img = tgt.load_image()
-    h, w = tgt_img.shape[:2]
-    b1 = expand_box(tgt.box, cfg.expand_cap, (w, h))
-    scores = _serial_feature_scores(hand_crafted_features(ref.load_image()),
-                                    hand_crafted_features(tgt_img), (ref.box.cx, ref.box.cy), b1, cfg)
+    the calling thread: the region-of-interest features' scores at the
+    identity draw, written out of place, then the head, the fused alpha at
+    the configured gap, its 10 Hz equivalent and its target-frame TTC."""
+    gap = cfg.frame_gap
+    prep = ingredients(*pair_features(seq, cfg), cfg)
+    scores = augmented_scores_out_of_place(prep, IDENTITY_DRAW)
     logits, best_idx = head_logits(scores, fc_weight, fc_bias)
     alpha = min(max(fuse_logits(logits, cfg), cfg.alpha_min), cfg.alpha_max)
     tau = ttc_from_scale_ratio(alpha, gap / seq.fps, "target_frame")
@@ -1058,8 +1044,65 @@ def test_feature_estimate_equals_its_serial_version():
     assert np.array_equal(est.profile.best_shift, best_shift)
 
 
+def _whole_frame_inputs(seq, cfg):
+    """The feature search's inputs on whole frames: both frames' features,
+    the reference box center and the expanded target box."""
+    ref, tgt = seq.frames[-1 - cfg.frame_gap], seq.frames[-1]
+    tgt_img = tgt.load_image()
+    b1 = expand_box(tgt.box, cfg.expand_cap, tgt_img.shape[1::-1])
+    f0, f1 = hand_crafted_features(ref.load_image()), hand_crafted_features(tgt_img)
+    return f0, f1, (ref.box.cx, ref.box.cy), b1
+
+
+def _moved_boxes(seq, ref_box, tgt_box):
+    frames = [replace(f, box=ref_box) for f in seq.frames[:-1]]
+    return replace(seq, frames=[*frames, replace(seq.frames[-1], box=tgt_box)])
+
+
+def test_region_of_interest_scores_equal_the_whole_frame_scores(pool):
+    # the region keeps every pixel whose features the search reads, so
+    # its scores are the whole frame's up to box_mean's rounding
+    seqs = mixed_interval_suite(4, seed=5)
+    h, w = seqs[0].frames[-1].load_image().shape[:2]
+    moves = [  # (reference box, target box), each (cx, cy, w, h)
+        ((w - 4.0, 40.0, 30.0, 24.0), (w - 6.0, 41.0, 28.0, 22.0)),  # across the right border
+        ((30.0, 3.0, 26.0, 20.0), (31.0, 2.0, 24.0, 19.0)),  # across the top border
+        ((8.0, h - 9.0, 20.0, 20.0), (9.0, h - 8.0, 18.0, 18.0)),  # in a corner
+        # wholly past the right edge, where every sample is edge-clamped
+        ((w + 30.0, 50.0, 20.0, 20.0), (w + 29.0, 50.0, 19.0, 19.0)),
+    ]
+    seqs += [_moved_boxes(seq, BoundingBox(*ref), BoundingBox(*tgt))
+             for seq, (ref, tgt) in zip(seqs, moves)]
+    for shift_c in range(4):
+        cfg = ScaleSearchConfig.feature_defaults(shift_c=shift_c, target_w=24, target_h=24)
+        for seq in seqs:
+            roi = pair_features(seq, cfg)
+            assert roi[0].shape[0] < h or roi[0].shape[1] < w
+            (got,) = pooled_cosine_scores(*roi, cfg, [IDENTITY_DRAW], pool)
+            whole = _whole_frame_inputs(seq, cfg)
+            (want,) = pooled_cosine_scores(*whole, cfg, [IDENTITY_DRAW], pool)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_pair_features_take_the_estimator_frame_pair():
+    # gap g pairs frame len-1-g with the last frame, as the estimators do;
+    # the reference features are those of that frame's region of interest,
+    # and a gap the sequence cannot hold is refused, never wrapped around
+    seq = mixed_interval_suite(1, seed=77)[0]
+    for gap in (1, 5):
+        f0, _, center, _ = pair_features(seq, ScaleSearchConfig.feature_defaults(frame_gap=gap))
+        ref = seq.frames[len(seq.frames) - 1 - gap]
+        x0, y0 = round(ref.box.cx - center[0]), round(ref.box.cy - center[1])
+        assert center == (ref.box.cx - x0, ref.box.cy - y0)
+        region = ref.load_image()[y0 : y0 + f0.shape[0], x0 : x0 + f0.shape[1]]
+        assert np.array_equal(f0, hand_crafted_features(region))
+    for gap in (6, 9):
+        with pytest.raises(SequenceInvalidError, match=f"gap {gap} needs"):
+            pair_features(seq, ScaleSearchConfig.feature_defaults(frame_gap=gap))
+
+
 @pytest.mark.parametrize("failing", [("worker",), ("caller", "worker")])
-def test_feature_score_error_in_either_half_reaches_the_caller(monkeypatch, failing):
+def test_feature_score_error_in_either_half_reaches_the_caller(monkeypatch, pool, failing):
     # twenty bins split into [0, 10) on the calling thread and [10, 20) on
     # the worker; with both halves failing, the calling half's error wins
     real = estimate.candidate_patches_by_bin
@@ -1077,15 +1120,16 @@ def test_feature_score_error_in_either_half_reaches_the_caller(monkeypatch, fail
     monkeypatch.setattr(estimate, "candidate_patches_by_bin", failing_patches)
     threads = threading.active_count()
     with pytest.raises(DomainError) as got:
-        feature_scores(fmap0, fmap1, (20.0, 15.0), BoundingBox(20.0, 15.0, 12.0, 8.0), cfg)
+        pooled_cosine_scores(fmap0, fmap1, (20.0, 15.0), BoundingBox(20.0, 15.0, 12.0, 8.0), cfg,
+                             [IDENTITY_DRAW], pool)
     want = "caller half from bin 0" if "caller" in failing else "worker half from bin 10"
     assert str(got.value) == want
     assert threading.active_count() == threads
 
 
 def test_feature_scale_errors_keep_the_serial_order(tmp_path):
-    # the reference frame is read on a worker, but its error still comes
-    # after the target frame's and after the pair's box check
+    # the target frame is read first, so its error comes before the
+    # pair's box check, and the reference frame's after both
     seq = _identity_sequence()
     missing = str(tmp_path / "missing.png")
     cfg = ScaleSearchConfig.feature_defaults()

@@ -8,33 +8,31 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from feature_reference import augmented_scores_out_of_place, ingredients
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttckit import learn
-from ttckit.boxes import BoundingBox
+from ttckit import estimate
+from ttckit.boxes import BoundingBox, expand_box
 from ttckit.errors import (
     DomainError,
     FitFailedError,
-    SequenceInvalidError,
     TrainingDivergedError,
 )
 from ttckit.estimate import (
+    _DRAW_BATCH,
+    IDENTITY_DRAW,
     ScaleSearchConfig,
-    feature_scores,
     identity_head,
-    scaled_candidate_boxes,
-    target_grid_patch,
+    pair_features,
+    pooled_cosine_scores,
 )
 from ttckit.features import hand_crafted_features, intensity_mask
 from ttckit.learn import (
-    _DRAW_BATCH,
     TrainConfig,
     TrainResult,
-    TrainSample,
-    _draw_scores,
+    _alpha_gt,
     _pair_scores,
-    _roi_bounds,
     _val_mid,
     bce_loss,
     cosine_lr,
@@ -47,7 +45,6 @@ from ttckit.learn import (
     train_loop,
     training_head_init,
 )
-from ttckit.sampling import bilinear_sample, grid_positions, shift_offsets
 from ttckit.suites import mixed_interval_suite
 from ttckit.synth import NoiseModel
 
@@ -179,12 +176,12 @@ def test_weights_round_trip(tmp_path):
 
 
 def _gradcheck_sample(seed=0, size=32):
+    """A random frame pair, its reference center, expanded target box and
+    ground-truth ratio."""
     rng = np.random.default_rng(seed)
     img0 = rng.uniform(0.1, 0.9, size=(size, size, 3))
     img1 = rng.uniform(0.1, 0.9, size=(size, size, 3))
-    from ttckit.boxes import BoundingBox
-
-    return TrainSample(
+    return SimpleNamespace(
         image0=img0,
         image1=img1,
         center0=(size / 2.0 + rng.uniform(-2, 2), size / 2.0 + rng.uniform(-2, 2)),
@@ -193,11 +190,17 @@ def _gradcheck_sample(seed=0, size=32):
     )
 
 
+def _identity_scores(fmap0, fmap1, center, box, cfg):
+    """A pair's (n_bins, n_off) scores at the identity draw, as eval takes them."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pooled_cosine_scores(fmap0, fmap1, center, box, cfg, [IDENTITY_DRAW], pool)[0]
+
+
 def _sample_scores(sample, cfg):
     """A pair's (n_bins, n_off) pooled cosine scores on hand-crafted features."""
     fmap0 = hand_crafted_features(sample.image0).astype(np.float64)
     fmap1 = hand_crafted_features(sample.image1).astype(np.float64)
-    return feature_scores(fmap0, fmap1, sample.center0, sample.box1, cfg)[0]
+    return _identity_scores(fmap0, fmap1, sample.center0, sample.box1, cfg)
 
 
 def test_gradcheck_fc_path():
@@ -258,7 +261,7 @@ def _scored(seq, draws, cfg, sigma=1.0):
 
 def _draw_scores_on(f0, f1, center, box, cfg, draws):
     with ThreadPoolExecutor(max_workers=1) as pool:
-        return _draw_scores(f0, f1, center, box, cfg, draws, pool)
+        return pooled_cosine_scores(f0, f1, center, box, cfg, draws, pool)
 
 
 def test_cached_ingredient_scores_match_direct_path():
@@ -267,79 +270,29 @@ def test_cached_ingredient_scores_match_direct_path():
     cfg = _cfg(n_bins=10, shift_c=1, target=12)
     seq = mixed_interval_suite(1, seed=77)[0]
     draws = (1.07, -0.02, 0.95, 0.03)
-    got, plain = _scored(seq, [draws, (1.0, 0.0, 1.0, 0.0)], cfg)[1]
+    got, plain = _scored(seq, [draws, IDENTITY_DRAW], cfg)[1]
 
-    sample = TrainSample.from_sequence(seq, cfg)
-    img0 = sample.image0 * draws[0] + draws[1]
-    img1 = sample.image1 * draws[2] + draws[3]
-    fmap0 = hand_crafted_features(img0).astype(np.float64)
-    fmap1 = hand_crafted_features(img1).astype(np.float64)
-    want, _ = feature_scores(fmap0, fmap1, sample.center0, sample.box1, cfg)
+    ref, tgt = seq.frames[-1 - cfg.frame_gap], seq.frames[-1]
+    image0, image1 = ref.load_image(), tgt.load_image()
+    center = (ref.box.cx, ref.box.cy)
+    box = expand_box(tgt.box, cfg.expand_cap, image1.shape[1::-1])
+    fmap0 = hand_crafted_features(image0 * draws[0] + draws[1]).astype(np.float64)
+    fmap1 = hand_crafted_features(image1 * draws[2] + draws[3]).astype(np.float64)
+    want = _identity_scores(fmap0, fmap1, center, box, cfg)
     assert np.allclose(got, want, atol=2e-5)
     # identity draws reproduce the plain estimator scores
-    fmap0p = hand_crafted_features(sample.image0).astype(np.float64)
-    fmap1p = hand_crafted_features(sample.image1).astype(np.float64)
-    want_plain, _ = feature_scores(fmap0p, fmap1p, sample.center0, sample.box1, cfg)
+    fmap0p = hand_crafted_features(image0).astype(np.float64)
+    fmap1p = hand_crafted_features(image1).astype(np.float64)
+    want_plain = _identity_scores(fmap0p, fmap1p, center, box, cfg)
     assert np.allclose(plain, want_plain, atol=2e-5)
-
-
-def _candidate_grid_patches(fmap0, center, b1, cfg):
-    """Every (bin, shift) candidate patch in one bilinear call,
-    (n_bins, n_off, out_h, out_w, C): the whole-stack reference."""
-    offsets = shift_offsets(cfg.shift_c).astype(np.float64)
-    center_box = BoundingBox(center[0], center[1], b1.w, b1.h)
-    grids = [grid_positions(box, cfg.target_w, cfg.target_h)
-             for box in scaled_candidate_boxes(center_box, b1, cfg)]
-    ys = np.array([y for y, _ in grids])[:, None, :, None] + offsets[None, :, 1, None, None]
-    xs = np.array([x for _, x in grids])[:, None, None, :] + offsets[None, :, 0, None, None]
-    return bilinear_sample(fmap0, ys, xs)
-
-
-def _ingredients(f0, f1, center, box, cfg):
-    """Every bin's inner products with the whole-stack patches: <p0, p1>,
-    <p0, mask>, <p0, p0> (n_bins, n_off, P), <p1, mask>, <p1, p1> (P,)
-    and <mask, mask>."""
-    mask = intensity_mask()
-    n_off = (2 * cfg.shift_c + 1) ** 2
-    p0 = _candidate_grid_patches(f0, center, box, cfg).reshape(cfg.n_bins, n_off, -1, 12)
-    p1 = target_grid_patch(f1, box, cfg).reshape(-1, 12)
-    return SimpleNamespace(
-        dot01=np.einsum("bspc,pc->bsp", p0, p1),
-        dot0m=p0 @ mask,
-        norm0=np.einsum("bspc,bspc->bsp", p0, p0),
-        dot1m=p1 @ mask,
-        norm1=np.einsum("pc,pc->p", p1, p1),
-        mask_sq=float(mask @ mask),
-    )
-
-
-def _augmented_scores_out_of_place(prep, draws):
-    """The augmented-score expression written out of place, as reference."""
-    g0, b0, g1, b1 = draws
-    c = prep.mask_sq
-    num = (
-        g0 * g1 * prep.dot01
-        + g0 * b1 * prep.dot0m
-        + b0 * g1 * prep.dot1m[None, None, :]
-        + b0 * b1 * c
-    )
-    n0 = np.maximum(g0 * g0 * prep.norm0 + 2.0 * g0 * b0 * prep.dot0m + b0 * b0 * c, 0.0)
-    n1 = np.maximum(g1 * g1 * prep.norm1 + 2.0 * g1 * b1 * prep.dot1m + b1 * b1 * c, 0.0)
-    denom = np.maximum(np.sqrt(n0 * n1[None, None, :]), 1e-12)
-    return (num / denom).mean(axis=2)
 
 
 def _roi_pair(seq, cfg):
     """A pair's region-of-interest feature maps, the reference center and
     target box in their frame, and the ground-truth ratio, as the trainer
     takes them."""
-    sample = TrainSample.from_sequence(seq, cfg)
-    x0, y0, x1, y1 = _roi_bounds(sample, cfg, sample.image1.shape[:2])
-    f0 = hand_crafted_features(sample.image0[y0:y1, x0:x1]).astype(np.float64)
-    f1 = hand_crafted_features(sample.image1[y0:y1, x0:x1]).astype(np.float64)
-    center = (sample.center0[0] - x0, sample.center0[1] - y0)
-    box = BoundingBox(sample.box1.cx - x0, sample.box1.cy - y0, sample.box1.w, sample.box1.h)
-    return f0, f1, center, box, sample.alpha_gt
+    f0, f1, center, box = pair_features(seq, cfg)
+    return f0.astype(np.float64), f1.astype(np.float64), center, box, _alpha_gt(seq, cfg.frame_gap)
 
 
 def _flat_pair(level=0.4):
@@ -364,7 +317,7 @@ _PREP_CFG = _cfg(n_bins=10, shift_c=1, target=12)
 def pairs():
     """The real and the flat pair, each with its whole-stack ingredients."""
     f0, f1, center, box, _ = _roi_pair(mixed_interval_suite(1, seed=77)[0], _PREP_CFG)
-    return [(pair, _ingredients(*pair, _PREP_CFG))
+    return [(pair, ingredients(*pair, _PREP_CFG))
             for pair in ((f0, f1, center, box), _flat_pair())]
 
 
@@ -376,26 +329,26 @@ _biases = st.floats(-0.2, 0.2)
 @given(draws=st.lists(st.tuples(_gains, _biases, _gains, _biases),
                       min_size=1, max_size=2 * _DRAW_BATCH + 1))
 def test_augmented_scores_equal_the_out_of_place_expression(pairs, draws):
-    for pair, ingredients in pairs:
+    for pair, prep in pairs:
         got = _draw_scores_on(*pair, _PREP_CFG, draws)
         assert got.shape == (len(draws), 10, 9)
         for scores, d in zip(got, draws):
-            assert np.array_equal(scores, _augmented_scores_out_of_place(ingredients, d))
+            assert np.array_equal(scores, augmented_scores_out_of_place(prep, d))
 
 
 def test_augmented_scores_identity_and_cancelled_flat_draws(pairs):
-    identity = (1.0, 0.0, 1.0, 0.0)
-    for pair, ingredients in pairs:
+    identity = IDENTITY_DRAW
+    for pair, prep in pairs:
         got = _draw_scores_on(*pair, _PREP_CFG, [identity])[0]
-        assert np.array_equal(got, _augmented_scores_out_of_place(ingredients, identity))
+        assert np.array_equal(got, augmented_scores_out_of_place(prep, identity))
     # a bias cancelling the flat patches leaves norms of rounding residue,
     # which the clamps keep finite: exactly 0 at gains 1.1 and 0.8, below 0
     # at 0.93 and above 0 at 1.13
-    flat, ingredients = pairs[1]
+    flat, prep = pairs[1]
     cancel = [(g0, -g0 * 0.4, 0.9, 0.05) for g0 in (1.1, 0.8, 0.93, 1.13)] + [identity]
     got = _draw_scores_on(*flat, _PREP_CFG, cancel)
     for scores, d in zip(got, cancel):
-        assert np.array_equal(scores, _augmented_scores_out_of_place(ingredients, d))
+        assert np.array_equal(scores, augmented_scores_out_of_place(prep, d))
     assert np.all(np.isfinite(got))
 
 
@@ -409,27 +362,13 @@ def test_draw_scores_equal_the_reference_at_every_batch_edge(n_bins, shift_c):
     draws = [tuple(rng.uniform((0.9, -0.05, 0.9, -0.05), (1.1, 0.05, 1.1, 0.05)))
              for _ in range(37)]
     for pair in (_random_pair(), _flat_pair()):
-        ingredients = _ingredients(*pair, cfg)
-        want = [_augmented_scores_out_of_place(ingredients, d) for d in draws]
+        prep = ingredients(*pair, cfg)
+        want = [augmented_scores_out_of_place(prep, d) for d in draws]
         for count in sorted({1, max(1, _DRAW_BATCH - 1), _DRAW_BATCH, _DRAW_BATCH + 1, 37}):
             got = _draw_scores_on(*pair, cfg, draws[:count])
             assert got.shape == (count, n_bins, (2 * shift_c + 1) ** 2)
             for j in range(count):
                 assert np.array_equal(got[j], want[j]), (count, j)
-
-
-def test_train_sample_takes_the_estimator_frame_pair():
-    # gap g pairs frame len-1-g with the last frame, as the estimators do; a
-    # gap the sequence cannot hold is refused, never wrapped around
-    seq = mixed_interval_suite(1, seed=77)[0]
-    for gap in (1, 5):
-        sample = TrainSample.from_sequence(seq, _cfg().with_gap(gap))
-        ref = seq.frames[len(seq.frames) - 1 - gap]
-        assert sample.center0 == (ref.box.cx, ref.box.cy)
-        assert np.array_equal(sample.image0, ref.load_image())
-    for gap in (6, 9):
-        with pytest.raises(SequenceInvalidError, match=f"gap {gap} needs"):
-            TrainSample.from_sequence(seq, _cfg().with_gap(gap))
 
 
 def test_pair_scores_come_from_the_estimator_patches():
@@ -443,9 +382,9 @@ def test_pair_scores_come_from_the_estimator_patches():
         label, got = _scored(seq, draws, cfg)
         f0, f1, center, box, alpha_gt = _roi_pair(seq, cfg)
         assert np.array_equal(label, soft_label(alpha_gt, cfg, 1.0))
-        ingredients = _ingredients(f0, f1, center, box, cfg)
+        prep = ingredients(f0, f1, center, box, cfg)
         for scores, d in zip(got, draws):
-            assert np.array_equal(scores, _augmented_scores_out_of_place(ingredients, d)), cfg.shift_c
+            assert np.array_equal(scores, augmented_scores_out_of_place(prep, d)), cfg.shift_c
 
 
 def _train_suite(n, seed, noise_seed=0):
@@ -504,7 +443,7 @@ def _serial_train_loop(train_seqs, val_seqs, cfg, train_cfg, out_dir=None):
 
     def prepare(seq):
         f0, f1, center, box, alpha_gt = _roi_pair(seq, cfg)
-        return soft_label(alpha_gt, cfg, train_cfg.sigma_bins), _ingredients(f0, f1, center, box, cfg)
+        return soft_label(alpha_gt, cfg, train_cfg.sigma_bins), ingredients(f0, f1, center, box, cfg)
 
     prepared = [prepare(s) for s in train_seqs]
 
@@ -512,7 +451,7 @@ def _serial_train_loop(train_seqs, val_seqs, cfg, train_cfg, out_dir=None):
     val_scores, val_alpha10, val_eff = [], [], []
     for seq in val_seqs:
         _, prep = prepare(seq)
-        val_scores.append(_augmented_scores_out_of_place(prep, identity_draws))
+        val_scores.append(augmented_scores_out_of_place(prep, identity_draws))
         val_alpha10.append(seq.label.alpha_10hz)
         val_eff.append(seq.fps / cfg.frame_gap)
 
@@ -545,7 +484,7 @@ def _serial_train_loop(train_seqs, val_seqs, cfg, train_cfg, out_dir=None):
                     rng.uniform(*train_cfg.bias_range),
                 )
                 loss, grads = head_loss_and_grads(
-                    _augmented_scores_out_of_place(prep, draws), fc_w, fc_b, label
+                    augmented_scores_out_of_place(prep, draws), fc_w, fc_b, label
                 )
                 batch_loss += loss
                 grad_w += grads["fc.weight"]
@@ -620,7 +559,7 @@ def test_train_loop_refuses_an_unlabeled_pair_and_stops_its_workers(split, posit
 def test_train_loop_starts_one_worker_thread_and_leaves_none(monkeypatch):
     # one worker for the whole loop, train and val pairs alike: every
     # pair's second half of the bins is sampled on it
-    real_start, real_patches = threading.Thread.start, learn.candidate_patches_by_bin
+    real_start, real_patches = threading.Thread.start, estimate.candidate_patches_by_bin
     started, sampling = [], set()
 
     def counting_start(thread):
@@ -632,7 +571,7 @@ def test_train_loop_starts_one_worker_thread_and_leaves_none(monkeypatch):
         yield from real_patches(*args)
 
     monkeypatch.setattr(threading.Thread, "start", counting_start)
-    monkeypatch.setattr(learn, "candidate_patches_by_bin", recording_patches)
+    monkeypatch.setattr(estimate, "candidate_patches_by_bin", recording_patches)
     cfg = _cfg(n_bins=6, shift_c=0, target=8)
     threads = threading.active_count()
     train_loop(_train_suite(4, seed=33), _train_suite(2, seed=34), cfg,
@@ -649,7 +588,7 @@ def test_pair_scorer_error_in_either_half_reaches_the_caller(monkeypatch, bad_bi
     # worker; the bad bins fail when sampled, and the error is the one
     # sampling the bins in order gives: with both halves failing, the
     # calling half's
-    real = learn.candidate_patches_by_bin
+    real = estimate.candidate_patches_by_bin
 
     def failing_patches(fmap0, center, b1, cfg, bins=slice(None)):
         for i, patches in enumerate(real(fmap0, center, b1, cfg, bins), bins.start or 0):
@@ -662,7 +601,7 @@ def test_pair_scorer_error_in_either_half_reaches_the_caller(monkeypatch, bad_bi
     with pytest.raises(DomainError) as serial:
         for _ in failing_patches(f0, center, box, cfg):
             pass
-    monkeypatch.setattr(learn, "candidate_patches_by_bin", failing_patches)
+    monkeypatch.setattr(estimate, "candidate_patches_by_bin", failing_patches)
     threads = threading.active_count()
     with pytest.raises(DomainError) as got:
         train_loop(_train_suite(3, seed=35), [], cfg, TrainConfig(epochs=1, batch_size=2))

@@ -247,3 +247,14 @@ def test_read_missing_manifest(tmp_path):
         read_sequence_dir(tmp_path / "nope")
     with pytest.raises(ManifestError):
         read_index(tmp_path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "index is not valid JSON"),
+    ('["t1v00001k0"]', "the index must be a JSON object"),
+])
+def test_read_index_refuses_a_malformed_file(tmp_path, text, message):
+    # either used to fail inside the run with exit 1
+    (tmp_path / "index.json").write_text(text)
+    with pytest.raises(ManifestError, match=message):
+        read_index(tmp_path)
