@@ -11,7 +11,6 @@ evaluation harness with interval-resolved metrics
 
 from .boxes import BoundingBox, expand_box
 from .core import (
-    FrameGap,
     TTC_MAX,
     TTC_MIN,
     TtcInterval,
@@ -27,7 +26,6 @@ from .manifest import FrameSample, Sequence, SequenceLabel
 __all__ = [
     "BoundingBox",
     "expand_box",
-    "FrameGap",
     "TTC_MAX",
     "TTC_MIN",
     "TtcInterval",

@@ -10,18 +10,17 @@ reference when available.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import BoundingBox, box_drop_reason
 from .core import (
     DEFAULT_VELOCITY_EPS,
     ttc_from_depth_velocity,
     ttc_interval,
 )
 from .errors import DomainError, FitFailedError
-from .manifest import FrameSample, Sequence, SequenceLabel
+from .manifest import Sequence, SequenceLabel
 
 DEFAULT_QS = (3, 5, 10)
 DEFAULT_SPREAD_THRESHOLD = 0.10
@@ -36,7 +35,8 @@ def nearest_corner_depth(corners) -> float:
     """Depth of a 3D box: y-coordinate of the corner closest to the origin.
 
     ``corners`` is an (8, 3) array of (x, y, z) in vehicle coordinates.
-    Ties pick the lowest corner index.
+    Ties pick the lowest corner index.  No command reads 3D boxes; demo 03
+    shows this step of the labelling.
     """
     corners = np.asarray(corners, dtype=np.float64)
     if corners.shape != (8, 3):
@@ -51,7 +51,10 @@ def nearest_corner_depth(corners) -> float:
 
 
 def cuboid_corners(x_range, y_range, z_range) -> np.ndarray:
-    """All 8 corners of an axis-aligned cuboid, lowest-index-first ordering."""
+    """All 8 corners of an axis-aligned cuboid, lowest-index-first ordering.
+
+    Demo 03 builds its 3D box with it.
+    """
     xs, ys, zs = x_range, y_range, z_range
     return np.array(
         [[x, y, z] for x in xs for y in ys for z in zs], dtype=np.float64
@@ -175,33 +178,29 @@ def ttc_label(depth_m: float, velocity_mps: float, q_used: int = 10) -> TtcLabel
 
 
 def arbitrate_multi_q(
-    track: DepthTrack,
-    reference_v: float | None = None,
-    *,
-    qs: tuple[int, ...] = DEFAULT_QS,
-    spread_threshold: float = DEFAULT_SPREAD_THRESHOLD,
-    seed: int = 0,
+    track: DepthTrack, reference_v: float | None = None, *, seed: int = 0
 ) -> TtcLabel:
     """Label from several fit windows, arbitrated for accelerating objects.
 
-    All window sizes in ``qs`` are fitted.  If the candidate TTCs agree
-    within ``spread_threshold`` (relative), the longest window wins (it is
-    the most stable).  Otherwise the object is flagged ``accelerating``
-    and the candidate closest to the TTC implied by ``reference_v`` is
-    chosen; with no reference, the shortest (most reactive) window wins.
+    All window sizes in ``DEFAULT_QS`` are fitted.  If the candidate TTCs
+    agree within ``DEFAULT_SPREAD_THRESHOLD`` (relative), the longest
+    window wins (it is the most stable).  Otherwise the object is flagged
+    ``accelerating`` and the candidate closest to the TTC implied by
+    ``reference_v`` is chosen; with no reference, the shortest (most
+    reactive) window wins.
     """
     if len(track) < 3:
         raise FitFailedError(f"track too short for arbitration: {len(track)} points")
     depth = float(track.depths[-1])
     candidates: list[TtcLabel] = []
-    for q in qs:
+    for q in DEFAULT_QS:
         v, _ = ransac_fit_velocity(track, q, seed=seed)
         candidates.append(ttc_label(depth, v, q_used=q))
 
     taus = np.array([c.tau_s for c in candidates])
     spread = float(taus.max() - taus.min())
     scale = max(float(np.abs(taus).mean()), 1e-9)
-    if spread / scale <= spread_threshold:
+    if spread / scale <= DEFAULT_SPREAD_THRESHOLD:
         return candidates[-1]
 
     if reference_v is not None:
@@ -212,101 +211,6 @@ def arbitrate_multi_q(
     chosen = candidates[pick]
     chosen.accelerating = True
     return chosen
-
-
-@dataclass
-class TrackletFrame:
-    timestamp_s: float
-    box: BoundingBox
-    depth_m: float | None = None
-    image: np.ndarray | None = None
-    image_path: str | None = None
-
-
-@dataclass
-class Tracklet:
-    track_id: str
-    fps: float
-    image_size: tuple[float, float]  # (width, height)
-    frames: list[TrackletFrame] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class DroppedWindow:
-    track_id: str
-    window_index: int
-    reason: str
-
-
-def _window_drop_reason(
-    frames: list[TrackletFrame], fps: float, image_size: tuple[float, float]
-) -> str | None:
-    dt = 1.0 / fps
-    for a, b in zip(frames, frames[1:]):
-        if abs((b.timestamp_s - a.timestamp_s) - dt) > 1e-6:
-            return "frame_gap"
-    for f in frames:
-        reason = box_drop_reason(f.box, *image_size)
-        if reason is not None:
-            return reason
-    return None
-
-
-def build_sequences(
-    tracklets: list[Tracklet],
-    *,
-    length: int = 6,
-    fps: float = 10.0,
-    reference_v: float | None = None,
-    seed: int = 0,
-) -> tuple[list[Sequence], list[DroppedWindow]]:
-    """Split tracklets into non-overlapping fixed-length windows.
-
-    Windows with a frame gap or a box that
-    :func:`ttckit.boxes.box_drop_reason` rejects are dropped with that
-    reason.  When depths are present the window is labeled via
-    :func:`arbitrate_multi_q` on the track history up to its last frame.
-    """
-    sequences: list[Sequence] = []
-    dropped: list[DroppedWindow] = []
-    for tracklet in sorted(tracklets, key=lambda t: t.track_id):
-        n_windows = len(tracklet.frames) // length
-        depths_ok = all(f.depth_m is not None for f in tracklet.frames)
-        for w in range(n_windows):
-            frames = tracklet.frames[w * length : (w + 1) * length]
-            reason = _window_drop_reason(frames, fps, tracklet.image_size)
-            if reason is not None:
-                dropped.append(DroppedWindow(tracklet.track_id, w, reason))
-                continue
-            label = None
-            if depths_ok:
-                end = w * length + length
-                history = tracklet.frames[:end]
-                track = DepthTrack(
-                    np.array([f.timestamp_s for f in history]),
-                    np.array([f.depth_m for f in history]),
-                )
-                raw = arbitrate_multi_q(track, reference_v, seed=seed)
-                label = label_to_sequence_label(raw)
-            sequences.append(
-                Sequence(
-                    sequence_id=f"{tracklet.track_id}_w{w:03d}",
-                    fps=fps,
-                    frames=[
-                        FrameSample(
-                            timestamp_s=f.timestamp_s,
-                            box=f.box,
-                            depth_m=f.depth_m,
-                            image=f.image,
-                            image_path=f.image_path,
-                        )
-                        for f in frames
-                    ],
-                    label=label,
-                    provenance={"generator": "external", "track_id": tracklet.track_id},
-                )
-            )
-    return sequences, dropped
 
 
 def label_to_sequence_label(label: TtcLabel) -> SequenceLabel:
@@ -336,13 +240,12 @@ def label_to_sequence_label(label: TtcLabel) -> SequenceLabel:
     )
 
 
-def annotate_sequence(seq: Sequence, *, seed: int = 0,
-                      use_reference_velocity: bool = True) -> SequenceLabel:
+def annotate_sequence(seq: Sequence, *, seed: int = 0) -> SequenceLabel:
     """Re-derive a sequence label from its depth history.
 
     An existing label's velocity (e.g. an exact generator velocity or an
     external ranging sensor) serves as the arbitration reference for
-    accelerating objects when ``use_reference_velocity`` is set.
+    accelerating objects.
     """
     if seq.depth_history:
         track = DepthTrack.from_pairs(seq.depth_history)
@@ -354,7 +257,7 @@ def annotate_sequence(seq: Sequence, *, seed: int = 0,
             raise FitFailedError(f"sequence {seq.sequence_id} has no usable depth track")
         track = DepthTrack.from_pairs(pairs)
     reference_v = None
-    if use_reference_velocity and seq.label is not None:
+    if seq.label is not None:
         reference_v = seq.label.velocity_mps
     raw = arbitrate_multi_q(track, reference_v, seed=seed)
     new_label = label_to_sequence_label(raw)
@@ -376,6 +279,9 @@ def rebalance_sample(
     Sampling is without replacement, per bin, deterministic for a fixed
     seed.  Bins whose quota exceeds availability are underfilled and
     reported in the returned warnings.
+
+    Demo 03 calls it.  No command does yet: it is planned as the quota
+    step that picks ``synth`` windows toward a preset TTC mix (ROADMAP.md).
     """
     bins = sorted(target, key=lambda b: b[0])
     if not bins or bins[0][0] != -20.0 or bins[-1][1] != 20.0:
@@ -424,5 +330,5 @@ def rebalance_sample(
 
 
 def uniform_interval_target() -> list[tuple[float, float, float]]:
-    """Equal weight on the four TTC intervals."""
+    """Equal weight on the four TTC intervals: demo 03's rebalancing target."""
     return [(-20.0, 0.0, 0.25), (0.0, 3.0, 0.25), (3.0, 6.0, 0.25), (6.0, 20.0, 0.25)]

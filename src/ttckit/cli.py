@@ -41,9 +41,11 @@ from .evaluation import (
 from .annotate import annotate_sequence
 from .learn import TrainConfig, load_weights, save_weights, train_loop, write_loss_curve
 from .manifest import (
+    canonical_json_bytes,
     load_dataset,
     read_index,
     read_sequence_dir,
+    sequence_to_manifest,
     write_index,
     write_sequence_dir,
 )
@@ -179,8 +181,6 @@ def cmd_annotate(args) -> int:
         seq.label = new_label
         if old_tau is not None:
             deltas.append(abs(new_label.tau_s - old_tau))
-        from .manifest import canonical_json_bytes, sequence_to_manifest
-
         (dataset_dir / seq_id / "manifest.json").write_bytes(
             canonical_json_bytes(sequence_to_manifest(seq))
         )

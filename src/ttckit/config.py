@@ -118,7 +118,7 @@ class RunConfig:
     target: TargetConfig = field(default_factory=TargetConfig)
     noise: NoiseModel = field(default_factory=NoiseModel)
     synth: SynthConfig = field(default_factory=SynthConfig)
-    search_pixel: ScaleSearchConfig = field(default_factory=ScaleSearchConfig.pixel_defaults)
+    search_pixel: ScaleSearchConfig = field(default_factory=ScaleSearchConfig)
     search_feature: ScaleSearchConfig = field(default_factory=ScaleSearchConfig.feature_defaults)
     train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, ScaleConversionError
@@ -29,12 +28,6 @@ TTC_MAX = 20.0
 
 #: Closing rates below this (m/s) are treated as "never contacts".
 DEFAULT_VELOCITY_EPS = 1e-6
-
-#: Where along the frame pair the TTC is measured.  "reference_frame"
-#: is the verbatim tau = dt / (1 - alpha) reading; "target_frame" uses
-#: tau = dt * alpha / (1 - alpha), which is self-consistent with the
-#: FPS conversion identity below.
-TTC_REFERENCE_MODES = ("reference_frame", "target_frame")
 
 
 class TtcInterval(Enum):
@@ -60,29 +53,6 @@ _INTERVAL_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class FrameGap:
-    """Number of frames between reference and target, at a base rate."""
-
-    gap: int
-    base_fps: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.gap < 1 or int(self.gap) != self.gap:
-            raise DomainError(f"frame gap must be a positive integer, got {self.gap}")
-        if self.base_fps <= 0:
-            raise DomainError(f"base fps must be positive, got {self.base_fps}")
-
-    @property
-    def effective_fps(self) -> float:
-        return self.base_fps / self.gap
-
-    @property
-    def dt(self) -> float:
-        """Time between reference and target frame, seconds."""
-        return self.gap / self.base_fps
-
-
 def truncate_ttc(tau: float) -> float:
     """Clamp a TTC value to the reportable range [-20, +20] s."""
     if math.isnan(tau):
@@ -90,19 +60,18 @@ def truncate_ttc(tau: float) -> float:
     return min(max(tau, TTC_MIN), TTC_MAX)
 
 
-def ttc_from_depth_velocity(
-    y: float, v: float, eps_v: float = DEFAULT_VELOCITY_EPS
-) -> float:
+def ttc_from_depth_velocity(y: float, v: float) -> float:
     """TTC from depth y (m) and closing rate v (m/s, positive = approaching).
 
-    Closing rates below ``eps_v`` in magnitude mean the object never
-    contacts; the truncation boundary +20 s is returned in that case.
+    Closing rates below ``DEFAULT_VELOCITY_EPS`` in magnitude mean the
+    object never contacts; the truncation boundary +20 s is returned in
+    that case.
     """
     if not math.isfinite(y) or y <= 0:
         raise DomainError(f"depth must be positive and finite, got {y}")
     if not math.isfinite(v):
         raise DomainError(f"velocity must be finite, got {v}")
-    if abs(v) < eps_v:
+    if abs(v) < DEFAULT_VELOCITY_EPS:
         return TTC_MAX
     return truncate_ttc(y / v)
 
@@ -123,22 +92,16 @@ def is_finite_real(value) -> bool:
     return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
-def _check_reference_mode(ttc_reference: str) -> None:
-    if ttc_reference not in TTC_REFERENCE_MODES:
-        raise DomainError(
-            f"ttc_reference must be one of {TTC_REFERENCE_MODES}, got {ttc_reference!r}"
-        )
+def ttc_from_scale_ratio(alpha: float, dt: float) -> float:
+    """TTC at the target frame from the scale ratio alpha = s(t0)/s(t1)
+    over a dt-second gap: tau = dt * alpha / (1 - alpha).
 
-
-def ttc_from_scale_ratio(
-    alpha: float, dt: float, ttc_reference: str = "reference_frame"
-) -> float:
-    """TTC from the scale ratio alpha = s(t0)/s(t1) over a dt-second gap.
-
-    alpha == 1 (no apparent size change) maps to the +20 s truncation
-    boundary.  The result is truncated to [-20, 20].
+    This is the frame every label and estimate measures, and the TTC
+    that :func:`convert_scale_ratio_fps` keeps fixed; the TTC at the
+    reference frame is dt / (1 - alpha), larger by dt.  alpha == 1 (no
+    apparent size change) maps to the +20 s truncation boundary.  The
+    result is truncated to [-20, 20].
     """
-    _check_reference_mode(ttc_reference)
     if alpha <= 0 or not math.isfinite(alpha):
         raise DomainError(f"scale ratio must be positive and finite, got {alpha}")
     if dt <= 0:
@@ -146,30 +109,23 @@ def ttc_from_scale_ratio(
     if alpha == 1.0:
         return TTC_MAX
     tau = dt / (1.0 - alpha)
-    if ttc_reference == "target_frame":
-        tau *= alpha
+    tau *= alpha
     return truncate_ttc(tau)
 
 
-def scale_ratio_from_ttc(
-    tau: float, dt: float, ttc_reference: str = "reference_frame"
-) -> float:
-    """Inverse of :func:`ttc_from_scale_ratio`.
+def scale_ratio_from_ttc(tau: float, dt: float) -> float:
+    """Inverse of :func:`ttc_from_scale_ratio`: alpha = tau / (tau + dt).
 
-    TTC values inside (0, dt] (contact within one frame interval) have
-    no positive scale-ratio representation and raise ``DomainError``.
+    A TTC of exactly -dt has no scale ratio and raises ``DomainError``,
+    as does any TTC whose ratio would not be positive.
     """
-    _check_reference_mode(ttc_reference)
     if dt <= 0:
         raise DomainError(f"frame interval must be positive, got {dt}")
     if tau == 0 or not math.isfinite(tau):
         raise DomainError(f"TTC must be finite and nonzero, got {tau}")
-    if ttc_reference == "reference_frame":
-        alpha = 1.0 - dt / tau
-    else:
-        if tau == -dt:
-            raise DomainError("target-frame TTC of exactly -dt has no scale ratio")
-        alpha = tau / (tau + dt)
+    if tau == -dt:
+        raise DomainError("target-frame TTC of exactly -dt has no scale ratio")
+    alpha = tau / (tau + dt)
     if alpha <= 0:
         raise DomainError(
             f"TTC {tau} s over a {dt} s gap yields non-positive scale ratio {alpha}"

@@ -134,10 +134,6 @@ class ScaleSearchConfig:
             raise DomainError(f"scale search expand_cap must be >= 1, got {self.expand_cap!r}")
 
     @classmethod
-    def pixel_defaults(cls, **overrides) -> "ScaleSearchConfig":
-        return cls(**overrides)
-
-    @classmethod
     def feature_defaults(cls, **overrides) -> "ScaleSearchConfig":
         base = dict(n_bins=20, top_k=4, shift_c=1, target_w=50, target_h=50)
         base.update(overrides)
@@ -185,16 +181,6 @@ class TtcEstimate:
     low_confidence: bool = False
 
 
-def scaled_candidate_boxes(
-    b0: BoundingBox, b1: BoundingBox, cfg: ScaleSearchConfig
-) -> list[BoundingBox]:
-    """Candidate boxes: reference center, target dims scaled by each bin."""
-    return [
-        BoundingBox(b0.cx, b0.cy, float(a) * b1.w, float(a) * b1.h)
-        for a in cfg.bins()
-    ]
-
-
 def _estimate_pair(seq: Sequence, gap: int) -> tuple[FrameSample, FrameSample]:
     target_idx = len(seq.frames) - 1
     ref_idx = target_idx - gap
@@ -217,8 +203,8 @@ def alpha_to_10hz(alpha: float, effective_fps: float) -> float:
     try:
         return convert_scale_ratio_fps(alpha, effective_fps, 10.0)
     except ScaleConversionError:
-        tau = ttc_from_scale_ratio(alpha, 1.0 / effective_fps, "target_frame")
-        return scale_ratio_from_ttc(tau, 0.1, "target_frame")
+        tau = ttc_from_scale_ratio(alpha, 1.0 / effective_fps)
+        return scale_ratio_from_ttc(tau, 0.1)
 
 
 def _finish(
@@ -234,7 +220,7 @@ def _finish(
     target frame, the frame the ``synth`` and ``annotate`` labels measure
     (alpha_10 = tau / (tau + 0.1)), and to its 10 Hz equivalent."""
     alpha_hat = float(min(max(alpha_hat, cfg.alpha_min), cfg.alpha_max))
-    tau_hat = ttc_from_scale_ratio(alpha_hat, gap / fps, "target_frame")
+    tau_hat = ttc_from_scale_ratio(alpha_hat, gap / fps)
     alpha_10 = alpha_to_10hz(alpha_hat, fps / gap)
     return TtcEstimate(
         alpha_hat=alpha_hat,
@@ -302,9 +288,10 @@ def _bin_positions(
     ``positions`` is ``crop_positions`` or ``grid_positions``; returns
     (ys (n_bins, out_h), xs (n_bins, out_w)).  Every bin is placed in one
     call: ``positions`` reads the candidate boxes' corners and sides as
-    (n_bins, 1) columns, each computed with the float operations of
-    ``scaled_candidate_boxes`` and ``BoundingBox.x0``/``y0``, so each
-    coordinate equals the one-box-at-a-time one bit for bit.
+    (n_bins, 1) columns, each computed with the float operations of a
+    ``BoundingBox(center, alpha * b1.w, alpha * b1.h)`` and its
+    ``x0``/``y0``, so each coordinate equals the one-box-at-a-time one
+    (``tests/feature_reference.scaled_candidate_boxes``) bit for bit.
     """
     alphas = cfg.bins()[:, None]
     with np.errstate(over="ignore"):

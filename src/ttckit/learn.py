@@ -3,8 +3,8 @@
 The trainable surface is the per-bin linear head over fixed hand-crafted
 features; the loss is per-bin binary cross-entropy against a Gaussian
 soft label centered on the ground-truth scale bin.  ``train_loop`` takes
-its head step from :func:`head_loss_and_grads`, the step whose gradient
-:func:`finite_diff_gradcheck` checks against central differences.
+its head step from :func:`head_loss_and_grads`, whose gradient the tests
+check against central differences.
 
 A pair is scored on the estimator's own path: ``estimate.pair_features``
 gives the features of the pair's region of interest, and
@@ -170,58 +170,6 @@ def sgd_step(
         m *= momentum
         m += g + weight_decay * p
         p -= lr * m
-
-
-# ---------------------------------------------------------------------------
-# the gradient check
-
-
-def finite_diff_gradcheck(
-    scores: np.ndarray,
-    fc_weight: np.ndarray,
-    fc_bias: np.ndarray,
-    labels: np.ndarray,
-    epsilon: float = 1e-3,
-) -> float:
-    """Max relative analytic-vs-central-difference discrepancy of the head step.
-
-    ``scores`` are one pair's (n_bins, n_off) pooled cosine scores, which do
-    not depend on the head.  Every entry of copies of ``fc_weight`` and
-    ``fc_bias`` is perturbed in place, and the central difference of
-    ``head_loss_and_grads``'s loss is compared with its gradient.
-    """
-    params = {
-        "fc.weight": np.array(fc_weight, dtype=np.float64),
-        "fc.bias": np.array(fc_bias, dtype=np.float64),
-    }
-
-    def loss() -> float:
-        return head_loss_and_grads(scores, params["fc.weight"], params["fc.bias"], labels)[0]
-
-    _, grads = head_loss_and_grads(scores, params["fc.weight"], params["fc.bias"], labels)
-    # components far below the gradient's own scale are compared against
-    # that scale instead of themselves, otherwise the oracle's truncation
-    # error on a ~0 component would read as a spurious 100% mismatch
-    g_scale = max(
-        (float(np.abs(g).max()) for g in grads.values() if g.size), default=0.0
-    )
-    floor = max(1e-3 * g_scale, 1e-8)
-    max_rel = 0.0
-    for name, arr in params.items():
-        flat = arr.reshape(-1)
-        gflat = grads[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            hi = loss()
-            flat[i] = orig - epsilon
-            lo = loss()
-            flat[i] = orig
-            fd = (hi - lo) / (2.0 * epsilon)
-            an = gflat[i]
-            rel = abs(fd - an) / max(abs(fd), abs(an), floor)
-            max_rel = max(max_rel, rel)
-    return max_rel
 
 
 # ---------------------------------------------------------------------------

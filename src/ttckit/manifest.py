@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .boxes import BoundingBox
+from .core import is_finite_real
 from .errors import ManifestError
 from .png import read_png, write_png
 
@@ -137,6 +138,29 @@ def sequence_to_manifest(seq: Sequence) -> dict:
     }
 
 
+def _manifest_fps(fps) -> float:
+    """A manifest's ``fps``: a finite number > 0, and not a bool."""
+    if isinstance(fps, bool) or not (is_finite_real(fps) and fps > 0):
+        raise ManifestError(f"malformed sequence manifest: fps must be a finite number > 0, "
+                            f"got {fps!r}")
+    return fps
+
+
+def _alpha_by_gap(value) -> dict[int, float] | None:
+    """A label's ``alpha_by_gap``: null, or an object whose keys are the
+    decimal digits of frame gaps >= 1."""
+    if value is None:
+        return None
+    if not isinstance(value, dict):
+        raise ManifestError(f"malformed sequence manifest: label alpha_by_gap must be "
+                            f"an object, got {value!r}")
+    for key in value:
+        if not (key.isascii() and key.isdigit() and int(key) >= 1):
+            raise ManifestError(f"malformed sequence manifest: label alpha_by_gap key must "
+                                f"be a frame gap >= 1, got {key!r}")
+    return {int(k): v for k, v in value.items()}
+
+
 def sequence_from_manifest(data: dict) -> Sequence:
     try:
         frames = [
@@ -152,16 +176,13 @@ def sequence_from_manifest(data: dict) -> Sequence:
         label = None
         if data.get("label") is not None:
             raw = data["label"]
-            alpha_by_gap = raw.get("alpha_by_gap")
-            if alpha_by_gap is not None:
-                alpha_by_gap = {int(k): v for k, v in alpha_by_gap.items()}
             label = SequenceLabel(
                 tau_s=raw["tau_s"],
                 alpha_10hz=raw["alpha_10hz"],
                 velocity_mps=raw["velocity_mps"],
                 q_used=raw.get("q_used"),
                 flags=list(raw.get("flags", [])),
-                alpha_by_gap=alpha_by_gap,
+                alpha_by_gap=_alpha_by_gap(raw.get("alpha_by_gap")),
                 depth_m=raw.get("depth_m"),
             )
         history = data.get("depth_history")
@@ -169,7 +190,7 @@ def sequence_from_manifest(data: dict) -> Sequence:
             history = [(t, y) for t, y in history]
         return Sequence(
             sequence_id=data["sequence_id"],
-            fps=data["fps"],
+            fps=_manifest_fps(data["fps"]),
             frames=frames,
             label=label,
             provenance=dict(data.get("provenance", {})),

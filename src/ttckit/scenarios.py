@@ -201,6 +201,8 @@ def run_script(
     """Sample a scenario at frame times; returns (t, depth, closing, lateral).
 
     Sampling stops before contact, so every emitted depth is positive.
+    Demo 02 prints a scenario with it; the CLI renders from
+    ``simulate_script`` trajectories instead.
     """
     if fps <= 0:
         raise DomainError(f"fps must be positive, got {fps}")

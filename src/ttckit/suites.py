@@ -116,6 +116,9 @@ def uniform_alpha_suite(
     collapsing onto the label prior instead of reading the similarity
     profile.  Ratios are drawn away from 1 (|tau| stays finite); the
     corresponding target-frame TTC is tau = dt * alpha / (1 - alpha).
+
+    Demo 05 and acceptance criterion 9 train the head on these; no
+    command does.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     dt = gap / fps

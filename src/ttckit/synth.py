@@ -30,6 +30,10 @@ from .scenarios import ScenarioScript, Trajectory, constant_velocity_script, sim
 # (render_frame); each sample holds three float64 channel values
 _BLOCK_SAMPLES = 20_000
 
+# depth samples, one frame interval apart and ending at the window's last
+# frame, that a sequence keeps as the history ``annotate`` fits velocity on
+_HISTORY_LEN = 12
+
 
 @dataclass(frozen=True)
 class CameraModel:
@@ -300,7 +304,6 @@ def generate_from_trajectory(
     start_time: float = 0.0,
     sequence_id: str = "seq",
     background: float | np.ndarray = 0.08,
-    history_len: int = 12,
     provenance: dict | None = None,
 ) -> Sequence:
     """Render a labeled sequence from an already-simulated trajectory.
@@ -346,7 +349,7 @@ def generate_from_trajectory(
         alpha_10hz = y_last / (y_last + v_last * 0.1)
 
     history = []
-    for k in range(history_len - 1, -1, -1):
+    for k in range(_HISTORY_LEN - 1, -1, -1):
         t = t_last - k * dt
         if t >= -1e-12:
             history.append((max(t, 0.0), traj.depth(max(t, 0.0))))
@@ -383,9 +386,12 @@ def generate_sequence(
     start_time: float = 0.0,
     sequence_id: str | None = None,
     background: float | np.ndarray = 0.08,
-    history_len: int = 12,
 ) -> Sequence:
-    """Simulate a scenario and render one labeled sequence from it."""
+    """Simulate a scenario and render one labeled sequence from it.
+
+    Demo 02 renders its sequence this way; ``synth`` plans its windows
+    first and calls :func:`generate_from_trajectory` itself.
+    """
     horizon = start_time + length / fps + 0.5
     traj = simulate_script(script, horizon)
     seq_id = sequence_id or f"script{script.script_id:05d}_t{start_time:.1f}"
@@ -406,7 +412,6 @@ def generate_sequence(
         start_time=start_time,
         sequence_id=seq_id,
         background=background,
-        history_len=history_len,
         provenance=provenance,
     )
 
@@ -462,16 +467,16 @@ def sequence_for_ttc(
 
 
 def noise_texture(
-    seed: int, size: int = 64, low: float = 0.2, high: float = 0.95, smooth_passes: int = 2
+    seed: int, size: int = 64, low: float = 0.2, high: float = 0.95
 ) -> np.ndarray:
     """Smooth random RGB texture stretched to span [low, high].
 
-    Uniform noise is smoothed by ``smooth_passes`` 3x3 box means
-    (``features.box_mean``, edge samples repeated) before the stretch.
+    Uniform noise is smoothed by two 3x3 box means (``features.box_mean``,
+    edge samples repeated) before the stretch.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     tex = rng.uniform(0.0, 1.0, size=(size, size, 3))
-    for _ in range(smooth_passes):
+    for _ in range(2):
         tex = box_mean(tex, (3, 3, 1))
     tex -= tex.min()
     ptp = tex.max()
@@ -483,11 +488,10 @@ def noise_texture(
     return low + tex * (high - low)
 
 
-def checker_texture(
-    cells: int = 8, cell_px: int = 8, low: float = 0.15, high: float = 0.9
-) -> np.ndarray:
-    """Checkerboard texture; strong gradients at every cell border."""
-    side = cells * cell_px
-    ii, jj = np.meshgrid(np.arange(side) // cell_px, np.arange(side) // cell_px, indexing="ij")
+def checker_texture(low: float = 0.15, high: float = 0.9) -> np.ndarray:
+    """64 x 64 px checkerboard of 8 px cells; strong gradients at every
+    cell border."""
+    cells = np.arange(64) // 8
+    ii, jj = np.meshgrid(cells, cells, indexing="ij")
     pattern = ((ii + jj) % 2).astype(np.float64)
     return np.repeat((low + pattern * (high - low))[:, :, None], 3, axis=2)

@@ -1,10 +1,12 @@
-"""Whole-stack references for the feature search's scores.
+"""Plain references for the feature search's scores and its head's gradient.
 
 ``estimate.pooled_cosine_scores`` samples and scores one scale bin at a
 time, in place, on two threads.  These helpers compute the same scores
-the plain way: every candidate patch in one bilinear call, the inner
-products as whole arrays, and the augmented cosine written out of place.
-The tests require the routine to equal them bit for bit.
+the plain way: one candidate box per bin, every candidate patch in one
+bilinear call, the inner products as whole arrays, and the augmented
+cosine written out of place.  The tests require the routine to equal
+them bit for bit.  ``finite_diff_gradcheck`` compares the head step's
+analytic gradient with central differences.
 """
 
 from types import SimpleNamespace
@@ -12,9 +14,20 @@ from types import SimpleNamespace
 import numpy as np
 
 from ttckit.boxes import BoundingBox
-from ttckit.estimate import scaled_candidate_boxes, target_grid_patch
+from ttckit.estimate import ScaleSearchConfig, target_grid_patch
 from ttckit.features import intensity_mask
+from ttckit.learn import head_loss_and_grads
 from ttckit.sampling import bilinear_sample, grid_positions, shift_offsets
+
+
+def scaled_candidate_boxes(
+    b0: BoundingBox, b1: BoundingBox, cfg: ScaleSearchConfig
+) -> list[BoundingBox]:
+    """Candidate boxes: reference center, target dims scaled by each bin."""
+    return [
+        BoundingBox(b0.cx, b0.cy, float(a) * b1.w, float(a) * b1.h)
+        for a in cfg.bins()
+    ]
 
 
 def candidate_grid_patches(fmap0, center, b1, cfg):
@@ -62,3 +75,51 @@ def augmented_scores_out_of_place(prep, draws):
     n1 = np.maximum(g1 * g1 * prep.norm1 + 2.0 * g1 * b1 * prep.dot1m + b1 * b1 * c, 0.0)
     denom = np.maximum(np.sqrt(n0 * n1[None, None, :]), 1e-12)
     return (num / denom).mean(axis=2)
+
+
+def finite_diff_gradcheck(
+    scores: np.ndarray,
+    fc_weight: np.ndarray,
+    fc_bias: np.ndarray,
+    labels: np.ndarray,
+    epsilon: float = 1e-3,
+) -> float:
+    """Max relative analytic-vs-central-difference discrepancy of the head step.
+
+    ``scores`` are one pair's (n_bins, n_off) pooled cosine scores, which do
+    not depend on the head.  Every entry of copies of ``fc_weight`` and
+    ``fc_bias`` is perturbed in place, and the central difference of
+    ``head_loss_and_grads``'s loss is compared with its gradient.
+    """
+    params = {
+        "fc.weight": np.array(fc_weight, dtype=np.float64),
+        "fc.bias": np.array(fc_bias, dtype=np.float64),
+    }
+
+    def loss() -> float:
+        return head_loss_and_grads(scores, params["fc.weight"], params["fc.bias"], labels)[0]
+
+    _, grads = head_loss_and_grads(scores, params["fc.weight"], params["fc.bias"], labels)
+    # components far below the gradient's own scale are compared against
+    # that scale instead of themselves, otherwise the oracle's truncation
+    # error on a ~0 component would read as a spurious 100% mismatch
+    g_scale = max(
+        (float(np.abs(g).max()) for g in grads.values() if g.size), default=0.0
+    )
+    floor = max(1e-3 * g_scale, 1e-8)
+    max_rel = 0.0
+    for name, arr in params.items():
+        flat = arr.reshape(-1)
+        gflat = grads[name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            hi = loss()
+            flat[i] = orig - epsilon
+            lo = loss()
+            flat[i] = orig
+            fd = (hi - lo) / (2.0 * epsilon)
+            an = gflat[i]
+            rel = abs(fd - an) / max(abs(fd), abs(an), floor)
+            max_rel = max(max_rel, rel)
+    return max_rel

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from feature_reference import finite_diff_gradcheck
 
 from ttckit.annotate import DepthTrack, annotate_sequence, ransac_fit_velocity
 from ttckit.boxes import BoundingBox
@@ -26,7 +27,6 @@ from ttckit.evaluation import mid_metric
 from ttckit.features import hand_crafted_features
 from ttckit.learn import (
     TrainConfig,
-    finite_diff_gradcheck,
     soft_label,
     train_loop,
 )

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from ttckit.annotate import (
     DepthTrack,
-    Tracklet,
-    TrackletFrame,
     arbitrate_multi_q,
     annotate_sequence,
-    build_sequences,
     cuboid_corners,
     nearest_corner_depth,
     ransac_fit_velocity,
@@ -19,10 +16,9 @@ from ttckit.annotate import (
     ttc_label,
     uniform_interval_target,
 )
-from ttckit.boxes import BoundingBox
 from ttckit.core import TtcInterval
 from ttckit.errors import DomainError, FitFailedError
-from ttckit.manifest import Sequence, FrameSample, SequenceLabel
+from ttckit.manifest import Sequence, SequenceLabel
 
 
 def test_nearest_corner_axis_aligned():
@@ -233,44 +229,6 @@ def test_arbitrate_accelerating_without_reference():
     label = arbitrate_multi_q(DepthTrack(t, y))
     assert label.accelerating
     assert label.q_used == 3
-
-
-def _tracklet(n_frames, *, track_id="t0", bad_box_at=None, truncated_at=None):
-    frames = []
-    for i in range(n_frames):
-        box = BoundingBox(120.0, 70.0, 30.0, 24.0)
-        if bad_box_at is not None and i == bad_box_at:
-            box = BoundingBox(120.0, 70.0, 12.0, 20.0)
-        if truncated_at is not None and i == truncated_at:
-            box = BoundingBox(250.0, 70.0, 30.0, 24.0)  # spills past x=256
-        frames.append(
-            TrackletFrame(timestamp_s=i * 0.1, box=box, depth_m=50.0 - 0.8 * i)
-        )
-    return Tracklet(track_id=track_id, fps=10.0, image_size=(256, 144), frames=frames)
-
-
-def test_build_sequences_window_split():
-    seqs, dropped = build_sequences([_tracklet(14)])
-    assert len(seqs) == 2  # 14 frames -> 2 full windows, 2 frames unused
-    assert not dropped
-    assert seqs[0].sequence_id == "t0_w000"
-    assert all(len(s.frames) == 6 for s in seqs)
-    assert all(s.label is not None for s in seqs)
-    # velocity fitted before splitting: second window's fit window spans both
-    assert seqs[1].label.velocity_mps == pytest.approx(8.0)
-
-
-def test_build_sequences_drops_small_and_truncated():
-    seqs, dropped = build_sequences(
-        [
-            _tracklet(12, track_id="a", bad_box_at=2),
-            _tracklet(6, track_id="b", truncated_at=5),
-        ]
-    )
-    reasons = {(d.track_id, d.window_index): d.reason for d in dropped}
-    assert reasons[("a", 0)] == "box_below_min_size"
-    assert reasons[("b", 0)] == "truncated_box"
-    assert [s.sequence_id for s in seqs] == ["a_w001"]
 
 
 def test_rebalance_all_crucial():

@@ -832,6 +832,33 @@ def test_eval_refuses_a_malformed_index(small_dataset, tmp_path, capsys, field, 
     assert not report.exists()
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda raw: raw.update(fps="10"), "fps must be a finite number > 0, got '10'"),  # exit 1 before
+    (lambda raw: raw.update(fps=0), "fps must be a finite number > 0, got 0"),  # exit 1 before
+    (lambda raw: raw.update(fps=True), "fps must be a finite number > 0, got True"),  # 1 Hz before
+    (lambda raw: raw["label"]["alpha_by_gap"].update(x=0.9),
+     "label alpha_by_gap key must be a frame gap >= 1, got 'x'"),  # exit 1 before
+    (lambda raw: raw["label"].update(alpha_by_gap=[0.9]),
+     "label alpha_by_gap must be an object, got [0.9]"),  # exit 1 before
+], ids=["fps-str", "fps-zero", "fps-bool", "gap-key-str", "gap-list"])
+def test_eval_refuses_a_malformed_manifest_field(small_dataset, tmp_path, capsys, change, message):
+    # a sequence manifest's fps and alpha_by_gap keys are checked where they
+    # are read: a bad value exits 2 naming the field, and no report is written
+    _, cfg_path, out = small_dataset
+    data = tmp_path / "data"
+    shutil.copytree(out, data)
+    manifest = data / sorted(read_index(data)["sequences"])[0] / "manifest.json"
+    raw = json.loads(manifest.read_text())
+    change(raw)
+    manifest.write_text(json.dumps(raw))
+    report = tmp_path / "report.json"
+    rc = main(["eval", "--dataset", str(data), "--estimator", "detection",
+               "--config", str(cfg_path), "--out", str(report)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: malformed sequence manifest: {message}\n"
+    assert not report.exists()
+
+
 def test_eval_refuses_non_integer_and_non_finite_search_settings(small_dataset, tmp_path, capsys):
     # the first three used to fail inside eval with exit 1 (TypeError), the
     # last two to run silently with exit 0

@@ -89,9 +89,9 @@ def test_scale_search_refuses_non_integer_and_non_finite_values(section, key, va
 
 
 @pytest.mark.parametrize("section, defaults", [
-    ("search_pixel", ScaleSearchConfig.pixel_defaults),
+    ("search_pixel", ScaleSearchConfig),
     ("search_feature", ScaleSearchConfig.feature_defaults),
-])
+], ids=["search_pixel-pixel_defaults", "search_feature-feature_defaults"])
 def test_a_partial_search_section_keeps_its_own_defaults(section, defaults):
     # search_feature once took the pixel defaults for the keys not given:
     # {"top_k": 2} gave 125 bins at shift radius 3, and a 125 x 125 head

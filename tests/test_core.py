@@ -8,8 +8,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ttckit.core import (
-    TTC_REFERENCE_MODES,
-    FrameGap,
     TTC_MAX,
     TTC_MIN,
     TtcInterval,
@@ -41,9 +39,10 @@ def test_ttc_from_depth_velocity_domain():
 
 
 def test_ttc_from_scale_ratio_hand_values():
-    assert ttc_from_scale_ratio(0.95, 0.1) == pytest.approx(2.0)
+    # at the target frame: tau = dt * alpha / (1 - alpha)
+    assert ttc_from_scale_ratio(0.95, 0.1) == pytest.approx(1.9)
     assert ttc_from_scale_ratio(1.0, 0.1) == TTC_MAX
-    assert ttc_from_scale_ratio(1.05, 0.1) == pytest.approx(-2.0)
+    assert ttc_from_scale_ratio(1.05, 0.1) == pytest.approx(-2.1)
 
 
 def test_ttc_from_scale_ratio_truncates():
@@ -53,49 +52,42 @@ def test_ttc_from_scale_ratio_truncates():
 
 
 def test_scale_ratio_from_ttc_hand_values():
-    assert scale_ratio_from_ttc(2.0, 0.1) == pytest.approx(0.95)
-    assert scale_ratio_from_ttc(20.0, 0.1) == pytest.approx(0.995)
-    assert scale_ratio_from_ttc(-2.0, 0.1) == pytest.approx(1.05)
+    # alpha = tau / (tau + dt)
+    assert scale_ratio_from_ttc(1.9, 0.1) == pytest.approx(0.95)
+    assert scale_ratio_from_ttc(20.0, 0.1) == pytest.approx(200.0 / 201.0)
+    assert scale_ratio_from_ttc(-2.1, 0.1) == pytest.approx(1.05)
     with pytest.raises(DomainError):
         scale_ratio_from_ttc(0.0, 0.1)
+    with pytest.raises(DomainError):
+        scale_ratio_from_ttc(-0.1, 0.1)
 
 
 def test_round_trip_reference_frame():
+    # the TTC at the reference frame is dt later than at the target frame,
+    # and inverts by the one-line formula alpha = 1 - dt / tau
     for alpha in np.linspace(0.65, 1.5, 171):
         if abs(alpha - 1.0) < 1e-9:
             continue
         tau = ttc_from_scale_ratio(alpha, 0.1)
         if abs(tau) >= 20.0:
             continue
-        back = scale_ratio_from_ttc(tau, 0.1)
+        back = 1.0 - 0.1 / (tau + 0.1)
         assert back == pytest.approx(alpha, rel=1e-12)
 
 
 def test_round_trip_target_frame():
     for alpha in (0.7, 0.9, 0.99, 1.01, 1.3):
-        tau = ttc_from_scale_ratio(alpha, 0.1, ttc_reference="target_frame")
-        back = scale_ratio_from_ttc(tau, 0.1, ttc_reference="target_frame")
+        tau = ttc_from_scale_ratio(alpha, 0.1)
+        back = scale_ratio_from_ttc(tau, 0.1)
         assert back == pytest.approx(alpha, rel=1e-12)
 
 
-@given(
-    alpha=st.floats(0.05, 20.0),
-    dt=st.floats(1e-3, 2.0),
-    mode=st.sampled_from(TTC_REFERENCE_MODES),
-)
-def test_round_trip_property(alpha, dt, mode):
+@given(alpha=st.floats(0.05, 20.0), dt=st.floats(1e-3, 2.0))
+def test_round_trip_property(alpha, dt):
     # every scale ratio whose TTC is not truncated comes back from it
-    tau = ttc_from_scale_ratio(alpha, dt, ttc_reference=mode)
+    tau = ttc_from_scale_ratio(alpha, dt)
     assume(abs(tau) < TTC_MAX)
-    assert scale_ratio_from_ttc(tau, dt, ttc_reference=mode) == pytest.approx(alpha, rel=1e-12)
-
-
-def test_reference_vs_target_frame_offset():
-    # the two conventions differ by exactly dt for the same alpha
-    alpha, dt = 0.9, 0.5
-    tau_ref = ttc_from_scale_ratio(alpha, dt)
-    tau_tgt = ttc_from_scale_ratio(alpha, dt, ttc_reference="target_frame")
-    assert tau_ref - tau_tgt == pytest.approx(dt, rel=1e-12)
+    assert scale_ratio_from_ttc(tau, dt) == pytest.approx(alpha, rel=1e-12)
 
 
 def test_convert_scale_ratio_fps_hand_value():
@@ -128,9 +120,9 @@ def test_convert_scale_ratio_fps_there_and_back_property(alpha, fps_n, fps_m):
 
 def test_convert_scale_ratio_fps_preserves_target_frame_ttc():
     alpha, fps_n, fps_m = 0.92, 10.0, 2.5
-    tau = ttc_from_scale_ratio(alpha, 1.0 / fps_n, ttc_reference="target_frame")
+    tau = ttc_from_scale_ratio(alpha, 1.0 / fps_n)
     converted = convert_scale_ratio_fps(alpha, fps_n, fps_m)
-    tau_m = ttc_from_scale_ratio(converted, 1.0 / fps_m, ttc_reference="target_frame")
+    tau_m = ttc_from_scale_ratio(converted, 1.0 / fps_m)
     assert tau_m == pytest.approx(tau, rel=1e-12)
 
 
@@ -188,12 +180,3 @@ def test_ttc_from_scale_ratio_monotone_in_alpha():
         untruncated = [t for t in seq if TTC_MIN < t < TTC_MAX]
         assert all(b > a for a, b in zip(untruncated, untruncated[1:]))
 
-
-def test_frame_gap():
-    g = FrameGap(5, 10.0)
-    assert g.dt == pytest.approx(0.5)
-    assert g.effective_fps == pytest.approx(2.0)
-    with pytest.raises(DomainError):
-        FrameGap(0)
-    with pytest.raises(DomainError):
-        FrameGap(2, 0.0)

@@ -8,7 +8,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from feature_reference import augmented_scores_out_of_place, candidate_grid_patches, ingredients
+from feature_reference import (
+    augmented_scores_out_of_place,
+    candidate_grid_patches,
+    ingredients,
+    scaled_candidate_boxes,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +36,6 @@ from ttckit.estimate import (
     pair_features,
     pixel_mse_estimate,
     pooled_cosine_scores,
-    scaled_candidate_boxes,
 )
 from ttckit.evaluation import rte_metric
 from ttckit.features import hand_crafted_features
@@ -1025,7 +1029,7 @@ def _serial_feature_estimate(seq, cfg, fc_weight, fc_bias):
     scores = augmented_scores_out_of_place(prep, IDENTITY_DRAW)
     logits, best_idx = head_logits(scores, fc_weight, fc_bias)
     alpha = min(max(fuse_logits(logits, cfg), cfg.alpha_min), cfg.alpha_max)
-    tau = ttc_from_scale_ratio(alpha, gap / seq.fps, "target_frame")
+    tau = ttc_from_scale_ratio(alpha, gap / seq.fps)
     return alpha, alpha_to_10hz(alpha, seq.fps / gap), tau, logits, shift_offsets(cfg.shift_c)[best_idx]
 
 

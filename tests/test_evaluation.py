@@ -65,7 +65,7 @@ def test_metrics_nonnegative_zero_iff_equal():
 
 def _toy_sequence(i, tau):
     # the label convention: target-frame TTC, alpha_10 = tau / (tau + 0.1)
-    alpha10 = scale_ratio_from_ttc(tau, 0.1, "target_frame") if tau != 0 else 1.0
+    alpha10 = scale_ratio_from_ttc(tau, 0.1) if tau != 0 else 1.0
     return Sequence(
         sequence_id=f"s{i:03d}",
         fps=10.0,

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from feature_reference import augmented_scores_out_of_place, ingredients
+from feature_reference import augmented_scores_out_of_place, finite_diff_gradcheck, ingredients
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +36,6 @@ from ttckit.learn import (
     _val_mid,
     bce_loss,
     cosine_lr,
-    finite_diff_gradcheck,
     head_loss_and_grads,
     load_weights,
     save_weights,

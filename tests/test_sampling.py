@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from feature_reference import scaled_candidate_boxes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from ttckit import sampling
 from ttckit.boxes import MIN_BOX_SIZE_PX, BoundingBox, box_drop_reason, expand_box
 from ttckit.errors import DomainError
-from ttckit.estimate import ScaleSearchConfig, scaled_candidate_boxes
+from ttckit.estimate import ScaleSearchConfig
 from ttckit.sampling import (
     bilinear_sample,
     crop_resize,
