@@ -164,7 +164,6 @@ class TtcLabel:
     velocity_mps: float
     depth_m: float
     accelerating: bool = False
-    manual_checked: bool = False
 
     @property
     def interval(self):
@@ -228,8 +227,6 @@ def label_to_sequence_label(label: TtcLabel) -> SequenceLabel:
     flags = ["annotated"]
     if label.accelerating:
         flags.append("accelerating")
-    if label.manual_checked:
-        flags.append("manual_checked")
     return SequenceLabel(
         tau_s=label.tau_s,
         alpha_10hz=alpha_10,

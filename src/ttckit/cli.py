@@ -5,9 +5,14 @@ Subcommands: synth, annotate, estimate, train, eval, report.  Exit codes:
 deterministic given the seeds in the run configuration, and no
 environment variable changes them.
 
+``main`` opens one ``ThreadPoolExecutor(max_workers=1)`` per command and
+passes it down: the only thread the library starts.  Its worker starts on
+the first task, so ``annotate``, ``report`` and detection ``eval`` start
+none, and it is joined before ``main`` returns.
+
 ``synth`` plans every window first (variant and start draws, textures,
 trajectories and ``window_drop_reason``, all analytic), then renders and
-writes the plan on two threads: the calling thread and one worker each
+writes the plan on two threads: the calling thread and the worker each
 claim the next unclaimed window in plan order, render it and write it,
 until the plan runs out.  zlib and numpy release the GIL, so the two
 overlap, and claiming shares out windows of very different cost.  At most
@@ -22,7 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -43,6 +48,7 @@ from .learn import TrainConfig, load_weights, save_weights, train_loop, write_lo
 from .manifest import (
     canonical_json_bytes,
     load_dataset,
+    read_dataset_sequence,
     read_index,
     read_sequence_dir,
     sequence_to_manifest,
@@ -56,7 +62,7 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 1
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, pool) -> int:
     cfg = RunConfig.from_json_file(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg = RunConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
@@ -65,7 +71,7 @@ def cmd_synth(args) -> int:
     chash = config_hash(cfg)
 
     plan = _plan_windows(cfg)
-    _render_and_write(plan, out_dir)
+    _render_and_write(plan, out_dir, pool)
     written = [window.keywords["sequence_id"] for window in plan]
 
     write_index(out_dir, written, chash)
@@ -133,8 +139,8 @@ def _plan_windows(cfg: RunConfig) -> list[partial]:
     return plan
 
 
-def _render_and_write(plan: list[partial], out_dir: Path) -> None:
-    """Render and write every planned window, on the calling thread and one worker.
+def _render_and_write(plan: list[partial], out_dir: Path, pool: Executor) -> None:
+    """Render and write every planned window on the calling thread and ``pool``'s worker.
 
     Each thread claims the next unclaimed window in plan order, renders
     it and writes it, until the plan runs out.  Once a window fails no
@@ -161,15 +167,14 @@ def _render_and_write(plan: list[partial], out_dir: Path) -> None:
                     failures[index] = exc
                 return
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        worker = pool.submit(claim_render_write)
-        claim_render_write()
-        worker.result()
+    worker = pool.submit(claim_render_write)
+    claim_render_write()
+    worker.result()
     if failures:
         raise failures[min(failures)]
 
 
-def cmd_annotate(args) -> int:
+def cmd_annotate(args, pool) -> int:
     seed = check_int("annotate --seed", args.seed or 0)
     dataset_dir = Path(args.dataset)
     index = read_index(dataset_dir)
@@ -196,7 +201,7 @@ def _search_config(cfg: RunConfig, estimator: str, gap: int | None) -> ScaleSear
     return base if gap is None else base.with_gap(gap)
 
 
-def _build_estimator(args, cfg: RunConfig):
+def _build_estimator(args, cfg: RunConfig, pool: Executor):
     name = args.estimator
     if name not in ESTIMATOR_NAMES:
         raise DomainError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")
@@ -206,18 +211,14 @@ def _build_estimator(args, cfg: RunConfig):
         if not path.is_file():
             raise DomainError(f"weights file not found: {path}")
         weights, meta = load_weights(path)
-        return make_estimator(name, search, weights), search, meta
-    return make_estimator(name, search, None), search, None
+        return make_estimator(name, search, weights, pool), search, meta
+    return make_estimator(name, search, None, pool), search, None
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args, pool) -> int:
     cfg = RunConfig.from_json_file(args.config) if args.config else RunConfig()
-    dataset_dir = Path(args.dataset)
-    seq = read_sequence_dir(dataset_dir / args.seq)
-    for frame in seq.frames:
-        if frame.image_path and not Path(frame.image_path).is_absolute():
-            frame.image_path = str(dataset_dir / frame.image_path)
-    estimator, search, _ = _build_estimator(args, cfg)
+    seq = read_dataset_sequence(Path(args.dataset), args.seq)
+    estimator, search, _ = _build_estimator(args, cfg, pool)
     est = estimator(seq)
     print(f"sequence {args.seq}  estimator {est.estimator}  gap {search.frame_gap}")
     print(f"alpha_hat {est.alpha_hat:.6f}  alpha_10hz {est.alpha_hat_10hz:.6f}  tau_hat {est.tau_hat:.3f} s")
@@ -244,7 +245,7 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, pool) -> int:
     cfg = RunConfig.from_json_file(args.config) if args.config else RunConfig()
     dataset_dir = Path(args.dataset)
     index = read_index(dataset_dir)
@@ -259,7 +260,7 @@ def cmd_train(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = train_loop(train, val, search, tcfg, out_dir=out_dir / "checkpoints")
+    result = train_loop(train, val, search, tcfg, out_dir / "checkpoints", pool)
     save_weights(out_dir / "weights.bin", result.params,
                  extra={"dataset_config_hash": index["config_hash"]})
     write_loss_curve(out_dir / "loss_curve.csv", result.history)
@@ -278,11 +279,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, pool) -> int:
     cfg = RunConfig.from_json_file(args.config) if args.config else RunConfig()
     dataset_dir = Path(args.dataset)
     index = read_index(dataset_dir)
-    estimator, search, weights_meta = _build_estimator(args, cfg)
+    estimator, search, weights_meta = _build_estimator(args, cfg, pool)
     if weights_meta is not None and not args.force:
         trained_on = weights_meta.get("dataset_config_hash")
         if trained_on is not None and trained_on != index["config_hash"]:
@@ -313,7 +314,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, pool) -> int:
     reports = []
     for path in args.inputs:
         p = Path(path)
@@ -384,7 +385,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return args.fn(args, pool)
     except (TtcKitError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -88,8 +88,8 @@ def check_int(name: str, value, low: int = 0) -> int:
 
 
 def is_finite_real(value) -> bool:
-    """True for a finite real number (an int, a float or a numpy scalar)."""
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    """True for a finite real number (an int, a float or a numpy scalar), not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def ttc_from_scale_ratio(alpha: float, dt: float) -> float:

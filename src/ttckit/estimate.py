@@ -39,13 +39,16 @@ strictly above the top_k-th exact MSE, or scores every bin when the
 bounds cannot prove the profile not flat.  The fused alpha and the flag
 are those of the full search, bit for bit; only the pruned bins'
 profile entries are bounds (``SimilarityProfile.exact``).
+Both searches score half of their bins on the one worker of the pool a
+caller passes (``cli.main`` opens it), or, with no pool, all on the
+calling thread, to the same bytes; nothing here starts a thread.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -315,7 +318,7 @@ def _shift_lattice(coords: np.ndarray, c: int) -> np.ndarray:
     return shifted.reshape(coords.shape[:-1] + (-1,))
 
 
-def _split_halves(n: int, score, pool: ThreadPoolExecutor) -> None:
+def _split_halves(n: int, score, pool: Executor | None) -> None:
     """Run ``score(first, stop)`` over [0, n) in two halves at once.
 
     The calling thread takes ``[0, ceil(n / 2))`` and ``pool``'s one
@@ -324,7 +327,7 @@ def _split_halves(n: int, score, pool: ThreadPoolExecutor) -> None:
     worker's half has finished by the time this returns or raises.
     """
     half = -(-n // 2)
-    if half == n:  # one item or none: no second half
+    if pool is None or half == n:  # no worker, or no second half
         if n:
             score(0, n)
         return
@@ -400,7 +403,7 @@ def _pixel_mse_scores(
     center: tuple[float, float],
     b1: BoundingBox,
     cfg: ScaleSearchConfig,
-    pool: ThreadPoolExecutor,
+    pool: Executor | None,
     bins: np.ndarray | None = None,
     positions: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -517,7 +520,7 @@ def _pruned_pixel_search(ref_gray, tgt_crop, center, b1, cfg, pool):
     return scores, shift_idx, exact
 
 
-def pixel_mse_estimate(seq: Sequence, cfg: ScaleSearchConfig) -> TtcEstimate:
+def pixel_mse_estimate(seq: Sequence, cfg: ScaleSearchConfig, pool=None) -> TtcEstimate:
     """Scale search by pixel MSE, top-k reciprocal-MSE fusion.
 
     The crop target size follows the (expanded) target box.  Degenerate
@@ -536,10 +539,9 @@ def pixel_mse_estimate(seq: Sequence, cfg: ScaleSearchConfig) -> TtcEstimate:
     out_h = max(2, int(round(b1.h)))
     tgt_crop = crop_resize(tgt_gray, b1, out_w, out_h)
     del tgt_gray
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        best, shift_idx, exact = _pruned_pixel_search(
-            ref_gray, tgt_crop, (ref.box.cx, ref.box.cy), b1, cfg, pool
-        )
+    best, shift_idx, exact = _pruned_pixel_search(
+        ref_gray, tgt_crop, (ref.box.cx, ref.box.cy), b1, cfg, pool
+    )
     all_exact = bool(exact.all())
     profile = SimilarityProfile(
         scores=best,
@@ -786,15 +788,15 @@ def feature_scale_estimate(
     cfg: ScaleSearchConfig,
     fc_weight: np.ndarray | None = None,
     fc_bias: np.ndarray | None = None,
+    pool=None,
 ) -> TtcEstimate:
     """Feature-space scale classification with a per-bin linear head.
 
     Features are ``hand_crafted_features`` of the pair's region of
     interest (``pair_features``), scored at ``IDENTITY_DRAW`` by
-    ``pooled_cosine_scores``, exactly as training scores a val pair, the
-    second half of the bins on one worker thread started for this estimate
-    in a ``with`` block.  With no trained head the identity head is used:
-    logits are the pooled cosine scores themselves.
+    ``pooled_cosine_scores``, exactly as training scores a val pair, half
+    of the bins on ``pool``'s one worker, if given.  With no trained head
+    the identity head is used: logits are the pooled cosine scores themselves.
     """
     if fc_weight is None or fc_bias is None:
         fc_weight, fc_bias = identity_head(cfg.n_bins)
@@ -802,8 +804,7 @@ def feature_scale_estimate(
     fc_bias = np.asarray(fc_bias, dtype=np.float64)
 
     f0, f1, center, box = pair_features(seq, cfg)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        scores = pooled_cosine_scores(f0, f1, center, box, cfg, [IDENTITY_DRAW], pool)[0]
+    scores = pooled_cosine_scores(f0, f1, center, box, cfg, [IDENTITY_DRAW], pool)[0]
     logits, best_idx = head_logits(scores, fc_weight, fc_bias)
     profile = SimilarityProfile(
         scores=logits, semantics="logit", best_shift=shift_offsets(cfg.shift_c)[best_idx]
@@ -818,7 +819,7 @@ def feature_scale_estimate(
 ESTIMATOR_NAMES = ("detection", "pixel_mse", "feature_scale")
 
 
-def make_estimator(name: str, cfg: ScaleSearchConfig, weights: dict | None = None):
+def make_estimator(name: str, cfg: ScaleSearchConfig, weights: dict | None = None, pool=None):
     """Build a ``seq -> TtcEstimate`` callable by estimator name.
 
     Feature-scale ``weights`` must hold exactly the ``cfg.n_bins`` head,
@@ -828,7 +829,7 @@ def make_estimator(name: str, cfg: ScaleSearchConfig, weights: dict | None = Non
     if name == "detection":
         return lambda seq: detection_ratio_estimate(seq, cfg)
     if name == "pixel_mse":
-        return lambda seq: pixel_mse_estimate(seq, cfg)
+        return lambda seq: pixel_mse_estimate(seq, cfg, pool)
     if name == "feature_scale":
         fc_w = fc_b = None
         if weights is not None:
@@ -838,5 +839,5 @@ def make_estimator(name: str, cfg: ScaleSearchConfig, weights: dict | None = Non
                 raise DomainError(f"weights do not fit the {cfg.n_bins}-bin feature_scale "
                                   f"head: got {shapes}, need {expected}")
             fc_w, fc_b = weights["fc.weight"], weights["fc.bias"]
-        return lambda seq: feature_scale_estimate(seq, cfg, fc_w, fc_b)
+        return lambda seq: feature_scale_estimate(seq, cfg, fc_w, fc_b, pool)
     raise DomainError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")

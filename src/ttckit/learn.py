@@ -19,15 +19,15 @@ the head, so ``train_loop`` draws the whole schedule up front, from the
 same generator in the same order as its epochs consume it.  The pairs
 are then scored one after another, each once for every draw the schedule
 gives it, its bins in two halves at once: the calling thread takes the
-first half and the one worker thread of ``train_loop``'s pool the rest.
-The epochs run on the kept (n_draws, n_bins, n_off) scores alone.
+first half and the one worker of the pool a caller passes (``cli.main``
+opens it) the rest, or, with no pool, the calling thread all of it.  The
+epochs run on the kept (n_draws, n_bins, n_off) scores alone.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -300,6 +300,7 @@ def train_loop(
     cfg: ScaleSearchConfig,
     train_cfg: TrainConfig,
     out_dir: Path | None = None,
+    pool=None,
 ) -> TrainResult:
     """Train the per-bin head on labeled sequences; hand-crafted features.
 
@@ -308,20 +309,19 @@ def train_loop(
     and gradient accumulation within a batch runs in ascending dataset
     order.  The schedule is drawn before any pair is scored, and each
     pair is scored once for all its draws (``_pair_scores``), train pairs
-    then val pairs, with one worker thread for the whole loop; the epochs
-    then consume those scores in schedule order.  Emits a checkpoint per
-    epoch when ``out_dir`` is given and aborts (keeping the last good
-    checkpoint) if the loss goes non-finite.
+    then val pairs, half of each pair's bins on ``pool``'s one worker if
+    given; the epochs then consume those scores in schedule order.  Emits
+    a checkpoint per epoch when ``out_dir`` is given and aborts (keeping
+    the last good checkpoint) if the loss goes non-finite.
     """
     if not train_seqs:
         raise FitFailedError("no training sequences")
     n = len(train_seqs)
     epochs, draws = _draw_schedule(n, train_cfg)
     sigma = train_cfg.sigma_bins
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        scored = [_pair_scores(seq, d, cfg, sigma, pool) for seq, d in zip(train_seqs, draws)]
-        val_scores = [_pair_scores(seq, [IDENTITY_DRAW], cfg, sigma, pool)[1][0]
-                      for seq in val_seqs]
+    scored = [_pair_scores(seq, d, cfg, sigma, pool) for seq, d in zip(train_seqs, draws)]
+    val_scores = [_pair_scores(seq, [IDENTITY_DRAW], cfg, sigma, pool)[1][0]
+                  for seq in val_seqs]
     labels = [label for label, _ in scored]
     streams = [iter(scores) for _, scores in scored]
     val_alpha10 = [seq.label.alpha_10hz for seq in val_seqs]

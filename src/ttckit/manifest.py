@@ -34,7 +34,7 @@ class FrameSample:
     image: np.ndarray | None = None  # (H, W, 3) float32 in [0, 1]
     image_path: str | None = None
 
-    def load_image(self, root: Path | None = None) -> np.ndarray:
+    def load_image(self) -> np.ndarray:
         """The in-memory raster if the frame holds one, else its PNG, decoded.
 
         A raster read from disk is not kept on the frame, so memory stays
@@ -48,8 +48,6 @@ class FrameSample:
         if self.image_path is None:
             raise ManifestError("frame has neither raster nor image path")
         path = Path(self.image_path)
-        if root is not None and not path.is_absolute():
-            path = Path(root) / path
         try:
             raster = read_png(path)
         except FileNotFoundError as exc:
@@ -139,8 +137,8 @@ def sequence_to_manifest(seq: Sequence) -> dict:
 
 
 def _manifest_fps(fps) -> float:
-    """A manifest's ``fps``: a finite number > 0, and not a bool."""
-    if isinstance(fps, bool) or not (is_finite_real(fps) and fps > 0):
+    """A manifest's ``fps``: a finite number > 0."""
+    if not (is_finite_real(fps) and fps > 0):
         raise ManifestError(f"malformed sequence manifest: fps must be a finite number > 0, "
                             f"got {fps!r}")
     return fps
@@ -279,15 +277,17 @@ def read_index(dataset_dir: Path) -> dict:
     return index
 
 
+def read_dataset_sequence(dataset_dir: Path, seq_id: str) -> Sequence:
+    """Read one sequence of a dataset, its relative frame paths resolved
+    against ``dataset_dir``; rasters stay lazy."""
+    seq = read_sequence_dir(Path(dataset_dir) / seq_id)
+    for frame in seq.frames:
+        if frame.image_path is not None and not Path(frame.image_path).is_absolute():
+            frame.image_path = str(Path(dataset_dir) / frame.image_path)
+    return seq
+
+
 def load_dataset(dataset_dir: Path) -> list[Sequence]:
     """Load every indexed sequence (sorted by id); rasters stay lazy."""
-    dataset_dir = Path(dataset_dir)
     index = read_index(dataset_dir)
-    sequences = []
-    for seq_id in index["sequences"]:
-        seq = read_sequence_dir(dataset_dir / seq_id)
-        for frame in seq.frames:
-            if frame.image_path is not None and not Path(frame.image_path).is_absolute():
-                frame.image_path = str(dataset_dir / frame.image_path)
-        sequences.append(seq)
-    return sequences
+    return [read_dataset_sequence(dataset_dir, seq_id) for seq_id in index["sequences"]]

@@ -55,9 +55,9 @@ every sample reads the same texel values, so the promotion does not
 change a bit.  Each call owns its buffers, so calls on different
 threads over the same read-only image do not interfere: the pixel and
 feature searches each score two halves of their scale bins at once,
-each half with its own call on its own thread (the caller and one
-worker started for that search; nothing here starts a thread), and
-``synth`` renders two windows at once, whose frames may share a
+each half with its own call on its own thread (the caller and the one
+worker ``cli.main`` opens per command; nothing here starts a thread),
+and ``synth`` renders two windows at once, whose frames may share a
 texture.  The renderer asks for each frame's supersampled texture
 lattice in blocks of whole output rows, padded to equal blocks, so a
 large box never holds its whole lattice (``synth.render_frame``).  The

@@ -4,9 +4,7 @@ PASS line with its measured numbers (run with -s or -v to see them).
 The suites here are deterministic; every tolerance is stated inline.
 """
 
-import shutil
 import time
-from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,14 +21,12 @@ from ttckit.estimate import (
     pixel_mse_estimate,
     pooled_cosine_scores,
 )
-from ttckit.evaluation import mid_metric
 from ttckit.features import hand_crafted_features
 from ttckit.learn import (
     TrainConfig,
     soft_label,
     train_loop,
 )
-from ttckit.manifest import FrameSample, Sequence
 from ttckit.suites import DEFAULT_SUITE_CAMERA, constant_velocity_suite, uniform_alpha_suite
 from ttckit.synth import (
     CameraModel,
@@ -285,9 +281,8 @@ def test_criterion_08_gradient_checks():
         sample = _gradcheck_sample(seed, 24)
         fmap0 = hand_crafted_features(sample.image0).astype(np.float64)
         fmap1 = hand_crafted_features(sample.image1).astype(np.float64)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            (scores,) = pooled_cosine_scores(fmap0, fmap1, sample.center0, sample.box1, fc_cfg,
-                                             [IDENTITY_DRAW], pool)
+        (scores,) = pooled_cosine_scores(fmap0, fmap1, sample.center0, sample.box1, fc_cfg,
+                                         [IDENTITY_DRAW], None)
         err = finite_diff_gradcheck(
             scores,
             np.eye(6) + rng.normal(0, 0.1, size=(6, 6)),

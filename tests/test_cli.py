@@ -98,6 +98,8 @@ def test_synth_refuses_out_of_range_settings(tmp_path, capsys):
         {"length": 6.5}, {"length": 1}, {"fps": -10.0}, {"fps": 0.0}, {"fps": nan},
         {"start_min": -1.0}, {"start_min": nan}, {"background": 3.0}, {"background": -0.1},
         {"background": nan}, {"vary_texture": 1},
+        # a bool is not a number: each was read as 1 or 0
+        {"fps": True}, {"start_min": False}, {"background": True},
     ]
     for i, synth in enumerate(bad):
         path = tmp_path / f"bad{i}.json"
@@ -250,19 +252,15 @@ def test_synth_writes_the_bytes_of_a_serial_run(tmp_path, cfg):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
-def test_synth_starts_one_worker_thread_and_leaves_none(tmp_path, monkeypatch):
+def test_synth_renders_on_both_threads(tmp_path, monkeypatch):
     # the first two windows each wait until both are rendering, so the
     # test fails (a broken barrier, exit 1) unless two threads render
     import ttckit.cli
 
     ids = _plan_ids(SMALL_CONFIG)
-    real_start, generate = threading.Thread.start, ttckit.cli.generate_from_trajectory
-    started, rendering = [], set()
+    generate = ttckit.cli.generate_from_trajectory
+    rendering = set()
     both = threading.Barrier(2, timeout=60)
-
-    def counting_start(thread):
-        started.append(thread)
-        real_start(thread)
 
     def recording_generate(*args, **kwargs):
         rendering.add(threading.current_thread())
@@ -270,16 +268,53 @@ def test_synth_starts_one_worker_thread_and_leaves_none(tmp_path, monkeypatch):
             both.wait()
         return generate(*args, **kwargs)
 
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
     monkeypatch.setattr(ttckit.cli, "generate_from_trajectory", recording_generate)
-    threads = threading.active_count()
     rc, out = _synth_small(tmp_path)
     assert rc == 0
-    assert threading.active_count() == threads
-    assert len(started) == 1
-    assert rendering == {threading.main_thread(), started[0]}
-    assert not started[0].is_alive()
+    assert len(rendering) == 2 and threading.main_thread() in rendering
     assert read_index(out)["sequences"] == sorted(ids)
+
+
+@pytest.mark.parametrize("command, starts", [
+    ("synth", 1), ("estimate", 1), ("train", 1), ("eval pixel_mse", 1),
+    ("eval feature_scale", 1), ("eval detection", 0), ("annotate", 0), ("report", 0),
+])
+def test_each_command_starts_at_most_one_thread_and_leaves_none(
+    small_dataset, tmp_path, monkeypatch, command, starts
+):
+    # cli.main opens the one worker of a command, which starts on the
+    # first task: every search of an eval shares it, and a command that
+    # submits nothing starts none
+    _, cfg_path, out = small_dataset
+    data = tmp_path / "data"
+    shutil.copytree(out, data)
+    name, _, estimator = command.partition(" ")
+    argv = {
+        "synth": ["--config", str(cfg_path), "--out", str(tmp_path / "synth")],
+        "estimate": ["--dataset", str(data), "--seq", read_index(data)["sequences"][0],
+                     "--estimator", "pixel_mse", "--config", str(cfg_path)],
+        "train": ["--dataset", str(data), "--out", str(tmp_path / "train"),
+                  "--config", str(cfg_path)],
+        "eval": ["--dataset", str(data), "--estimator", estimator, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "report.json")],
+        "annotate": ["--dataset", str(data)],
+        "report": ["--inputs", str(tmp_path / "report.json")],
+    }[name]
+    if name == "report":
+        assert main(["eval", "--dataset", str(data), "--estimator", "detection",
+                     "--config", str(cfg_path), "--out", argv[1]]) == 0
+    real_start, started = threading.Thread.start, []
+
+    def counting_start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    threads = threading.active_count()
+    assert main([name, *argv]) == 0
+    assert len(started) == starts
+    assert not any(thread.is_alive() for thread in started)
+    assert threading.active_count() == threads
 
 
 def test_annotate_round_trip(small_dataset, tmp_path):
@@ -738,7 +773,7 @@ def test_train_refuses_an_unlabeled_sequence(validated_dataset, tmp_path, capsys
 
 
 def test_importing_the_cli_starts_no_thread():
-    # every thread pool is opened by the command that uses it, never at import
+    # the one thread pool is opened by cli.main for each command, never at import
     src = str(Path(ttckit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = "import threading, ttckit.cli; print(threading.active_count())"
@@ -759,7 +794,7 @@ def test_train_refuses_out_of_range_settings(small_dataset, tmp_path, capsys):
         {"gain_range": [-0.5, 1.1]}, {"gain_range": 1.0}, {"bias_range": [0.05]},
         {"bias_range": [0.05, -0.05]}, {"bias_range": [-0.05, nan]},
         {"epochs": 2.5}, {"epochs": True}, {"batch_size": 4.0}, {"batch_size": "4"},
-        {"seed": -1}, {"seed": 0.5},
+        {"seed": -1}, {"seed": 0.5}, {"base_lr": True}, {"gain_range": [True, 1.1]},
     ]
     for i, train in enumerate(bad):
         cfg = {**SMALL_CONFIG, "train": {**SMALL_CONFIG["train"], **train}}

@@ -78,11 +78,12 @@ def test_synth_config_defaults():
     ("n_bins", 20.0), ("top_k", 2.0), ("shift_c", 1.5), ("frame_gap", True),
     ("frame_gap", 0), ("target_w", 20.0), ("target_h", "20"), ("n_bins", 1),
     ("expand_cap", math.nan), ("expand_cap", 0.9), ("alpha_min", -math.inf),
-    ("alpha_max", math.nan), ("alpha_max", "1.5"),
+    ("alpha_max", math.nan), ("alpha_max", "1.5"), ("alpha_min", True), ("expand_cap", True),
 ])
 def test_scale_search_refuses_non_integer_and_non_finite_values(section, key, value):
     # each of these used to raise TypeError inside the run, or to run
-    # silently (a frame_gap of true at gap 1, a NaN expand_cap)
+    # silently (a frame_gap of true at gap 1, a NaN expand_cap, an alpha
+    # range from true, read as 1)
     with pytest.raises(DomainError, match=f"scale search {key} must be"):
         RunConfig.from_dict({section: {key: value}})
 

@@ -3,7 +3,7 @@
 import math
 import sys
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -72,15 +72,6 @@ def _identity_sequence(seed=0, size=(120, 160)):
         FrameSample(timestamp_s=i * 0.1, box=box, image=img) for i in range(6)
     ]
     return Sequence(sequence_id="ident", fps=10.0, frames=frames)
-
-
-@pytest.fixture(scope="module")
-def pool():
-    """One worker for the scorers that take a pool, started before any
-    test counts threads."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pool.submit(int).result()
-        yield pool
 
 
 def test_scale_search_config_validation():
@@ -579,16 +570,6 @@ def test_gray_equals_the_float64_channel_mean(dtype):
     assert np.array_equal(estimate._gray(flat), np.asarray(flat, np.float64))
 
 
-class _InlinePool:
-    """An executor that runs each task when it is submitted, on the
-    calling thread, so a search's two halves run one after the other."""
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 def _bound_pass_inputs():
     # a 31 px crop, the smallest pixel-search band, at the default 125 bins
     # and radius 3: its bound lattices are 77 x 77 samples
@@ -628,29 +609,29 @@ def test_pixel_mse_bounds_equal_one_lattice_sampling(monkeypatch):
 
 def test_pixel_mse_bound_pass_peak_allocation_is_bounded():
     # the sampler's strip and block buffers are allocated once per call,
-    # so one 125-bin bound pass, its halves run one after the other,
-    # peaks at about 1.46 MB: one half's three buffers (a strip of at most
+    # so one 125-bin bound pass with no pool, one call on this thread,
+    # peaks at about 1.77 MB: the call's three buffers (a strip of at most
     # 53 rows x 462 columns, a 6 x 77 x 77 block and a right/bottom-term
     # buffer as large as the block, 0.77 MB), its corners and weights, and
     # the pass's bin positions.  Allocating the buffers once per block
-    # instead peaks at about 2.16 MB, since each block's new buffers are
+    # instead peaks at about 2.46 MB, since each block's new buffers are
     # allocated while the last block is still held; 1.8 MB lies between
     import tracemalloc
 
     inputs = _bound_pass_inputs()
-    estimate._pixel_mse_bounds(*inputs, _InlinePool())
+    estimate._pixel_mse_bounds(*inputs, None)
     tracemalloc.start()
     try:
-        estimate._pixel_mse_bounds(*inputs, _InlinePool())
+        estimate._pixel_mse_bounds(*inputs, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_800_000, peak
 
 
-def test_pixel_mse_estimate_leaves_no_thread(monkeypatch):
-    # both passes of every search run on the calling thread and one worker,
-    # which is gone when the estimate returns
+def test_pixel_mse_estimate_runs_both_passes_on_both_threads(monkeypatch, pool):
+    # both passes of every search run on the calling thread and the pool's
+    # worker
     seq = _oracle_sequence()
     real = estimate.lattice_row_blocks
     seen = []
@@ -660,10 +641,8 @@ def test_pixel_mse_estimate_leaves_no_thread(monkeypatch):
         return real(image, ys, xs, n)
 
     monkeypatch.setattr(estimate, "lattice_row_blocks", recording_blocks)
-    threads = threading.active_count()
-    est = pixel_mse_estimate(seq, ScaleSearchConfig(shift_c=1))
+    est = pixel_mse_estimate(seq, ScaleSearchConfig(shift_c=1), pool)
     assert math.isfinite(est.tau_hat)
-    assert threading.active_count() == threads
     # bound-pass lattices have a third of the exact pass's rows
     for rows in {rows for rows, _ in seen}:
         assert len({ident for r, ident in seen if r == rows}) == 2
@@ -721,7 +700,7 @@ def test_pixel_mse_error_in_either_half_reaches_the_caller(monkeypatch, pool, ba
 
 @pytest.mark.parametrize("pass_", ["bound", "exact"])
 @pytest.mark.parametrize("side", ["caller", "worker"])
-def test_pixel_mse_error_in_either_pass_reaches_the_caller(monkeypatch, pass_, side):
+def test_pixel_mse_error_in_either_pass_reaches_the_caller(monkeypatch, pool, pass_, side):
     # nine bins: the bound pass splits them into halves of five (calling
     # thread) and four (the worker), the exact pass's first call its four
     # bins of lowest bound into two and two.  In the chosen pass, every
@@ -738,8 +717,7 @@ def test_pixel_mse_error_in_either_pass_reaches_the_caller(monkeypatch, pass_, s
         ys, xs = ys[:, ::3], xs[:, ::3]
         batch = np.arange(cfg.n_bins)
     else:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            bounds, _ = estimate._pixel_mse_bounds(ref_gray, tgt_crop, center, b1, cfg, pool)
+        bounds, _ = estimate._pixel_mse_bounds(ref_gray, tgt_crop, center, b1, cfg, pool)
         batch = np.sort(np.argsort(bounds, kind="stable")[:4])
     ys, xs = estimate._shift_lattice(ys[batch], 1), estimate._shift_lattice(xs[batch], 1)
     # lattices grow with the bin, and the two passes' lattices differ in height
@@ -757,7 +735,7 @@ def test_pixel_mse_error_in_either_pass_reaches_the_caller(monkeypatch, pass_, s
     monkeypatch.setattr(estimate, "lattice_row_blocks", failing_blocks)
     threads = threading.active_count()
     with pytest.raises(DomainError) as split:
-        pixel_mse_estimate(seq, cfg)
+        pixel_mse_estimate(seq, cfg, pool)
     assert type(split.value) is type(serial.value)
     assert str(split.value) == str(serial.value)
     assert threading.active_count() == threads
@@ -927,7 +905,7 @@ def test_concurrent_pixel_searches_equal_the_full_lattice_search():
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-def test_pixel_search_layers_run_on_the_calling_thread(tmp_path, monkeypatch):
+def test_pixel_search_layers_run_on_the_calling_thread(tmp_path, monkeypatch, pool):
     # the functions a traced run wraps record one span stack for every
     # thread, so the pixel path must call them from the caller's thread only
     seq = _oracle_sequence()
@@ -946,7 +924,7 @@ def test_pixel_search_layers_run_on_the_calling_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(sampling, "bilinear_sample", on_caller(sampling.bilinear_sample))
     monkeypatch.setattr(FrameSample, "load_image", on_caller(FrameSample.load_image))
     monkeypatch.setattr(png, "decode_png", on_caller(png.decode_png))
-    pixel_mse_estimate(seq, ScaleSearchConfig(shift_c=1))
+    pixel_mse_estimate(seq, ScaleSearchConfig(shift_c=1), pool)
     names = {name for name, _ in seen}
     assert names == {"crop_resize", "bilinear_sample", "load_image", "decode_png"}
     assert {ident for _, ident in seen} == {threading.get_ident()}
@@ -1033,14 +1011,14 @@ def _serial_feature_estimate(seq, cfg, fc_weight, fc_bias):
     return alpha, alpha_to_10hz(alpha, seq.fps / gap), tau, logits, shift_offsets(cfg.shift_c)[best_idx]
 
 
-def test_feature_estimate_equals_its_serial_version():
+def test_feature_estimate_equals_its_serial_version(pool):
     seq = _oracle_sequence(tau=5.0, seed=31, seq_id="mr1")
     cfg = ScaleSearchConfig.feature_defaults(shift_c=2)
     rng = np.random.default_rng(16)
     fc_weight = np.eye(cfg.n_bins) + rng.normal(scale=0.05, size=(cfg.n_bins, cfg.n_bins))
     fc_bias = rng.normal(scale=0.01, size=cfg.n_bins)
     threads = threading.active_count()
-    est = feature_scale_estimate(seq, cfg, fc_weight, fc_bias)
+    est = feature_scale_estimate(seq, cfg, fc_weight, fc_bias, pool)
     assert threading.active_count() == threads
     alpha, alpha_10, tau, logits, best_shift = _serial_feature_estimate(seq, cfg, fc_weight, fc_bias)
     assert (est.alpha_hat, est.alpha_hat_10hz, est.tau_hat) == (alpha, alpha_10, tau)

@@ -517,12 +517,13 @@ def _serial_train_loop(train_seqs, val_seqs, cfg, train_cfg, out_dir=None):
     (6, 3, 6, 1, 5),    # one batch of exactly the set
     (4, 1, 3, 2, 2024),
 ])
-def test_train_loop_equals_the_serial_reference(tmp_path, n_train, n_val, batch_size, epochs, seed):
+def test_train_loop_equals_the_serial_reference(tmp_path, pool, n_train, n_val, batch_size,
+                                                 epochs, seed):
     cfg = _cfg(n_bins=8, shift_c=1, target=10)
     train_seqs = _train_suite(n_train, seed=80 + seed)
     val_seqs = _train_suite(n_val, seed=90 + seed, noise_seed=1) if n_val else []
     tcfg = TrainConfig(epochs=epochs, batch_size=batch_size, seed=seed)
-    got = train_loop(train_seqs, val_seqs, cfg, tcfg, out_dir=tmp_path / "got")
+    got = train_loop(train_seqs, val_seqs, cfg, tcfg, tmp_path / "got", pool)
     want = _serial_train_loop(train_seqs, val_seqs, cfg, tcfg, out_dir=tmp_path / "want")
     for name in ("fc.weight", "fc.bias"):
         assert np.array_equal(got.params[name], want.params[name]), name
@@ -536,18 +537,18 @@ def test_train_loop_equals_the_serial_reference(tmp_path, n_train, n_val, batch_
 
 
 @pytest.mark.parametrize("split, position", [("train", 2), ("train", 4), ("val", 1)])
-def test_train_loop_refuses_an_unlabeled_pair_and_stops_its_workers(split, position):
+def test_train_loop_refuses_an_unlabeled_pair_and_stops_its_workers(pool, split, position):
     # the same error as the serial loop, raised after other pairs were
-    # scored; the worker thread is joined on return and on the error
+    # scored; the worker's half has finished on return and on the error
     cfg = _cfg(n_bins=6, shift_c=0, target=8)
     seqs = {"train": _train_suite(5, seed=33), "val": _train_suite(2, seed=34)}
     tcfg = TrainConfig(epochs=1, batch_size=2, seed=1)
     threads = threading.active_count()
-    train_loop(seqs["train"], seqs["val"], cfg, tcfg)
+    train_loop(seqs["train"], seqs["val"], cfg, tcfg, pool=pool)
     assert threading.active_count() == threads
     seqs[split][position] = dataclasses.replace(seqs[split][position], label=None)
     with pytest.raises(DomainError) as got:
-        train_loop(seqs["train"], seqs["val"], cfg, tcfg)
+        train_loop(seqs["train"], seqs["val"], cfg, tcfg, pool=pool)
     assert threading.active_count() == threads
     with pytest.raises(DomainError) as want:
         _serial_train_loop(seqs["train"], seqs["val"], cfg, tcfg)
@@ -555,34 +556,25 @@ def test_train_loop_refuses_an_unlabeled_pair_and_stops_its_workers(split, posit
     assert str(got.value) == str(want.value) == f"sequence {seqs[split][position].sequence_id} is unlabeled"
 
 
-def test_train_loop_starts_one_worker_thread_and_leaves_none(monkeypatch):
-    # one worker for the whole loop, train and val pairs alike: every
-    # pair's second half of the bins is sampled on it
-    real_start, real_patches = threading.Thread.start, estimate.candidate_patches_by_bin
-    started, sampling = [], set()
-
-    def counting_start(thread):
-        started.append(thread)
-        real_start(thread)
+def test_train_loop_samples_every_pair_on_both_threads(monkeypatch, pool):
+    # the pool's one worker serves the whole loop, train and val pairs
+    # alike: every pair's second half of the bins is sampled on it
+    real_patches = estimate.candidate_patches_by_bin
+    sampling = set()
 
     def recording_patches(*args):
         sampling.add(threading.current_thread())
         yield from real_patches(*args)
 
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
     monkeypatch.setattr(estimate, "candidate_patches_by_bin", recording_patches)
     cfg = _cfg(n_bins=6, shift_c=0, target=8)
-    threads = threading.active_count()
     train_loop(_train_suite(4, seed=33), _train_suite(2, seed=34), cfg,
-               TrainConfig(epochs=2, batch_size=2, seed=1))
-    assert threading.active_count() == threads
-    assert len(started) == 1
-    assert sampling == {threading.main_thread(), started[0]}
-    assert not started[0].is_alive()
+               TrainConfig(epochs=2, batch_size=2, seed=1), pool=pool)
+    assert sampling == {threading.main_thread(), pool.submit(threading.current_thread).result()}
 
 
 @pytest.mark.parametrize("bad_bins", [(1,), (4,), (1, 4)])
-def test_pair_scorer_error_in_either_half_reaches_the_caller(monkeypatch, bad_bins):
+def test_pair_scorer_error_in_either_half_reaches_the_caller(monkeypatch, pool, bad_bins):
     # six bins split into [0, 3) on the calling thread and [3, 6) on the
     # worker; the bad bins fail when sampled, and the error is the one
     # sampling the bins in order gives: with both halves failing, the
@@ -603,7 +595,8 @@ def test_pair_scorer_error_in_either_half_reaches_the_caller(monkeypatch, bad_bi
     monkeypatch.setattr(estimate, "candidate_patches_by_bin", failing_patches)
     threads = threading.active_count()
     with pytest.raises(DomainError) as got:
-        train_loop(_train_suite(3, seed=35), [], cfg, TrainConfig(epochs=1, batch_size=2))
+        train_loop(_train_suite(3, seed=35), [], cfg, TrainConfig(epochs=1, batch_size=2),
+                   pool=pool)
     assert type(got.value) is type(serial.value)
     assert str(got.value) == str(serial.value)
     assert threading.active_count() == threads

@@ -15,6 +15,7 @@ from ttckit.manifest import (
     Sequence,
     SequenceLabel,
     load_dataset,
+    read_dataset_sequence,
     read_index,
     read_sequence_dir,
     write_index,
@@ -212,7 +213,7 @@ def test_manifest_round_trip(tmp_path):
     for fa, fb in zip(seq.frames, back.frames):
         assert fb.box == fa.box
         assert fb.depth_m == fa.depth_m
-    img = back.frames[0].load_image(tmp_path)
+    img = read_dataset_sequence(tmp_path, "seq000").frames[0].load_image()
     # 8-bit quantization on the way to disk
     assert np.allclose(img, seq.frames[0].image, atol=1.0 / 255.0 + 1e-6)
 
