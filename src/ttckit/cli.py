@@ -292,17 +292,18 @@ def cmd_eval(args, pool) -> int:
                 f"{index['config_hash']}; pass --force to evaluate anyway"
             )
     sequences = load_dataset(dataset_dir)
-    # a gap no sequence can hold would fail every sequence and report a
-    # table of zeros, which reads as a perfect score
-    longest = max((len(seq.frames) for seq in sequences), default=None)
-    if longest is not None and search.frame_gap >= longest:
+    # an empty dataset, a gap no sequence can hold, or every sequence
+    # failing would each report a table of zeros, which reads as a
+    # perfect score
+    if not sequences:
+        raise DomainError(f"dataset {dataset_dir} is empty")
+    longest = max(len(seq.frames) for seq in sequences)
+    if search.frame_gap >= longest:
         raise DomainError(f"gap {search.frame_gap} needs {search.frame_gap + 1} frames, "
                           f"the longest sequence has {longest}")
     report = evaluate_dataset(sequences, estimator, args.estimator,
                               config_hash=index["config_hash"])
-    # with no estimate the report is a table of zeros, which reads as a
-    # perfect score
-    if sequences and report.n_failures == len(sequences):
+    if report.n_failures == len(sequences):
         raise DomainError(f"every one of {len(sequences)} sequences failed "
                           f"(first: {report.records[0]['error']})")
     out = Path(args.out) if args.out else dataset_dir / f"report_{args.estimator}.json"

@@ -39,6 +39,11 @@ def _from_dict(make, data: dict, path: str):
     return make(**kwargs)
 
 
+def _check_positive(name: str, value) -> None:
+    if not (is_finite_real(value) and value > 0):
+        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CameraConfig:
     f: float = 1000.0
@@ -46,6 +51,16 @@ class CameraConfig:
     cy: float | None = None
     width: int = 1024
     height: int = 576
+
+    def __post_init__(self) -> None:
+        _check_positive("camera f", self.f)
+        for name in ("cx", "cy"):
+            value = getattr(self, name)
+            if value is not None and not is_finite_real(value):
+                raise DomainError(f"camera {name} must be null or a finite number, "
+                                  f"got {value!r}")
+        check_int("camera width", self.width, 1)
+        check_int("camera height", self.height, 1)
 
     def to_model(self) -> CameraModel:
         cx = self.width / 2.0 if self.cx is None else self.cx
@@ -64,14 +79,32 @@ class TargetConfig:
     lateral_offset_x: float = 0.0
     vertical_offset_z: float = 0.0
 
+    def __post_init__(self) -> None:
+        _check_positive("target physical_width", self.physical_width)
+        _check_positive("target physical_height", self.physical_height)
+        if self.texture not in ("noise", "checker"):
+            raise DomainError(f'target texture must be "noise" or "checker", '
+                              f"got {self.texture!r}")
+        check_int("target texture_seed", self.texture_seed)
+        for name in ("texture_low", "texture_high"):
+            value = getattr(self, name)
+            if not (is_finite_real(value) and 0 <= value <= 1):
+                raise DomainError(f"target {name} must be finite and in [0, 1], got {value!r}")
+        # equal bounds would leave the texture flat, and its scale unobservable
+        if self.texture_low >= self.texture_high:
+            raise DomainError(f"target texture_low must be below texture_high, got "
+                              f"{self.texture_low!r} and {self.texture_high!r}")
+        for name in ("lateral_offset_x", "vertical_offset_z"):
+            if not is_finite_real(getattr(self, name)):
+                raise DomainError(f"target {name} must be a finite number, "
+                                  f"got {getattr(self, name)!r}")
+
     def to_target(self, seed_offset: int = 0) -> PlanarTarget:
         if self.texture == "noise":
             tex = noise_texture(self.texture_seed + seed_offset,
                                 low=self.texture_low, high=self.texture_high)
-        elif self.texture == "checker":
-            tex = checker_texture(low=self.texture_low, high=self.texture_high)
         else:
-            raise DomainError(f"unknown texture kind {self.texture!r}")
+            tex = checker_texture(low=self.texture_low, high=self.texture_high)
         return PlanarTarget(
             self.physical_width,
             self.physical_height,

@@ -92,6 +92,15 @@ def is_finite_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def check_range(name: str, pair) -> None:
+    """Raise DomainError naming ``name`` unless ``pair`` is [low, high], two
+    finite numbers with low <= high."""
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+            and all(map(is_finite_real, pair)) and pair[0] <= pair[1]):
+        raise DomainError(f"{name} must be [low, high], two finite numbers with "
+                          f"low <= high, got {pair!r}")
+
+
 def ttc_from_scale_ratio(alpha: float, dt: float) -> float:
     """TTC at the target frame from the scale ratio alpha = s(t0)/s(t1)
     over a dt-second gap: tau = dt * alpha / (1 - alpha).

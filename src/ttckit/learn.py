@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import check_int, convert_scale_ratio_fps, is_finite_real
+from .core import check_int, check_range, convert_scale_ratio_fps, is_finite_real
 from .errors import DomainError, FitFailedError, TrainingDivergedError
 from .estimate import (
     IDENTITY_DRAW,
@@ -72,11 +72,8 @@ class TrainConfig:
         for name, value in rates.items():
             if not (is_finite_real(value) and value >= 0):
                 raise DomainError(f"train {name} must be finite and >= 0, got {value!r}")
-        for name, pair in (("gain_range", self.gain_range), ("bias_range", self.bias_range)):
-            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                    and all(map(is_finite_real, pair)) and pair[0] <= pair[1]):
-                raise DomainError(f"train {name} must be [low, high], two finite "
-                                  f"numbers with low <= high, got {pair!r}")
+        check_range("train gain_range", self.gain_range)
+        check_range("train bias_range", self.bias_range)
         if self.gain_range[0] <= 0:
             raise DomainError(f"train gain_range must be positive, got {self.gain_range!r}")
 

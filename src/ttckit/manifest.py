@@ -16,7 +16,7 @@ import numpy as np
 
 from .boxes import BoundingBox
 from .core import is_finite_real
-from .errors import ManifestError
+from .errors import DomainError, ManifestError
 from .png import read_png, write_png
 
 SEQUENCE_LENGTH = 6
@@ -97,10 +97,6 @@ def _box_to_json(box: BoundingBox | None):
     return None if box is None else [box.cx, box.cy, box.w, box.h]
 
 
-def _box_from_json(data) -> BoundingBox | None:
-    return None if data is None else BoundingBox(*data)
-
-
 def sequence_to_manifest(seq: Sequence) -> dict:
     label = None
     if seq.label is not None:
@@ -159,18 +155,40 @@ def _alpha_by_gap(value) -> dict[int, float] | None:
     return {int(k): v for k, v in value.items()}
 
 
+def _manifest_box(frame: dict, name: str) -> BoundingBox:
+    """A frame's ``bbox`` or ``exact_bbox``: four finite numbers [cx, cy, w, h]."""
+    value = frame[name]
+    if not (isinstance(value, list) and len(value) == 4 and all(map(is_finite_real, value))):
+        raise ManifestError(f"malformed sequence manifest: frame {name} must be four finite "
+                            f"numbers [cx, cy, w, h], got {value!r}")
+    try:
+        return BoundingBox(*value)
+    except DomainError as exc:
+        raise ManifestError(f"malformed sequence manifest: frame {name}: {exc}") from exc
+
+
+def _frame_from_manifest(frame: dict) -> FrameSample:
+    """One manifest frame; a null ``exact_bbox`` means none was recorded."""
+    timestamp = frame["timestamp_s"]
+    if not is_finite_real(timestamp):
+        raise ManifestError(f"malformed sequence manifest: frame timestamp_s must be a "
+                            f"finite number, got {timestamp!r}")
+    path = frame["image_path"]
+    if not isinstance(path, str):
+        raise ManifestError(f"malformed sequence manifest: frame image_path must be a "
+                            f"string, got {path!r}")
+    return FrameSample(
+        timestamp_s=timestamp,
+        box=_manifest_box(frame, "bbox"),
+        exact_box=None if frame.get("exact_bbox") is None else _manifest_box(frame, "exact_bbox"),
+        depth_m=frame.get("depth_m"),
+        image_path=path,
+    )
+
+
 def sequence_from_manifest(data: dict) -> Sequence:
     try:
-        frames = [
-            FrameSample(
-                timestamp_s=f["timestamp_s"],
-                box=_box_from_json(f["bbox"]),
-                exact_box=_box_from_json(f.get("exact_bbox")),
-                depth_m=f.get("depth_m"),
-                image_path=f.get("image_path"),
-            )
-            for f in data["frames"]
-        ]
+        frames = [_frame_from_manifest(f) for f in data["frames"]]
         label = None
         if data.get("label") is not None:
             raw = data["label"]

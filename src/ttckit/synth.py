@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import BoundingBox, box_drop_reason
-from .core import DEFAULT_VELOCITY_EPS, check_int, ttc_from_depth_velocity
+from .core import (
+    DEFAULT_VELOCITY_EPS,
+    check_int,
+    check_range,
+    is_finite_real,
+    ttc_from_depth_velocity,
+)
 from .errors import DomainError, SequenceInvalidError
 from .features import box_mean
 from .manifest import FrameSample, Sequence, SequenceLabel
@@ -97,12 +103,15 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.box_center_jitter_px < 0 or self.box_scale_jitter < 0:
-            raise DomainError("jitter magnitudes must be >= 0")
-        if self.gain_range[0] > self.gain_range[1] or self.gain_range[0] <= 0:
-            raise DomainError(f"bad gain range {self.gain_range}")
-        if self.bias_range[0] > self.bias_range[1]:
-            raise DomainError(f"bad bias range {self.bias_range}")
+        check_int("noise box_center_jitter_px", self.box_center_jitter_px)
+        # a scale factor 1 + U(-j, j) stays positive for j < 1
+        if not (is_finite_real(self.box_scale_jitter) and 0 <= self.box_scale_jitter < 1):
+            raise DomainError(f"noise box_scale_jitter must be finite and in [0, 1), "
+                              f"got {self.box_scale_jitter!r}")
+        check_range("noise gain_range", self.gain_range)
+        if self.gain_range[0] <= 0:
+            raise DomainError(f"noise gain_range must be positive, got {self.gain_range!r}")
+        check_range("noise bias_range", self.bias_range)
         check_int("noise seed", self.seed)
 
 
@@ -133,24 +142,30 @@ def projected_box(
 
 def supersample_mean(dense: np.ndarray, supersample: int,
                      out: np.ndarray | None = None) -> np.ndarray:
-    """Average each ``supersample x supersample`` block of an (H*s, W*s, 3) array.
+    """Average the ``supersample x supersample`` samples of each pixel of a
+    plane-major (H*s, s*W, 3) lattice.
 
-    Equals ``dense.reshape(H, s, W, s, 3).mean(axis=(1, 3))`` bit for bit:
-    it makes the additions that mean makes, in its order (plane (0, 0),
-    then the others by row offset and then column offset, divided once),
-    but each addition runs over a whole plane instead of an inner loop
-    ``supersample`` elements long.  (With a single channel numpy orders
-    its additions differently, so the equality holds for RGB only.)  The
-    (H, W, 3) result goes into ``out`` when one is given.
+    Sample row ``r * s + i`` and column ``j * W + c`` of ``dense`` hold
+    sample (i, j) of pixel (r, c): rows are pixel-major, columns
+    plane-major, so sample plane (i, j), ``dense.reshape(H, s, s, W,
+    3)[:, i, j]``, is one contiguous run per output row.  The result equals
+    numpy's ``mean(axis=(1, 3))`` of the same samples in the pixel-major
+    (H, s, W, s, 3) layout bit for bit: it makes the additions that mean
+    makes, in its order (plane (0, 0), then the others by row offset and
+    then column offset, divided once), but each addition runs over a whole
+    plane instead of an inner loop ``supersample`` elements long.  (With a
+    single channel numpy orders its additions differently, so the equality
+    holds for RGB only.)  The (H, W, 3) result goes into ``out`` when one
+    is given.
     """
     s = supersample
-    planes = dense.reshape(dense.shape[0] // s, s, dense.shape[1] // s, s, 3)
+    planes = dense.reshape(dense.shape[0] // s, s, s, dense.shape[1] // s, 3)
     if out is None:
-        out = planes[:, 0, :, 0].copy()
+        out = planes[:, 0, 0].copy()
     else:
-        np.copyto(out, planes[:, 0, :, 0])
+        np.copyto(out, planes[:, 0, 0])
     for k in range(1, s * s):
-        out += planes[:, k // s, :, k % s]
+        out += planes[:, k // s, k % s]
     out /= s * s
     return out
 
@@ -193,7 +208,10 @@ def render_frame(
     leak a scale-dependent bias into anything matched against the render.
     The average is ``supersample_mean``: numpy's mean over the two sample
     axes, bit for bit, summed one whole sample plane at a time.  The
-    sample lattice comes from one ``lattice_row_blocks`` call in blocks
+    lattice's columns are plane-major (all of the box's columns at
+    sub-pixel offset 0, then offset 1, ...), so each plane is contiguous
+    in every row; each sample's coordinate is the same sum either way.
+    The sample lattice comes from one ``lattice_row_blocks`` call in blocks
     of whole output rows, at most ``_BLOCK_SAMPLES`` samples each (the last
     block padded with copies of the last row, whose results are dropped),
     and each block is averaged as it comes, so a large box never holds its
@@ -231,7 +249,7 @@ def render_frame(
         )
         coverage = (cov_y[:, None] * cov_x[None, :])[:, :, None]
         sub = (np.arange(supersample) + 0.5) / supersample  # offsets within a pixel
-        cols = (cols_i[:, None] + sub[None, :]).reshape(-1)
+        cols = (sub[:, None] + cols_i[None, :]).reshape(-1)  # plane-major
         rows = (rows_i[:, None] + sub[None, :]).reshape(-1)
         tx = (cols - exact_box.x0) / w * tw - 0.5
         ty = (rows - exact_box.y0) / h * th - 0.5

@@ -112,6 +112,43 @@ def test_synth_refuses_out_of_range_settings(tmp_path, capsys):
         assert not out.exists(), synth
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("camera", "width", 160.5),  # exit 1 before
+    ("camera", "width", True),  # exit 0 before, with 0 sequences written
+    ("camera", "height", 0),
+    ("camera", "f", "400"),  # exit 1 before
+    ("camera", "f", float("nan")),  # named box field cx before
+    ("camera", "f", -800.0),
+    ("camera", "cx", "a"),
+    ("target", "texture_seed", 1.5),  # exit 1 before
+    ("target", "texture_seed", -1),
+    ("target", "texture", "wood"),
+    ("target", "physical_width", 0.0),
+    ("target", "texture_low", 0.95),
+    ("target", "texture_high", float("inf")),
+    ("target", "lateral_offset_x", None),
+    ("noise", "box_center_jitter_px", 1.5),  # exit 0 before
+    ("noise", "box_center_jitter_px", -1),
+    ("noise", "box_scale_jitter", 1.0),
+    ("noise", "box_scale_jitter", "0.1"),
+    ("noise", "gain_range", [0.0, 1.1]),
+    ("noise", "gain_range", [1.1, 0.9]),
+    ("noise", "bias_range", [float("nan"), 0.0]),
+], ids=lambda v: repr(v) if not isinstance(v, str) else v)
+def test_synth_refuses_malformed_config_sections(tmp_path, capsys, section, key, value):
+    # camera, target and noise check their fields: each value exits 2 naming
+    # its section and field, before anything is written
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**SMALL_CONFIG, section: {**SMALL_CONFIG.get(section, {}),
+                                                          key: value}}))
+    out = tmp_path / "out"
+    rc = main(["synth", "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {section} {key}") and "internal error" not in err, err
+    assert not out.exists()
+
+
 def _synth_small(tmp_path) -> tuple[int, Path]:
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(SMALL_CONFIG))
@@ -250,6 +287,26 @@ def test_synth_writes_the_bytes_of_a_serial_run(tmp_path, cfg):
     assert len(files) == 1 + 7 * len(_plan_ids(cfg))
     for name in files:
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_synth_frames_decode_to_the_rounded_render(tmp_path):
+    # the pixel contract, whatever the deflate level: each written frame
+    # decodes to the in-memory render of its planned window, scaled to
+    # [0, 255], rounded and clipped
+    from ttckit.png import read_png
+
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(MIXED_BOX_CONFIG))
+    out = tmp_path / "data"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    plan = _plan_windows(RunConfig.from_dict(MIXED_BOX_CONFIG))
+    assert plan
+    for window in plan:
+        seq = window()
+        for i, frame in enumerate(seq.frames):
+            want = np.clip(np.rint(frame.image * 255.0), 0, 255).astype(np.uint8)
+            got = read_png(out / seq.sequence_id / f"frame_{i}.png")
+            assert got.dtype == np.uint8 and np.array_equal(got, want), (seq.sequence_id, i)
 
 
 def test_synth_renders_on_both_threads(tmp_path, monkeypatch):
@@ -875,10 +932,30 @@ def test_eval_refuses_a_malformed_index(small_dataset, tmp_path, capsys, field, 
      "label alpha_by_gap key must be a frame gap >= 1, got 'x'"),  # exit 1 before
     (lambda raw: raw["label"].update(alpha_by_gap=[0.9]),
      "label alpha_by_gap must be an object, got [0.9]"),  # exit 1 before
-], ids=["fps-str", "fps-zero", "fps-bool", "gap-key-str", "gap-list"])
+    (lambda raw: raw["frames"][2].update(timestamp_s="a"),
+     "frame timestamp_s must be a finite number, got 'a'"),  # exit 0 before
+    (lambda raw: raw["frames"][2].update(timestamp_s=float("nan")),
+     "frame timestamp_s must be a finite number, got nan"),  # exit 0 before
+    (lambda raw: raw["frames"][0].update(image_path=3),
+     "frame image_path must be a string, got 3"),  # exit 1 before
+    (lambda raw: raw["frames"][0].update(bbox="x"),
+     "frame bbox must be four finite numbers [cx, cy, w, h], got 'x'"),
+    (lambda raw: raw["frames"][0].update(bbox=[1.0, 2.0, 30.0]),
+     "frame bbox must be four finite numbers [cx, cy, w, h], got [1.0, 2.0, 30.0]"),
+    (lambda raw: raw["frames"][0].update(bbox=None),
+     "frame bbox must be four finite numbers [cx, cy, w, h], got None"),
+    (lambda raw: raw["frames"][0].update(bbox=[1.0, 2.0, -30.0, 30.0]),
+     "frame bbox: box dims must be positive, got -30.0x30.0"),
+    (lambda raw: raw["frames"][5].update(exact_bbox=[1.0, 2.0, float("inf"), 30.0]),
+     "frame exact_bbox must be four finite numbers [cx, cy, w, h], "
+     "got [1.0, 2.0, inf, 30.0]"),
+], ids=["fps-str", "fps-zero", "fps-bool", "gap-key-str", "gap-list", "timestamp-str",
+        "timestamp-nan", "path-int", "bbox-str", "bbox-three", "bbox-null", "bbox-negative",
+        "exact-bbox-inf"])
 def test_eval_refuses_a_malformed_manifest_field(small_dataset, tmp_path, capsys, change, message):
-    # a sequence manifest's fps and alpha_by_gap keys are checked where they
-    # are read: a bad value exits 2 naming the field, and no report is written
+    # a sequence manifest's fps, alpha_by_gap keys and frame fields are
+    # checked where they are read: a bad value exits 2 naming the field, and
+    # no report is written
     _, cfg_path, out = small_dataset
     data = tmp_path / "data"
     shutil.copytree(out, data)
@@ -891,6 +968,25 @@ def test_eval_refuses_a_malformed_manifest_field(small_dataset, tmp_path, capsys
                "--config", str(cfg_path), "--out", str(report)])
     assert rc == 2
     assert capsys.readouterr().err == f"error: malformed sequence manifest: {message}\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("estimator", ["detection", "pixel_mse"])
+def test_eval_refuses_an_empty_dataset(tmp_path, capsys, estimator):
+    # no window fits an 8x8 camera, so synth writes no sequence (exit 0);
+    # eval used to report MiD and RTE 0.0000 on it, a perfect score
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**SMALL_CONFIG, "camera": {"f": 800.0, "width": 8,
+                                                                "height": 8}}))
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(data)]) == 0
+    assert read_index(data)["count"] == 0
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    rc = main(["eval", "--dataset", str(data), "--estimator", estimator,
+               "--config", str(cfg_path), "--out", str(report)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: dataset {data} is empty\n"
     assert not report.exists()
 
 

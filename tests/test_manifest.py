@@ -48,7 +48,7 @@ def _row_loop_png(image):
         raw.append(0)
         raw.extend(row.tobytes())
     return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0))
-            + chunk(b"IDAT", zlib.compress(bytes(raw), 6)) + chunk(b"IEND", b""))
+            + chunk(b"IDAT", zlib.compress(bytes(raw), 1)) + chunk(b"IEND", b""))
 
 
 @settings(max_examples=40, deadline=None)

@@ -199,10 +199,13 @@ def _noisy_render(camera, target, depth, lateral, background, supersample, noisy
 @given(supersample=st.integers(1, 4), h=st.integers(1, 200), w=st.integers(1, 330),
        seed=st.integers(0, 2**32 - 1))
 def test_supersample_mean_is_numpys_mean_bit_for_bit(supersample, h, w, seed):
-    # float64 sums in another order differ in the last bits; these must not
+    # float64 sums in another order differ in the last bits; these must not.
+    # The lattice is plane-major in x; the reference is numpy's mean of the
+    # same samples rearranged pixel-major, in a contiguous copy
     s = supersample
-    dense = np.random.default_rng(seed).uniform(0.0, 1.0, (h * s, w * s, 3))
-    want = dense.reshape(h, s, w, s, 3).mean(axis=(1, 3))
+    dense = np.random.default_rng(seed).uniform(0.0, 1.0, (h * s, s * w, 3))
+    pixel_major = np.ascontiguousarray(dense.reshape(h, s, s, w, 3).transpose(0, 1, 3, 2, 4))
+    want = pixel_major.mean(axis=(1, 3))
     assert np.array_equal(supersample_mean(dense, s), want)
     out = np.empty_like(want)
     assert supersample_mean(dense, s, out=out) is out
