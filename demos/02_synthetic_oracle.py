@@ -13,7 +13,7 @@ from ttckit.png import write_png
 from ttckit.scenarios import Phase, ScenarioScript, run_script, simulate_script
 from ttckit.synth import CameraModel, PlanarTarget, generate_sequence, noise_texture
 
-camera = CameraModel.centered(800.0, 320, 192)
+camera = CameraModel(800.0, width=320, height=192)
 target = PlanarTarget(2.0, 2.0, noise_texture(21, low=0.3, high=0.95))
 
 script = ScenarioScript(

@@ -10,6 +10,7 @@ the estimators with exact and jittered boxes.
 import numpy as np
 
 from ttckit.estimate import (
+    FeatureSearchConfig,
     ScaleSearchConfig,
     detection_ratio_estimate,
     feature_scale_estimate,
@@ -46,7 +47,7 @@ suites = {
     "exact boxes": constant_velocity_suite(25, seed=1),
     "jittered boxes": constant_velocity_suite(25, seed=2, noise=noise),
 }
-feat_cfg = ScaleSearchConfig.feature_defaults()
+feat_cfg = FeatureSearchConfig()
 for name, suite in suites.items():
     rows = {}
     for est_name, runner, c in (

@@ -10,12 +10,12 @@ error, and the learned weights' structure.
 
 import numpy as np
 
-from ttckit.estimate import ScaleSearchConfig
+from ttckit.estimate import FeatureSearchConfig
 from ttckit.learn import TrainConfig, soft_label, train_loop
 from ttckit.suites import uniform_alpha_suite
 from ttckit.synth import NoiseModel
 
-cfg = ScaleSearchConfig.feature_defaults(target_w=25, target_h=25)
+cfg = FeatureSearchConfig(target_w=25, target_h=25)
 
 print("=== soft labels: Gaussian bumps over the scale bins ===")
 label = soft_label(0.9, cfg)

@@ -28,6 +28,7 @@ import argparse
 import sys
 import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -44,7 +45,7 @@ from .evaluation import (
     reports_to_csv,
 )
 from .annotate import annotate_sequence
-from .learn import TrainConfig, load_weights, save_weights, train_loop, write_loss_curve
+from .learn import load_weights, save_weights, train_loop, write_loss_curve
 from .manifest import (
     canonical_json_bytes,
     load_dataset,
@@ -62,10 +63,14 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 1
 
 
+def _run_config(args) -> RunConfig:
+    return RunConfig.from_json_file(args.config) if args.config else RunConfig()
+
+
 def cmd_synth(args, pool) -> int:
-    cfg = RunConfig.from_json_file(args.config) if args.config else RunConfig()
+    cfg = _run_config(args)
     if args.seed is not None:
-        cfg = RunConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
@@ -87,7 +92,6 @@ def _plan_windows(cfg: RunConfig) -> list[partial]:
     variants and window starts, makes the textures and trajectories and
     keeps the windows ``window_drop_reason`` admits; all of it is analytic.
     """
-    camera = cfg.camera.to_model()
     scripts = builtin_scripts(list(cfg.synth.templates)) if cfg.synth.templates else []
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     horizon = 14.0
@@ -113,13 +117,13 @@ def _plan_windows(cfg: RunConfig) -> list[partial]:
                 span = max(traj.t_end - (cfg.synth.length - 1) / cfg.synth.fps - cfg.synth.start_min, 0.0)
                 start = cfg.synth.start_min + float(rng.uniform(0.0, span)) if span > 0 else cfg.synth.start_min
                 start = round(start, 3)
-                if window_drop_reason(traj, camera, target, start, cfg.synth.fps,
+                if window_drop_reason(traj, cfg.camera, target, start, cfg.synth.fps,
                                       cfg.synth.length) is not None:
                     continue
                 plan.append(partial(
                     generate_from_trajectory,
                     traj,
-                    camera,
+                    cfg.camera,
                     target,
                     cfg.noise,
                     fps=cfg.synth.fps,
@@ -201,6 +205,25 @@ def _search_config(cfg: RunConfig, estimator: str, gap: int | None) -> ScaleSear
     return base if gap is None else base.with_gap(gap)
 
 
+def _check_trained_search(meta: dict, search: ScaleSearchConfig, path: Path, hint: str) -> None:
+    """Refuse weights whose sidecar records a feature search other than
+    ``search``, naming the first field that differs.
+
+    A sidecar without the record, such as a per-epoch checkpoint's, passes.
+    """
+    trained = meta.get("search_feature")
+    if trained is None:
+        return
+    if not isinstance(trained, dict):
+        raise DomainError(f"malformed weights sidecar {path}: search_feature must be an "
+                          f"object, got {trained!r}")
+    for name, value in asdict(search).items():
+        if trained.get(name) != value:
+            raise DomainError(f"weights were trained for search_feature {name} "
+                              f"{trained.get(name)!r}, but this run searches with "
+                              f"{value!r}{hint}")
+
+
 def _build_estimator(args, cfg: RunConfig, pool: Executor):
     name = args.estimator
     if name not in ESTIMATOR_NAMES:
@@ -211,12 +234,16 @@ def _build_estimator(args, cfg: RunConfig, pool: Executor):
         if not path.is_file():
             raise DomainError(f"weights file not found: {path}")
         weights, meta = load_weights(path)
+        force = getattr(args, "force", None)  # eval's flag; estimate has none
+        if name == "feature_scale" and not force:
+            hint = "" if force is None else "; pass --force to evaluate anyway"
+            _check_trained_search(meta, search, path, hint)
         return make_estimator(name, search, weights, pool), search, meta
     return make_estimator(name, search, None, pool), search, None
 
 
 def cmd_estimate(args, pool) -> int:
-    cfg = RunConfig.from_json_file(args.config) if args.config else RunConfig()
+    cfg = _run_config(args)
     seq = read_dataset_sequence(Path(args.dataset), args.seq)
     estimator, search, _ = _build_estimator(args, cfg, pool)
     est = estimator(seq)
@@ -246,7 +273,7 @@ def cmd_estimate(args, pool) -> int:
 
 
 def cmd_train(args, pool) -> int:
-    cfg = RunConfig.from_json_file(args.config) if args.config else RunConfig()
+    cfg = _run_config(args)
     dataset_dir = Path(args.dataset)
     index = read_index(dataset_dir)
     sequences = load_dataset(dataset_dir)
@@ -255,14 +282,13 @@ def cmd_train(args, pool) -> int:
     val = [s for i, s in enumerate(sequences) if i % 5 == 4]
     train = [s for i, s in enumerate(sequences) if i % 5 != 4]
     search = _search_config(cfg, "feature_scale", args.gap)
-    tcfg = cfg.train if args.seed is None else TrainConfig(
-        **{**cfg.train.__dict__, "seed": args.seed}
-    )
+    tcfg = cfg.train if args.seed is None else replace(cfg.train, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = train_loop(train, val, search, tcfg, out_dir / "checkpoints", pool)
     save_weights(out_dir / "weights.bin", result.params,
-                 extra={"dataset_config_hash": index["config_hash"]})
+                 extra={"dataset_config_hash": index["config_hash"],
+                        "search_feature": asdict(search)})
     write_loss_curve(out_dir / "loss_curve.csv", result.history)
     last = result.history[-1]
     print(f"trained {tcfg.epochs} epochs on {len(train)} sequences ({len(val)} validation)")
@@ -280,7 +306,7 @@ def cmd_train(args, pool) -> int:
 
 
 def cmd_eval(args, pool) -> int:
-    cfg = RunConfig.from_json_file(args.config) if args.config else RunConfig()
+    cfg = _run_config(args)
     dataset_dir = Path(args.dataset)
     index = read_index(dataset_dir)
     estimator, search, weights_meta = _build_estimator(args, cfg, pool)

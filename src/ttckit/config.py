@@ -16,16 +16,15 @@ from pathlib import Path
 
 from .core import check_int, is_finite_real
 from .errors import DomainError
-from .estimate import ScaleSearchConfig
+from .estimate import FeatureSearchConfig, ScaleSearchConfig
 from .learn import TrainConfig
 from .scenarios import TEMPLATE_IDS
 from .synth import CameraModel, NoiseModel, PlanarTarget, checker_texture, noise_texture
 
 
-def _from_dict(make, data: dict, path: str):
-    """The config section ``make(**data)``; ``make`` is the section's class
-    or the factory of its defaults, which the keys not given keep."""
-    section = fields(make())
+def _from_dict(cls, data: dict, path: str):
+    """The config section ``cls(**data)``; the keys not given keep their defaults."""
+    section = fields(cls)
     unknown = set(data) - {f.name for f in section}
     if unknown:
         raise DomainError(f"unknown config keys under {path}: {sorted(unknown)}")
@@ -36,36 +35,12 @@ def _from_dict(make, data: dict, path: str):
             if isinstance(value, list) and "tuple" in str(f.type):
                 value = tuple(value)
             kwargs[f.name] = value
-    return make(**kwargs)
+    return cls(**kwargs)
 
 
 def _check_positive(name: str, value) -> None:
     if not (is_finite_real(value) and value > 0):
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
-
-
-@dataclass(frozen=True)
-class CameraConfig:
-    f: float = 1000.0
-    cx: float | None = None
-    cy: float | None = None
-    width: int = 1024
-    height: int = 576
-
-    def __post_init__(self) -> None:
-        _check_positive("camera f", self.f)
-        for name in ("cx", "cy"):
-            value = getattr(self, name)
-            if value is not None and not is_finite_real(value):
-                raise DomainError(f"camera {name} must be null or a finite number, "
-                                  f"got {value!r}")
-        check_int("camera width", self.width, 1)
-        check_int("camera height", self.height, 1)
-
-    def to_model(self) -> CameraModel:
-        cx = self.width / 2.0 if self.cx is None else self.cx
-        cy = self.height / 2.0 if self.cy is None else self.cy
-        return CameraModel(f=self.f, cx=cx, cy=cy, width=self.width, height=self.height)
 
 
 @dataclass(frozen=True)
@@ -147,12 +122,12 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    camera: CameraConfig = field(default_factory=CameraConfig)
+    camera: CameraModel = field(default_factory=CameraModel)
     target: TargetConfig = field(default_factory=TargetConfig)
     noise: NoiseModel = field(default_factory=NoiseModel)
     synth: SynthConfig = field(default_factory=SynthConfig)
     search_pixel: ScaleSearchConfig = field(default_factory=ScaleSearchConfig)
-    search_feature: ScaleSearchConfig = field(default_factory=ScaleSearchConfig.feature_defaults)
+    search_feature: FeatureSearchConfig = field(default_factory=FeatureSearchConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
 
@@ -173,8 +148,6 @@ class RunConfig:
             if f.name == "seed" and "seed" in data:
                 kwargs["seed"] = data["seed"]
             elif f.name in data:
-                # a section given in part keeps its own defaults, not
-                # those of its class: search_feature's are the feature ones
                 kwargs[f.name] = _from_dict(f.default_factory, data[f.name], f.name)
         return cls(**kwargs)
 

@@ -104,12 +104,8 @@ _ROI_MARGIN = 6
 
 @dataclass(frozen=True)
 class ScaleSearchConfig:
-    """Scale-search hyperparameters.
-
-    Field defaults are the pixel-space settings; ``feature_defaults()``
-    gives the feature-space ones (fewer, coarser bins and a small shift
-    radius, with a fixed grid-sample target size).
-    """
+    """Scale-search hyperparameters of the detection and pixel-space
+    estimators; the feature search's are ``FeatureSearchConfig``."""
 
     alpha_min: float = 0.65
     alpha_max: float = 1.5
@@ -118,12 +114,9 @@ class ScaleSearchConfig:
     shift_c: int = 3
     expand_cap: float = 1.1
     frame_gap: int = 5
-    target_w: int = 50
-    target_h: int = 50
 
     def __post_init__(self) -> None:
-        for name, low in (("n_bins", 2), ("top_k", 1), ("shift_c", 0),
-                          ("frame_gap", 1), ("target_w", 2), ("target_h", 2)):
+        for name, low in (("n_bins", 2), ("top_k", 1), ("shift_c", 0), ("frame_gap", 1)):
             check_int(f"scale search {name}", getattr(self, name), low)
         for name in ("alpha_min", "alpha_max", "expand_cap"):
             if not is_finite_real(getattr(self, name)):
@@ -136,12 +129,6 @@ class ScaleSearchConfig:
         if self.expand_cap < 1:
             raise DomainError(f"scale search expand_cap must be >= 1, got {self.expand_cap!r}")
 
-    @classmethod
-    def feature_defaults(cls, **overrides) -> "ScaleSearchConfig":
-        base = dict(n_bins=20, top_k=4, shift_c=1, target_w=50, target_h=50)
-        base.update(overrides)
-        return cls(**base)
-
     def bins(self) -> np.ndarray:
         return np.linspace(self.alpha_min, self.alpha_max, self.n_bins)
 
@@ -151,6 +138,24 @@ class ScaleSearchConfig:
 
     def with_gap(self, gap: int) -> "ScaleSearchConfig":
         return replace(self, frame_gap=gap)
+
+
+@dataclass(frozen=True)
+class FeatureSearchConfig(ScaleSearchConfig):
+    """The feature search's settings: the pixel search's fields and the
+    grid-sample target size, with fewer, coarser bins and a smaller shift
+    radius by default."""
+
+    n_bins: int = 20
+    top_k: int = 4
+    shift_c: int = 1
+    target_w: int = 50
+    target_h: int = 50
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_int("scale search target_w", self.target_w, 2)
+        check_int("scale search target_h", self.target_h, 2)
 
 
 @dataclass
@@ -566,7 +571,7 @@ def candidate_patches_by_bin(
     fmap0: np.ndarray,
     center: tuple[float, float],
     b1: BoundingBox,
-    cfg: ScaleSearchConfig,
+    cfg: FeatureSearchConfig,
     bins: slice = slice(None),
 ) -> Iterator[np.ndarray]:
     """Every (scale bin, center shift) candidate patch of the reference
@@ -606,7 +611,7 @@ def candidate_patches_by_bin(
             yield patches[None]
 
 
-def target_grid_patch(fmap1: np.ndarray, b1: BoundingBox, cfg: ScaleSearchConfig) -> np.ndarray:
+def target_grid_patch(fmap1: np.ndarray, b1: BoundingBox, cfg: FeatureSearchConfig) -> np.ndarray:
     return grid_sample_features(fmap1, b1, cfg.target_w, cfg.target_h)
 
 
@@ -633,7 +638,7 @@ def _roi_bounds(center, b1: BoundingBox, cfg: ScaleSearchConfig, shape: tuple[in
 
 
 def pair_features(
-    seq: Sequence, cfg: ScaleSearchConfig
+    seq: Sequence, cfg: FeatureSearchConfig
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, float], BoundingBox]:
     """The feature search's inputs for the frame pair at ``cfg.frame_gap``.
 
@@ -659,7 +664,7 @@ def pair_features(
     return f0, f1, center, BoundingBox(b1.cx - x0, b1.cy - y0, b1.w, b1.h)
 
 
-def pooled_cosine_scores(f0, f1, center, box, cfg: ScaleSearchConfig, draws, pool) -> np.ndarray:
+def pooled_cosine_scores(f0, f1, center, box, cfg: FeatureSearchConfig, draws, pool) -> np.ndarray:
     """Pooled cosine scores of every (gain, bias) draw, (n_draws, n_bins, n_off).
 
     The one feature-scoring routine: ``feature_scale_estimate`` scores its
@@ -785,7 +790,7 @@ def fuse_logits(logits: np.ndarray, cfg: ScaleSearchConfig) -> float:
 
 def feature_scale_estimate(
     seq: Sequence,
-    cfg: ScaleSearchConfig,
+    cfg: FeatureSearchConfig,
     fc_weight: np.ndarray | None = None,
     fc_bias: np.ndarray | None = None,
     pool=None,

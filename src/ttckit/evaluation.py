@@ -24,9 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import TtcInterval, truncate_ttc, ttc_interval
+from .core import TtcInterval, is_finite_real, truncate_ttc, ttc_interval
 from .errors import DomainError, TtcKitError
-from .estimate import TtcEstimate, alpha_to_10hz
+from .estimate import TtcEstimate
 from .manifest import Sequence, canonical_json_bytes
 
 INTERVAL_ORDER = (
@@ -37,14 +37,12 @@ INTERVAL_ORDER = (
 )
 
 
-def mid_metric(alpha_hat: float, alpha_gt: float, fps: float = 10.0, gap: int = 1) -> float:
-    """Motion-in-depth error (x 1e4) on 10 Hz-equivalent scale ratios."""
-    if alpha_hat <= 0 or alpha_gt <= 0:
-        raise DomainError("scale ratios must be positive")
-    eff = fps / gap
-    a_hat = alpha_to_10hz(alpha_hat, eff)
-    a_gt = alpha_to_10hz(alpha_gt, eff)
-    return abs(math.log(a_gt) - math.log(a_hat)) * 1e4
+def mid_metric(alpha_hat: float, alpha_gt: float) -> float:
+    """Motion-in-depth error (x 1e4) of two 10 Hz-equivalent scale ratios."""
+    for alpha in (alpha_hat, alpha_gt):
+        if not (is_finite_real(alpha) and alpha > 0):
+            raise DomainError(f"scale ratios must be positive and finite, got {alpha!r}")
+    return abs(math.log(alpha_gt) - math.log(alpha_hat)) * 1e4
 
 
 def rte_metric(tau_hat: float, tau_gt: float) -> float:

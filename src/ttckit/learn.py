@@ -37,6 +37,7 @@ from .core import check_int, check_range, convert_scale_ratio_fps, is_finite_rea
 from .errors import DomainError, FitFailedError, TrainingDivergedError
 from .estimate import (
     IDENTITY_DRAW,
+    FeatureSearchConfig,
     ScaleSearchConfig,
     alpha_to_10hz,
     fuse_logits,
@@ -47,6 +48,9 @@ from .estimate import (
 )
 from .evaluation import mid_metric
 from .manifest import Sequence
+
+# the scale of training_head_init's common-mode removal
+_HEAD_INIT_SHARPNESS = 45.0
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,7 @@ def head_loss_and_grads(
     return loss, {"fc.weight": np.outer(dlogits, best), "fc.bias": dlogits}
 
 
-def training_head_init(n_bins: int, sharpness: float = 45.0) -> tuple[np.ndarray, np.ndarray]:
+def training_head_init(n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Head initialization for training: amplified common-mode removal.
 
     Pooled cosine scores sit on a large shared baseline (~0.95) with the
@@ -134,12 +138,12 @@ def training_head_init(n_bins: int, sharpness: float = 45.0) -> tuple[np.ndarray
     initialized head gives BCE a gradient dominated by the baseline and
     training collapses onto a bin prior.  Starting from
     sharpness * (I - 11^T/n) puts the profile shape, not the baseline,
-    at sigmoid scale; the layer itself stays a plain linear head.  The
-    default sharpness was chosen where held-out error decreases
+    at sigmoid scale; the layer itself stays a plain linear head.
+    ``_HEAD_INIT_SHARPNESS`` was chosen where held-out error decreases
     monotonically over a full training run instead of overshooting.
     """
     eye = np.eye(n_bins)
-    return sharpness * (eye - np.ones((n_bins, n_bins)) / n_bins), np.zeros(n_bins)
+    return _HEAD_INIT_SHARPNESS * (eye - np.ones((n_bins, n_bins)) / n_bins), np.zeros(n_bins)
 
 
 def cosine_lr(base_lr: float, epoch_progress: float) -> float:
@@ -242,7 +246,7 @@ def _alpha_gt(seq: Sequence, gap: int) -> float:
     return float(convert_scale_ratio_fps(seq.label.alpha_10hz, 10.0, seq.fps / gap))
 
 
-def _pair_scores(seq: Sequence, draws, cfg: ScaleSearchConfig, sigma: float, pool):
+def _pair_scores(seq: Sequence, draws, cfg: FeatureSearchConfig, sigma: float, pool):
     """One pair's soft label and (n_draws, n_bins, n_off) scores, one
     (n_bins, n_off) array per (gain, bias) draw, on the estimator's path
     (``pair_features``, ``pooled_cosine_scores``); exact only for
@@ -294,7 +298,7 @@ def _draw_schedule(n: int, train_cfg: TrainConfig):
 def train_loop(
     train_seqs: list[Sequence],
     val_seqs: list[Sequence],
-    cfg: ScaleSearchConfig,
+    cfg: FeatureSearchConfig,
     train_cfg: TrainConfig,
     out_dir: Path | None = None,
     pool=None,

@@ -132,11 +132,22 @@ def sequence_to_manifest(seq: Sequence) -> dict:
     }
 
 
+def _malformed(what: str, value) -> ManifestError:
+    return ManifestError(f"malformed sequence manifest: {what}, got {value!r}")
+
+
+def _finite(value, name: str, nullable: bool = False):
+    """A manifest number: finite, or also null if ``nullable``."""
+    if not (is_finite_real(value) or (nullable and value is None)):
+        raise _malformed(f"{name} must be {'null or ' if nullable else ''}a finite number",
+                         value)
+    return value
+
+
 def _manifest_fps(fps) -> float:
     """A manifest's ``fps``: a finite number > 0."""
     if not (is_finite_real(fps) and fps > 0):
-        raise ManifestError(f"malformed sequence manifest: fps must be a finite number > 0, "
-                            f"got {fps!r}")
+        raise _malformed("fps must be a finite number > 0", fps)
     return fps
 
 
@@ -146,12 +157,10 @@ def _alpha_by_gap(value) -> dict[int, float] | None:
     if value is None:
         return None
     if not isinstance(value, dict):
-        raise ManifestError(f"malformed sequence manifest: label alpha_by_gap must be "
-                            f"an object, got {value!r}")
+        raise _malformed("label alpha_by_gap must be an object", value)
     for key in value:
         if not (key.isascii() and key.isdigit() and int(key) >= 1):
-            raise ManifestError(f"malformed sequence manifest: label alpha_by_gap key must "
-                                f"be a frame gap >= 1, got {key!r}")
+            raise _malformed("label alpha_by_gap key must be a frame gap >= 1", key)
     return {int(k): v for k, v in value.items()}
 
 
@@ -159,8 +168,7 @@ def _manifest_box(frame: dict, name: str) -> BoundingBox:
     """A frame's ``bbox`` or ``exact_bbox``: four finite numbers [cx, cy, w, h]."""
     value = frame[name]
     if not (isinstance(value, list) and len(value) == 4 and all(map(is_finite_real, value))):
-        raise ManifestError(f"malformed sequence manifest: frame {name} must be four finite "
-                            f"numbers [cx, cy, w, h], got {value!r}")
+        raise _malformed(f"frame {name} must be four finite numbers [cx, cy, w, h]", value)
     try:
         return BoundingBox(*value)
     except DomainError as exc:
@@ -169,48 +177,66 @@ def _manifest_box(frame: dict, name: str) -> BoundingBox:
 
 def _frame_from_manifest(frame: dict) -> FrameSample:
     """One manifest frame; a null ``exact_bbox`` means none was recorded."""
-    timestamp = frame["timestamp_s"]
-    if not is_finite_real(timestamp):
-        raise ManifestError(f"malformed sequence manifest: frame timestamp_s must be a "
-                            f"finite number, got {timestamp!r}")
+    timestamp = _finite(frame["timestamp_s"], "frame timestamp_s")
     path = frame["image_path"]
     if not isinstance(path, str):
-        raise ManifestError(f"malformed sequence manifest: frame image_path must be a "
-                            f"string, got {path!r}")
+        raise _malformed("frame image_path must be a string", path)
     return FrameSample(
         timestamp_s=timestamp,
         box=_manifest_box(frame, "bbox"),
         exact_box=None if frame.get("exact_bbox") is None else _manifest_box(frame, "exact_bbox"),
-        depth_m=frame.get("depth_m"),
+        depth_m=_finite(frame.get("depth_m"), "frame depth_m", nullable=True),
         image_path=path,
     )
 
 
+def _label_from_manifest(raw) -> SequenceLabel | None:
+    """A manifest's ``label``: null, or an object of checked fields."""
+    if raw is None:
+        return None
+    if not isinstance(raw, dict):
+        raise _malformed("label must be null or an object", raw)
+    q_used = raw.get("q_used")
+    if not (q_used is None or (isinstance(q_used, int) and not isinstance(q_used, bool))):
+        raise _malformed("label q_used must be null or an integer", q_used)
+    flags = raw.get("flags", [])
+    if not (isinstance(flags, list) and all(isinstance(flag, str) for flag in flags)):
+        raise _malformed("label flags must be a list of strings", flags)
+    return SequenceLabel(
+        tau_s=_finite(raw["tau_s"], "label tau_s"),
+        alpha_10hz=_finite(raw["alpha_10hz"], "label alpha_10hz"),
+        velocity_mps=_finite(raw["velocity_mps"], "label velocity_mps"),
+        q_used=q_used,
+        flags=list(flags),
+        alpha_by_gap=_alpha_by_gap(raw.get("alpha_by_gap")),
+        depth_m=_finite(raw.get("depth_m"), "label depth_m", nullable=True),
+    )
+
+
+def _depth_history(value) -> list[tuple[float, float]] | None:
+    """A manifest's ``depth_history``: null, or a list of [t, depth] pairs
+    of finite numbers."""
+    if value is None:
+        return None
+    if not (isinstance(value, list) and all(
+            isinstance(pair, list) and len(pair) == 2 and all(map(is_finite_real, pair))
+            for pair in value)):
+        raise _malformed("depth_history must be null or a list of [t, depth] pairs of "
+                         "finite numbers", value)
+    return [(t, y) for t, y in value]
+
+
 def sequence_from_manifest(data: dict) -> Sequence:
     try:
-        frames = [_frame_from_manifest(f) for f in data["frames"]]
-        label = None
-        if data.get("label") is not None:
-            raw = data["label"]
-            label = SequenceLabel(
-                tau_s=raw["tau_s"],
-                alpha_10hz=raw["alpha_10hz"],
-                velocity_mps=raw["velocity_mps"],
-                q_used=raw.get("q_used"),
-                flags=list(raw.get("flags", [])),
-                alpha_by_gap=_alpha_by_gap(raw.get("alpha_by_gap")),
-                depth_m=raw.get("depth_m"),
-            )
-        history = data.get("depth_history")
-        if history is not None:
-            history = [(t, y) for t, y in history]
+        if not isinstance(data["frames"], list):
+            raise _malformed("frames must be a list", data["frames"])
         return Sequence(
             sequence_id=data["sequence_id"],
             fps=_manifest_fps(data["fps"]),
-            frames=frames,
-            label=label,
+            frames=[_frame_from_manifest(f) for f in data["frames"]],
+            label=_label_from_manifest(data.get("label")),
             provenance=dict(data.get("provenance", {})),
-            depth_history=history,
+            depth_history=_depth_history(data.get("depth_history")),
         )
     except (KeyError, TypeError) as exc:
         raise ManifestError(f"malformed sequence manifest: {exc}") from exc

@@ -12,7 +12,7 @@ import numpy as np
 from .manifest import Sequence
 from .synth import CameraModel, NoiseModel, PlanarTarget, noise_texture, sequence_for_ttc
 
-DEFAULT_SUITE_CAMERA = CameraModel.centered(800.0, 320, 192)
+DEFAULT_SUITE_CAMERA = CameraModel(800.0, width=320, height=192)
 
 _V_MIN, _V_MAX = 1.0, 26.0
 

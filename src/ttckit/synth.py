@@ -43,23 +43,32 @@ _HISTORY_LEN = 12
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Pinhole intrinsics; pixels, principal point at (cx, cy)."""
+    """Pinhole intrinsics; pixels, principal point at (cx, cy).
 
-    f: float
-    cx: float
-    cy: float
+    Also the run config's ``camera`` section.  A ``cx`` or ``cy`` of None
+    means the image centre, ``width / 2.0`` or ``height / 2.0``.
+    """
+
+    f: float = 1000.0
+    cx: float | None = None
+    cy: float | None = None
     width: int = 1024
     height: int = 576
 
     def __post_init__(self) -> None:
-        if self.f <= 0:
-            raise DomainError(f"focal length must be positive, got {self.f}")
-        if self.width <= 0 or self.height <= 0:
-            raise DomainError("image dims must be positive")
-
-    @classmethod
-    def centered(cls, f: float, width: int = 1024, height: int = 576) -> "CameraModel":
-        return cls(f=f, cx=width / 2.0, cy=height / 2.0, width=width, height=height)
+        if not (is_finite_real(self.f) and self.f > 0):
+            raise DomainError(f"camera f must be finite and > 0, got {self.f!r}")
+        for name in ("cx", "cy"):
+            value = getattr(self, name)
+            if value is not None and not is_finite_real(value):
+                raise DomainError(f"camera {name} must be null or a finite number, "
+                                  f"got {value!r}")
+        check_int("camera width", self.width, 1)
+        check_int("camera height", self.height, 1)
+        if self.cx is None:
+            object.__setattr__(self, "cx", self.width / 2.0)
+        if self.cy is None:
+            object.__setattr__(self, "cy", self.height / 2.0)
 
 
 def project_size(camera: CameraModel, size_m: float, depth_m: float) -> float:

@@ -14,14 +14,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from ttckit.boxes import BoundingBox
-from ttckit.estimate import ScaleSearchConfig, target_grid_patch
+from ttckit.estimate import FeatureSearchConfig, target_grid_patch
 from ttckit.features import intensity_mask
 from ttckit.learn import head_loss_and_grads
 from ttckit.sampling import bilinear_sample, grid_positions, shift_offsets
 
 
 def scaled_candidate_boxes(
-    b0: BoundingBox, b1: BoundingBox, cfg: ScaleSearchConfig
+    b0: BoundingBox, b1: BoundingBox, cfg: FeatureSearchConfig
 ) -> list[BoundingBox]:
     """Candidate boxes: reference center, target dims scaled by each bin."""
     return [

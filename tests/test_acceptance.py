@@ -16,6 +16,7 @@ from ttckit.boxes import BoundingBox
 from ttckit.core import convert_scale_ratio_fps, scale_ratio_from_ttc, ttc_from_scale_ratio
 from ttckit.estimate import (
     IDENTITY_DRAW,
+    FeatureSearchConfig,
     ScaleSearchConfig,
     detection_ratio_estimate,
     pixel_mse_estimate,
@@ -47,7 +48,7 @@ def _report(criterion: int, message: str) -> None:
 
 def test_criterion_01_oracle_fidelity():
     start = time.time()
-    camera = CameraModel.centered(1000.0)
+    camera = CameraModel(1000.0)
     # red channel has constant albedo so, over a black background, column
     # maxima divided by it read back each column's exact coverage; summing
     # coverages measures the silhouette width sub-pixel from raw pixels
@@ -272,7 +273,7 @@ def _gradcheck_sample(seed: int, size: int) -> SimpleNamespace:
 def test_criterion_08_gradient_checks():
     # the head step's gradient on each sample's fixed pooled cosine scores,
     # which do not depend on the head
-    fc_cfg = ScaleSearchConfig.feature_defaults(
+    fc_cfg = FeatureSearchConfig(
         n_bins=6, top_k=4, shift_c=0, target_w=8, target_h=8
     )
     worst_fc = 0.0
@@ -300,7 +301,7 @@ def test_criterion_08_gradient_checks():
 
 def test_criterion_09_training_signal():
     start = time.time()
-    cfg = ScaleSearchConfig.feature_defaults(target_w=25, target_h=25)
+    cfg = FeatureSearchConfig(target_w=25, target_h=25)
 
     def suite_noise(seed):
         return NoiseModel(

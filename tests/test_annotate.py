@@ -304,7 +304,7 @@ def test_rebalance_is_deterministic():
 def test_annotate_matches_oracle_on_constant_velocity():
     from ttckit.synth import CameraModel, PlanarTarget, noise_texture, sequence_for_ttc
 
-    cam = CameraModel.centered(900.0)
+    cam = CameraModel(900.0)
     target = PlanarTarget(2.0, 2.0, noise_texture(4))
     seq = sequence_for_ttc(4.6, cam, target, closing_speed=10.0, sequence_id="cv0")
     relabeled = annotate_sequence(seq)

@@ -496,6 +496,64 @@ def test_eval_rejects_hash_mismatch(small_dataset, tmp_path):
     assert main(args + ["--force"]) == 0
 
 
+def test_weights_refuse_a_search_other_than_the_one_they_were_trained_for(
+        small_dataset, tmp_path, capsys):
+    # a head trained over alpha in [0.65, 1.5] at gap 5 ran under a search
+    # over [0.9, 1.1] at gap 3 with exit 0; the sidecar now records the
+    # search, and eval and estimate refuse another, naming its first field
+    _, cfg_path, out = small_dataset
+    train_dir = tmp_path / "trained"
+    assert main(["train", "--dataset", str(out), "--out", str(train_dir),
+                 "--config", str(cfg_path)]) == 0
+    sidecar = json.loads((train_dir / "weights.bin.json").read_text())
+    assert sidecar["search_feature"] == {
+        "alpha_min": 0.65, "alpha_max": 1.5, "n_bins": 20, "top_k": 4, "shift_c": 1,
+        "expand_cap": 1.1, "frame_gap": 5, "target_w": 20, "target_h": 20,
+    }
+    narrow = tmp_path / "narrow.json"
+    narrow.write_text(json.dumps({**SMALL_CONFIG, "search_feature": {
+        **SMALL_CONFIG["search_feature"], "alpha_min": 0.9, "alpha_max": 1.1}}))
+    weights = ["--weights", str(train_dir / "weights.bin")]
+    report = tmp_path / "r.json"
+    evaluate = ["eval", "--dataset", str(out), "--estimator", "feature_scale", *weights,
+                "--out", str(report)]
+    capsys.readouterr()
+    for config, gap, name, trained, wanted in [
+        (narrow, "3", "alpha_min", "0.65", "0.9"),
+        (cfg_path, "3", "frame_gap", "5", "3"),
+    ]:
+        assert main([*evaluate, "--config", str(config), "--gap", gap]) == 2
+        assert capsys.readouterr().err == (
+            f"error: weights were trained for search_feature {name} {trained}, but this run "
+            f"searches with {wanted}; pass --force to evaluate anyway\n")
+        assert not report.exists()
+    seq_id = read_index(out)["sequences"][0]
+    rc = main(["estimate", "--dataset", str(out), "--seq", seq_id, "--estimator",
+               "feature_scale", *weights, "--config", str(narrow), "--gap", "3"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: weights were trained for search_feature "
+                                       "alpha_min 0.65, but this run searches with 0.9\n")
+    assert main([*evaluate, "--config", str(narrow), "--gap", "3", "--force"]) == 0
+    # only feature_scale runs the head; detection ignores the weights as before
+    assert main(["eval", "--dataset", str(out), "--estimator", "detection", *weights,
+                 "--config", str(narrow), "--gap", "3", "--out", str(report)]) == 0
+    # a sidecar without the record, as a per-epoch checkpoint's, is accepted
+    checkpoint = train_dir / "checkpoints" / "weights_epoch002.bin"
+    assert "search_feature" not in json.loads((checkpoint.parent / "weights_epoch002.bin.json")
+                                              .read_text())
+    assert main(["eval", "--dataset", str(out), "--estimator", "feature_scale", "--weights",
+                 str(checkpoint), "--config", str(narrow), "--gap", "3", "--out",
+                 str(report)]) == 0
+    # the recorded search is the one after --gap
+    assert main(["train", "--dataset", str(out), "--out", str(tmp_path / "gap4"),
+                 "--config", str(cfg_path), "--gap", "4"]) == 0
+    sidecar = json.loads((tmp_path / "gap4" / "weights.bin.json").read_text())
+    assert sidecar["search_feature"]["frame_gap"] == 4
+    assert main(["eval", "--dataset", str(out), "--estimator", "feature_scale",
+                 "--weights", str(tmp_path / "gap4" / "weights.bin"), "--config",
+                 str(cfg_path), "--gap", "4", "--out", str(report)]) == 0
+
+
 def test_eval_rejects_weights_that_do_not_fit_the_head(small_dataset, tmp_path, capsys):
     # a weights file that does not fit the 20-bin search fails before the
     # first sequence, with exit 2 and no report; a fitting head beside conv
@@ -545,6 +603,8 @@ def test_eval_rejects_malformed_weights_files(small_dataset, tmp_path, capsys):
         "short_blob": lambda p: p.write_bytes(p.read_bytes()[:-8]),
         "sidecar_not_json": lambda p: sidecar_path(p).write_text("not json {"),
         "empty_sidecar": lambda p: sidecar_path(p).write_text("{}"),
+        "search_not_object": lambda p: sidecar_path(p).write_text(json.dumps(
+            {**json.loads(sidecar_path(p).read_text()), "search_feature": 3})),
     }
     for name, corrupt in cases.items():
         wpath = tmp_path / f"{name}.bin"
@@ -924,6 +984,49 @@ def test_eval_refuses_a_malformed_index(small_dataset, tmp_path, capsys, field, 
     assert not report.exists()
 
 
+# manifest fields that eval and annotate both read; each value used to exit
+# 1, exit 0, or exit 2 with only Python's message
+_MALFORMED_LABEL_AND_HISTORY = [
+    (lambda raw: raw["label"].update(tau_s="a"),
+     "label tau_s must be a finite number, got 'a'"),  # exit 1 before
+    (lambda raw: raw["label"].update(alpha_10hz="a"),
+     "label alpha_10hz must be a finite number, got 'a'"),  # exit 1 before
+    (lambda raw: raw["label"].update(velocity_mps=None),
+     "label velocity_mps must be a finite number, got None"),  # exit 0 before
+    (lambda raw: raw["label"].update(depth_m=float("inf")),
+     "label depth_m must be null or a finite number, got inf"),
+    (lambda raw: raw["label"].update(q_used=1.5),
+     "label q_used must be null or an integer, got 1.5"),
+    (lambda raw: raw["label"].update(flags=3),
+     "label flags must be a list of strings, got 3"),  # Python's message before
+    (lambda raw: raw.update(label=[1]),
+     "label must be null or an object, got [1]"),  # Python's message before
+    (lambda raw: raw.update(depth_history="a"),
+     "depth_history must be null or a list of [t, depth] pairs of finite numbers, "
+     "got 'a'"),  # exit 1 before
+    (lambda raw: raw.update(depth_history=[[0.1]]),
+     "depth_history must be null or a list of [t, depth] pairs of finite numbers, "
+     "got [[0.1]]"),  # exit 1 before
+    # eval named the gap; annotate rewrote the manifest with no frames
+    (lambda raw: raw.update(frames={}), "frames must be a list, got {}"),
+]
+_MALFORMED_LABEL_AND_HISTORY_IDS = [
+    "tau-str", "alpha-str", "velocity-null", "label-depth-inf", "q-used-float", "flags-int",
+    "label-list", "history-str", "history-short-pair", "frames-object",
+]
+
+
+def _change_first_manifest(out: Path, data: Path, change) -> Path:
+    """A copy of the dataset ``out`` at ``data`` with ``change`` applied to
+    its first manifest; returns that manifest's path."""
+    shutil.copytree(out, data)
+    manifest = data / sorted(read_index(data)["sequences"])[0] / "manifest.json"
+    raw = json.loads(manifest.read_text())
+    change(raw)
+    manifest.write_text(json.dumps(raw))
+    return manifest
+
+
 @pytest.mark.parametrize("change, message", [
     (lambda raw: raw.update(fps="10"), "fps must be a finite number > 0, got '10'"),  # exit 1 before
     (lambda raw: raw.update(fps=0), "fps must be a finite number > 0, got 0"),  # exit 1 before
@@ -949,26 +1052,40 @@ def test_eval_refuses_a_malformed_index(small_dataset, tmp_path, capsys, field, 
     (lambda raw: raw["frames"][5].update(exact_bbox=[1.0, 2.0, float("inf"), 30.0]),
      "frame exact_bbox must be four finite numbers [cx, cy, w, h], "
      "got [1.0, 2.0, inf, 30.0]"),
+    (lambda raw: raw["frames"][1].update(depth_m="a"),
+     "frame depth_m must be null or a finite number, got 'a'"),
+    *_MALFORMED_LABEL_AND_HISTORY,
 ], ids=["fps-str", "fps-zero", "fps-bool", "gap-key-str", "gap-list", "timestamp-str",
         "timestamp-nan", "path-int", "bbox-str", "bbox-three", "bbox-null", "bbox-negative",
-        "exact-bbox-inf"])
+        "exact-bbox-inf", "frame-depth-str", *_MALFORMED_LABEL_AND_HISTORY_IDS])
 def test_eval_refuses_a_malformed_manifest_field(small_dataset, tmp_path, capsys, change, message):
     # a sequence manifest's fps, alpha_by_gap keys and frame fields are
     # checked where they are read: a bad value exits 2 naming the field, and
     # no report is written
     _, cfg_path, out = small_dataset
     data = tmp_path / "data"
-    shutil.copytree(out, data)
-    manifest = data / sorted(read_index(data)["sequences"])[0] / "manifest.json"
-    raw = json.loads(manifest.read_text())
-    change(raw)
-    manifest.write_text(json.dumps(raw))
+    _change_first_manifest(out, data, change)
     report = tmp_path / "report.json"
     rc = main(["eval", "--dataset", str(data), "--estimator", "detection",
                "--config", str(cfg_path), "--out", str(report)])
     assert rc == 2
     assert capsys.readouterr().err == f"error: malformed sequence manifest: {message}\n"
     assert not report.exists()
+
+
+@pytest.mark.parametrize("change, message", _MALFORMED_LABEL_AND_HISTORY,
+                         ids=_MALFORMED_LABEL_AND_HISTORY_IDS)
+def test_annotate_refuses_a_malformed_manifest_field(small_dataset, tmp_path, capsys,
+                                                     change, message):
+    # annotate reads the manifest it rewrites: a bad field exits 2 naming
+    # it, and that manifest keeps its bytes
+    _, _, out = small_dataset
+    manifest = _change_first_manifest(out, tmp_path / "data", change)
+    before = manifest.read_bytes()
+    rc = main(["annotate", "--dataset", str(tmp_path / "data")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: malformed sequence manifest: {message}\n"
+    assert manifest.read_bytes() == before
 
 
 @pytest.mark.parametrize("estimator", ["detection", "pixel_mse"])
@@ -1010,10 +1127,14 @@ def test_eval_refuses_non_integer_and_non_finite_search_settings(small_dataset, 
 @pytest.mark.parametrize("section", ["search_pixel", "search_feature"])
 def test_a_removed_search_key_exits_2_as_unknown(small_dataset, tmp_path, capsys, section):
     # ttc_reference, detection_sqrt, multi_reference and eps were search
-    # settings once; a config that still sets one is refused, naming it
+    # settings once, and the pixel search carried the feature grid's
+    # target_w and target_h, which it never read; a config that still sets
+    # one is refused, naming it
     _, _, out = small_dataset
     removed = {"ttc_reference": "reference_frame", "detection_sqrt": True,
                "multi_reference": False, "eps": 1e-12}
+    if section == "search_pixel":
+        removed.update(target_w=50, target_h=50)
     for key, value in removed.items():
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps({**SMALL_CONFIG, section: {key: value}}))

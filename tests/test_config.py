@@ -6,7 +6,6 @@ import math
 import pytest
 
 from ttckit.config import (
-    CameraConfig,
     RunConfig,
     SynthConfig,
     TargetConfig,
@@ -14,7 +13,8 @@ from ttckit.config import (
     config_hash,
 )
 from ttckit.errors import DomainError
-from ttckit.estimate import ScaleSearchConfig
+from ttckit.estimate import FeatureSearchConfig, ScaleSearchConfig
+from ttckit.synth import CameraModel
 
 
 def test_defaults_round_trip():
@@ -50,7 +50,7 @@ def test_unknown_keys_rejected():
 
 
 def test_camera_and_target_builders():
-    cam = CameraConfig(f=500.0, width=100, height=80).to_model()
+    cam = CameraModel(500.0, width=100, height=80)
     assert (cam.cx, cam.cy) == (50.0, 40.0)
     tgt = TargetConfig(texture="checker").to_target()
     assert tgt.texture.max() > tgt.texture.min()
@@ -76,7 +76,7 @@ def test_synth_config_defaults():
 @pytest.mark.parametrize("section", ["search_pixel", "search_feature"])
 @pytest.mark.parametrize("key,value", [
     ("n_bins", 20.0), ("top_k", 2.0), ("shift_c", 1.5), ("frame_gap", True),
-    ("frame_gap", 0), ("target_w", 20.0), ("target_h", "20"), ("n_bins", 1),
+    ("frame_gap", 0), ("n_bins", 1),
     ("expand_cap", math.nan), ("expand_cap", 0.9), ("alpha_min", -math.inf),
     ("alpha_max", math.nan), ("alpha_max", "1.5"), ("alpha_min", True), ("expand_cap", True),
 ])
@@ -88,10 +88,26 @@ def test_scale_search_refuses_non_integer_and_non_finite_values(section, key, va
         RunConfig.from_dict({section: {key: value}})
 
 
+@pytest.mark.parametrize("key,value", [("target_w", 20.0), ("target_h", "20"), ("target_w", 1)])
+def test_feature_search_refuses_a_grid_size_that_is_not_an_integer_of_at_least_2(key, value):
+    with pytest.raises(DomainError, match=f"scale search {key} must be"):
+        RunConfig.from_dict({"search_feature": {key: value}})
+
+
+def test_a_camera_without_cx_cy_hashes_as_one_centred_by_hand():
+    # a null principal point is the image centre, stored as the number it
+    # resolves to, so the two spellings are one config
+    implicit = RunConfig.from_dict({"camera": {"f": 800.0, "width": 321, "height": 192}})
+    explicit = RunConfig.from_dict({"camera": {"f": 800.0, "width": 321, "height": 192,
+                                               "cx": 321 / 2.0, "cy": 192 / 2.0}})
+    assert implicit == explicit
+    assert (implicit.camera.cx, implicit.camera.cy) == (160.5, 96.0)
+    assert config_hash(implicit) == config_hash(explicit)
+
 
 @pytest.mark.parametrize("section, defaults", [
     ("search_pixel", ScaleSearchConfig),
-    ("search_feature", ScaleSearchConfig.feature_defaults),
+    ("search_feature", FeatureSearchConfig),
 ], ids=["search_pixel-pixel_defaults", "search_feature-feature_defaults"])
 def test_a_partial_search_section_keeps_its_own_defaults(section, defaults):
     # search_feature once took the pixel defaults for the keys not given:

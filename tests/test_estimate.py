@@ -24,6 +24,7 @@ from ttckit.errors import DomainError, ManifestError, SequenceInvalidError
 from ttckit.estimate import (
     ESTIMATOR_NAMES,
     IDENTITY_DRAW,
+    FeatureSearchConfig,
     ScaleSearchConfig,
     _pixel_mse_scores,
     alpha_to_10hz,
@@ -50,7 +51,7 @@ from ttckit.sampling import (
 from ttckit.suites import DEFAULT_SUITE_CAMERA, constant_velocity_suite, mixed_interval_suite
 from ttckit.synth import CameraModel, NoiseModel, PlanarTarget, noise_texture, sequence_for_ttc
 
-CAM = CameraModel.centered(800.0, 320, 192)
+CAM = CameraModel(800.0, width=320, height=192)
 
 
 def _target(seed=9):
@@ -78,7 +79,7 @@ def test_scale_search_config_validation():
     cfg = ScaleSearchConfig()
     assert cfg.n_bins == 125 and cfg.top_k == 3 and cfg.shift_c == 3
     assert cfg.bin_width == pytest.approx((1.5 - 0.65) / 124)
-    feat = ScaleSearchConfig.feature_defaults()
+    feat = FeatureSearchConfig()
     assert feat.n_bins == 20 and feat.top_k == 4 and feat.shift_c == 1
     assert feat.target_w == feat.target_h == 50
     with pytest.raises(Exception):
@@ -217,7 +218,7 @@ def test_detection_matches_oracle_with_exact_boxes():
 
 def test_feature_scale_identity_pair():
     seq = _identity_sequence()
-    cfg = ScaleSearchConfig.feature_defaults(shift_c=0)
+    cfg = FeatureSearchConfig(shift_c=0)
     est = feature_scale_estimate(seq, cfg)
     bins = cfg.bins()
     nearest = int(np.argmin(np.abs(bins - 1.0)))
@@ -226,7 +227,7 @@ def test_feature_scale_identity_pair():
 
 def test_feature_scale_recovers_oracle_alpha():
     seq = _oracle_sequence(tau=4.5, seed=13)
-    cfg = ScaleSearchConfig.feature_defaults()
+    cfg = FeatureSearchConfig()
     est = feature_scale_estimate(seq, cfg)
     assert abs(est.alpha_hat - 0.9) <= 2 * cfg.bin_width
 
@@ -236,7 +237,7 @@ def test_feature_scale_uniform_logits_tie_break():
     box = BoundingBox(80.0, 60.0, 40.0, 30.0)
     frames = [FrameSample(timestamp_s=i * 0.1, box=box, image=img) for i in range(6)]
     seq = Sequence(sequence_id="flat", fps=10.0, frames=frames)
-    cfg = ScaleSearchConfig.feature_defaults(shift_c=0)
+    cfg = FeatureSearchConfig(shift_c=0)
     est = feature_scale_estimate(seq, cfg)
     # constant features give equal logits everywhere: stable top-k keeps
     # the first k bins, and equal sigmoid weights average them
@@ -246,7 +247,7 @@ def test_feature_scale_uniform_logits_tie_break():
 
 def test_feature_scale_head_shape_mismatch():
     seq = _identity_sequence()
-    cfg = ScaleSearchConfig.feature_defaults()
+    cfg = FeatureSearchConfig()
     with pytest.raises(Exception):
         feature_scale_estimate(seq, cfg, fc_weight=np.eye(7), fc_bias=np.zeros(7))
 
@@ -285,7 +286,7 @@ def test_estimates_stay_in_the_search_range(name, seed, size0, size1, drift):
         frames.append(FrameSample(timestamp_s=i * 0.1, box=box, image=image))
     seq = Sequence(sequence_id="range", fps=10.0, frames=frames)
     if name == "feature_scale":
-        cfg = ScaleSearchConfig.feature_defaults(shift_c=1, target_w=12, target_h=12)
+        cfg = FeatureSearchConfig(shift_c=1, target_w=12, target_h=12)
     else:
         cfg = ScaleSearchConfig(n_bins=20, shift_c=1)
     est = make_estimator(name, cfg)(seq)
@@ -301,14 +302,14 @@ def test_estimates_stay_in_the_search_range(name, seed, size0, size1, drift):
 @example(logits=[-1e308, -800.0, -801.0, -1e308], top_k=3)
 def test_fuse_logits_stays_within_the_end_bins(logits, top_k):
     # any finite logits, also those whose sigmoid weights all round to 0
-    cfg = ScaleSearchConfig.feature_defaults(n_bins=len(logits), top_k=min(top_k, len(logits)))
+    cfg = FeatureSearchConfig(n_bins=len(logits), top_k=min(top_k, len(logits)))
     bins = cfg.bins()
     assert bins[0] <= fuse_logits(np.array(logits), cfg) <= bins[-1]
 
 
 def test_fuse_logits_weights_bins_in_log_space_when_the_sigmoids_underflow():
     # sigmoid(z) ~ exp(z) far below 0, so two logits 1 apart weigh e : 1
-    cfg = ScaleSearchConfig.feature_defaults(n_bins=4, top_k=2)
+    cfg = FeatureSearchConfig(n_bins=4, top_k=2)
     bins = cfg.bins()
     want = (np.e * bins[2] + bins[0]) / (np.e + 1.0)
     logits = np.array([-1001.0, -1003.0, -1000.0, -1004.0])
@@ -317,7 +318,7 @@ def test_fuse_logits_weights_bins_in_log_space_when_the_sigmoids_underflow():
 
 def test_make_estimator_dispatch():
     cfg = ScaleSearchConfig(shift_c=0)
-    feat_cfg = ScaleSearchConfig.feature_defaults(shift_c=0)
+    feat_cfg = FeatureSearchConfig(shift_c=0)
     seq = _oracle_sequence(tau=4.0, seed=2, seq_id="m0")
     for name, c in (("detection", cfg), ("pixel_mse", cfg), ("feature_scale", feat_cfg)):
         est = make_estimator(name, c)(seq)
@@ -943,7 +944,7 @@ def test_feature_scores_equal_the_whole_stack_scores(pool, cx, cy, bw, bh, n_bin
     # boxes reach past every edge of 30x40 feature maps
     rng = np.random.default_rng(1)
     fmap0, fmap1 = rng.normal(size=(2, 30, 40, 12))
-    cfg = ScaleSearchConfig.feature_defaults(
+    cfg = FeatureSearchConfig(
         n_bins=n_bins, top_k=1, shift_c=shift_c, target_w=9, target_h=6
     )
     b1 = BoundingBox(20.0, 15.0, bw, bh)
@@ -964,7 +965,7 @@ def test_feature_scores_equal_the_whole_stack_scores(pool, cx, cy, bw, bh, n_bin
 def test_patches_by_bin_are_the_whole_stack_slices(cx, cy, bw, bh, n_bins, shift_c):
     # boxes reach past every edge of a 30x40 feature map
     fmap0 = np.random.default_rng(2).normal(size=(30, 40, 12))
-    cfg = ScaleSearchConfig.feature_defaults(
+    cfg = FeatureSearchConfig(
         n_bins=n_bins, top_k=1, shift_c=shift_c, target_w=9, target_h=6
     )
     b1 = BoundingBox(20.0, 15.0, bw, bh)
@@ -985,7 +986,7 @@ def test_feature_score_halves_equal_the_serial_scores(pool, n_bins, shift_c):
     # reach past the left and top edges of the reference map
     rng = np.random.default_rng(100 * n_bins + shift_c)
     fmap0, fmap1 = rng.normal(size=(2, 30, 40, 12)).astype(np.float32)
-    cfg = ScaleSearchConfig.feature_defaults(
+    cfg = FeatureSearchConfig(
         n_bins=n_bins, top_k=1, shift_c=shift_c, target_w=9, target_h=6
     )
     center, b1 = (4.3, 3.1), BoundingBox(20.0, 15.0, 13.5, 9.25)
@@ -1013,7 +1014,7 @@ def _serial_feature_estimate(seq, cfg, fc_weight, fc_bias):
 
 def test_feature_estimate_equals_its_serial_version(pool):
     seq = _oracle_sequence(tau=5.0, seed=31, seq_id="mr1")
-    cfg = ScaleSearchConfig.feature_defaults(shift_c=2)
+    cfg = FeatureSearchConfig(shift_c=2)
     rng = np.random.default_rng(16)
     fc_weight = np.eye(cfg.n_bins) + rng.normal(scale=0.05, size=(cfg.n_bins, cfg.n_bins))
     fc_bias = rng.normal(scale=0.01, size=cfg.n_bins)
@@ -1056,7 +1057,7 @@ def test_region_of_interest_scores_equal_the_whole_frame_scores(pool):
     seqs += [_moved_boxes(seq, BoundingBox(*ref), BoundingBox(*tgt))
              for seq, (ref, tgt) in zip(seqs, moves)]
     for shift_c in range(4):
-        cfg = ScaleSearchConfig.feature_defaults(shift_c=shift_c, target_w=24, target_h=24)
+        cfg = FeatureSearchConfig(shift_c=shift_c, target_w=24, target_h=24)
         for seq in seqs:
             roi = pair_features(seq, cfg)
             assert roi[0].shape[0] < h or roi[0].shape[1] < w
@@ -1072,7 +1073,7 @@ def test_pair_features_take_the_estimator_frame_pair():
     # and a gap the sequence cannot hold is refused, never wrapped around
     seq = mixed_interval_suite(1, seed=77)[0]
     for gap in (1, 5):
-        f0, _, center, _ = pair_features(seq, ScaleSearchConfig.feature_defaults(frame_gap=gap))
+        f0, _, center, _ = pair_features(seq, FeatureSearchConfig(frame_gap=gap))
         ref = seq.frames[len(seq.frames) - 1 - gap]
         x0, y0 = round(ref.box.cx - center[0]), round(ref.box.cy - center[1])
         assert center == (ref.box.cx - x0, ref.box.cy - y0)
@@ -1080,7 +1081,7 @@ def test_pair_features_take_the_estimator_frame_pair():
         assert np.array_equal(f0, hand_crafted_features(region))
     for gap in (6, 9):
         with pytest.raises(SequenceInvalidError, match=f"gap {gap} needs"):
-            pair_features(seq, ScaleSearchConfig.feature_defaults(frame_gap=gap))
+            pair_features(seq, FeatureSearchConfig(frame_gap=gap))
 
 
 @pytest.mark.parametrize("failing", [("worker",), ("caller", "worker")])
@@ -1098,7 +1099,7 @@ def test_feature_score_error_in_either_half_reaches_the_caller(monkeypatch, pool
 
     rng = np.random.default_rng(17)
     fmap0, fmap1 = rng.normal(size=(2, 30, 40, 12)).astype(np.float32)
-    cfg = ScaleSearchConfig.feature_defaults(top_k=1, target_w=9, target_h=6)
+    cfg = FeatureSearchConfig(top_k=1, target_w=9, target_h=6)
     monkeypatch.setattr(estimate, "candidate_patches_by_bin", failing_patches)
     threads = threading.active_count()
     with pytest.raises(DomainError) as got:
@@ -1114,7 +1115,7 @@ def test_feature_scale_errors_keep_the_serial_order(tmp_path):
     # pair's box check, and the reference frame's after both
     seq = _identity_sequence()
     missing = str(tmp_path / "missing.png")
-    cfg = ScaleSearchConfig.feature_defaults()
+    cfg = FeatureSearchConfig()
     threads = threading.active_count()
     ref = replace(seq.frames[0], image=None, image_path=missing)
     with pytest.raises(ManifestError, match="frame image not found"):

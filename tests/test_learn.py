@@ -22,7 +22,7 @@ from ttckit.errors import (
 from ttckit.estimate import (
     _DRAW_BATCH,
     IDENTITY_DRAW,
-    ScaleSearchConfig,
+    FeatureSearchConfig,
     identity_head,
     pair_features,
     pooled_cosine_scores,
@@ -49,7 +49,7 @@ from ttckit.synth import NoiseModel
 
 
 def _cfg(n_bins=20, shift_c=0, target=12):
-    return ScaleSearchConfig.feature_defaults(
+    return FeatureSearchConfig(
         n_bins=n_bins, top_k=min(4, n_bins), shift_c=shift_c,
         target_w=target, target_h=target,
     )

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from ttckit import sampling
 from ttckit.boxes import MIN_BOX_SIZE_PX, BoundingBox, box_drop_reason, expand_box
 from ttckit.errors import DomainError
-from ttckit.estimate import ScaleSearchConfig
+from ttckit.estimate import FeatureSearchConfig
 from ttckit.sampling import (
     bilinear_sample,
     crop_resize,
@@ -225,7 +225,7 @@ def _candidate_patch_coords(center, b1, cfg):
 def test_candidate_patch_lattices_bit_identical(cx, cy, bw, bh, n_bins, shift_c, dtype):
     # boxes reach past every edge of a 30x40 feature map
     fmap = np.random.default_rng(0).normal(size=(30, 40, 3)).astype(dtype)
-    cfg = ScaleSearchConfig.feature_defaults(
+    cfg = FeatureSearchConfig(
         n_bins=n_bins, top_k=1, shift_c=shift_c, target_w=7, target_h=5
     )
     ys, xs = _candidate_patch_coords((cx, cy), BoundingBox(20.0, 15.0, bw, bh), cfg)

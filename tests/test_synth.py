@@ -31,7 +31,7 @@ from ttckit.synth import _frame_noise
 
 
 def _camera(f=1000.0, width=1024, height=576):
-    return CameraModel.centered(f, width, height)
+    return CameraModel(f, width=width, height=height)
 
 
 def _target(size_m=2.0, seed=5):
@@ -55,7 +55,7 @@ def test_project_size_hand_values():
     with pytest.raises(DomainError):
         project_size(cam, 2.0, 0.0)
     with pytest.raises(DomainError):
-        CameraModel.centered(0.0)
+        CameraModel(0.0)
 
 
 def test_rendered_size_matches_projection():
@@ -212,14 +212,14 @@ def test_supersample_mean_is_numpys_mean_bit_for_bit(supersample, h, w, seed):
     assert np.array_equal(out, want)
 
 
-_SUITE_CAMERA = CameraModel.centered(800.0, 320, 192)
+_SUITE_CAMERA = CameraModel(800.0, width=320, height=192)
 _TEXTURED = textured_background(_SUITE_CAMERA, 3)
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     supersample=st.integers(1, 4),
-    camera=st.sampled_from((CameraModel.centered(400.0, 160, 96), _SUITE_CAMERA)),
+    camera=st.sampled_from((CameraModel(400.0, width=160, height=96), _SUITE_CAMERA)),
     depth=st.floats(3.0, 60.0),
     lateral=st.floats(-4.0, 4.0),
     vertical=st.floats(-2.0, 2.0),
@@ -299,7 +299,7 @@ def test_render_refuses_a_supersample_factor_that_is_not_a_positive_integer(supe
         render_frame(_camera(), _target(), 30.0, supersample=supersample)
 
 
-_WINDOW_CAMERA = CameraModel.centered(800.0, 320, 192)
+_WINDOW_CAMERA = CameraModel(800.0, width=320, height=192)
 _SCRIPTS_BY_TEMPLATE = {t: builtin_scripts([t]) for t in range(1, 7)}
 
 
