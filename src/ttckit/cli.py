@@ -45,7 +45,7 @@ from .evaluation import (
     reports_to_csv,
 )
 from .annotate import annotate_sequence
-from .learn import load_weights, save_weights, train_loop, write_loss_curve
+from .learn import load_head, save_weights, train_loop, write_loss_curve
 from .manifest import (
     canonical_json_bytes,
     load_dataset,
@@ -205,47 +205,24 @@ def _search_config(cfg: RunConfig, estimator: str, gap: int | None) -> ScaleSear
     return base if gap is None else base.with_gap(gap)
 
 
-def _check_trained_search(meta: dict, search: ScaleSearchConfig, path: Path, hint: str) -> None:
-    """Refuse weights whose sidecar records a feature search other than
-    ``search``, naming the first field that differs.
-
-    A sidecar without the record, such as a per-epoch checkpoint's, passes.
-    """
-    trained = meta.get("search_feature")
-    if trained is None:
-        return
-    if not isinstance(trained, dict):
-        raise DomainError(f"malformed weights sidecar {path}: search_feature must be an "
-                          f"object, got {trained!r}")
-    for name, value in asdict(search).items():
-        if trained.get(name) != value:
-            raise DomainError(f"weights were trained for search_feature {name} "
-                              f"{trained.get(name)!r}, but this run searches with "
-                              f"{value!r}{hint}")
-
-
-def _build_estimator(args, cfg: RunConfig, pool: Executor):
-    name = args.estimator
-    if name not in ESTIMATOR_NAMES:
-        raise DomainError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")
-    search = _search_config(cfg, name, getattr(args, "gap", None))
-    if getattr(args, "weights", None):
-        path = Path(args.weights)
-        if not path.is_file():
-            raise DomainError(f"weights file not found: {path}")
-        weights, meta = load_weights(path)
-        force = getattr(args, "force", None)  # eval's flag; estimate has none
-        if name == "feature_scale" and not force:
-            hint = "" if force is None else "; pass --force to evaluate anyway"
-            _check_trained_search(meta, search, path, hint)
-        return make_estimator(name, search, weights, pool), search, meta
-    return make_estimator(name, search, None, pool), search, None
+def _build_estimator(args, cfg: RunConfig, pool: Executor, dataset_hash: str | None = None,
+                     force: bool = False):
+    """The estimator ``args`` name and its search.  ``--weights`` is the
+    feature_scale head, read by ``learn.load_head``; no other estimator
+    runs one, so they refuse it before the file is opened."""
+    search = _search_config(cfg, args.estimator, args.gap)
+    head = None
+    if args.weights:
+        if args.estimator != "feature_scale":
+            raise DomainError(f"--weights is the feature_scale head; {args.estimator} runs none")
+        head = load_head(args.weights, search, dataset_hash, force)
+    return make_estimator(args.estimator, search, head, pool), search
 
 
 def cmd_estimate(args, pool) -> int:
     cfg = _run_config(args)
     seq = read_dataset_sequence(Path(args.dataset), args.seq)
-    estimator, search, _ = _build_estimator(args, cfg, pool)
+    estimator, search = _build_estimator(args, cfg, pool)
     est = estimator(seq)
     print(f"sequence {args.seq}  estimator {est.estimator}  gap {search.frame_gap}")
     print(f"alpha_hat {est.alpha_hat:.6f}  alpha_10hz {est.alpha_hat_10hz:.6f}  tau_hat {est.tau_hat:.3f} s")
@@ -309,14 +286,7 @@ def cmd_eval(args, pool) -> int:
     cfg = _run_config(args)
     dataset_dir = Path(args.dataset)
     index = read_index(dataset_dir)
-    estimator, search, weights_meta = _build_estimator(args, cfg, pool)
-    if weights_meta is not None and not args.force:
-        trained_on = weights_meta.get("dataset_config_hash")
-        if trained_on is not None and trained_on != index["config_hash"]:
-            raise DomainError(
-                f"weights were trained on config {trained_on} but dataset has "
-                f"{index['config_hash']}; pass --force to evaluate anyway"
-            )
+    estimator, search = _build_estimator(args, cfg, pool, index["config_hash"], args.force)
     sequences = load_dataset(dataset_dir)
     # an empty dataset, a gap no sequence can hold, or every sequence
     # failing would each report a table of zeros, which reads as a
@@ -398,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--csv", help="report CSV path")
-    p.add_argument("--force", action="store_true", help="ignore config-hash mismatches")
+    p.add_argument("--force", action="store_true", help="skip the weights' search and hash checks")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("report", help="merge evaluation reports into one grid")

@@ -123,9 +123,10 @@ class ScaleSearchConfig:
                 raise DomainError(f"scale search {name} must be a finite number, "
                                   f"got {getattr(self, name)!r}")
         if not (0 < self.alpha_min < self.alpha_max):
-            raise DomainError(f"bad alpha range [{self.alpha_min}, {self.alpha_max}]")
+            raise DomainError(f"scale search needs 0 < alpha_min < alpha_max, got "
+                              f"{self.alpha_min!r} and {self.alpha_max!r}")
         if self.top_k > self.n_bins:
-            raise DomainError(f"top_k {self.top_k} outside [1, {self.n_bins}]")
+            raise DomainError(f"scale search top_k {self.top_k} exceeds n_bins {self.n_bins}")
         if self.expand_cap < 1:
             raise DomainError(f"scale search expand_cap must be >= 1, got {self.expand_cap!r}")
 
@@ -824,25 +825,17 @@ def feature_scale_estimate(
 ESTIMATOR_NAMES = ("detection", "pixel_mse", "feature_scale")
 
 
-def make_estimator(name: str, cfg: ScaleSearchConfig, weights: dict | None = None, pool=None):
+def make_estimator(name: str, cfg: ScaleSearchConfig, head=None, pool=None):
     """Build a ``seq -> TtcEstimate`` callable by estimator name.
 
-    Feature-scale ``weights`` must hold exactly the ``cfg.n_bins`` head,
-    ``fc.weight`` and ``fc.bias``; any other keys or shapes raise
-    ``DomainError`` here, before any sequence is estimated.
+    ``head`` is feature_scale's (fc_weight, fc_bias), as ``learn.load_head``
+    reads it; with none, the identity head runs.
     """
     if name == "detection":
         return lambda seq: detection_ratio_estimate(seq, cfg)
     if name == "pixel_mse":
         return lambda seq: pixel_mse_estimate(seq, cfg, pool)
     if name == "feature_scale":
-        fc_w = fc_b = None
-        if weights is not None:
-            expected = {"fc.weight": (cfg.n_bins, cfg.n_bins), "fc.bias": (cfg.n_bins,)}
-            shapes = {key: np.shape(p) for key, p in weights.items()}
-            if shapes != expected:
-                raise DomainError(f"weights do not fit the {cfg.n_bins}-bin feature_scale "
-                                  f"head: got {shapes}, need {expected}")
-            fc_w, fc_b = weights["fc.weight"], weights["fc.bias"]
+        fc_w, fc_b = (None, None) if head is None else head
         return lambda seq: feature_scale_estimate(seq, cfg, fc_w, fc_b, pool)
     raise DomainError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")

@@ -18,13 +18,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .core import TtcInterval, is_finite_real, truncate_ttc, ttc_interval
+from .core import TtcInterval, check_int, is_finite_real, truncate_ttc, ttc_interval
 from .errors import DomainError, TtcKitError
 from .estimate import TtcEstimate
 from .manifest import Sequence, canonical_json_bytes
@@ -88,21 +88,51 @@ class EvaluationReport:
         return canonical_json_bytes(self.to_dict())
 
     @classmethod
-    def from_dict(cls, data: dict) -> "EvaluationReport":
+    def from_dict(cls, data) -> "EvaluationReport":
+        """The report ``to_dict`` wrote; any other field raises ``DomainError`` naming it."""
+        keys = [f.name for f in fields(cls)]
+        if not isinstance(data, dict) or set(data) != set(keys):
+            raise DomainError(f"a report holds exactly {keys}, got "
+                              f"{sorted(data) if isinstance(data, dict) else data!r}")
+        for name in ("estimator_id", "config_hash"):
+            if not isinstance(data[name], str):
+                raise DomainError(f"{name} must be a string, got {data[name]!r}")
+        for name in ("n_sequences", "n_failures", "n_rte_excluded"):
+            check_int(name, data[name])
+        per_interval = data["per_interval"]
+        intervals = [iv.value for iv in INTERVAL_ORDER]
+        if not isinstance(per_interval, dict) or set(per_interval) != set(intervals):
+            raise DomainError(f"per_interval must hold exactly {intervals}, got {per_interval!r}")
+        if not isinstance(data["records"], list):
+            raise DomainError(f"records must be a list, got {data['records']!r}")
         return cls(
             estimator_id=data["estimator_id"],
             config_hash=data["config_hash"],
             n_sequences=data["n_sequences"],
             n_failures=data["n_failures"],
             n_rte_excluded=data["n_rte_excluded"],
-            overall=IntervalStats(**data["overall"]),
-            per_interval={k: IntervalStats(**v) for k, v in data["per_interval"].items()},
+            overall=_stats_from_dict(data["overall"], "overall"),
+            per_interval={k: _stats_from_dict(v, f"per_interval.{k}")
+                          for k, v in per_interval.items()},
             records=list(data["records"]),
         )
 
     @classmethod
     def from_json(cls, path: Path) -> "EvaluationReport":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except ValueError as exc:  # not JSON, or a DomainError naming the field
+            raise DomainError(f"malformed report {path}: {exc}") from None
+
+
+def _stats_from_dict(data, where: str) -> IntervalStats:
+    if not isinstance(data, dict) or set(data) != {"count", "mid", "rte"}:
+        raise DomainError(f"{where} must hold exactly count, mid and rte, got {data!r}")
+    check_int(f"{where}.count", data["count"])
+    for name in ("mid", "rte"):
+        if not (is_finite_real(data[name]) and data[name] >= 0):
+            raise DomainError(f"{where}.{name} must be finite and >= 0, got {data[name]!r}")
+    return IntervalStats(**data)
 
 
 def evaluate_dataset(

@@ -27,8 +27,7 @@ epochs run on the kept (n_draws, n_bins, n_off) scores alone.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -197,28 +196,62 @@ def save_weights(path: Path, params: dict[str, np.ndarray], extra: dict | None =
     sidecar_path(path).write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
 
 
-def load_weights(path: Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a weights blob and its sidecar; a malformed pair raises ``DomainError``."""
+def load_head(path: Path, search: FeatureSearchConfig, dataset_hash: str | None = None,
+              force: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The (fc_weight, fc_bias) that ``save_weights`` wrote for ``search``'s head.
+
+    A recorded ``search_feature`` must equal ``search``, and a recorded
+    ``dataset_config_hash`` ``dataset_hash``, if given (``eval``'s, whose
+    messages then name ``--force``); ``force`` skips both.  Anything else
+    raises ``DomainError`` naming the field.
+    """
     path = Path(path)
+    if not path.is_file():
+        raise DomainError(f"weights file not found: {path}")
     sidecar = sidecar_path(path)
     try:
         meta = json.loads(sidecar.read_text())
-        shapes = {name: tuple(int(d) for d in meta["shapes"][name]) for name in meta["order"]}
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DomainError(f"malformed weights sidecar {sidecar}: {exc!r}") from None
-    if any(d < 0 for shape in shapes.values() for d in shape):
-        raise DomainError(f"negative dimension in weights sidecar {sidecar}: {shapes}")
-    counts = {name: math.prod(shape) for name, shape in shapes.items()}
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"malformed weights sidecar {sidecar}: {exc}") from None
+    keys = {"order", "shapes", "dtype", "search_feature", "dataset_config_hash"}
+    if not isinstance(meta, dict) or not set(meta) <= keys:
+        raise DomainError(f"malformed weights sidecar {sidecar}: must be an object with no "
+                          f"keys but {sorted(keys)}, got {meta!r}")
+    n = search.n_bins
+    # compared as JSON text, so neither 20.0 nor true passes for the integer 20
+    for name, want in (("order", ["fc.bias", "fc.weight"]), ("dtype", "<f4"),
+                       ("shapes", {"fc.bias": [n], "fc.weight": [n, n]})):
+        if json.dumps(meta.get(name), sort_keys=True) != json.dumps(want, sort_keys=True):
+            raise DomainError(f"weights do not fit the {n}-bin feature_scale head: {name} "
+                              f"is {meta.get(name)!r}, need {want!r} ({sidecar})")
+    hint = "" if dataset_hash is None else "; pass --force to evaluate anyway"
+    if not force and "search_feature" in meta:
+        trained, names = meta["search_feature"], [f.name for f in fields(FeatureSearchConfig)]
+        if not isinstance(trained, dict) or set(trained) != set(names):
+            raise DomainError(f"malformed weights sidecar {sidecar}: search_feature must "
+                              f"hold exactly {names}, got {trained!r}")
+        try:
+            trained = FeatureSearchConfig(**trained)
+        except DomainError as exc:
+            raise DomainError(f"weights sidecar {sidecar} search_feature: {exc}") from None
+        for name in names:
+            if getattr(trained, name) != getattr(search, name):
+                raise DomainError(f"weights were trained for search_feature {name} "
+                                  f"{getattr(trained, name)!r}, but this run searches with "
+                                  f"{getattr(search, name)!r}{hint}")
+    if not force and "dataset_config_hash" in meta:
+        trained_on = meta["dataset_config_hash"]
+        if not isinstance(trained_on, str):
+            raise DomainError(f"malformed weights sidecar {sidecar}: dataset_config_hash "
+                              f"must be a string, got {trained_on!r}")
+        if dataset_hash not in (None, trained_on):
+            raise DomainError(f"weights were trained on config {trained_on} (their "
+                              f"dataset_config_hash) but dataset has {dataset_hash}{hint}")
     raw = path.read_bytes()
-    if 4 * sum(counts.values()) != len(raw):
-        raise DomainError(f"weight blob size mismatch: {len(raw)} vs {4 * sum(counts.values())}")
-    params: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in shapes.items():
-        arr = np.frombuffer(raw, dtype="<f4", count=counts[name], offset=offset)
-        params[name] = arr.reshape(shape).astype(np.float64)
-        offset += counts[name] * 4
-    return params, meta
+    if len(raw) != 4 * (n + n * n):
+        raise DomainError(f"weight blob size mismatch: {len(raw)} vs {4 * (n + n * n)}")
+    values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    return values[n:].reshape(n, n), values[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -534,9 +534,13 @@ def test_weights_refuse_a_search_other_than_the_one_they_were_trained_for(
     assert capsys.readouterr().err == ("error: weights were trained for search_feature "
                                        "alpha_min 0.65, but this run searches with 0.9\n")
     assert main([*evaluate, "--config", str(narrow), "--gap", "3", "--force"]) == 0
-    # only feature_scale runs the head; detection ignores the weights as before
+    # only feature_scale runs the head; detection refuses the weights
+    report.unlink()
     assert main(["eval", "--dataset", str(out), "--estimator", "detection", *weights,
-                 "--config", str(narrow), "--gap", "3", "--out", str(report)]) == 0
+                 "--config", str(narrow), "--gap", "3", "--out", str(report)]) == 2
+    assert capsys.readouterr().err == ("error: --weights is the feature_scale head; "
+                                       "detection runs none\n")
+    assert not report.exists()
     # a sidecar without the record, as a per-epoch checkpoint's, is accepted
     checkpoint = train_dir / "checkpoints" / "weights_epoch002.bin"
     assert "search_feature" not in json.loads((checkpoint.parent / "weights_epoch002.bin.json")
@@ -592,32 +596,82 @@ def test_eval_rejects_weights_that_do_not_fit_the_head(small_dataset, tmp_path, 
 
 
 def test_eval_rejects_malformed_weights_files(small_dataset, tmp_path, capsys):
-    # a blob or sidecar that cannot be read is an input error: exit 2 and
-    # no report, never an internal error
+    # a blob or sidecar that cannot be read, or that says anything but what
+    # save_weights writes for this run's head, is an input error: exit 2
+    # naming the field and no report, never an internal error or a head
+    # read some other way
     _, cfg_path, out = small_dataset
+    from dataclasses import asdict
     from ttckit.estimate import identity_head
     from ttckit.learn import save_weights, sidecar_path
 
+    def edit(change):
+        def corrupt(p):
+            meta = json.loads(sidecar_path(p).read_text())
+            change(meta)
+            sidecar_path(p).write_text(json.dumps(meta))
+        return corrupt
+
+    def set_search(key, value):
+        return edit(lambda meta: meta["search_feature"].__setitem__(key, value))
+
     w, b = identity_head(20)
+    search = asdict(RunConfig.from_json_file(cfg_path).search_feature)
     cases = {
-        "short_blob": lambda p: p.write_bytes(p.read_bytes()[:-8]),
-        "sidecar_not_json": lambda p: sidecar_path(p).write_text("not json {"),
-        "empty_sidecar": lambda p: sidecar_path(p).write_text("{}"),
-        "search_not_object": lambda p: sidecar_path(p).write_text(json.dumps(
-            {**json.loads(sidecar_path(p).read_text()), "search_feature": 3})),
+        "short_blob": ("blob size", lambda p: p.write_bytes(p.read_bytes()[:-8])),
+        "sidecar_not_json": ("sidecar", lambda p: sidecar_path(p).write_text("not json {")),
+        "empty_sidecar": ("order", lambda p: sidecar_path(p).write_text("{}")),
+        "search_not_object": ("search_feature",
+                              edit(lambda meta: meta.__setitem__("search_feature", 3))),
+        "dtype_f8": ("dtype", edit(lambda meta: meta.__setitem__("dtype", ">f8"))),
+        "bias_shape_float": ("shapes", edit(lambda meta: meta["shapes"].__setitem__(
+            "fc.bias", [20.5]))),
+        "weight_shape_float": ("shapes", edit(lambda meta: meta["shapes"].__setitem__(
+            "fc.weight", [20.0, 20]))),
+        "extra_shape": ("shapes", edit(lambda meta: meta["shapes"].__setitem__(
+            "fc.scale", [20]))),
+        "order_duplicated": ("order", edit(lambda meta: meta.__setitem__(
+            "order", ["fc.bias", "fc.bias", "fc.weight"]))),
+        "order_string": ("order", edit(lambda meta: meta.__setitem__("order", "fc.bias"))),
+        "n_bins_float": ("n_bins", set_search("n_bins", 20.0)),
+        "search_unknown_key": ("search_feature", set_search("target_d", 3)),
+        "hash_not_string": ("dataset_config_hash",
+                            edit(lambda meta: meta.__setitem__("dataset_config_hash", 3))),
     }
-    for name, corrupt in cases.items():
-        wpath = tmp_path / f"{name}.bin"
-        save_weights(wpath, {"fc.weight": w, "fc.bias": b})
+    # the paths name no field, so that only the message can
+    for i, (name, (field, corrupt)) in enumerate(cases.items()):
+        wpath = tmp_path / f"w{i}.bin"
+        save_weights(wpath, {"fc.weight": w, "fc.bias": b},
+                     extra={"search_feature": search,
+                            "dataset_config_hash": read_index(out)["config_hash"]})
+        args = ["eval", "--dataset", str(out), "--estimator", "feature_scale",
+                "--config", str(cfg_path), "--weights", str(wpath)]
+        if name == "short_blob":  # the untouched file is read
+            assert main([*args, "--out", str(tmp_path / "fits.json")]) == 0
         corrupt(wpath)
-        report = tmp_path / f"{name}.json"
-        rc = main([
-            "eval", "--dataset", str(out), "--estimator", "feature_scale",
-            "--config", str(cfg_path), "--weights", str(wpath), "--out", str(report),
-        ])
+        report = tmp_path / f"r{i}.json"
+        rc = main([*args, "--out", str(report)])
         assert rc == 2, name
-        assert "internal error" not in capsys.readouterr().err, name
+        err = capsys.readouterr().err
+        assert "internal error" not in err and field in err, (name, err)
         assert not report.exists(), name
+
+
+@pytest.mark.parametrize("command", ["eval", "estimate"])
+@pytest.mark.parametrize("estimator", ["detection", "pixel_mse"])
+def test_weights_are_refused_where_no_head_runs(small_dataset, tmp_path, capsys, command,
+                                                estimator):
+    # only feature_scale runs a head: any other estimator given --weights
+    # exits 2 before the file is opened, so a missing file reads the same
+    _, cfg_path, out = small_dataset
+    seq_id = read_index(out)["sequences"][0]
+    where = ["--out", str(tmp_path / "r.json")] if command == "eval" else ["--seq", seq_id]
+    capsys.readouterr()
+    assert main([command, "--dataset", str(out), "--estimator", estimator, "--config",
+                 str(cfg_path), "--weights", str(tmp_path / "absent.bin"), *where]) == 2
+    assert capsys.readouterr().err == (f"error: --weights is the feature_scale head; "
+                                       f"{estimator} runs none\n")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_train_rejects_a_gap_the_sequences_cannot_hold(small_dataset, tmp_path, capsys):
@@ -1161,6 +1215,39 @@ def test_report_merges(small_dataset, tmp_path, capsys):
     text = merged.read_text()
     assert text.startswith("estimator,MiD")
     assert "detection" in text and "pixel_mse" in text
+
+
+def test_report_refuses_a_malformed_report_naming_the_file_and_field(
+        small_dataset, tmp_path, capsys):
+    # each of these gave "internal error" (exit 1), or for a null count
+    # printed "None" with exit 0
+    _, cfg_path, out = small_dataset
+    good = tmp_path / "good.json"
+    assert main(["eval", "--dataset", str(out), "--estimator", "detection",
+                 "--config", str(cfg_path), "--out", str(good)]) == 0
+    assert main(["report", "--inputs", str(good)]) == 0
+
+    def edit(change):
+        data = json.loads(good.read_text())
+        change(data)
+        return json.dumps(data)
+
+    cases = {
+        "not_json": ("Expecting value", "not json {"),
+        "no_config_hash": ("config_hash", edit(lambda d: d.pop("config_hash"))),
+        "mid_string": ("overall.mid", edit(lambda d: d["overall"].__setitem__("mid", "a"))),
+        "extra_interval_key": ("per_interval.crucial", edit(
+            lambda d: d["per_interval"]["crucial"].__setitem__("median", 1.0))),
+        "count_null": ("overall.count", edit(lambda d: d["overall"].__setitem__("count", None))),
+    }
+    capsys.readouterr()
+    for i, (name, (field, text)) in enumerate(cases.items()):
+        path = tmp_path / f"r{i}.json"
+        path.write_text(text)
+        assert main(["report", "--inputs", str(good), str(path)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: malformed report {path}: "), (name, captured.err)
+        assert field in captured.err and not captured.out, (name, captured.err)
 
 
 def test_usage_errors_exit_2(tmp_path):

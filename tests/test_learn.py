@@ -1,6 +1,7 @@
 """Soft labels, BCE, SGD, gradient checks, and the training loop."""
 
 import dataclasses
+import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -37,9 +38,10 @@ from ttckit.learn import (
     bce_loss,
     cosine_lr,
     head_loss_and_grads,
-    load_weights,
+    load_head,
     save_weights,
     sgd_step,
+    sidecar_path,
     soft_label,
     train_loop,
     training_head_init,
@@ -167,11 +169,63 @@ def test_weights_round_trip(tmp_path):
     }
     path = tmp_path / "weights.bin"
     save_weights(path, params, extra={"dataset_config_hash": "ff00"})
-    back, meta = load_weights(path)
-    assert meta["dataset_config_hash"] == "ff00"
-    for k in params:
-        assert np.allclose(back[k], params[k], atol=1e-7)
+    back_w, back_b = load_head(path, FeatureSearchConfig(n_bins=3, top_k=2), "ff00")
+    assert np.allclose(back_w, params["fc.weight"], atol=1e-7)
+    assert np.allclose(back_b, params["fc.bias"], atol=1e-7)
     assert (tmp_path / "weights.bin.json").is_file()
+
+
+_REMOVED = object()
+_SIDECAR_SEARCH = FeatureSearchConfig(n_bins=3, top_k=2, target_w=10, target_h=10)
+# (key, ...) paths into a trained sidecar, and values a change may set there
+_SIDECAR_PATHS = [("order",), ("shapes",), ("shapes", "fc.bias"), ("shapes", "fc.weight"),
+                  ("dtype",), ("search_feature",), ("dataset_config_hash",)] + [
+    ("search_feature", f.name) for f in dataclasses.fields(FeatureSearchConfig)]
+_SIDECAR_VALUES = st.one_of(
+    st.sampled_from([_REMOVED, None, "a", [], [3], {}, {"a": 1}, float("nan"), float("inf"),
+                     -float("inf"), 0, 0.0, -1, -2.5, 0.5, 3.0, 20.5, True, False]),
+    st.integers(-5, 25),
+    st.floats(-5.0, 25.0).filter(lambda x: not x.is_integer()),
+)
+
+
+@pytest.fixture(scope="module")
+def trained_weights(tmp_path_factory):
+    """A head saved as ``cmd_train`` saves one: weights path, sidecar, head."""
+    rng = np.random.default_rng(3)
+    fc_w = rng.normal(size=(3, 3)).astype(np.float32).astype(np.float64)
+    fc_b = rng.normal(size=3).astype(np.float32).astype(np.float64)
+    path = tmp_path_factory.mktemp("sidecar") / "weights.bin"
+    save_weights(path, {"fc.weight": fc_w, "fc.bias": fc_b},
+                 extra={"dataset_config_hash": "ff00",
+                        "search_feature": dataclasses.asdict(_SIDECAR_SEARCH)})
+    return path, json.loads(sidecar_path(path).read_text()), (fc_w, fc_b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(where=st.sampled_from(_SIDECAR_PATHS), value=_SIDECAR_VALUES)
+def test_load_head_reads_a_changed_sidecar_field_as_saved_or_refuses_it_by_name(
+        trained_weights, where, value):
+    # one field of a trained sidecar set to a wrong type, NaN, +-inf, 0, a
+    # negative, a non-integer float or a bool, or removed: load_head returns
+    # the saved head, or raises DomainError naming the field, nothing else
+    path, meta, (fc_w, fc_b) = trained_weights
+    meta = json.loads(json.dumps(meta))
+    *parents, key = where
+    holder = meta
+    for name in parents:
+        holder = holder[name]
+    if value is _REMOVED:
+        del holder[key]
+    else:
+        holder[key] = value
+    sidecar_path(path).write_text(json.dumps(meta))
+    try:
+        got_w, got_b = load_head(path, _SIDECAR_SEARCH, "ff00")
+    except DomainError as exc:
+        assert all(name in str(exc) for name in where), str(exc)
+    else:
+        assert np.array_equal(got_w, fc_w) and np.array_equal(got_b, fc_b)
 
 
 def _gradcheck_sample(seed=0, size=32):
@@ -428,8 +482,8 @@ def test_train_loop_emits_checkpoints(tmp_path):
     train_loop(seqs, [], cfg, tcfg, out_dir=tmp_path)
     assert (tmp_path / "weights_epoch000.bin").is_file()
     assert (tmp_path / "weights_epoch001.bin.json").is_file()
-    params, _ = load_weights(tmp_path / "weights_epoch001.bin")
-    assert params["fc.weight"].shape == (8, 8)
+    fc_w, fc_b = load_head(tmp_path / "weights_epoch001.bin", cfg)
+    assert fc_w.shape == (8, 8) and fc_b.shape == (8,)
 
 
 def _serial_train_loop(train_seqs, val_seqs, cfg, train_cfg, out_dir=None):
