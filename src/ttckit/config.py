@@ -23,7 +23,13 @@ from .synth import CameraModel, NoiseModel, PlanarTarget, checker_texture, noise
 
 
 def _from_dict(cls, data: dict, path: str):
-    """The config section ``cls(**data)``; the keys not given keep their defaults."""
+    """The config section ``cls(**data)``; the keys not given keep their defaults.
+
+    Every error names the section: the search sections share their checks,
+    whose messages say only "scale search", so theirs get the section's name.
+    """
+    if not isinstance(data, dict):
+        raise DomainError(f"{path} must be a JSON object, got {data!r}")
     section = fields(cls)
     unknown = set(data) - {f.name for f in section}
     if unknown:
@@ -35,7 +41,12 @@ def _from_dict(cls, data: dict, path: str):
             if isinstance(value, list) and "tuple" in str(f.type):
                 value = tuple(value)
             kwargs[f.name] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except DomainError as exc:
+        if str(exc).startswith(f"{path} "):
+            raise
+        raise DomainError(f"{path}: {exc}") from None
 
 
 def _check_positive(name: str, value) -> None:
@@ -139,6 +150,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise DomainError(f"config must be a JSON object, got {data!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

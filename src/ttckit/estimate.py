@@ -593,9 +593,7 @@ def candidate_patches_by_bin(
     n_side = 2 * c + 1
     h, w = cfg.target_h, cfg.target_w
     ys, xs = _bin_positions(grid_positions, center, b1, cfg, w, h)
-    patches = np.empty(
-        (n_side * n_side, h, w) + fmap0.shape[2:], np.result_type(fmap0.dtype, np.float64)
-    )
+    patches = np.empty((n_side * n_side, h, w) + fmap0.shape[2:])
     ys, xs = _shift_lattice(ys[bins], c), _shift_lattice(xs[bins], c)
     # a block is one dy row group of one bin, or at shift radius 0 one or
     # more whole bins
@@ -610,10 +608,6 @@ def candidate_patches_by_bin(
         patches[dy_idx::n_side] = np.swapaxes(rows.reshape((h, n_side, w) + rows.shape[2:]), 0, 1)
         if dy_idx == n_side - 1:
             yield patches[None]
-
-
-def target_grid_patch(fmap1: np.ndarray, b1: BoundingBox, cfg: FeatureSearchConfig) -> np.ndarray:
-    return grid_sample_features(fmap1, b1, cfg.target_w, cfg.target_h)
 
 
 def _roi_bounds(center, b1: BoundingBox, cfg: ScaleSearchConfig, shape: tuple[int, int]):
@@ -645,8 +639,9 @@ def pair_features(
 
     Returns (f0, f1, center, box): the reference and target frames'
     ``hand_crafted_features`` over the region of interest
-    (``_roi_bounds``), and the reference box center and the expanded
-    target box in that region's coordinates.  Inside the margin the
+    (``_roi_bounds``), promoted once to float64, the only dtype the
+    sampler reads, and the reference box center and the expanded target
+    box in that region's coordinates.  Inside the margin the
     region's features are the whole frame's, so its scores equal the
     whole frame's up to the rounding of ``box_mean``'s running sum, which
     starts at the region's edge.  Errors come in the order of a serial
@@ -659,8 +654,8 @@ def pair_features(
     h, w = tgt_img.shape[:2]
     b1 = expand_box(tgt.box, cfg.expand_cap, (w, h))
     x0, y0, x1, y1 = _roi_bounds((ref.box.cx, ref.box.cy), b1, cfg, (h, w))
-    f0 = hand_crafted_features(ref_img[y0:y1, x0:x1])
-    f1 = hand_crafted_features(tgt_img[y0:y1, x0:x1])
+    f0 = hand_crafted_features(ref_img[y0:y1, x0:x1]).astype(np.float64)
+    f1 = hand_crafted_features(tgt_img[y0:y1, x0:x1]).astype(np.float64)
     center = (ref.box.cx - x0, ref.box.cy - y0)
     return f0, f1, center, BoundingBox(b1.cx - x0, b1.cy - y0, b1.w, b1.h)
 
@@ -696,7 +691,7 @@ def pooled_cosine_scores(f0, f1, center, box, cfg: FeatureSearchConfig, draws, p
     """
     mask = intensity_mask()
     c = float(mask @ mask)
-    p1 = target_grid_patch(f1, box, cfg)
+    p1 = grid_sample_features(f1, box, cfg.target_w, cfg.target_h)
     p1 = p1.reshape(-1, p1.shape[-1])
     dot1m = p1 @ mask
     norm1 = np.einsum("pc,pc->p", p1, p1)

@@ -75,7 +75,11 @@ def hand_crafted_features(image: np.ndarray) -> np.ndarray:
 
     Channels 0-2 are the intensity, 3-5 its x gradient, 6-8 its y gradient
     and 9-11 its local contrast; each is computed in float64 and rounded
-    once, as it is written into the float32 map.
+    once, as it is written into the float32 map.  That rounding is part of
+    what the features are: every score, trained head and report is made
+    from the rounded values.  The sampler reads float64, so the feature
+    search promotes the map once per frame pair (``estimate.pair_features``),
+    which changes no value.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3:

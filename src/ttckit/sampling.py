@@ -17,15 +17,15 @@ Separable lattices
 ------------------
 Every grid sampled here is separable: its rows depend only on y and its
 columns only on x.  ``bilinear_sample`` recognises one from the coordinate
-shapes, ``ys`` ``(..., n, 1)`` against ``xs`` ``(..., 1, m)``, and then
+shapes, ``ys`` ``(n, 1)`` against ``xs`` ``(1, m)``, and then
 interpolates along x over just the strip of image rows the lattice
 touches (``strip[:, x0] * (1 - fx) + strip[:, x1] * fx``), gathers whole
 interpolated rows and interpolates along y (``rows[y0] * (1 - fy) +
 rows[y1] * fy``).  Each sample sees the same four texels, the same
 products and the same additions in the same order as in the general
-four-corner gather, so the two paths give bit-identical results.  Leading
-batch axes loop over the lattices; any other coordinate shape takes the
-general gather.
+four-corner gather, so the two paths give bit-identical results.  Any
+other coordinate shape takes the general gather; batches of lattices are
+sampled by ``lattice_row_blocks``.
 
 Row blocks
 ----------
@@ -48,17 +48,16 @@ once per call, and the strip, block and scratch buffers are allocated
 once per call, sized for the largest block: buffers
 allocated per group, or for a much larger budget, can be mapped and
 faulted in afresh again and again, which costs more than grouping
-saves.  A float64 image is read in place.  Any other image, such as a float32
-feature map, is promoted one group at a time, and only the rows and
-columns that group touches, into one float64 strip buffer per call;
-every sample reads the same texel values, so the promotion does not
-change a bit.  Each call owns its buffers, so calls on different
-threads over the same read-only image do not interfere: the pixel and
-feature searches each score two halves of their scale bins at once,
-each half with its own call on its own thread (the caller and the one
-worker ``cli.main`` opens per command; nothing here starts a thread),
-and ``synth`` renders two windows at once, whose frames may share a
-texture.  The renderer asks for each frame's supersampled texture
+saves.  The sampler reads float64 images only, in place: the pixel gray
+and the render texture are float64, and ``estimate.pair_features``
+promotes the float32 feature maps once per frame pair; any other image is
+converted whole when the call starts.  Each call owns its buffers, so
+calls on different threads over the same read-only image do not
+interfere: the pixel and feature searches each score two halves of their
+scale bins at once, each half with its own call on its own thread (the
+caller and the one worker ``cli.main`` opens per command; nothing here
+starts a thread), and ``synth`` renders two windows at once, whose frames
+may share a texture.  The renderer asks for each frame's supersampled texture
 lattice in blocks of whole output rows, padded to equal blocks, so a
 large box never holds its whole lattice (``synth.render_frame``).  The
 pixel search asks for one block per lattice when a lattice has at most
@@ -124,12 +123,12 @@ def lattice_row_blocks(
     Each group of lattices (a lone lattice is a group of one) has one
     x-interpolated strip of image rows, the rows between its lowest and
     highest y corners, built before its first block at all its lattices'
-    columns at once; the y pass reads it as (strip row, lattice) rows.  A
-    float64 image's rows are read in place; any other image's are
-    promoted to float64, only the columns between the group's clamped
-    lowest and highest x corners, into a strip buffer sized for the
-    largest such patch.
+    columns at once; the y pass reads it as (strip row, lattice) rows.
+    The image is read as float64, in place: every library caller passes
+    float64 (``estimate.pair_features`` promotes the feature maps once per
+    pair), and any other image is converted whole first.
     """
+    image = np.asarray(image, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
     if ys.ndim != xs.ndim or ys.ndim not in (1, 2) or ys.shape[:-1] != xs.shape[:-1]:
@@ -157,7 +156,7 @@ def lattice_row_blocks(
     starts = np.arange(0, n_lat, size)
     sizes = np.minimum(size, n_lat - starts)
     # floor and clamp are monotonic, so each group's first and last strip
-    # rows (columns) are the lowest and highest corners of its lattices
+    # rows are the lowest and highest y corners of its lattices
     lo = np.minimum.reduceat(y0.min(axis=1), starts)
     spans = np.maximum.reduceat(y1.max(axis=1), starts) + 1 - lo
     group = np.repeat(np.arange(len(starts)), sizes)
@@ -168,34 +167,17 @@ def lattice_row_blocks(
         y -= lo[group, None]
         y *= sizes[group, None]
         y += pos
-    # the products would promote to float64, so the buffers are float64
-    # and only each group's strip is promoted, not the whole image
-    dtype = np.result_type(image.dtype, np.float64)
-    rows_buf = np.empty(int((spans * sizes).max()) * n_cols * depth, dtype)
-    promote = image.dtype != dtype
-    if promote:
-        # one texel per row, so each group's strip is a contiguous
-        # reshape of its head: np.take would copy a strided one first
-        left = np.minimum.reduceat(x0.min(axis=1), starts)
-        widths = np.maximum.reduceat(x1.max(axis=1), starts) + 1 - left
-        x0 -= left[group, None]
-        x1 -= left[group, None]
-        strip_buf = np.empty((int((spans * widths).max()),) + chans, dtype)
+    rows_buf = np.empty(int((spans * sizes).max()) * n_cols * depth)
     step = n_rows // n
-    out_buf = np.empty(size * step * n_cols * depth, dtype)
+    out_buf = np.empty(size * step * n_cols * depth)
     # the x pass's right terms and the y pass's bottom terms are never
     # live at once, so they share one buffer
-    right_buf = np.empty(max(rows_buf.size, out_buf.size), dtype)
+    right_buf = np.empty(max(rows_buf.size, out_buf.size))
     # the indices are already clamped, so "clip" never moves one; unlike
     # the default "raise", it writes straight into out= without a check
     for k, (first, g, span) in enumerate(zip(starts, sizes, spans)):
         lats = slice(first, first + g)
-        if promote:
-            texels = image[lo[k] : lo[k] + span, left[k] : left[k] + widths[k]]
-            strip = strip_buf[: span * widths[k]].reshape(texels.shape)
-            np.copyto(strip, texels)
-        else:
-            strip = image[lo[k] : lo[k] + span]
+        strip = image[lo[k] : lo[k] + span]
         shape = (span, g * n_cols) + chans
         rows = rows_buf[: span * g * n_cols * depth].reshape(shape)
         right = right_buf[: rows.size].reshape(shape)
@@ -223,26 +205,15 @@ def bilinear_sample(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.nda
     """Sample an (H, W) or (H, W, C) array at float texel coords, edge-clamped.
 
     ``ys`` and ``xs`` must broadcast against each other; the output has
-    their broadcast shape (plus the channel axis, if any).  Lattice
-    coordinates, ``ys`` of shape ``(..., n, 1)`` and ``xs`` of shape
-    ``(..., 1, m)``, take the separable path (see the module docstring).
+    their broadcast shape (plus the channel axis, if any).  One lattice,
+    ``ys`` of shape ``(n, 1)`` and ``xs`` of shape ``(1, m)``, takes the
+    separable path (see the module docstring); any other shape takes the
+    four-corner gather.
     """
     ys = np.asarray(ys, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
-    lattice = min(ys.ndim, xs.ndim) >= 2 and ys.shape[-1] == xs.shape[-2] == 1
-    if lattice and ys.size and xs.size:
-        batch = np.broadcast_shapes(ys.shape[:-2], xs.shape[:-2])
-        if not batch:
-            return next(lattice_row_blocks(image, ys[:, 0], xs[0], 1))
-        n, m = ys.shape[-2], xs.shape[-1]
-        ys = np.broadcast_to(ys[..., 0], batch + (n,)).reshape(-1, n)
-        xs = np.broadcast_to(xs[..., 0, :], batch + (m,)).reshape(-1, m)
-        out = np.empty((len(ys), n, m) + image.shape[2:], np.result_type(image.dtype, np.float64))
-        first = 0
-        for block in lattice_row_blocks(image, ys, xs, 1):
-            out[first : first + len(block)] = block
-            first += len(block)
-        return out.reshape(batch + out.shape[1:])
+    if ys.ndim == xs.ndim == 2 and ys.shape[1] == xs.shape[0] == 1 and ys.size and xs.size:
+        return next(lattice_row_blocks(image, ys[:, 0], xs[0], 1))
     h, w = image.shape[:2]
     y0, y1, fy = _corners(np.clip(ys, 0.0, h - 1.0), h)
     x0, x1, fx = _corners(np.clip(xs, 0.0, w - 1.0), w)

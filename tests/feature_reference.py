@@ -2,8 +2,8 @@
 
 ``estimate.pooled_cosine_scores`` samples and scores one scale bin at a
 time, in place, on two threads.  These helpers compute the same scores
-the plain way: one candidate box per bin, every candidate patch in one
-bilinear call, the inner products as whole arrays, and the augmented
+the plain way: one candidate box per bin, each (bin, shift) candidate
+patch in its own bilinear call, the inner products as whole arrays, and the augmented
 cosine written out of place.  The tests require the routine to equal
 them bit for bit.  ``finite_diff_gradcheck`` compares the head step's
 analytic gradient with central differences.
@@ -14,10 +14,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from ttckit.boxes import BoundingBox
-from ttckit.estimate import FeatureSearchConfig, target_grid_patch
+from ttckit.estimate import FeatureSearchConfig
 from ttckit.features import intensity_mask
 from ttckit.learn import head_loss_and_grads
-from ttckit.sampling import bilinear_sample, grid_positions, shift_offsets
+from ttckit.sampling import bilinear_sample, grid_positions, grid_sample_features, shift_offsets
 
 
 def scaled_candidate_boxes(
@@ -31,16 +31,15 @@ def scaled_candidate_boxes(
 
 
 def candidate_grid_patches(fmap0, center, b1, cfg):
-    """Every (bin, shift) candidate patch in one bilinear call,
+    """Every (bin, shift) candidate patch, one bilinear call per lattice,
     (n_bins, n_off, out_h, out_w, C): the whole-stack reference that
     ``candidate_patches_by_bin`` must equal."""
     offsets = shift_offsets(cfg.shift_c).astype(np.float64)
     center_box = BoundingBox(center[0], center[1], b1.w, b1.h)
     grids = [grid_positions(box, cfg.target_w, cfg.target_h)
              for box in scaled_candidate_boxes(center_box, b1, cfg)]
-    ys = np.array([y for y, _ in grids])[:, None, :, None] + offsets[None, :, 1, None, None]
-    xs = np.array([x for _, x in grids])[:, None, None, :] + offsets[None, :, 0, None, None]
-    return bilinear_sample(fmap0, ys, xs)
+    return np.array([[bilinear_sample(fmap0, (ys + dy)[:, None], (xs + dx)[None, :])
+                      for dx, dy in offsets] for ys, xs in grids])
 
 
 def ingredients(f0, f1, center, box, cfg):
@@ -50,7 +49,7 @@ def ingredients(f0, f1, center, box, cfg):
     mask = intensity_mask()
     n_off = (2 * cfg.shift_c + 1) ** 2
     p0 = candidate_grid_patches(f0, center, box, cfg).reshape(cfg.n_bins, n_off, -1, 12)
-    p1 = target_grid_patch(f1, box, cfg).reshape(-1, 12)
+    p1 = grid_sample_features(f1, box, cfg.target_w, cfg.target_h).reshape(-1, 12)
     return SimpleNamespace(
         dot01=np.einsum("bspc,pc->bsp", p0, p1),
         dot0m=p0 @ mask,

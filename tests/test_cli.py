@@ -134,18 +134,26 @@ def test_synth_refuses_out_of_range_settings(tmp_path, capsys):
     ("noise", "gain_range", [0.0, 1.1]),
     ("noise", "gain_range", [1.1, 0.9]),
     ("noise", "bias_range", [float("nan"), 0.0]),
+    # with no key, the value replaces the whole section
+    ("camera", None, None),  # exit 1 before
+    ("search_pixel", None, 3),  # exit 1 before
+    ("synth", None, "abc"),  # exit 2 before, as unknown keys 'a', 'b' and 'c'
+    ("search_feature", None, [1]),  # exit 2 before, as unknown key 1
 ], ids=lambda v: repr(v) if not isinstance(v, str) else v)
 def test_synth_refuses_malformed_config_sections(tmp_path, capsys, section, key, value):
-    # camera, target and noise check their fields: each value exits 2 naming
-    # its section and field, before anything is written
+    # camera, target and noise check their fields, and every section must
+    # be an object: each value exits 2 naming its section and field, before
+    # anything is written
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({**SMALL_CONFIG, section: {**SMALL_CONFIG.get(section, {}),
-                                                          key: value}}))
+    if key is not None:
+        value = {**SMALL_CONFIG.get(section, {}), key: value}
+    path.write_text(json.dumps({**SMALL_CONFIG, section: value}))
     out = tmp_path / "out"
     rc = main(["synth", "--config", str(path), "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith(f"error: {section} {key}") and "internal error" not in err, err
+    name = section if key is None else f"{section} {key}"
+    assert err.startswith(f"error: {name} ") and "internal error" not in err, err
     assert not out.exists()
 
 
@@ -1174,7 +1182,7 @@ def test_eval_refuses_non_integer_and_non_finite_search_settings(small_dataset, 
                    "--config", str(path), "--out", str(report)])
         err = capsys.readouterr().err
         assert rc == 2, key
-        assert err.startswith(f"error: scale search {key} must be"), err
+        assert err.startswith(f"error: search_pixel: scale search {key} must be"), err
         assert not report.exists()
 
 

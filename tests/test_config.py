@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttckit.config import (
     RunConfig,
@@ -65,6 +67,9 @@ def test_missing_config_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(DomainError):
         RunConfig.from_json_file(bad)
+    bad.write_text("3")  # raised TypeError before
+    with pytest.raises(DomainError, match="config must be a JSON object, got 3"):
+        RunConfig.from_json_file(bad)
 
 
 def test_synth_config_defaults():
@@ -115,3 +120,40 @@ def test_a_partial_search_section_keeps_its_own_defaults(section, defaults):
     cfg = RunConfig.from_dict({section: {"top_k": 2}})
     assert getattr(cfg, section) == defaults(top_k=2)
     assert RunConfig.from_dict({section: {}}) == RunConfig()
+
+
+_REMOVED = object()
+# a full valid config as JSON reads it, and (section,) and (section, field)
+# paths into it
+_CONFIG = json.loads(canonical_config_json(RunConfig()))
+_CONFIG_PATHS = [(name,) for name in _CONFIG] + [
+    (name, key) for name, section in _CONFIG.items() if isinstance(section, dict)
+    for key in section]
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from([_REMOVED, None, "a", [], [3], [0.5, 2.0], {}, {"a": 1}, math.nan,
+                     math.inf, -math.inf, 0, 0.0, -1, -2.5, 0.5, 3.0, 20.5, True, False]),
+    st.integers(-5, 25),
+    st.floats(-5.0, 25.0).filter(lambda x: not x.is_integer()),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(where=st.sampled_from(_CONFIG_PATHS), value=_CONFIG_VALUES)
+def test_a_changed_config_field_is_read_or_refused_by_name(where, value):
+    # one field of a valid config set to a wrong type, NaN, +-inf, 0, a
+    # negative, a non-integer float or a bool, or removed, or a whole
+    # section replaced: from_dict returns a RunConfig, or raises
+    # DomainError naming the section and field, nothing else
+    data = json.loads(json.dumps(_CONFIG))
+    *section, key = where
+    holder = data[section[0]] if section else data
+    if value is _REMOVED:
+        del holder[key]
+    else:
+        holder[key] = value
+    try:
+        cfg = RunConfig.from_dict(data)
+    except DomainError as exc:
+        assert all(name in str(exc) for name in where), str(exc)
+    else:
+        assert isinstance(cfg, RunConfig)

