@@ -92,7 +92,7 @@ def _plan_windows(cfg: RunConfig) -> list[partial]:
     variants and window starts, makes the textures and trajectories and
     keeps the windows ``window_drop_reason`` admits; all of it is analytic.
     """
-    scripts = builtin_scripts(list(cfg.synth.templates)) if cfg.synth.templates else []
+    scripts = builtin_scripts(list(cfg.synth.templates))
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     horizon = 14.0
 

@@ -112,10 +112,10 @@ class SynthConfig:
     vary_texture: bool = True  # new texture seed per sequence
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.templates, (tuple, list)) and all(
+        if not (isinstance(self.templates, (tuple, list)) and self.templates and all(
                 isinstance(t, numbers.Integral) and not isinstance(t, bool)
                 and t in TEMPLATE_IDS for t in self.templates)):
-            raise DomainError(f"synth templates must be a list of template ids from "
+            raise DomainError(f"synth templates must be a non-empty list of template ids from "
                               f"{list(TEMPLATE_IDS)}, got {self.templates!r}")
         check_int("synth variants_per_template", self.variants_per_template, 1)
         check_int("synth sequences_per_variant", self.sequences_per_variant, 1)

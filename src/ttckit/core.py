@@ -166,13 +166,10 @@ def convert_scale_ratio_fps(alpha_n: float, fps_n: float, fps_m: float) -> float
 
 
 def ttc_interval(tau: float) -> TtcInterval:
-    """Bucket an already-truncated TTC value into its interval."""
+    """Bucket an already-truncated TTC value by the intervals' upper edges."""
     if tau < TTC_MIN or tau > TTC_MAX:
         raise DomainError(f"TTC {tau} outside truncated range; truncate first")
-    if tau < 0.0:
-        return TtcInterval.NEGATIVE
-    if tau < 3.0:
-        return TtcInterval.CRUCIAL
-    if tau < 6.0:
-        return TtcInterval.SMALL
+    for interval in (TtcInterval.NEGATIVE, TtcInterval.CRUCIAL, TtcInterval.SMALL):
+        if tau < interval.bounds[1]:
+            return interval
     return TtcInterval.LARGE

@@ -17,7 +17,8 @@ ratio.
   per-bin linear head, fused with sigmoid weights.  Its pair's inputs
   (``pair_features``, the features of a region of interest) and scores
   (``pooled_cosine_scores``) are those training uses: an estimate is the
-  identity-draw case of a training pair's scoring.
+  identity-draw case of a training pair's scoring.  Its patches are
+  reduced one dy row group at a time, as the sampler yields them.
 
 Candidate boxes sit at the reference box center with the *target* box
 dims scaled by each alpha bin; an exhaustive (2c+1)^2 integer center
@@ -50,6 +51,7 @@ import math
 from collections.abc import Iterator
 from concurrent.futures import Executor, wait
 from dataclasses import dataclass, replace
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -574,40 +576,35 @@ def candidate_patches_by_bin(
     b1: BoundingBox,
     cfg: FeatureSearchConfig,
     bins: slice = slice(None),
-) -> Iterator[np.ndarray]:
+) -> Iterator[Iterator[np.ndarray]]:
     """Every (scale bin, center shift) candidate patch of the reference
     feature map, one scale bin at a time, in bin order; only the bins in
     ``bins``, if given.
 
-    Yields (1, n_offsets, out_h, out_w, C) arrays, equal bit for bit to
-    the slices ``[i : i + 1]`` of one bilinear sample of all the bins'
-    shifted grids at once (the tests keep that whole-stack reference),
-    sampling each only when it is asked for, so a caller that reduces each
-    bin as it comes never holds the whole stack.  A bin's shifted patches
-    tile one augmented lattice, (2c+1) * out_h rows by (2c+1) * out_w
-    columns, which the sampler hands back in 2c+1 blocks of rows, one per
-    dy; each block's dx patches are copied into their (dx, dy) slots.
-    Every bin is yielded in the same buffer, which the next bin overwrites.
+    Each bin comes as an iterator over its 2c+1 dy row groups, in dy
+    order, which the caller must read before the next bin.  Group dy is
+    an (out_h, 2c+1, out_w, C) view whose [:, dx] is the patch of shift
+    (dx, dy), equal bit for bit to that slice of one bilinear sample of
+    all the bins' shifted grids at once (the tests keep that whole-stack
+    reference).  A bin's shifted patches tile one augmented lattice,
+    (2c+1) * out_h rows by (2c+1) * out_w columns; each group is one row
+    block of it, sampled only when asked for, in the sampler's one block
+    buffer, which the next group overwrites.
     """
     c = cfg.shift_c
     n_side = 2 * c + 1
     h, w = cfg.target_h, cfg.target_w
     ys, xs = _bin_positions(grid_positions, center, b1, cfg, w, h)
-    patches = np.empty((n_side * n_side, h, w) + fmap0.shape[2:])
     ys, xs = _shift_lattice(ys[bins], c), _shift_lattice(xs[bins], c)
     # a block is one dy row group of one bin, or at shift radius 0 one or
     # more whole bins
     dy_groups = (
-        rows
+        rows.reshape((h, n_side, w) + fmap0.shape[2:])
         for block in lattice_row_blocks(fmap0, ys, xs, n_side)
         for rows in block.reshape((-1, h, n_side * w) + fmap0.shape[2:])
     )
-    for k, rows in enumerate(dy_groups):
-        dy_idx = k % n_side
-        # offsets are lexicographic in (dx, dy): one dy's patches sit n_side apart
-        patches[dy_idx::n_side] = np.swapaxes(rows.reshape((h, n_side, w) + rows.shape[2:]), 0, 1)
-        if dy_idx == n_side - 1:
-            yield patches[None]
+    for _ in range(len(ys)):
+        yield islice(dy_groups, n_side)
 
 
 def _roi_bounds(center, b1: BoundingBox, cfg: ScaleSearchConfig, shape: tuple[int, int]):
@@ -683,16 +680,19 @@ def pooled_cosine_scores(f0, f1, center, box, cfg: FeatureSearchConfig, draws, p
     n0 = max(g0*g0*norm0 + 2*g0*b0*dot0m + b0*b0*c, 0), so the scores are
     bit-identical to that expression.  The bins are scored in two halves
     at once (``_split_halves``), the second on ``pool``'s one worker.
-    Each half samples its bins one at a time (``candidate_patches_by_bin``),
-    so each thread holds one bin's patches and maps, and scores the draws
-    ``_DRAW_BATCH`` at a time, in place in three (k, n_off, P) buffers,
-    each draw's scalars a (k, 1, 1) column.  The mean over P is np.mean's
-    own sum per (draw, bin) and one true divide of the whole array.
+    Each half samples its bins one at a time, one dy row group at a time
+    (``candidate_patches_by_bin``), and reduces each group as it comes
+    into that dy's column of the bin's three (dx, dy, out_h, out_w) maps,
+    which read as (n_off, P) in (dx, dy) order, so a thread holds no
+    bin's patches.  It scores the draws ``_DRAW_BATCH`` at a time, in
+    place in three (k, n_off, P) buffers, each draw's scalars a (k, 1, 1)
+    column.  The mean over P is np.mean's own sum per (draw, bin) and one
+    true divide of the whole array.
     """
     mask = intensity_mask()
     c = float(mask @ mask)
-    p1 = grid_sample_features(f1, box, cfg.target_w, cfg.target_h)
-    p1 = p1.reshape(-1, p1.shape[-1])
+    p1_grid = grid_sample_features(f1, box, cfg.target_w, cfg.target_h)
+    p1 = p1_grid.reshape(-1, p1_grid.shape[-1])
     dot1m = p1 @ mask
     norm1 = np.einsum("pc,pc->p", p1, p1)
     # each draw's scalars as (n_draws, 1, 1) columns
@@ -703,18 +703,21 @@ def pooled_cosine_scores(f0, f1, center, box, cfg: FeatureSearchConfig, draws, p
     n1 = np.maximum(g1 * g1 * norm1 + 2.0 * g1 * b1 * dot1m + b1 * b1 * c, 0.0)
     g0g1, g0b1, b0b1c = g0 * g1, g0 * b1, b0 * b1 * c
     g0g0, g0b0x2, b0b0c = g0 * g0, 2.0 * g0 * b0, b0 * b0 * c
-    n_draws, n_off = len(draws), (2 * cfg.shift_c + 1) ** 2
+    n_side = 2 * cfg.shift_c + 1
+    n_draws, n_off = len(draws), n_side * n_side
     scores = np.empty((n_draws, cfg.n_bins, n_off))
 
     def score(first: int, stop: int) -> None:
         num, term, denom = (np.empty((min(_DRAW_BATCH, n_draws), n_off, len(p1)))
                             for _ in range(3))
+        maps = np.empty((3, n_side, n_side, cfg.target_h, cfg.target_w))
+        dot01, dot0m, norm0 = maps.reshape(3, n_off, len(p1))
         bins = candidate_patches_by_bin(f0, center, box, cfg, slice(first, stop))
-        for i, p0 in enumerate(bins, first):
-            p0 = p0.reshape((1, n_off) + p1.shape)
-            dot01 = np.einsum("bspc,pc->bsp", p0, p1)[0]
-            dot0m = (p0 @ mask)[0]
-            norm0 = np.einsum("bspc,bspc->bsp", p0, p0)[0]
+        for i, dy_groups in enumerate(bins, first):
+            for dy, rows in enumerate(dy_groups):
+                np.einsum("hxwc,hwc->xhw", rows, p1_grid, out=maps[0, :, dy])
+                np.matmul(rows, mask, out=maps[1, :, dy].swapaxes(0, 1))
+                np.einsum("hxwc,hxwc->xhw", rows, rows, out=maps[2, :, dy])
             for d in range(0, n_draws, _DRAW_BATCH):
                 k = slice(d, min(d + _DRAW_BATCH, n_draws))
                 nm, tm, dn = num[: k.stop - d], term[: k.stop - d], denom[: k.stop - d]

@@ -79,12 +79,15 @@ def test_synth_rerun_is_byte_identical(small_dataset, tmp_path):
             assert (out2 / seq_id / name).read_bytes() == (out / seq_id / name).read_bytes()
 
 
-def test_synth_empty_selection(tmp_path):
+def test_synth_empty_selection(tmp_path, capsys):
+    # an empty template list is refused, not read as "make nothing",
+    # which would write a dataset that every eval refuses
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**SMALL_CONFIG, "synth": {"templates": []}}))
     out = tmp_path / "empty"
-    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert read_index(out)["count"] == 0
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: synth templates must be")
+    assert not (out / "index.json").exists()
 
 
 def test_synth_refuses_out_of_range_settings(tmp_path, capsys):

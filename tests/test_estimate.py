@@ -931,6 +931,10 @@ def test_pixel_search_layers_run_on_the_calling_thread(tmp_path, monkeypatch, po
     assert {ident for _, ident in seen} == {threading.get_ident()}
 
 
+# (target_w, target_h): a small grid, the default grid, and a width of 3
+# mod 4, since the bits of a BLAS product can depend on its row count and
+# the scorer reduces one grid row of out_w positions per product
+@pytest.mark.parametrize("grid", [(9, 6), (50, 50), (51, 50)], ids=["9x6", "50x50", "51x50"])
 @settings(max_examples=25, deadline=None)
 @given(
     cx=st.floats(-10.0, 50.0),
@@ -940,17 +944,21 @@ def test_pixel_search_layers_run_on_the_calling_thread(tmp_path, monkeypatch, po
     n_bins=st.integers(2, 5),
     shift_c=st.integers(0, 2),
 )
-def test_feature_scores_equal_the_whole_stack_scores(pool, cx, cy, bw, bh, n_bins, shift_c):
+def test_feature_scores_equal_the_whole_stack_scores(pool, grid, cx, cy, bw, bh, n_bins, shift_c):
     # boxes reach past every edge of 30x40 feature maps
     rng = np.random.default_rng(1)
     fmap0, fmap1 = rng.normal(size=(2, 30, 40, 12))
     cfg = FeatureSearchConfig(
-        n_bins=n_bins, top_k=1, shift_c=shift_c, target_w=9, target_h=6
+        n_bins=n_bins, top_k=1, shift_c=shift_c, target_w=grid[0], target_h=grid[1]
     )
     b1 = BoundingBox(20.0, 15.0, bw, bh)
-    (scores,) = pooled_cosine_scores(fmap0, fmap1, (cx, cy), b1, cfg, [IDENTITY_DRAW], pool)
+    # a draw with biases, under which <p0, mask>, the scorer's matmul, enters
+    # the scores; the identity draw multiplies it by 0
+    draws = [IDENTITY_DRAW, (1.07, -0.02, 0.95, 0.03)]
+    scores = pooled_cosine_scores(fmap0, fmap1, (cx, cy), b1, cfg, draws, pool)
     prep = ingredients(fmap0, fmap1, (cx, cy), b1, cfg)
-    assert np.array_equal(scores, augmented_scores_out_of_place(prep, IDENTITY_DRAW))
+    for got, draw in zip(scores, draws):
+        assert np.array_equal(got, augmented_scores_out_of_place(prep, draw))
 
 
 @settings(max_examples=25, deadline=None)
@@ -970,11 +978,18 @@ def test_patches_by_bin_are_the_whole_stack_slices(cx, cy, bw, bh, n_bins, shift
     )
     b1 = BoundingBox(20.0, 15.0, bw, bh)
     whole = candidate_grid_patches(fmap0, (cx, cy), b1, cfg)
+    n_side = 2 * shift_c + 1
     count = 0
-    for i, patches in enumerate(candidate_patches_by_bin(fmap0, (cx, cy), b1, cfg)):
-        want = whole[i : i + 1]
-        assert patches.shape == want.shape and patches.dtype == want.dtype
-        assert np.array_equal(patches, want)
+    for i, dy_groups in enumerate(candidate_patches_by_bin(fmap0, (cx, cy), b1, cfg)):
+        # bin i's patches by (dx, dy), offsets lexicographic in (dx, dy)
+        want = whole[i].reshape((n_side, n_side) + whole.shape[2:])
+        groups = 0
+        for dy, rows in enumerate(dy_groups):
+            assert rows.shape == (cfg.target_h, n_side, cfg.target_w, 12)
+            assert rows.dtype == want.dtype
+            assert np.array_equal(np.swapaxes(rows, 0, 1), want[:, dy])
+            groups += 1
+        assert groups == n_side
         count += 1
     assert count == n_bins
 
@@ -997,6 +1012,31 @@ def test_feature_score_halves_equal_the_serial_scores(pool, n_bins, shift_c):
     prep = ingredients(fmap0, fmap1, center, b1, cfg)
     assert np.array_equal(scores[0], augmented_scores_out_of_place(prep, IDENTITY_DRAW))
 
+
+
+@pytest.mark.parametrize("with_pool, bound", [(False, 8_000_000), (True, 14_000_000)])
+def test_scoring_a_default_pair_holds_no_patch_buffer(pool, with_pool, bound):
+    # each dy row group is reduced in the sampler's block buffer as it
+    # comes, so no thread holds a bin's (n_off, h, w, C) patches, 2.16 MB
+    # at the default 50 x 50 grid and shift radius 1.  Scoring one default
+    # pair at 36 draws peaks at about 7.2 MB on the calling thread alone
+    # and 11.8 MB with the worker scoring half of the bins; one patch
+    # buffer per thread took these to about 9.5 and 16.3 MB
+    import tracemalloc
+
+    cfg = FeatureSearchConfig()
+    inputs = pair_features(mixed_interval_suite(1, seed=77)[0], cfg)
+    rng = np.random.default_rng(36)
+    draws = [tuple(d) for d in rng.uniform((0.8, -0.1, 0.8, -0.1), (1.2, 0.1, 1.2, 0.1), (36, 4))]
+    scorer = pool if with_pool else None
+    pooled_cosine_scores(*inputs, cfg, draws, scorer)
+    tracemalloc.start()
+    try:
+        pooled_cosine_scores(*inputs, cfg, draws, scorer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
 
 def _serial_feature_estimate(seq, cfg, fc_weight, fc_bias):
     """A feature-scale estimate computed serially from its definition, on

@@ -659,11 +659,11 @@ def test_pair_scorer_error_in_either_half_reaches_the_caller(monkeypatch, pool, 
 def test_scoring_one_pair_allocates_less_than_one_product_map():
     # a pair's bins are reduced to inner products and scored one at a
     # time, so scoring it holds less than one (n_bins, n_off, P) float64
-    # map: each thread holds one bin's patches, products and draw
-    # buffers, besides the region's features and the sampler's per-bin
-    # positions.  With many bins this peaks at about 6.5 MB against a
-    # 9.2 MB map; caching the pair's three maps, as the trainer did,
-    # peaked at about 32 MB
+    # map: each thread holds one dy row group of patches, one bin's
+    # products and its draw buffers, besides the region's features and
+    # the sampler's per-bin positions.  With many bins this peaks at
+    # about 6.0 MB against a 9.2 MB map; caching the pair's three maps,
+    # as the trainer did, peaked at about 32 MB
     import tracemalloc
 
     cfg = _cfg(n_bins=500, shift_c=1, target=16)
