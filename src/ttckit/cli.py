@@ -10,16 +10,19 @@ passes it down: the only thread the library starts.  Its worker starts on
 the first task, so ``annotate``, ``report`` and detection ``eval`` start
 none, and it is joined before ``main`` returns.
 
-``synth`` plans every window first (variant and start draws, textures,
-trajectories and ``window_drop_reason``, all analytic), then renders and
-writes the plan on two threads: the calling thread and the worker each
-claim the next unclaimed window in plan order, render it and write it,
-until the plan runs out.  zlib and numpy release the GIL, so the two
-overlap, and claiming shares out windows of very different cost.  At most
-two windows are in flight.  Once a window fails to render or write, no new
-window is claimed, both threads are awaited, and the error of the failing
-window first in plan order is reported (exit 2, no ``index.json``): the
-error a serial run gives, with every window before it written whole.
+``synth`` plans every window first (variant and start draws, the picked
+variants' scripts, textures, trajectories and ``window_drop_reason``, all
+analytic; a plan with no window exits 2), then renders and writes the plan
+on two threads: the calling thread and the worker each claim the next
+unclaimed window in plan order and render it frame by frame, writing each
+frame's PNG before rendering the next and the manifest last, until the
+plan runs out.  zlib and numpy release the GIL, so the two overlap, and
+claiming shares out windows of very different cost.  At most two windows
+are in flight, and each holds one frame's raster at a time.  Once a
+window fails to render or write, no new window is claimed, both threads
+are awaited, and the error of the failing window first in plan order is
+reported (exit 2, no ``index.json``): the error a serial run gives, with
+every window before it written whole.
 """
 
 from __future__ import annotations
@@ -53,11 +56,12 @@ from .manifest import (
     read_index,
     read_sequence_dir,
     sequence_to_manifest,
+    write_frame,
     write_index,
-    write_sequence_dir,
+    write_manifest,
 )
-from .scenarios import builtin_scripts, simulate_script
-from .synth import generate_from_trajectory, window_drop_reason
+from .scenarios import simulate_script, template_expansion
+from .synth import render_window, window_drop_reason
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 1
@@ -72,10 +76,10 @@ def cmd_synth(args, pool) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
 
     plan = _plan_windows(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _render_and_write(plan, out_dir, pool)
     written = [window.keywords["sequence_id"] for window in plan]
 
@@ -87,25 +91,25 @@ def cmd_synth(args, pool) -> int:
 def _plan_windows(cfg: RunConfig) -> list[partial]:
     """Every configured window, in plan and RNG-draw order, not yet rendered.
 
-    Each window is a call of ``generate_from_trajectory`` with all of its
-    arguments bound: calling it renders that window.  Planning draws the
-    variants and window starts, makes the textures and trajectories and
-    keeps the windows ``window_drop_reason`` admits; all of it is analytic.
+    Each window is a call of ``render_window`` with all of its arguments
+    bound: calling it gives the window's sequence and the iterator that
+    renders its frames.  Planning draws the variants and window starts,
+    builds the picked variants' scripts, makes the textures and
+    trajectories and keeps the windows ``window_drop_reason`` admits; all
+    of it is analytic.  A plan with no window is refused, naming the
+    camera and why the first window drawn was dropped: the dataset it
+    would write is one every ``eval`` refuses.
     """
-    scripts = builtin_scripts(list(cfg.synth.templates))
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     horizon = 14.0
 
     plan = []
-    by_template: dict[int, list] = {}
-    for script in scripts:
-        by_template.setdefault(script.template, []).append(script)
-    for template in sorted(by_template):
-        variants = by_template[template]
-        count = min(cfg.synth.variants_per_template, len(variants))
-        picks = sorted(rng.choice(len(variants), size=count, replace=False).tolist())
+    first_drop = None
+    for grid, first_id in template_expansion(cfg.synth.templates):
+        count = min(cfg.synth.variants_per_template, len(grid))
+        picks = sorted(rng.choice(len(grid), size=count, replace=False).tolist())
         for pick in picks:
-            script = variants[pick]
+            script = grid.script(pick, first_id + pick)
             target = cfg.target.to_target(
                 seed_offset=script.script_id if cfg.synth.vary_texture else 0
             )
@@ -117,11 +121,13 @@ def _plan_windows(cfg: RunConfig) -> list[partial]:
                 span = max(traj.t_end - (cfg.synth.length - 1) / cfg.synth.fps - cfg.synth.start_min, 0.0)
                 start = cfg.synth.start_min + float(rng.uniform(0.0, span)) if span > 0 else cfg.synth.start_min
                 start = round(start, 3)
-                if window_drop_reason(traj, cfg.camera, target, start, cfg.synth.fps,
-                                      cfg.synth.length) is not None:
+                reason = window_drop_reason(traj, cfg.camera, target, start, cfg.synth.fps,
+                                            cfg.synth.length)
+                if reason is not None:
+                    first_drop = first_drop or reason
                     continue
                 plan.append(partial(
-                    generate_from_trajectory,
+                    render_window,
                     traj,
                     cfg.camera,
                     target,
@@ -129,7 +135,7 @@ def _plan_windows(cfg: RunConfig) -> list[partial]:
                     fps=cfg.synth.fps,
                     length=cfg.synth.length,
                     start_time=start,
-                    sequence_id=f"t{template}v{script.script_id:05d}k{made}",
+                    sequence_id=f"t{grid.template}v{script.script_id:05d}k{made}",
                     background=cfg.synth.background,
                     provenance={
                         "generator": "synth",
@@ -140,18 +146,37 @@ def _plan_windows(cfg: RunConfig) -> list[partial]:
                     },
                 ))
                 made += 1
+    if not plan:
+        camera = cfg.camera
+        raise DomainError(f"synth planned no window: every window drawn for the "
+                          f"{camera.width}x{camera.height} camera (f {camera.f}) was "
+                          f"dropped, the first as {first_drop}")
     return plan
+
+
+def _write_window(window: partial, out_dir: Path) -> None:
+    """Render a planned window and write it frame by frame, then its manifest.
+
+    Each frame is written as a PNG before the next is rendered, quantized
+    in place in its own raster, which is then dropped: one frame's raster
+    at a time.  The sequence's directory appears with its first frame.
+    """
+    seq, frames = window()
+    for i, frame in enumerate(frames):
+        write_frame(frame, out_dir, seq.sequence_id, i, consume=True)
+    write_manifest(seq, out_dir)
 
 
 def _render_and_write(plan: list[partial], out_dir: Path, pool: Executor) -> None:
     """Render and write every planned window on the calling thread and ``pool``'s worker.
 
     Each thread claims the next unclaimed window in plan order, renders
-    it and writes it, until the plan runs out.  Once a window fails no
-    new one is claimed; both threads finish the window they hold, and the
-    error raised is that of the failing window first in plan order.
-    Windows are claimed in order, so every window before it was rendered
-    and written: the error is the one a serial run gives.
+    and writes it frame by frame (``_write_window``), until the plan runs
+    out.  Once a window fails no new one is claimed; both threads finish
+    the window they hold, and the error raised is that of the failing
+    window first in plan order.  Windows are claimed in order, so every
+    window before it was rendered and written: the error is the one a
+    serial run gives.
     """
     lock = threading.Lock()
     windows = iter(enumerate(plan))
@@ -165,7 +190,7 @@ def _render_and_write(plan: list[partial], out_dir: Path, pool: Executor) -> Non
                 return
             index, window = claimed
             try:
-                write_sequence_dir(window(), out_dir)
+                _write_window(window, out_dir)
             except BaseException as exc:  # re-raised below, in plan order
                 with lock:
                     failures[index] = exc

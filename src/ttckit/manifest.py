@@ -136,6 +136,20 @@ def _malformed(what: str, value) -> ManifestError:
     return ManifestError(f"malformed sequence manifest: {what}, got {value!r}")
 
 
+def _field(holder: dict, key: str, name: str):
+    """``holder[key]``; a missing field raises ManifestError naming it."""
+    if key not in holder:
+        raise ManifestError(f"malformed sequence manifest: {name} is missing")
+    return holder[key]
+
+
+def _object(value, name: str) -> dict:
+    """A manifest value that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise _malformed(f"{name} must be an object", value)
+    return value
+
+
 def _finite(value, name: str, nullable: bool = False):
     """A manifest number: finite, or also null if ``nullable``."""
     if not (is_finite_real(value) or (nullable and value is None)):
@@ -153,7 +167,7 @@ def _manifest_fps(fps) -> float:
 
 def _alpha_by_gap(value) -> dict[int, float] | None:
     """A label's ``alpha_by_gap``: null, or an object whose keys are the
-    decimal digits of frame gaps >= 1."""
+    decimal digits of frame gaps >= 1 and whose values are finite numbers."""
     if value is None:
         return None
     if not isinstance(value, dict):
@@ -161,12 +175,12 @@ def _alpha_by_gap(value) -> dict[int, float] | None:
     for key in value:
         if not (key.isascii() and key.isdigit() and int(key) >= 1):
             raise _malformed("label alpha_by_gap key must be a frame gap >= 1", key)
-    return {int(k): v for k, v in value.items()}
+    return {int(k): _finite(v, "label alpha_by_gap value") for k, v in value.items()}
 
 
 def _manifest_box(frame: dict, name: str) -> BoundingBox:
     """A frame's ``bbox`` or ``exact_bbox``: four finite numbers [cx, cy, w, h]."""
-    value = frame[name]
+    value = _field(frame, name, f"frame {name}")
     if not (isinstance(value, list) and len(value) == 4 and all(map(is_finite_real, value))):
         raise _malformed(f"frame {name} must be four finite numbers [cx, cy, w, h]", value)
     try:
@@ -175,10 +189,11 @@ def _manifest_box(frame: dict, name: str) -> BoundingBox:
         raise ManifestError(f"malformed sequence manifest: frame {name}: {exc}") from exc
 
 
-def _frame_from_manifest(frame: dict) -> FrameSample:
+def _frame_from_manifest(frame) -> FrameSample:
     """One manifest frame; a null ``exact_bbox`` means none was recorded."""
-    timestamp = _finite(frame["timestamp_s"], "frame timestamp_s")
-    path = frame["image_path"]
+    frame = _object(frame, "frame")
+    timestamp = _finite(_field(frame, "timestamp_s", "frame timestamp_s"), "frame timestamp_s")
+    path = _field(frame, "image_path", "frame image_path")
     if not isinstance(path, str):
         raise _malformed("frame image_path must be a string", path)
     return FrameSample(
@@ -203,9 +218,8 @@ def _label_from_manifest(raw) -> SequenceLabel | None:
     if not (isinstance(flags, list) and all(isinstance(flag, str) for flag in flags)):
         raise _malformed("label flags must be a list of strings", flags)
     return SequenceLabel(
-        tau_s=_finite(raw["tau_s"], "label tau_s"),
-        alpha_10hz=_finite(raw["alpha_10hz"], "label alpha_10hz"),
-        velocity_mps=_finite(raw["velocity_mps"], "label velocity_mps"),
+        **{key: _finite(_field(raw, key, f"label {key}"), f"label {key}")
+           for key in ("tau_s", "alpha_10hz", "velocity_mps")},
         q_used=q_used,
         flags=list(flags),
         alpha_by_gap=_alpha_by_gap(raw.get("alpha_by_gap")),
@@ -226,40 +240,72 @@ def _depth_history(value) -> list[tuple[float, float]] | None:
     return [(t, y) for t, y in value]
 
 
-def sequence_from_manifest(data: dict) -> Sequence:
-    try:
-        if not isinstance(data["frames"], list):
-            raise _malformed("frames must be a list", data["frames"])
-        return Sequence(
-            sequence_id=data["sequence_id"],
-            fps=_manifest_fps(data["fps"]),
-            frames=[_frame_from_manifest(f) for f in data["frames"]],
-            label=_label_from_manifest(data.get("label")),
-            provenance=dict(data.get("provenance", {})),
-            depth_history=_depth_history(data.get("depth_history")),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ManifestError(f"malformed sequence manifest: {exc}") from exc
+def sequence_from_manifest(data) -> Sequence:
+    """A sequence from its parsed ``manifest.json``; a missing or malformed
+    field raises ManifestError naming it."""
+    data = _object(data, "the manifest")
+    frames = _field(data, "frames", "frames")
+    if not isinstance(frames, list):
+        raise _malformed("frames must be a list", frames)
+    sequence_id = _field(data, "sequence_id", "sequence_id")
+    if not isinstance(sequence_id, str):
+        raise _malformed("sequence_id must be a string", sequence_id)
+    return Sequence(
+        sequence_id=sequence_id,
+        fps=_manifest_fps(_field(data, "fps", "fps")),
+        frames=[_frame_from_manifest(f) for f in frames],
+        label=_label_from_manifest(data.get("label")),
+        provenance=dict(_object(data.get("provenance", {}), "provenance")),
+        depth_history=_depth_history(data.get("depth_history")),
+    )
 
 
 def canonical_json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, indent=1).encode() + b"\n"
 
 
+def write_frame(frame: FrameSample, dataset_dir: Path, sequence_id: str, index: int,
+                consume: bool = False) -> None:
+    """Write a frame's raster as ``dataset_dir/<sequence_id>/frame_<index>.png``,
+    creating the sequence's directory, and record that path on the frame.
+
+    The raster is scaled to [0, 255], rounded and clipped in one array of
+    its shape and dtype, then cast to uint8: for a float32 raster, the
+    float32 steps of ``clip(rint(image * 255.0), 0, 255)``, with no other
+    full-frame float temporary.  That array is a new one, or with
+    ``consume`` the raster itself, which the frame then drops.
+    """
+    if frame.image is None:
+        raise ManifestError(f"frame {index} of {sequence_id} has no raster to write")
+    seq_dir = Path(dataset_dir) / sequence_id
+    seq_dir.mkdir(parents=True, exist_ok=True)
+    name = f"frame_{index}.png"
+    scratch = frame.image if consume else np.empty_like(frame.image)
+    np.multiply(frame.image, 255.0, out=scratch)
+    np.rint(scratch, out=scratch)
+    np.clip(scratch, 0, 255, out=scratch)
+    write_png(seq_dir / name, scratch.astype(np.uint8))
+    frame.image_path = f"{sequence_id}/{name}"
+    if consume:
+        frame.image = None
+
+
+def write_manifest(seq: Sequence, dataset_dir: Path) -> None:
+    """Write ``dataset_dir/<sequence_id>/manifest.json``, after the frames,
+    whose image paths it records."""
+    (Path(dataset_dir) / seq.sequence_id / "manifest.json").write_bytes(
+        canonical_json_bytes(sequence_to_manifest(seq))
+    )
+
+
 def write_sequence_dir(seq: Sequence, dataset_dir: Path) -> Path:
-    """Write frames and manifest under ``dataset_dir/<sequence_id>/``."""
+    """Write frames and manifest under ``dataset_dir/<sequence_id>/``; the
+    frames keep their rasters."""
     seq_dir = Path(dataset_dir) / seq.sequence_id
     seq_dir.mkdir(parents=True, exist_ok=True)
     for i, frame in enumerate(seq.frames):
-        if frame.image is None:
-            raise ManifestError(f"frame {i} of {seq.sequence_id} has no raster to write")
-        name = f"frame_{i}.png"
-        raster = np.clip(np.rint(frame.image * 255.0), 0, 255).astype(np.uint8)
-        write_png(seq_dir / name, raster)
-        frame.image_path = f"{seq.sequence_id}/{name}"
-    (seq_dir / "manifest.json").write_bytes(
-        canonical_json_bytes(sequence_to_manifest(seq))
-    )
+        write_frame(frame, dataset_dir, seq.sequence_id, i)
+    write_manifest(seq, dataset_dir)
     return seq_dir
 
 

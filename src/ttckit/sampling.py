@@ -56,14 +56,16 @@ calls on different threads over the same read-only image do not
 interfere: the pixel and feature searches each score two halves of their
 scale bins at once, each half with its own call on its own thread (the
 caller and the one worker ``cli.main`` opens per command; nothing here
-starts a thread), and ``synth`` renders two windows at once, whose frames
-may share a texture.  The renderer asks for each frame's supersampled texture
-lattice in blocks of whole output rows, padded to equal blocks, so a
-large box never holds its whole lattice (``synth.render_frame``).  The
-pixel search asks for one block per lattice when a lattice has at most
-160,000 samples, so each numpy call is large enough to run in parallel
-with the other thread's, and for one block per vertical shift above
-that, which bounds the buffers (``estimate._shift_sq_sums``).
+starts a thread), and ``synth`` renders a frame of each of two windows at
+once, whose textures may be the same array.  The renderer asks for each
+frame's supersampled texture lattice in blocks of whole output rows,
+padded to equal blocks, so a large box never holds its whole lattice
+(``synth.render_frame``): a ``synth`` thread holds one block, the box's
+averaged texture and one float32 frame, which it writes before it renders
+the next.  The pixel search asks for one block per lattice when a lattice
+has at most 160,000 samples, so each numpy call is large enough to run in
+parallel with the other thread's, and for one block per vertical shift
+above that, which bounds the buffers (``estimate._shift_sq_sums``).
 
 A sample depends only on its own coordinates, so a lattice over a subset
 of rows and columns samples, bit for bit, the same values as the full

@@ -8,14 +8,17 @@ lateral offset being reached, contact (gap 0), or the horizon.  Within
 a phase everything is integrated in closed form, so trajectory queries
 are exact.
 
-The built-in templates permute speeds, trigger distances, and
-acceleration magnitudes into a few thousand concrete scenario variants
-covering braking leads, cut-ins, lane changes, and pull-away cases.
+Each built-in template is a grid over its parameter axes (speeds,
+trigger distances, acceleration magnitudes), a few thousand variants in
+all, covering braking leads, cut-ins, lane changes, and pull-away cases.
+A variant is built from its index alone, so a caller that picks a few
+builds only those.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -234,157 +237,132 @@ def constant_velocity_script(
     )
 
 
-def _frange(lo: float, hi: float, step: float) -> list[float]:
+def _frange(lo: float, hi: float, step: float) -> tuple[float, ...]:
     values = []
     v = lo
     while v <= hi + 1e-9:
         values.append(round(v, 9))
         v += step
-    return values
+    return tuple(values)
 
+
+def _fields(v_ego0: float, v_target0: float, y0: float, phases, lateral0: float = 0.0,
+            **params) -> dict:
+    """A variant's script fields, its named parameters sorted by name."""
+    return {"v_ego0": v_ego0, "v_target0": v_target0, "y0": y0, "phases": tuple(phases),
+            "lateral0": lateral0, "params": tuple(sorted(params.items()))}
+
+
+@dataclass(frozen=True)
+class ScenarioTemplate:
+    """A built-in scenario template: a grid over its parameter axes.
+
+    Variant ``i`` (0-based) is the grid point whose axis indices are the
+    digits of ``i`` in the mixed radix of the axis lengths, the last axis
+    varying fastest: the order in which nested loops over the axes, the
+    first outermost, visit the grid.  ``make`` maps a point's axis values,
+    in axis order, to the variant's script fields.  A variant is built
+    only when asked for, so counting and indexing variants builds none.
+    """
+
+    template: int
+    description: str
+    axes: tuple[tuple[float, ...], ...]
+    make: Callable[..., dict]
+
+    def __len__(self) -> int:
+        return math.prod(len(axis) for axis in self.axes)
+
+    def script(self, variant: int, script_id: int) -> ScenarioScript:
+        """Variant ``variant`` of the template, numbered ``script_id``."""
+        if not 0 <= variant < len(self):
+            raise DomainError(f"template {self.template} has {len(self)} variants, "
+                              f"got variant {variant}")
+        values = []
+        for axis in reversed(self.axes):
+            variant, i = divmod(variant, len(axis))
+            values.append(axis[i])
+        return ScenarioScript(script_id=script_id, template=self.template,
+                              description=self.description, **self.make(*reversed(values)))
+
+
+_SPEEDS = (40.0, 60.0, 80.0)
+_LEAD_BRAKES = "lead brakes at -3 for 3 s, ego then brakes at -4 until matched"
+_LEAD_BRAKES_PHASES = (
+    Phase(target_accel=-3.0, duration=3.0),
+    Phase(ego_accel=-4.0, until_speed_matched=True),
+)
+
+#: The built-in templates by id: speeds, trigger distances and acceleration
+#: magnitudes permuted over braking leads, lane changes, cut-ins and
+#: pull-aways, 3,218 variants in all.
+BUILTIN_TEMPLATES = {t.template: t for t in (
+    ScenarioTemplate(
+        1, _LEAD_BRAKES, (_SPEEDS,),
+        lambda v: _fields(v, v, 50.0, _LEAD_BRAKES_PHASES),
+    ),
+    ScenarioTemplate(
+        2, "closing on slower lead, ego changes lane at trigger gap",
+        (_SPEEDS, _frange(10.0, 50.0, 5.0)),
+        lambda v, d: _fields(
+            v, v - 20.0, 65.0,
+            [Phase(until_gap_below=d),
+             Phase(lateral_rate=2.0, until_lateral_reaches=LANE_WIDTH)],
+            trigger_gap=d),
+    ),
+    ScenarioTemplate(
+        3, "ego accelerates toward slow car that cuts in as ego brakes",
+        ((60.0, 80.0), (20.0, 40.0), _frange(0.5, 3.0, 0.5), _frange(10.0, 50.0, 5.0)),
+        lambda v_ego, v_tgt, accel, d: _fields(
+            v_ego, v_tgt, 65.0,
+            [Phase(ego_accel=accel, until_gap_below=d),
+             Phase(ego_accel=-4.0, lateral_rate=-2.0, until_lateral_reaches=0.0,
+                   until_speed_matched=True)],
+            lateral0=LANE_WIDTH, ego_accel=accel, trigger_gap=d),
+    ),
+    ScenarioTemplate(
+        4, _LEAD_BRAKES, ((60.0, 80.0),),
+        lambda v: _fields(v, 60.0, 65.0, _LEAD_BRAKES_PHASES),
+    ),
+    ScenarioTemplate(
+        5, "lead pulls away while ego drifts across at trigger gap",
+        ((40.0, 60.0), (20.0, 30.0), _frange(0.5, 3.0, 0.5), _frange(20.0, 60.0, 4.0),
+         _frange(0.5, 1.5, 0.2)),
+        lambda v_ego, v_tgt, accel, d, rate: _fields(
+            v_ego, v_tgt, 65.0,
+            [Phase(target_accel=accel, until_gap_below=d),
+             Phase(target_accel=accel, lateral_rate=rate, until_lateral_reaches=LANE_WIDTH,
+                   until_gap_below=5.0)],
+            target_accel=accel, trigger_gap=d, lateral_rate=rate),
+    ),
+    ScenarioTemplate(
+        6, "lead accelerates, ego brakes at trigger gap until matched",
+        (_SPEEDS, _frange(0.5, 3.0, 0.5), _frange(10.0, 50.0, 4.0), _frange(1.0, 4.0, 0.5)),
+        lambda v_ego, accel, d, dec: _fields(
+            v_ego, v_ego - 30.0, 65.0,
+            [Phase(target_accel=accel, until_gap_below=d),
+             Phase(target_accel=accel, ego_accel=-dec, until_speed_matched=True,
+                   until_gap_below=5.0)],
+            target_accel=accel, trigger_gap=d, ego_decel=dec),
+    ),
+)}
 
 #: Ids of the built-in scenario templates.
-TEMPLATE_IDS = (1, 2, 3, 4, 5, 6)
+TEMPLATE_IDS = tuple(BUILTIN_TEMPLATES)
 
 
-def builtin_scripts(templates: list[int] | None = None) -> list[ScenarioScript]:
-    """Expand the built-in scenario templates into concrete variants.
+def template_expansion(templates) -> list[tuple[ScenarioTemplate, int]]:
+    """The built-in templates ``templates`` names, each once and in id order,
+    each with the ``script_id`` of its variant 0.
 
-    Speeds, trigger distances, and acceleration magnitudes are permuted
-    combinatorially, so the full expansion is a few thousand scripts;
-    callers normally select a subset.
+    Variant ``i`` of a template is script ``first + i``: its 1-based
+    position in the expansion of these templates, every variant of each in
+    turn.  Sequence names and texture seeds carry that number, so it
+    depends on which templates are expanded.
     """
-    out: list[ScenarioScript] = []
-
-    def add(template, desc, v_ego, v_tgt, y0, phases, lateral0=0.0, **params):
-        out.append(
-            ScenarioScript(
-                script_id=len(out) + 1,
-                v_ego0=v_ego,
-                v_target0=v_tgt,
-                y0=y0,
-                phases=tuple(phases),
-                lateral0=lateral0,
-                template=template,
-                description=desc,
-                params=tuple(sorted(params.items())),
-            )
-        )
-
-    wanted = set(templates if templates is not None else TEMPLATE_IDS)
-
-    if 1 in wanted:
-        for v in (40.0, 60.0, 80.0):
-            add(
-                1,
-                "lead brakes at -3 for 3 s, ego then brakes at -4 until matched",
-                v,
-                v,
-                50.0,
-                [
-                    Phase(target_accel=-3.0, duration=3.0),
-                    Phase(ego_accel=-4.0, until_speed_matched=True),
-                ],
-            )
-    if 2 in wanted:
-        for v in (40.0, 60.0, 80.0):
-            for d in _frange(10.0, 50.0, 5.0):
-                add(
-                    2,
-                    "closing on slower lead, ego changes lane at trigger gap",
-                    v,
-                    v - 20.0,
-                    65.0,
-                    [
-                        Phase(until_gap_below=d),
-                        Phase(lateral_rate=2.0, until_lateral_reaches=LANE_WIDTH),
-                    ],
-                    trigger_gap=d,
-                )
-    if 3 in wanted:
-        for v_ego in (60.0, 80.0):
-            for v_tgt in (20.0, 40.0):
-                for accel in _frange(0.5, 3.0, 0.5):
-                    for d in _frange(10.0, 50.0, 5.0):
-                        add(
-                            3,
-                            "ego accelerates toward slow car that cuts in as ego brakes",
-                            v_ego,
-                            v_tgt,
-                            65.0,
-                            [
-                                Phase(ego_accel=accel, until_gap_below=d),
-                                Phase(
-                                    ego_accel=-4.0,
-                                    lateral_rate=-2.0,
-                                    until_lateral_reaches=0.0,
-                                    until_speed_matched=True,
-                                ),
-                            ],
-                            lateral0=LANE_WIDTH,
-                            ego_accel=accel,
-                            trigger_gap=d,
-                        )
-    if 4 in wanted:
-        for v in (60.0, 80.0):
-            add(
-                4,
-                "lead brakes at -3 for 3 s, ego then brakes at -4 until matched",
-                v,
-                60.0,
-                65.0,
-                [
-                    Phase(target_accel=-3.0, duration=3.0),
-                    Phase(ego_accel=-4.0, until_speed_matched=True),
-                ],
-            )
-    if 5 in wanted:
-        for v_ego in (40.0, 60.0):
-            for v_tgt in (20.0, 30.0):
-                for accel in _frange(0.5, 3.0, 0.5):
-                    for d in _frange(20.0, 60.0, 4.0):
-                        for rate in _frange(0.5, 1.5, 0.2):
-                            add(
-                                5,
-                                "lead pulls away while ego drifts across at trigger gap",
-                                v_ego,
-                                v_tgt,
-                                65.0,
-                                [
-                                    Phase(target_accel=accel, until_gap_below=d),
-                                    Phase(
-                                        target_accel=accel,
-                                        lateral_rate=rate,
-                                        until_lateral_reaches=LANE_WIDTH,
-                                        until_gap_below=5.0,
-                                    ),
-                                ],
-                                target_accel=accel,
-                                trigger_gap=d,
-                                lateral_rate=rate,
-                            )
-    if 6 in wanted:
-        for v_ego in (40.0, 60.0, 80.0):
-            for accel in _frange(0.5, 3.0, 0.5):
-                for d in _frange(10.0, 50.0, 4.0):
-                    for dec in _frange(1.0, 4.0, 0.5):
-                        add(
-                            6,
-                            "lead accelerates, ego brakes at trigger gap until matched",
-                            v_ego,
-                            v_ego - 30.0,
-                            65.0,
-                            [
-                                Phase(target_accel=accel, until_gap_below=d),
-                                Phase(
-                                    target_accel=accel,
-                                    ego_accel=-dec,
-                                    until_speed_matched=True,
-                                    until_gap_below=5.0,
-                                ),
-                            ],
-                            target_accel=accel,
-                            trigger_gap=d,
-                            ego_decel=dec,
-                        )
-    return out
+    expansion, first = [], 1
+    for template in sorted(set(templates)):
+        grid = BUILTIN_TEMPLATES[template]
+        expansion.append((grid, first))
+        first += len(grid)
+    return expansion

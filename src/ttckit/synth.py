@@ -14,6 +14,7 @@ test of the renderer.
 from __future__ import annotations
 
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,7 +321,7 @@ def window_drop_reason(
     return None
 
 
-def generate_from_trajectory(
+def render_window(
     traj: Trajectory,
     camera: CameraModel,
     target: PlanarTarget,
@@ -332,33 +333,25 @@ def generate_from_trajectory(
     sequence_id: str = "seq",
     background: float | np.ndarray = 0.08,
     provenance: dict | None = None,
-) -> Sequence:
-    """Render a labeled sequence from an already-simulated trajectory.
+) -> tuple[Sequence, Iterator[FrameSample]]:
+    """A window's labeled sequence, with no frames yet, and the iterator
+    that renders them.
 
-    A window :func:`window_drop_reason` rejects raises that reason as a
-    ``SequenceInvalidError`` before any frame is rendered.
+    The sequence carries the window's analytic label, depth history and
+    provenance.  The iterator renders the ``length`` frames in order, one
+    ``render_frame`` call per step, each drawing its noise from the
+    sequence's generator after the frames before it; it appends each frame
+    to ``seq.frames`` as it yields it and validates the sequence after the
+    last.  So a caller can write each frame, and drop its raster, before
+    the next is rendered.  A window :func:`window_drop_reason` rejects
+    raises that reason as a ``SequenceInvalidError`` at the call, before
+    any frame is rendered.
     """
     reason = window_drop_reason(traj, camera, target, start_time, fps, length)
     if reason is not None:
         raise SequenceInvalidError(reason)
     dt = 1.0 / fps
     t_last = start_time + (length - 1) * dt
-
-    rng = _sequence_rng(noise, sequence_id)
-    frames = []
-    for k in range(length):
-        t = start_time + k * dt
-        frame = render_frame(
-            camera,
-            target,
-            traj.depth(t),
-            traj.lateral(t),
-            timestamp_s=t,
-            noise=noise,
-            rng=rng,
-            background=background,
-        )
-        frames.append(frame)
 
     y_last = traj.depth(t_last)
     v_last = traj.closing_speed(t_last)
@@ -393,12 +386,48 @@ def generate_from_trajectory(
     seq = Sequence(
         sequence_id=sequence_id,
         fps=fps,
-        frames=frames,
+        frames=[],
         label=label,
         provenance=provenance or {},
         depth_history=history,
     )
-    seq.validate(length)
+
+    def frames() -> Iterator[FrameSample]:
+        rng = _sequence_rng(noise, sequence_id)
+        for k in range(length):
+            t = start_time + k * dt
+            frame = render_frame(
+                camera,
+                target,
+                traj.depth(t),
+                traj.lateral(t),
+                timestamp_s=t,
+                noise=noise,
+                rng=rng,
+                background=background,
+            )
+            seq.frames.append(frame)
+            yield frame
+        seq.validate(length)
+
+    return seq, frames()
+
+
+def generate_from_trajectory(
+    traj: Trajectory,
+    camera: CameraModel,
+    target: PlanarTarget,
+    noise: NoiseModel | None = None,
+    **window,
+) -> Sequence:
+    """Render a labeled sequence from an already-simulated trajectory, every
+    frame held in memory: :func:`render_window` with its frames rendered.
+
+    ``window`` takes ``render_window``'s keyword arguments.
+    """
+    seq, frames = render_window(traj, camera, target, noise, **window)
+    for _ in frames:
+        pass
     return seq
 
 
@@ -417,7 +446,7 @@ def generate_sequence(
     """Simulate a scenario and render one labeled sequence from it.
 
     Demo 02 renders its sequence this way; ``synth`` plans its windows
-    first and calls :func:`generate_from_trajectory` itself.
+    first and calls :func:`render_window` itself.
     """
     horizon = start_time + length / fps + 0.5
     traj = simulate_script(script, horizon)

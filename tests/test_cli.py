@@ -6,16 +6,20 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ttckit
-from ttckit.cli import _plan_windows, main
+from ttckit.cli import _plan_windows, _render_and_write, main
 from ttckit.config import RunConfig, config_hash
 from ttckit.errors import DomainError, ManifestError
 from ttckit.manifest import read_index, read_sequence_dir, write_index, write_sequence_dir
+from ttckit.scenarios import template_expansion
+from ttckit.synth import generate_from_trajectory
 
 SMALL_CONFIG = {
     "camera": {"f": 800.0, "width": 320, "height": 192},
@@ -219,14 +223,14 @@ def test_synth_keeps_the_windows_written_before_a_render_error(
     import ttckit.cli
 
     ids = _plan_ids(SMALL_CONFIG)
-    generate = ttckit.cli.generate_from_trajectory
+    generate = ttckit.cli.render_window
 
     def failing_generate(*args, **kwargs):
         if kwargs["sequence_id"] == ids[2]:
             raise DomainError(f"render of {ids[2]} failed")
         return generate(*args, **kwargs)
 
-    monkeypatch.setattr(ttckit.cli, "generate_from_trajectory", failing_generate)
+    monkeypatch.setattr(ttckit.cli, "render_window", failing_generate)
     threads = threading.active_count()
     rc, out = _synth_small(tmp_path)
     assert rc == 2
@@ -246,7 +250,7 @@ def test_synth_reports_the_failure_first_in_plan_order(
     import ttckit.cli
 
     ids = _plan_ids(SMALL_CONFIG)
-    generate = ttckit.cli.generate_from_trajectory
+    generate = ttckit.cli.render_window
     later_failed = threading.Event()
 
     def failing_generate(*args, **kwargs):
@@ -259,7 +263,7 @@ def test_synth_reports_the_failure_first_in_plan_order(
             raise DomainError(f"render of {seq_id} failed")
         return generate(*args, **kwargs)
 
-    monkeypatch.setattr(ttckit.cli, "generate_from_trajectory", failing_generate)
+    monkeypatch.setattr(ttckit.cli, "render_window", failing_generate)
     threads = threading.active_count()
     rc, out = _synth_small(tmp_path)
     assert rc == 2
@@ -287,7 +291,7 @@ def test_synth_writes_the_bytes_of_a_serial_run(tmp_path, cfg):
     run_cfg = RunConfig.from_dict(cfg)
     ref = tmp_path / "serial"
     for window in _plan_windows(run_cfg):
-        write_sequence_dir(window(), ref)
+        write_sequence_dir(generate_from_trajectory(*window.args, **window.keywords), ref)
     write_index(ref, _plan_ids(cfg), config_hash(run_cfg))
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -313,7 +317,7 @@ def test_synth_frames_decode_to_the_rounded_render(tmp_path):
     plan = _plan_windows(RunConfig.from_dict(MIXED_BOX_CONFIG))
     assert plan
     for window in plan:
-        seq = window()
+        seq = generate_from_trajectory(*window.args, **window.keywords)
         for i, frame in enumerate(seq.frames):
             want = np.clip(np.rint(frame.image * 255.0), 0, 255).astype(np.uint8)
             got = read_png(out / seq.sequence_id / f"frame_{i}.png")
@@ -326,7 +330,7 @@ def test_synth_renders_on_both_threads(tmp_path, monkeypatch):
     import ttckit.cli
 
     ids = _plan_ids(SMALL_CONFIG)
-    generate = ttckit.cli.generate_from_trajectory
+    generate = ttckit.cli.render_window
     rendering = set()
     both = threading.Barrier(2, timeout=60)
 
@@ -336,11 +340,77 @@ def test_synth_renders_on_both_threads(tmp_path, monkeypatch):
             both.wait()
         return generate(*args, **kwargs)
 
-    monkeypatch.setattr(ttckit.cli, "generate_from_trajectory", recording_generate)
+    monkeypatch.setattr(ttckit.cli, "render_window", recording_generate)
     rc, out = _synth_small(tmp_path)
     assert rc == 0
     assert len(rendering) == 2 and threading.main_thread() in rendering
     assert read_index(out)["sequences"] == sorted(ids)
+
+
+# the windows the configs below planned when every variant of the
+# configured templates was built before the picks
+_PLANNED_IDS = {
+    (1,): ["t1v00001k0", "t1v00002k0", "t1v00003k0"],
+    (2,): ["t2v00004k0", "t2v00022k0", "t2v00026k0"],
+    (3,): ["t3v00028k0", "t3v00029k0", "t3v00173k0"],
+    (4,): ["t4v00001k0", "t4v00002k0"],
+    (5,): ["t5v00204k0", "t5v00212k0", "t5v01263k0"],
+    (6,): ["t6v00179k0", "t6v00186k0", "t6v01105k0"],
+    (2, 4): ["t2v00004k0", "t2v00022k0", "t2v00026k0", "t4v00028k0", "t4v00029k0"],
+    (1, 1, 3): ["t1v00001k0", "t1v00002k0", "t1v00003k0", "t3v00089k0", "t3v00122k0",
+                "t3v00203k0"],
+}
+
+
+@pytest.mark.parametrize("templates", list(_PLANNED_IDS), ids=str)
+def test_planning_builds_only_the_picked_scripts(monkeypatch, templates):
+    # each picked script equals the expansion's script at its position,
+    # every field and script_id included; no other variant is built, and
+    # the draws pick the windows they always picked
+    import ttckit.cli
+    from ttckit.scenarios import ScenarioTemplate
+
+    expansion = [grid.script(i, first + i) for grid, first in template_expansion(templates)
+                 for i in range(len(grid))]
+    built, simulated = [], []
+    script, simulate = ScenarioTemplate.script, ttckit.cli.simulate_script
+
+    def recording_script(grid, *args):
+        built.append(script(grid, *args))
+        return built[-1]
+
+    def recording_simulate(picked, horizon):
+        simulated.append(picked)
+        return simulate(picked, horizon)
+
+    monkeypatch.setattr(ScenarioTemplate, "script", recording_script)
+    monkeypatch.setattr(ttckit.cli, "simulate_script", recording_simulate)
+    cfg = {**SMALL_CONFIG, "synth": {"templates": list(templates), "variants_per_template": 3,
+                                     "sequences_per_variant": 1}}
+    assert _plan_ids(cfg) == _PLANNED_IDS[templates]
+    assert built == simulated and len(built) == len(_PLANNED_IDS[templates])
+    for picked in built:
+        assert picked == expansion[picked.script_id - 1]
+        assert repr(picked) == repr(expansion[picked.script_id - 1])
+
+
+def test_synth_holds_one_frame_per_thread(tmp_path):
+    # each thread writes a window's frames as it renders them, quantizing
+    # each in its own raster: a default window peaks below two float
+    # frames per thread, where holding the window's six frames took more
+    cfg = RunConfig()
+    plan = _plan_windows(cfg)[:2]
+    float_frame = cfg.camera.height * cfg.camera.width * 3 * 4
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        tracemalloc.start()
+        try:
+            _render_and_write(plan, tmp_path, pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        window.keywords["sequence_id"] for window in plan)
+    assert peak < 2 * 2 * float_frame
 
 
 @pytest.mark.parametrize("command, starts", [
@@ -1153,17 +1223,30 @@ def test_annotate_refuses_a_malformed_manifest_field(small_dataset, tmp_path, ca
     assert manifest.read_bytes() == before
 
 
-@pytest.mark.parametrize("estimator", ["detection", "pixel_mse"])
-def test_eval_refuses_an_empty_dataset(tmp_path, capsys, estimator):
-    # no window fits an 8x8 camera, so synth writes no sequence (exit 0);
-    # eval used to report MiD and RTE 0.0000 on it, a perfect score
+def test_synth_refuses_a_camera_no_window_fits(tmp_path, capsys):
+    # no window fits an 8x8 camera; synth used to write an empty dataset
+    # (exit 0) that every eval refused
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({**SMALL_CONFIG, "camera": {"f": 800.0, "width": 8,
                                                                 "height": 8}}))
+    out = tmp_path / "data"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: synth planned no window: every window drawn for the 8x8 camera (f 800.0) "
+        "was dropped, the first as truncated_box\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("estimator", ["detection", "pixel_mse"])
+def test_eval_refuses_an_empty_dataset(tmp_path, capsys, estimator):
+    # eval used to report MiD and RTE 0.0000 on a dataset of no sequences,
+    # a perfect score
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(SMALL_CONFIG))
     data = tmp_path / "data"
-    assert main(["synth", "--config", str(cfg_path), "--out", str(data)]) == 0
+    data.mkdir()
+    write_index(data, [], config_hash(RunConfig.from_json_file(cfg_path)))
     assert read_index(data)["count"] == 0
-    capsys.readouterr()
     report = tmp_path / "report.json"
     rc = main(["eval", "--dataset", str(data), "--estimator", estimator,
                "--config", str(cfg_path), "--out", str(report)])

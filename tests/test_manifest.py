@@ -1,7 +1,12 @@
 """PNG codec round trips and dataset manifest IO."""
 
+import json
+import math
 import struct
+import tempfile
+import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,8 @@ from ttckit.manifest import (
     read_dataset_sequence,
     read_index,
     read_sequence_dir,
+    sequence_from_manifest,
+    sequence_to_manifest,
     write_index,
     write_sequence_dir,
 )
@@ -65,6 +72,20 @@ def test_png_bytes_match_the_row_loop_framing(h, w, seed, flat, strided):
     if strided:  # a view that is not C-contiguous
         img = np.repeat(img, 2, axis=1)[:, ::2]
     assert encode_png(img) == _row_loop_png(img)
+
+
+def test_png_encode_holds_one_scanline_buffer():
+    # the scanlines are filled without a zero-fill and deflated through the
+    # buffer protocol: no second, bytes copy of them (2.17 frames before)
+    img = np.zeros((576, 1024, 3), dtype=np.uint8)
+    img[::8] = 200
+    tracemalloc.start()
+    try:
+        encode_png(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * img.nbytes
 
 
 def test_png_rejects_garbage():
@@ -259,3 +280,93 @@ def test_read_index_refuses_a_malformed_file(tmp_path, text, message):
     (tmp_path / "index.json").write_text(text)
     with pytest.raises(ManifestError, match=message):
         read_index(tmp_path)
+
+
+_REMOVED = object()
+# one field changed to a wrong type, NaN, +-inf, 0, a negative, a
+# non-integer float or a bool, or removed
+_FIELD_VALUES = st.one_of(
+    st.sampled_from([_REMOVED, None, "a", [], [3], [0.5, 2.0], {}, {"a": 1}, math.nan,
+                     math.inf, -math.inf, 0, 0.0, -1, -2.5, 0.5, 3.0, 20.5, True, False]),
+    st.integers(-5, 25),
+    st.floats(-5.0, 25.0).filter(lambda x: not x.is_integer()),
+)
+
+
+def _paths(value, path=()) -> list[tuple]:
+    """The path of every field and list element under ``value``."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    return [p for key, item in items for p in [(*path, key), *_paths(item, (*path, key))]]
+
+
+def _changed(document, path, value):
+    """A copy of a JSON document with the field at ``path`` set to
+    ``value``, or removed."""
+    copy = json.loads(json.dumps(document))
+    *parents, key = path
+    holder = copy
+    for parent in parents:
+        holder = holder[parent]
+    if value is _REMOVED:
+        del holder[key]
+    else:
+        holder[key] = value
+    return copy
+
+
+def _written_manifest() -> dict:
+    seq = _toy_sequence()
+    for i, frame in enumerate(seq.frames):
+        frame.image_path = f"{seq.sequence_id}/frame_{i}.png"
+    seq.label.alpha_by_gap = {1: 0.972, 5: 0.875}
+    return json.loads(json.dumps(sequence_to_manifest(seq)))
+
+
+_MANIFEST = _written_manifest()
+
+
+def _manifest_field_name(path: tuple) -> str:
+    """How an error names the field at ``path``: the frames, or one of them,
+    as ``frame``, a frame's fields as ``frame <key>``, a label's as
+    ``label <key>``, anything deeper by the field that holds it."""
+    if path[0] == "frames":
+        return "frame" if len(path) <= 2 else f"frame {path[2]}"
+    if path[0] == "label" and len(path) > 1:
+        return f"label {path[1]}"
+    return path[0]
+
+
+@settings(max_examples=500, deadline=None)
+@given(path=st.sampled_from(_paths(_MANIFEST)), value=_FIELD_VALUES)
+def test_a_changed_manifest_field_is_read_or_refused_by_name(path, value):
+    # sequence_from_manifest returns a Sequence, or raises ManifestError
+    # naming the field, nothing else
+    try:
+        seq = sequence_from_manifest(_changed(_MANIFEST, path, value))
+    except ManifestError as exc:
+        assert _manifest_field_name(path) in str(exc), (path, str(exc))
+    else:
+        assert isinstance(seq, Sequence)
+
+
+_INDEX = {"config_hash": "cafe", "count": 2, "sequences": ["t1v00001k0", "t1v00002k0"]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=st.sampled_from(_paths(_INDEX)), value=_FIELD_VALUES)
+def test_a_changed_index_field_is_read_or_refused_by_name(path, value):
+    # read_index returns the index, or raises ManifestError naming the
+    # field, nothing else
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "index.json").write_text(json.dumps(_changed(_INDEX, path, value)))
+        try:
+            index = read_index(Path(tmp))
+        except ManifestError as exc:
+            assert f"index field {path[0]} " in str(exc), (path, str(exc))
+        else:
+            assert isinstance(index, dict)

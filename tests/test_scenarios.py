@@ -1,15 +1,20 @@
 """Kinematic scenario engine: hand-checked closed-form trajectories."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from ttckit.errors import DomainError
 from ttckit.scenarios import (
+    BUILTIN_TEMPLATES,
+    TEMPLATE_IDS,
     Phase,
     ScenarioScript,
-    builtin_scripts,
     constant_velocity_script,
     run_script,
     simulate_script,
+    template_expansion,
 )
 
 KMH = 1.0 / 3.6
@@ -98,17 +103,50 @@ def test_depth_ratio_composes_multiplicatively():
         assert a02 == pytest.approx(a01 * a12, rel=1e-12)
 
 
+def _expansion(templates=TEMPLATE_IDS) -> list[ScenarioScript]:
+    """Every variant of ``templates``, built one by one from the grids, in
+    script_id order."""
+    return [grid.script(i, first + i) for grid, first in template_expansion(templates)
+            for i in range(len(grid))]
+
+
+# sha256 of repr() of the list of every variant of the selected templates,
+# as nested loops over each template's axes built it before the templates
+# became indexable grids
+_LOOP_EXPANSION_SHA256 = {
+    TEMPLATE_IDS: "4eb811e1c203582fdabb35cd174e7b8291a063e0840d91c13fd8db1f673f42b9",
+    (1,): "d0f646ea5f51bcf0e854b045d1cea50cc60e6ca5777917693beb428ad842097f",
+    (2,): "207ce6da68b5609655039631aa74bc53eda32097fff6478b60e5e65db25520fa",
+    (3,): "40fa25e5dacac878b31f6fd166d74f36e4872c4353888ca40575c6d04551b4a8",
+    (4,): "3f798b12f77f28322f1108fdba1c1409f7bdddd6635d324af13e39d29ae61f52",
+    (5,): "353157261632ccaf805337b7cc8339fe0fed11f6c9fcd8430451de72fcbc5a2c",
+    (6,): "cfe1f09f3dae03902999b0f18a96cd2dfb78edbd4bd8bda4676b38f7df2b83a0",
+    (2, 4): "a4134e4eb7c7afee88b273ca024bcec2d2847de3d66bcad91d10f3978bb771a5",
+    (1, 1, 3): "7a5bcc5df49e195ec1f32e3d8455cfd49c674bbfe05f3b14d881de28e6a20e19",
+}
+
+
+@pytest.mark.parametrize("templates", list(_LOOP_EXPANSION_SHA256), ids=str)
+def test_template_grids_rebuild_the_loop_expansion(templates):
+    # every field of every variant, script_id included, in the same order:
+    # the script_ids name sequences and seed textures, so a changed one
+    # changes the dataset bytes
+    digest = hashlib.sha256(repr(_expansion(templates)).encode()).hexdigest()
+    assert digest == _LOOP_EXPANSION_SHA256[templates]
+
+
 def test_builtin_scripts_expansion():
-    scripts = builtin_scripts()
-    assert len(scripts) > 3000
+    scripts = _expansion()
+    assert len(scripts) == 3218
     ids = [s.script_id for s in scripts]
-    assert ids == sorted(set(ids))  # unique, ascending
+    assert ids == list(range(1, len(scripts) + 1))  # unique, ascending
     per_template = {t: 0 for t in range(1, 7)}
     for s in scripts:
         per_template[s.template] += 1
     assert per_template[1] == 3
     assert per_template[2] == 3 * 9
     assert per_template[4] == 2
+    assert per_template == {t: len(grid) for t, grid in BUILTIN_TEMPLATES.items()}
     # spot-simulate a deterministic subset; depths stay positive up to t_end
     for s in scripts[:: max(1, len(scripts) // 40)]:
         traj = simulate_script(s, horizon=10.0)
@@ -119,6 +157,17 @@ def test_builtin_scripts_expansion():
 
 
 def test_builtin_scripts_template_filter():
-    only_two = builtin_scripts(templates=[2])
+    only_two = _expansion(templates=[2])
     assert {s.template for s in only_two} == {2}
     assert len(only_two) == 27
+    assert [s.script_id for s in only_two] == list(range(1, 28))
+    # a template's variants are numbered after those of the templates before it
+    assert [(grid.template, first) for grid, first in template_expansion([4, 2, 4])] == [
+        (2, 1), (4, 28)]
+
+
+@pytest.mark.parametrize("variant", [-1, 27])
+def test_a_template_refuses_a_variant_outside_its_grid(variant):
+    # a negative index would otherwise wrap around like a list's
+    with pytest.raises(DomainError, match="template 2 has 27 variants"):
+        BUILTIN_TEMPLATES[2].script(variant, 1)

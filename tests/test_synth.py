@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ttckit.boxes import box_drop_reason
 from ttckit.errors import DomainError, SequenceInvalidError
-from ttckit.scenarios import builtin_scripts, constant_velocity_script, simulate_script
+from ttckit.scenarios import BUILTIN_TEMPLATES, constant_velocity_script, simulate_script
 from ttckit.suites import textured_background
 from ttckit.synth import (
     CameraModel,
@@ -300,7 +300,6 @@ def test_render_refuses_a_supersample_factor_that_is_not_a_positive_integer(supe
 
 
 _WINDOW_CAMERA = CameraModel(800.0, width=320, height=192)
-_SCRIPTS_BY_TEMPLATE = {t: builtin_scripts([t]) for t in range(1, 7)}
 
 
 @settings(max_examples=100, deadline=None)
@@ -314,8 +313,8 @@ _SCRIPTS_BY_TEMPLATE = {t: builtin_scripts([t]) for t in range(1, 7)}
 def test_window_drop_reason_decides_generation(template, variant, start, lateral, size):
     # the one rule: a window renders exactly when window_drop_reason passes
     # it, and a dropped window raises that reason before rendering a frame
-    scripts = _SCRIPTS_BY_TEMPLATE[template]
-    script = scripts[variant % len(scripts)]
+    grid = BUILTIN_TEMPLATES[template]
+    script = grid.script(variant % len(grid), 1 + variant % len(grid))
     target = PlanarTarget(size, size, noise_texture(3, size=16), lateral_offset_x=lateral)
     traj = simulate_script(script, 14.0)
     reason = window_drop_reason(traj, _WINDOW_CAMERA, target, start, 10.0, 6)
