@@ -31,14 +31,13 @@ print(f"\npixel MSE estimate: alpha {est.alpha_hat:.5f}, tau {est.tau_hat:.3f} s
 # the search finishes exactly only the bins a cheap lower bound cannot
 # rule out of the top-3; the others keep that bound, marked with ≥
 exact = est.profile.exact
-n_exact = cfg.n_bins if exact is None else int(exact.sum())
-print(f"{n_exact} of {cfg.n_bins} bins scored exactly, the rest bounded from below")
+print(f"{int(exact.sum())} of {cfg.n_bins} bins scored exactly, the rest bounded from below")
 print("similarity valley around the truth (MSE per bin, lower = better):")
 bins = cfg.bins()
 best = int(np.argmin(est.profile.scores))
 for i in range(max(0, best - 3), min(cfg.n_bins, best + 4)):
     marker = " <- best" if i == best else ""
-    sign = "≥" if exact is not None and not exact[i] else " "
+    sign = " " if exact[i] else "≥"
     print(f"  alpha {bins[i]:.4f}  mse {sign}{est.profile.scores[i]:.6f}{marker}")
 
 print("\n=== estimator comparison ===")

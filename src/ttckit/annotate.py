@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_VELOCITY_EPS,
-    ttc_from_depth_velocity,
-    ttc_interval,
-)
+from .core import DEFAULT_VELOCITY_EPS, ttc_from_depth_velocity
 from .errors import DomainError, FitFailedError
 from .manifest import Sequence, SequenceLabel
 
@@ -164,10 +160,6 @@ class TtcLabel:
     velocity_mps: float
     depth_m: float
     accelerating: bool = False
-
-    @property
-    def interval(self):
-        return ttc_interval(self.tau_s)
 
 
 def ttc_label(depth_m: float, velocity_mps: float, q_used: int = 10) -> TtcLabel:

@@ -49,9 +49,6 @@ class BoundingBox:
     def area(self) -> float:
         return self.w * self.h
 
-    def shifted(self, dx: float, dy: float) -> "BoundingBox":
-        return BoundingBox(self.cx + dx, self.cy + dy, self.w, self.h)
-
     def inside_image(self, width: float, height: float) -> bool:
         return self.x0 >= 0 and self.y0 >= 0 and self.x1 <= width and self.y1 <= height
 

@@ -50,12 +50,10 @@ from .evaluation import (
 from .annotate import annotate_sequence
 from .learn import load_head, save_weights, train_loop, write_loss_curve
 from .manifest import (
-    canonical_json_bytes,
     load_dataset,
     read_dataset_sequence,
     read_index,
     read_sequence_dir,
-    sequence_to_manifest,
     write_frame,
     write_index,
     write_manifest,
@@ -215,9 +213,7 @@ def cmd_annotate(args, pool) -> int:
         seq.label = new_label
         if old_tau is not None:
             deltas.append(abs(new_label.tau_s - old_tau))
-        (dataset_dir / seq_id / "manifest.json").write_bytes(
-            canonical_json_bytes(sequence_to_manifest(seq))
-        )
+        write_manifest(seq, dataset_dir)
     write_index(dataset_dir, list(index["sequences"]), index["config_hash"],
                 extra={"annotated": True})
     worst = max(deltas) if deltas else 0.0
@@ -259,12 +255,11 @@ def cmd_estimate(args, pool) -> int:
         scores = est.profile.scores
         # exact scores only, in the stable order both estimators fuse by: a
         # bin the pixel search pruned holds just a lower bound on its MSE
-        if est.profile.exact is None:
-            exact = np.arange(len(scores))
-            print("top bins:")
-        else:
-            exact = np.flatnonzero(est.profile.exact)
+        exact = np.flatnonzero(est.profile.exact)
+        if len(exact) < len(scores):
             print(f"top bins: (the {len(exact)} of {len(scores)} scored exactly)")
+        else:
+            print("top bins:")
         keys = scores[exact] if est.profile.semantics == "mse" else -scores[exact]
         order = exact[np.argsort(keys, kind="stable")][:5]
         bins = search.bins()

@@ -166,10 +166,10 @@ class SimilarityProfile:
     """Per-bin scores before fusion; lower is better for 'mse' semantics,
     higher for 'logit'.
 
-    ``exact`` is None when every entry is the bin's exact score, as in the
-    feature search.  The pixel search finishes exactly only the bins that
-    can still reach its top-k; it marks the others False, and their
-    entries are proven lower bounds on their best MSE, each with the
+    ``exact`` marks True each bin whose entry is its exact score: every
+    bin of the feature search.  The pixel search finishes exactly only the
+    bins that can still reach its top-k; it marks the others False, and
+    their entries are proven lower bounds on their best MSE, each with the
     shift of its smallest partial sum over a sample subset (the bound
     pass and its rounding margin are derived in ``_pixel_mse_bounds``).
     Every bound is strictly above the top_k-th exact MSE, so the top-k,
@@ -179,7 +179,7 @@ class SimilarityProfile:
     scores: np.ndarray  # (n_bins,)
     semantics: str  # "mse" | "logit"
     best_shift: np.ndarray  # (n_bins, 2) int offsets (dx, dy)
-    exact: np.ndarray | None = None  # (n_bins,) bool, or None: all exact
+    exact: np.ndarray  # (n_bins,) bool
 
 
 @dataclass
@@ -244,7 +244,8 @@ def _finish(
 
 
 def _gray(image: np.ndarray) -> np.ndarray:
-    """The channel mean in float64, equal to ``mean(axis=2)`` bit for bit.
+    """The channel mean of an (H, W, C) raster in float64, equal to
+    ``mean(axis=2)`` bit for bit; any other shape is a ``DomainError``.
 
     The channels are added in order into one float64 copy of the first,
     then divided by their count: the sum and division ``mean`` makes for
@@ -253,7 +254,7 @@ def _gray(image: np.ndarray) -> np.ndarray:
     """
     img = np.asarray(image)
     if img.ndim != 3:
-        return np.asarray(img, dtype=np.float64)
+        raise DomainError(f"a frame raster must be (H, W, C), got shape {img.shape}")
     gray = img[..., 0].astype(np.float64)
     for channel in range(1, img.shape[2]):
         gray += img[..., channel]
@@ -405,40 +406,11 @@ def _shift_sq_sums(ref_gray, tgt_crop, ys, xs, c, pool) -> np.ndarray:
     return per_shift.reshape(n, n_side, n_side).transpose(0, 2, 1).reshape(n, -1)
 
 
-def _pixel_mse_scores(
-    ref_gray: np.ndarray,
-    tgt_crop: np.ndarray,
-    center: tuple[float, float],
-    b1: BoundingBox,
-    cfg: ScaleSearchConfig,
-    pool: Executor | None,
-    bins: np.ndarray | None = None,
-    positions: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """MSE of every (scale bin, center shift) candidate against the target crop.
-
-    Returns (mse (n_bins, n_offsets), offsets) with offsets lexicographic
-    in (dx, dy); only the rows of the bin indices ``bins``, in that
-    order, if given.  The bins are scored in two halves at once
-    (``_shift_sq_sums``), the second on ``pool``'s one worker.  A bin's
-    MSEs do not depend on which other bins are scored with it.
-    ``positions`` is every bin's ``_bin_positions``, if the caller has
-    them already.
-    """
-    out_h, out_w = tgt_crop.shape
-    ys, xs = positions or _bin_positions(crop_positions, center, b1, cfg, out_w, out_h)
-    if bins is not None:
-        ys, xs = ys[bins], xs[bins]
-    sums = _shift_sq_sums(ref_gray, tgt_crop, ys, xs, cfg.shift_c, pool)
-    # np.mean is the sum over the count
-    sums /= out_h * out_w
-    return sums, shift_offsets(cfg.shift_c)
-
-
-def _pixel_mse_bounds(ref_gray, tgt_crop, center, b1, cfg, pool, positions=None):
+def _pixel_mse_bounds(ref_gray, tgt_crop, positions, cfg, pool):
     """A proven lower bound on every bin's best MSE, and the shift giving it.
 
-    The bound pass samples each bin's shifted candidates only at every
+    ``positions`` is every bin's ``_bin_positions``.  The bound pass
+    samples each bin's shifted candidates only at every
     ``_BOUND_STRIDE``-th row and column of the target crop, through the
     same scorer, and keeps each bin's smallest partial sum over its
     shifts.  The m sampled squared differences of a shift are, bit for
@@ -456,14 +428,11 @@ def _pixel_mse_bounds(ref_gray, tgt_crop, center, b1, cfg, pool, positions=None)
     true for n >= 2 (a crop is at least 2 x 2 samples), and the higher
     terms stay below that slack while n u <= 2^-5 (checked in exact
     rationals for small n and at powers of two up to 2^48).
-
-    ``positions`` is every bin's ``_bin_positions``, if the caller has
-    them already.
     """
     out_h, out_w = tgt_crop.shape
     n = out_h * out_w
     s = _BOUND_STRIDE
-    ys, xs = positions or _bin_positions(crop_positions, center, b1, cfg, out_w, out_h)
+    ys, xs = positions
     partial = _shift_sq_sums(ref_gray, tgt_crop[::s, ::s], ys[:, ::s], xs[:, ::s], cfg.shift_c, pool)
     shift_idx = np.argmin(partial, axis=1)
     bounds = partial[np.arange(cfg.n_bins), shift_idx] / n
@@ -492,7 +461,7 @@ def _pruned_pixel_search(ref_gray, tgt_crop, center, b1, cfg, pool):
     are computed once, for both passes.  A bound pass gives every bin a
     lower bound on its best MSE (``_pixel_mse_bounds``).  The exact pass
     scores the ``top_k`` (rounded up to even, so both threads work) bins
-    of lowest bound with ``_pixel_mse_scores``, then, in one more call,
+    of lowest bound with ``_shift_sq_sums``, then, in one more call,
     every other bin whose bound is at most the top_k-th exact MSE so far;
     that threshold only falls, so each bin left has a bound strictly
     above the final top_k-th exact MSE, and so has its true best MSE: it
@@ -502,14 +471,16 @@ def _pruned_pixel_search(ref_gray, tgt_crop, center, b1, cfg, pool):
     not flat, every bin is scored exactly, so ``_flat`` sees true MSEs.
     """
     out_h, out_w = tgt_crop.shape
-    positions = _bin_positions(crop_positions, center, b1, cfg, out_w, out_h)
-    bounds, shift_idx = _pixel_mse_bounds(ref_gray, tgt_crop, center, b1, cfg, pool, positions)
+    ys, xs = _bin_positions(crop_positions, center, b1, cfg, out_w, out_h)
+    bounds, shift_idx = _pixel_mse_bounds(ref_gray, tgt_crop, (ys, xs), cfg, pool)
     scores = bounds.copy()
     exact = np.zeros(cfg.n_bins, dtype=bool)
 
     def finish(bins: np.ndarray) -> None:
         bins = np.sort(bins)
-        mses, _ = _pixel_mse_scores(ref_gray, tgt_crop, center, b1, cfg, pool, bins, positions)
+        mses = _shift_sq_sums(ref_gray, tgt_crop, ys[bins], xs[bins], cfg.shift_c, pool)
+        # np.mean is the sum over the count
+        mses /= out_h * out_w
         best_idx = np.argmin(mses, axis=1)
         scores[bins] = mses[np.arange(len(bins)), best_idx]
         shift_idx[bins] = best_idx
@@ -550,19 +521,18 @@ def pixel_mse_estimate(seq: Sequence, cfg: ScaleSearchConfig, pool=None) -> TtcE
     best, shift_idx, exact = _pruned_pixel_search(
         ref_gray, tgt_crop, (ref.box.cx, ref.box.cy), b1, cfg, pool
     )
-    all_exact = bool(exact.all())
     profile = SimilarityProfile(
         scores=best,
         semantics="mse",
         best_shift=shift_offsets(cfg.shift_c)[shift_idx],
-        exact=None if all_exact else exact,
+        exact=exact,
     )
     # the stable top-k are exact bins: every bound is above the k-th exact MSE
     order = np.argsort(best, kind="stable")[: cfg.top_k]
     weights = 1.0 / (best[order] + _MSE_EPS)
     alpha = float(np.sum(weights * cfg.bins()[order]) / np.sum(weights))
     # with a bound left, _pruned_pixel_search proved the profile not flat
-    flat = all_exact and _flat(best)
+    flat = bool(exact.all()) and _flat(best)
     return _finish(alpha, cfg, seq.fps, gap, profile, "pixel_mse", flat)
 
 
@@ -575,11 +545,10 @@ def candidate_patches_by_bin(
     center: tuple[float, float],
     b1: BoundingBox,
     cfg: FeatureSearchConfig,
-    bins: slice = slice(None),
+    bins: slice,
 ) -> Iterator[Iterator[np.ndarray]]:
     """Every (scale bin, center shift) candidate patch of the reference
-    feature map, one scale bin at a time, in bin order; only the bins in
-    ``bins``, if given.
+    feature map in ``bins``, one scale bin at a time, in bin order.
 
     Each bin comes as an iterator over its 2c+1 dy row groups, in dy
     order, which the caller must read before the next bin.  Group dy is
@@ -811,7 +780,8 @@ def feature_scale_estimate(
     scores = pooled_cosine_scores(f0, f1, center, box, cfg, [IDENTITY_DRAW], pool)[0]
     logits, best_idx = head_logits(scores, fc_weight, fc_bias)
     profile = SimilarityProfile(
-        scores=logits, semantics="logit", best_shift=shift_offsets(cfg.shift_c)[best_idx]
+        scores=logits, semantics="logit", best_shift=shift_offsets(cfg.shift_c)[best_idx],
+        exact=np.ones(cfg.n_bins, dtype=bool),
     )
     return _finish(fuse_logits(logits, cfg), cfg, seq.fps, cfg.frame_gap, profile,
                    "feature_scale", _flat(logits))

@@ -310,7 +310,8 @@ def write_sequence_dir(seq: Sequence, dataset_dir: Path) -> Path:
 
 
 def read_sequence_dir(seq_dir: Path) -> Sequence:
-    """Read a sequence manifest; frame rasters load lazily."""
+    """Read a sequence manifest, whose ``sequence_id`` must be its
+    directory's name; frame rasters load lazily."""
     path = Path(seq_dir) / "manifest.json"
     if not path.is_file():
         raise ManifestError(f"no manifest.json under {seq_dir}")
@@ -318,7 +319,11 @@ def read_sequence_dir(seq_dir: Path) -> Sequence:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {path}") from exc
-    return sequence_from_manifest(data)
+    seq = sequence_from_manifest(data)
+    if seq.sequence_id != path.parent.name:
+        raise ManifestError(f"{path}: sequence_id {seq.sequence_id!r} is not its "
+                            f"directory's name {path.parent.name!r}")
+    return seq
 
 
 def write_index(dataset_dir: Path, sequence_ids: list[str], config_hash: str, extra: dict | None = None) -> None:
@@ -341,9 +346,9 @@ def read_index(dataset_dir: Path) -> dict:
     """Read a dataset's ``index.json``; a malformed index raises
     ``ManifestError`` naming the file and the field.
 
-    ``sequences`` must list directory names directly under the dataset
-    (no separator, no ``..``, not absolute), ``count`` be an integer and
-    ``config_hash`` a string.
+    ``sequences`` must list distinct directory names directly under the
+    dataset (no separator, no ``..``, not absolute), ``count`` be their
+    number and ``config_hash`` a string.
     """
     path = Path(dataset_dir) / "index.json"
     if not path.is_file():
@@ -364,6 +369,13 @@ def read_index(dataset_dir: Path) -> dict:
         if not valid(value):
             raise ManifestError(f"{path}: index field {field_name} is missing or "
                                 f"malformed: {value!r}")
+    sequences = index["sequences"]
+    if len(set(sequences)) != len(sequences):
+        repeated = next(name for name in sequences if sequences.count(name) > 1)
+        raise ManifestError(f"{path}: index field sequences lists {repeated!r} more than once")
+    if index["count"] != len(sequences):
+        raise ManifestError(f"{path}: index field count {index['count']!r} is not the "
+                            f"length of index field sequences ({len(sequences)})")
     return index
 
 

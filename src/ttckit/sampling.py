@@ -16,16 +16,16 @@ last samples pinned to the box edges.
 Separable lattices
 ------------------
 Every grid sampled here is separable: its rows depend only on y and its
-columns only on x.  ``bilinear_sample`` recognises one from the coordinate
-shapes, ``ys`` ``(n, 1)`` against ``xs`` ``(1, m)``, and then
-interpolates along x over just the strip of image rows the lattice
-touches (``strip[:, x0] * (1 - fx) + strip[:, x1] * fx``), gathers whole
-interpolated rows and interpolates along y (``rows[y0] * (1 - fy) +
-rows[y1] * fy``).  Each sample sees the same four texels, the same
-products and the same additions in the same order as in the general
-four-corner gather, so the two paths give bit-identical results.  Any
-other coordinate shape takes the general gather; batches of lattices are
-sampled by ``lattice_row_blocks``.
+columns only on x.  ``bilinear_sample`` takes one lattice, ``ys``
+``(n, 1)`` against ``xs`` ``(1, m)``, and refuses any other coordinate
+shape.  It interpolates along x over just the strip of image rows the
+lattice touches (``strip[:, x0] * (1 - fx) + strip[:, x1] * fx``),
+gathers whole interpolated rows and interpolates along y (``rows[y0] *
+(1 - fy) + rows[y1] * fy``).  Each sample sees the same four texels, the
+same products and the same additions in the same order as a four-corner
+gather at that point, so the two give bit-identical results; the tests
+keep that gather as their reference (``tests/feature_reference.py``).
+Batches of lattices are sampled by ``lattice_row_blocks``.
 
 Row blocks
 ----------
@@ -35,7 +35,7 @@ the lattice in ``n`` equal blocks of consecutive rows, each computed only
 when it is asked for; a caller that reduces each block as it comes never
 holds the whole lattice, and a block small enough stays in cache.  The
 blocks concatenate to the whole lattice bit for bit, and
-``bilinear_sample``'s lattice path is the one-block case.  A batch of
+``bilinear_sample`` is the one-block case.  A batch of
 lattices asked in one block each comes back in ``(g, N, M)`` blocks of
 g consecutive lattices, as many as fit in ``_GROUP_VALUES`` (40,000)
 values: the group shares one strip of image rows, interpolated along x
@@ -204,27 +204,19 @@ def lattice_row_blocks(
 
 
 def bilinear_sample(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Sample an (H, W) or (H, W, C) array at float texel coords, edge-clamped.
+    """Sample an (H, W) or (H, W, C) array on one lattice, edge-clamped.
 
-    ``ys`` and ``xs`` must broadcast against each other; the output has
-    their broadcast shape (plus the channel axis, if any).  One lattice,
-    ``ys`` of shape ``(n, 1)`` and ``xs`` of shape ``(1, m)``, takes the
-    separable path (see the module docstring); any other shape takes the
-    four-corner gather.
+    ``ys`` is ``(n, 1)`` and ``xs`` ``(1, m)``, both non-empty; the output
+    is ``(n, m)`` (plus the channel axis, if any), sampled as one block of
+    ``lattice_row_blocks`` (see the module docstring).  Any other shape is
+    a ``DomainError``.
     """
     ys = np.asarray(ys, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
-    if ys.ndim == xs.ndim == 2 and ys.shape[1] == xs.shape[0] == 1 and ys.size and xs.size:
-        return next(lattice_row_blocks(image, ys[:, 0], xs[0], 1))
-    h, w = image.shape[:2]
-    y0, y1, fy = _corners(np.clip(ys, 0.0, h - 1.0), h)
-    x0, x1, fx = _corners(np.clip(xs, 0.0, w - 1.0), w)
-    if image.ndim == 3:
-        fy = fy[..., None]
-        fx = fx[..., None]
-    top = image[y0, x0] * (1.0 - fx) + image[y0, x1] * fx
-    bot = image[y1, x0] * (1.0 - fx) + image[y1, x1] * fx
-    return top * (1.0 - fy) + bot * fy
+    if not (ys.ndim == xs.ndim == 2 and ys.shape[1] == xs.shape[0] == 1 and ys.size and xs.size):
+        raise DomainError(f"bilinear_sample takes one non-empty lattice, ys (n, 1) against "
+                          f"xs (1, m), got {ys.shape} and {xs.shape}")
+    return next(lattice_row_blocks(image, ys[:, 0], xs[0], 1))
 
 
 def crop_positions(

@@ -36,6 +36,8 @@ from .scenarios import ScenarioScript, Trajectory, constant_velocity_script, sim
 # texture samples in one row block of a frame's supersampled lattice
 # (render_frame); each sample holds three float64 channel values
 _BLOCK_SAMPLES = 20_000
+# texture samples per pixel along each axis (render_frame)
+_SUPERSAMPLE = 3
 
 # depth samples, one frame interval apart and ending at the window's last
 # frame, that a sequence keeps as the history ``annotate`` fits velocity on
@@ -150,8 +152,7 @@ def projected_box(
     return BoundingBox(u, v, w, h)
 
 
-def supersample_mean(dense: np.ndarray, supersample: int,
-                     out: np.ndarray | None = None) -> np.ndarray:
+def supersample_mean(dense: np.ndarray, supersample: int, out: np.ndarray) -> np.ndarray:
     """Average the ``supersample x supersample`` samples of each pixel of a
     plane-major (H*s, s*W, 3) lattice.
 
@@ -165,15 +166,12 @@ def supersample_mean(dense: np.ndarray, supersample: int,
     then column offset, divided once), but each addition runs over a whole
     plane instead of an inner loop ``supersample`` elements long.  (With a
     single channel numpy orders its additions differently, so the equality
-    holds for RGB only.)  The (H, W, 3) result goes into ``out`` when one
-    is given.
+    holds for RGB only.)  The (H, W, 3) result goes into ``out``, which is
+    returned.
     """
     s = supersample
     planes = dense.reshape(dense.shape[0] // s, s, s, dense.shape[1] // s, 3)
-    if out is None:
-        out = planes[:, 0, 0].copy()
-    else:
-        np.copyto(out, planes[:, 0, 0])
+    np.copyto(out, planes[:, 0, 0])
     for k in range(1, s * s):
         out += planes[:, k // s, k % s]
     out /= s * s
@@ -198,7 +196,6 @@ def render_frame(
     noise: NoiseModel | None = None,
     rng: np.random.Generator | None = None,
     background: float | np.ndarray = 0.08,
-    supersample: int = 3,
 ) -> FrameSample:
     """Render one frame and its exact projected box.
 
@@ -212,8 +209,8 @@ def render_frame(
     otherwise), and only the pixels the box covers are pasted and
     finished.
 
-    Each covered pixel averages a ``supersample x supersample`` grid of
-    bilinear texture samples over its footprint; plain point sampling
+    Each covered pixel averages a ``_SUPERSAMPLE x _SUPERSAMPLE`` (3 x 3)
+    grid of bilinear texture samples over its footprint; plain point sampling
     aliases badly once the texture is minified a few times, which would
     leak a scale-dependent bias into anything matched against the render.
     The average is ``supersample_mean``: numpy's mean over the two sample
@@ -227,7 +224,6 @@ def render_frame(
     and each block is averaged as it comes, so a large box never holds its
     whole dense lattice.
     """
-    check_int("supersample", supersample, 1)
     exact_box = projected_box(camera, target, depth_m, lateral_x)
     u, v, w, h = exact_box.cx, exact_box.cy, exact_box.w, exact_box.h
     shape = (camera.height, camera.width, 3)
@@ -258,18 +254,19 @@ def render_frame(
             0.0, 1.0,
         )
         coverage = (cov_y[:, None] * cov_x[None, :])[:, :, None]
-        sub = (np.arange(supersample) + 0.5) / supersample  # offsets within a pixel
+        ss = _SUPERSAMPLE
+        sub = (np.arange(ss) + 0.5) / ss  # offsets within a pixel
         cols = (sub[:, None] + cols_i[None, :]).reshape(-1)  # plane-major
         rows = (rows_i[:, None] + sub[None, :]).reshape(-1)
         tx = (cols - exact_box.x0) / w * tw - 0.5
         ty = (rows - exact_box.y0) / h * th - 0.5
         n_rows = rows_i.size
-        n_blocks = -(-n_rows * supersample * tx.size // _BLOCK_SAMPLES)
+        n_blocks = -(-n_rows * ss * tx.size // _BLOCK_SAMPLES)
         step = -(-n_rows // n_blocks)  # output rows per block
-        ty = np.pad(ty, (0, (n_blocks * step - n_rows) * supersample), mode="edge")
+        ty = np.pad(ty, (0, (n_blocks * step - n_rows) * ss), mode="edge")
         tex_avg = np.empty((n_blocks * step, cols_i.size, 3))
         for k, block in enumerate(lattice_row_blocks(target.texture, ty, tx, n_blocks)):
-            supersample_mean(block, supersample, out=tex_avg[k * step : (k + 1) * step])
+            supersample_mean(block, ss, out=tex_avg[k * step : (k + 1) * step])
         # patch + coverage * (tex_avg - patch), in place
         region = (slice(y_lo, y_hi + 1), slice(x_lo, x_hi + 1))
         patch = np.broadcast_to(background, shape)[region]

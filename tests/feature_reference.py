@@ -1,12 +1,15 @@
-"""Plain references for the feature search's scores and its head's gradient.
+"""Plain references for the sampler, both scale searches and the head's gradient.
 
-``estimate.pooled_cosine_scores`` samples and scores one scale bin at a
-time, in place, on two threads.  These helpers compute the same scores
-the plain way: one candidate box per bin, each (bin, shift) candidate
-patch in its own bilinear call, the inner products as whole arrays, and the augmented
-cosine written out of place.  The tests require the routine to equal
-them bit for bit.  ``finite_diff_gradcheck`` compares the head step's
-analytic gradient with central differences.
+``four_corner_gather`` samples each point from its four corner texels,
+the reference ``sampling.bilinear_sample`` must equal bit for bit.  ``full_lattice_pixel_mse`` and ``full_pixel_search`` score
+every bin of the pixel search in full, the reference its pruned search
+is held to.  ``estimate.pooled_cosine_scores`` samples and scores one
+scale bin at a time, in place, on two threads.  These helpers compute the
+same scores the plain way: one candidate box per bin, each (bin, shift)
+candidate patch in its own bilinear call, the inner products as whole
+arrays, and the augmented cosine written out of place.  The tests
+require the routine to equal them bit for bit.  ``finite_diff_gradcheck``
+compares the head step's analytic gradient with central differences.
 """
 
 from types import SimpleNamespace
@@ -17,7 +20,32 @@ from ttckit.boxes import BoundingBox
 from ttckit.estimate import FeatureSearchConfig
 from ttckit.features import intensity_mask
 from ttckit.learn import head_loss_and_grads
-from ttckit.sampling import bilinear_sample, grid_positions, grid_sample_features, shift_offsets
+from ttckit.sampling import (
+    bilinear_sample,
+    crop_positions,
+    grid_positions,
+    grid_sample_features,
+    shift_offsets,
+)
+
+
+def four_corner_gather(image, ys, xs):
+    """Bilinear samples of an (H, W) or (H, W, C) array at every point of
+    the broadcast ``ys`` and ``xs``, edge-clamped, each from its own four
+    corner texels; the output has their broadcast shape (plus the channel
+    axis, if any)."""
+    h, w = image.shape[:2]
+    ys = np.clip(np.asarray(ys, dtype=np.float64), 0.0, h - 1.0)
+    xs = np.clip(np.asarray(xs, dtype=np.float64), 0.0, w - 1.0)
+    y0, x0 = np.floor(ys).astype(np.intp), np.floor(xs).astype(np.intp)
+    y1, x1 = np.minimum(y0 + 1, h - 1), np.minimum(x0 + 1, w - 1)
+    fy, fx = ys - y0, xs - x0
+    if image.ndim == 3:
+        fy = fy[..., None]
+        fx = fx[..., None]
+    top = image[y0, x0] * (1.0 - fx) + image[y0, x1] * fx
+    bot = image[y1, x0] * (1.0 - fx) + image[y1, x1] * fx
+    return top * (1.0 - fy) + bot * fy
 
 
 def scaled_candidate_boxes(
@@ -40,6 +68,40 @@ def candidate_grid_patches(fmap0, center, b1, cfg):
              for box in scaled_candidate_boxes(center_box, b1, cfg)]
     return np.array([[bilinear_sample(fmap0, (ys + dy)[:, None], (xs + dx)[None, :])
                       for dx, dy in offsets] for ys, xs in grids])
+
+
+def full_lattice_pixel_mse(ref, tgt_crop, center, b1, cfg):
+    """The pixel search over each bin's whole augmented lattice, sampled at once.
+
+    Every (dx, dy) crop of a bin tiles one (2c+1) * out_h by
+    (2c+1) * out_w lattice, reduced over its (row, column) axes in one
+    mean; (n_bins, (2c+1)^2) MSEs, offsets lexicographic in (dx, dy).  The
+    blocked search must equal it bit for bit.
+    """
+    out_h, out_w = tgt_crop.shape
+    c = cfg.shift_c
+    side = np.arange(-c, c + 1, dtype=np.float64)
+    n_side = 2 * c + 1
+    center_box = BoundingBox(center[0], center[1], b1.w, b1.h)
+    mses = np.empty((cfg.n_bins, n_side * n_side))
+    for i, box in enumerate(scaled_candidate_boxes(center_box, b1, cfg)):
+        ys, xs = crop_positions(box, out_w, out_h)
+        lattice_x = (side[:, None] + xs[None, :]).reshape(-1)
+        lattice_y = (side[:, None] + ys[None, :]).reshape(-1)
+        sampled = bilinear_sample(ref, lattice_y[:, None], lattice_x[None, :])
+        diff = sampled.reshape(n_side, out_h, n_side, out_w)
+        np.subtract(diff, tgt_crop[None, :, None, :], out=diff)
+        np.multiply(diff, diff, out=diff)
+        mses[i] = np.mean(diff, axis=(1, 3)).T.reshape(-1)
+    return mses
+
+
+def full_pixel_search(ref_gray, tgt_crop, center, b1, cfg, pool):
+    """``estimate._pruned_pixel_search`` with nothing pruned: every bin's
+    best MSE from ``full_lattice_pixel_mse``, every bin exact."""
+    mses = full_lattice_pixel_mse(ref_gray, tgt_crop, center, b1, cfg)
+    shift_idx = np.argmin(mses, axis=1)
+    return mses[np.arange(cfg.n_bins), shift_idx], shift_idx, np.ones(cfg.n_bins, dtype=bool)
 
 
 def ingredients(f0, f1, center, box, cfg):

@@ -16,7 +16,7 @@ from ttckit.annotate import (
     ttc_label,
     uniform_interval_target,
 )
-from ttckit.core import TtcInterval
+from ttckit.core import TtcInterval, ttc_interval
 from ttckit.errors import DomainError, FitFailedError
 from ttckit.manifest import Sequence, SequenceLabel
 
@@ -183,13 +183,13 @@ def test_ransac_matches_the_one_at_a_time_loop(track_seed, length, q, seed, kind
 
 def test_ttc_label_hand_values():
     assert ttc_label(46.0, 10.0).tau_s == pytest.approx(4.6)
-    assert ttc_label(46.0, 10.0).interval is TtcInterval.SMALL
+    assert ttc_interval(ttc_label(46.0, 10.0).tau_s) is TtcInterval.SMALL
     lab = ttc_label(18.0, 9.0)
     assert lab.tau_s == pytest.approx(2.0)
-    assert lab.interval is TtcInterval.CRUCIAL
+    assert ttc_interval(lab.tau_s) is TtcInterval.CRUCIAL
     lab = ttc_label(30.0, -5.0)
     assert lab.tau_s == pytest.approx(-6.0)
-    assert lab.interval is TtcInterval.NEGATIVE
+    assert ttc_interval(lab.tau_s) is TtcInterval.NEGATIVE
 
 
 def test_arbitrate_constant_velocity():

@@ -1223,6 +1223,78 @@ def test_annotate_refuses_a_malformed_manifest_field(small_dataset, tmp_path, ca
     assert manifest.read_bytes() == before
 
 
+def _command(name, data, cfg_path, tmp_path, seq_id):
+    """argv of ``name`` on the dataset ``data``, writing under ``tmp_path``."""
+    return {
+        "eval": ["eval", "--dataset", str(data), "--estimator", "detection",
+                 "--config", str(cfg_path), "--out", str(tmp_path / "report.json")],
+        "estimate": ["estimate", "--dataset", str(data), "--seq", seq_id,
+                     "--estimator", "detection", "--config", str(cfg_path)],
+        "train": ["train", "--dataset", str(data), "--config", str(cfg_path),
+                  "--out", str(tmp_path / "model")],
+        "annotate": ["annotate", "--dataset", str(data)],
+    }[name]
+
+
+@pytest.mark.parametrize("command", ["eval", "estimate", "train", "annotate"])
+def test_commands_refuse_a_manifest_whose_id_is_not_its_directory(small_dataset, tmp_path, capsys,
+                                                                 command):
+    # one manifest naming the other sequence: eval used to exit 0 with that
+    # id twice in its records
+    _, cfg_path, out = small_dataset
+    data = tmp_path / "data"
+    first, other = sorted(read_index(out)["sequences"])[:2]
+    manifest = _change_first_manifest(out, data, lambda raw: raw.update(sequence_id=other))
+    before = manifest.read_bytes()
+    assert main(_command(command, data, cfg_path, tmp_path, first)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: sequence_id {other!r} is not its directory's name {first!r}\n")
+    assert manifest.read_bytes() == before
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "model").exists()
+
+
+def test_eval_refuses_an_index_that_lists_a_sequence_twice(small_dataset, tmp_path, capsys):
+    # one id twice with count 7 used to exit 0, scoring that sequence twice
+    _, cfg_path, out = small_dataset
+    data = tmp_path / "data"
+    shutil.copytree(out, data)
+    first = read_index(data)["sequences"][0]
+    write_index(data, [first, first], "x", extra={"count": 7})
+    index = json.loads((data / "index.json").read_text())
+    assert index["count"] == 7 and index["sequences"] == [first, first]
+    assert main(_command("eval", data, cfg_path, tmp_path, first)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data / 'index.json'}: index field sequences lists {first!r} more than once\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_annotate_writes_each_manifest_through_write_manifest(small_dataset, tmp_path,
+                                                              monkeypatch):
+    # the manifest writer synth and write_sequence_dir use, once per
+    # sequence, to the bytes of the sequence's canonical manifest
+    import ttckit.cli
+    from ttckit.manifest import canonical_json_bytes, sequence_to_manifest, write_manifest
+
+    _, _, out = small_dataset
+    data = tmp_path / "data"
+    shutil.copytree(out, data)
+    written = []
+
+    def recording_write(seq, dataset_dir):
+        written.append((seq.sequence_id, Path(dataset_dir)))
+        write_manifest(seq, dataset_dir)
+
+    monkeypatch.setattr(ttckit.cli, "write_manifest", recording_write)
+    assert main(["annotate", "--dataset", str(data)]) == 0
+    ids = read_index(data)["sequences"]
+    assert written == [(seq_id, data) for seq_id in ids]
+    for seq_id in ids:
+        manifest = data / seq_id / "manifest.json"
+        seq = read_sequence_dir(data / seq_id)
+        assert "annotated" in seq.label.flags
+        assert manifest.read_bytes() == canonical_json_bytes(sequence_to_manifest(seq))
+
+
 def test_synth_refuses_a_camera_no_window_fits(tmp_path, capsys):
     # no window fits an 8x8 camera; synth used to write an empty dataset
     # (exit 0) that every eval refused

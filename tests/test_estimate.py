@@ -11,6 +11,8 @@ import pytest
 from feature_reference import (
     augmented_scores_out_of_place,
     candidate_grid_patches,
+    full_lattice_pixel_mse,
+    full_pixel_search,
     ingredients,
     scaled_candidate_boxes,
 )
@@ -26,7 +28,6 @@ from ttckit.estimate import (
     IDENTITY_DRAW,
     FeatureSearchConfig,
     ScaleSearchConfig,
-    _pixel_mse_scores,
     alpha_to_10hz,
     candidate_patches_by_bin,
     detection_ratio_estimate,
@@ -42,7 +43,6 @@ from ttckit.evaluation import rte_metric
 from ttckit.features import hand_crafted_features
 from ttckit.manifest import FrameSample, Sequence, load_dataset, write_index, write_sequence_dir
 from ttckit.sampling import (
-    bilinear_sample,
     crop_positions,
     crop_resize,
     grid_positions,
@@ -359,7 +359,7 @@ def test_center_shift_absorbs_box_offset():
     ref = seq.frames[0]
     seq.frames[0] = FrameSample(
         timestamp_s=ref.timestamp_s,
-        box=ref.box.shifted(2.0, -2.0),
+        box=BoundingBox(ref.box.cx + 2.0, ref.box.cy - 2.0, ref.box.w, ref.box.h),
         exact_box=ref.exact_box,
         depth_m=ref.depth_m,
         image=ref.image,
@@ -384,11 +384,24 @@ def _bruteforce_pixel_mse(ref, tgt_crop, center, b1, cfg):
         row = []
         for dx in range(-c, c + 1):
             for dy in range(-c, c + 1):
-                crop = crop_resize(ref, box.shifted(dx, dy), out_w, out_h)
+                shifted = BoundingBox(box.cx + dx, box.cy + dy, box.w, box.h)
+                crop = crop_resize(ref, shifted, out_w, out_h)
                 row.append(np.mean((crop - tgt_crop) ** 2))
         mses.append(row)
     offsets = [(dx, dy) for dx in range(-c, c + 1) for dy in range(-c, c + 1)]
     return np.array(mses), offsets
+
+
+def _all_bin_mses(ref, tgt_crop, center, b1, cfg, pool):
+    """Every (bin, shift) MSE from the pixel search's scorer, offsets
+    lexicographic in (dx, dy): ``_shift_sq_sums`` over every bin's
+    positions, over the crop's sample count, as the search's exact pass
+    scores its bins."""
+    out_h, out_w = tgt_crop.shape
+    ys, xs = estimate._bin_positions(crop_positions, center, b1, cfg, out_w, out_h)
+    mses = estimate._shift_sq_sums(ref, tgt_crop, ys, xs, cfg.shift_c, pool)
+    mses /= out_h * out_w
+    return mses
 
 
 @pytest.mark.parametrize(
@@ -404,9 +417,9 @@ def test_pixel_mse_scores_match_bruteforce_crop_loop(center, b1, pool):
     cfg = ScaleSearchConfig(n_bins=6, shift_c=2, alpha_min=0.8, alpha_max=1.3)
     out_w, out_h = int(round(b1.w)), int(round(b1.h))
     tgt_crop = crop_resize(ref, BoundingBox(center[0] + 1.3, center[1] - 0.6, 18.9, 13.1), out_w, out_h)
-    mses, offsets = _pixel_mse_scores(ref, tgt_crop, center, b1, cfg, pool)
+    mses = _all_bin_mses(ref, tgt_crop, center, b1, cfg, pool)
     want, want_offsets = _bruteforce_pixel_mse(ref, tgt_crop, center, b1, cfg)
-    assert [tuple(o) for o in offsets.tolist()] == want_offsets
+    assert [tuple(o) for o in shift_offsets(cfg.shift_c).tolist()] == want_offsets
     np.testing.assert_allclose(mses, want, rtol=1e-12, atol=0.0)
     assert np.array_equal(np.argmin(mses, axis=1), np.argmin(want, axis=1))
     assert np.argmin(mses) == np.argmin(want)
@@ -422,39 +435,16 @@ def test_pixel_mse_scores_recover_planted_offset(pool):
     b1 = BoundingBox(37.0, 31.0, 16.0, 12.0)
     bin_i, (dx, dy) = 3, (2, -1)
     planted = scaled_candidate_boxes(BoundingBox(*center, b1.w, b1.h), b1, cfg)[bin_i]
-    tgt_crop = crop_resize(ref, planted.shifted(dx, dy), 16, 12)
-    mses, offsets = _pixel_mse_scores(ref, tgt_crop, center, b1, cfg, pool)
+    tgt_crop = crop_resize(ref, BoundingBox(planted.cx + dx, planted.cy + dy, planted.w, planted.h),
+                           16, 12)
+    mses = _all_bin_mses(ref, tgt_crop, center, b1, cfg, pool)
+    offsets = shift_offsets(cfg.shift_c)
     want, _ = _bruteforce_pixel_mse(ref, tgt_crop, center, b1, cfg)
     np.testing.assert_allclose(mses, want, rtol=1e-12, atol=0.0)
     best_bin, best_off = np.unravel_index(np.argmin(mses), mses.shape)
     assert (best_bin, tuple(offsets[best_off])) == (bin_i, (dx, dy))
     assert mses[best_bin, best_off] == 0.0
     assert np.array_equal(np.argmin(mses, axis=1), np.argmin(want, axis=1))
-
-
-def _full_lattice_pixel_mse(ref, tgt_crop, center, b1, cfg):
-    """The search over each bin's whole augmented lattice, sampled at once.
-
-    Every (dx, dy) crop of a bin tiles one (2c+1) * out_h by
-    (2c+1) * out_w lattice, reduced over its (row, column) axes in one
-    mean; kept as the reference the blocked search must equal bit for bit.
-    """
-    out_h, out_w = tgt_crop.shape
-    c = cfg.shift_c
-    side = np.arange(-c, c + 1, dtype=np.float64)
-    n_side = 2 * c + 1
-    center_box = BoundingBox(center[0], center[1], b1.w, b1.h)
-    mses = np.empty((cfg.n_bins, n_side * n_side))
-    for i, box in enumerate(scaled_candidate_boxes(center_box, b1, cfg)):
-        ys, xs = crop_positions(box, out_w, out_h)
-        lattice_x = (side[:, None] + xs[None, :]).reshape(-1)
-        lattice_y = (side[:, None] + ys[None, :]).reshape(-1)
-        sampled = bilinear_sample(ref, lattice_y[:, None], lattice_x[None, :])
-        diff = sampled.reshape(n_side, out_h, n_side, out_w)
-        np.subtract(diff, tgt_crop[None, :, None, :], out=diff)
-        np.multiply(diff, diff, out=diff)
-        mses[i] = np.mean(diff, axis=(1, 3)).T.reshape(-1)
-    return mses
 
 
 @settings(max_examples=60, deadline=None)
@@ -479,9 +469,9 @@ def test_pixel_mse_scores_equal_the_full_lattice_search(pool, data, shift_c, out
         data.draw(st.floats(1.0, 2.0 * h)),
     )
     cfg = ScaleSearchConfig(n_bins=n_bins, top_k=1, shift_c=shift_c, alpha_min=0.7, alpha_max=1.4)
-    mses, offsets = _pixel_mse_scores(ref, tgt_crop, center, b1, cfg, pool)
-    assert offsets.shape == ((2 * shift_c + 1) ** 2, 2)
-    assert np.array_equal(mses, _full_lattice_pixel_mse(ref, tgt_crop, center, b1, cfg))
+    mses = _all_bin_mses(ref, tgt_crop, center, b1, cfg, pool)
+    assert shift_offsets(cfg.shift_c).shape == mses.shape[1:] + (2,) == ((2 * shift_c + 1) ** 2, 2)
+    assert np.array_equal(mses, full_lattice_pixel_mse(ref, tgt_crop, center, b1, cfg))
 
 
 @settings(max_examples=60, deadline=None)
@@ -516,8 +506,8 @@ def test_pixel_mse_scores_equal_the_full_lattice_search_at_any_block_shape(
     center = (cx * w, cy * h)
     b1 = BoundingBox(bx * w, by * h, bw * w, bh * h)
     cfg = ScaleSearchConfig(n_bins=n_bins, top_k=1, shift_c=shift_c, alpha_min=0.7, alpha_max=1.4)
-    mses, _ = _pixel_mse_scores(ref, tgt_crop, center, b1, cfg, pool)
-    assert np.array_equal(mses, _full_lattice_pixel_mse(ref, tgt_crop, center, b1, cfg))
+    mses = _all_bin_mses(ref, tgt_crop, center, b1, cfg, pool)
+    assert np.array_equal(mses, full_lattice_pixel_mse(ref, tgt_crop, center, b1, cfg))
 
 
 @settings(max_examples=150, deadline=None)
@@ -567,8 +557,18 @@ def test_gray_equals_the_float64_channel_mean(dtype):
         got = estimate._gray(img)
         assert got.dtype == np.float64
         assert np.array_equal(got, np.asarray(img, np.float64).mean(axis=2))
+    # a 2-D raster is not a frame: FrameSample.image is (H, W, 3)
     flat = rng.uniform(size=(7, 9)).astype(dtype)
-    assert np.array_equal(estimate._gray(flat), np.asarray(flat, np.float64))
+    with pytest.raises(DomainError, match=r"\(H, W, C\)"):
+        estimate._gray(flat)
+
+
+def test_pixel_mse_refuses_a_two_dimensional_raster():
+    seq = _identity_sequence()
+    for frame in seq.frames:
+        frame.image = frame.image[..., 0]
+    with pytest.raises(DomainError, match=r"\(H, W, C\)"):
+        pixel_mse_estimate(seq, ScaleSearchConfig(shift_c=1))
 
 
 def _bound_pass_inputs():
@@ -577,7 +577,10 @@ def _bound_pass_inputs():
     rng = np.random.default_rng(22)
     ref = rng.uniform(size=(192, 320))
     tgt_crop = rng.uniform(size=(31, 31))
-    return ref, tgt_crop, (160.3, 95.7), BoundingBox(161.0, 96.2, 31.0, 31.0), ScaleSearchConfig()
+    cfg = ScaleSearchConfig()
+    positions = estimate._bin_positions(crop_positions, (160.3, 95.7),
+                                        BoundingBox(161.0, 96.2, 31.0, 31.0), cfg, 31, 31)
+    return ref, tgt_crop, positions, cfg
 
 
 def test_pixel_mse_bounds_equal_one_lattice_sampling(monkeypatch):
@@ -611,12 +614,13 @@ def test_pixel_mse_bounds_equal_one_lattice_sampling(monkeypatch):
 def test_pixel_mse_bound_pass_peak_allocation_is_bounded():
     # the sampler's strip and block buffers are allocated once per call,
     # so one 125-bin bound pass with no pool, one call on this thread,
-    # peaks at about 1.77 MB: the call's three buffers (a strip of at most
+    # peaks at about 1.71 MB: the call's three buffers (a strip of at most
     # 53 rows x 462 columns, a 6 x 77 x 77 block and a right/bottom-term
-    # buffer as large as the block, 0.77 MB), its corners and weights, and
-    # the pass's bin positions.  Allocating the buffers once per block
-    # instead peaks at about 2.46 MB, since each block's new buffers are
-    # allocated while the last block is still held; 1.8 MB lies between
+    # buffer as large as the block, 0.77 MB) and its corners and weights;
+    # the search computes the bin positions before the pass.  Allocating
+    # the buffers once per block instead peaks at about 2.46 MB, since each
+    # block's new buffers are allocated while the last block is still
+    # held; 1.8 MB lies between
     import tracemalloc
 
     inputs = _bound_pass_inputs()
@@ -693,7 +697,7 @@ def test_pixel_mse_error_in_either_half_reaches_the_caller(monkeypatch, pool, ba
     monkeypatch.setattr(estimate, "lattice_row_blocks", failing_blocks)
     threads = threading.active_count()
     with pytest.raises(DomainError) as split:
-        _pixel_mse_scores(ref, tgt_crop, center, b1, cfg, pool)
+        _all_bin_mses(ref, tgt_crop, center, b1, cfg, pool)
     assert type(split.value) is type(serial.value)
     assert str(split.value) == str(serial.value)
     assert threading.active_count() == threads
@@ -718,7 +722,7 @@ def test_pixel_mse_error_in_either_pass_reaches_the_caller(monkeypatch, pool, pa
         ys, xs = ys[:, ::3], xs[:, ::3]
         batch = np.arange(cfg.n_bins)
     else:
-        bounds, _ = estimate._pixel_mse_bounds(ref_gray, tgt_crop, center, b1, cfg, pool)
+        bounds, _ = estimate._pixel_mse_bounds(ref_gray, tgt_crop, (ys, xs), cfg, pool)
         batch = np.sort(np.argsort(bounds, kind="stable")[:4])
     ys, xs = estimate._shift_lattice(ys[batch], 1), estimate._shift_lattice(xs[batch], 1)
     # lattices grow with the bin, and the two passes' lattices differ in height
@@ -742,28 +746,20 @@ def test_pixel_mse_error_in_either_pass_reaches_the_caller(monkeypatch, pool, pa
     assert threading.active_count() == threads
 
 
-def _full_search(ref_gray, tgt_crop, center, b1, cfg, pool):
-    """``_pruned_pixel_search`` with nothing pruned: every bin's best MSE
-    from the whole-lattice reference search."""
-    mses = _full_lattice_pixel_mse(ref_gray, tgt_crop, center, b1, cfg)
-    shift_idx = np.argmin(mses, axis=1)
-    return mses[np.arange(cfg.n_bins), shift_idx], shift_idx, np.ones(cfg.n_bins, dtype=bool)
-
-
 def _assert_pruning_is_exact(seq, cfg):
     """The pruned estimate against the full search: the same fused bits,
     the same exact bins, and bounds at or below the true best MSEs."""
     pruned = pixel_mse_estimate(seq, cfg)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimate, "_pruned_pixel_search", _full_search)
+        mp.setattr(estimate, "_pruned_pixel_search", full_pixel_search)
         full = pixel_mse_estimate(seq, cfg)
     assert (pruned.alpha_hat, pruned.alpha_hat_10hz) == (full.alpha_hat, full.alpha_hat_10hz)
     assert pruned.tau_hat == full.tau_hat
     assert type(pruned.low_confidence) is bool
     assert pruned.low_confidence == full.low_confidence
     got, want = pruned.profile, full.profile
-    exact = np.ones(cfg.n_bins, dtype=bool) if got.exact is None else got.exact
-    assert got.exact is None or not got.exact.all()
+    exact = got.exact
+    assert exact.dtype == bool and exact.shape == (cfg.n_bins,)
     assert np.array_equal(got.scores[exact], want.scores[exact])
     assert np.array_equal(got.best_shift[exact], want.best_shift[exact])
     assert np.all(got.scores[~exact] <= want.scores[~exact])
@@ -771,7 +767,8 @@ def _assert_pruning_is_exact(seq, cfg):
 
 
 def _frames_sequence(images, boxes):
-    frames = [FrameSample(timestamp_s=0.1 * i, box=box, image=image)
+    # each 2-D image as an (H, W, 1) raster, whose gray is the image bit for bit
+    frames = [FrameSample(timestamp_s=0.1 * i, box=box, image=image[..., None])
               for i, (image, box) in enumerate(zip(images, boxes))]
     return Sequence(sequence_id="pr", fps=10.0, frames=frames)
 
@@ -838,7 +835,7 @@ def test_pruned_pixel_search_scores_a_constant_frame_fully():
     img = np.full((40, 60), 0.5)
     box = BoundingBox(30.0, 20.0, 16.0, 12.0)
     est = _assert_pruning_is_exact(_frames_sequence([img] * 6, [box] * 6), ScaleSearchConfig(shift_c=2))
-    assert est.low_confidence and est.profile.exact is None
+    assert est.low_confidence and est.profile.exact.all()
 
 
 def test_pruned_pixel_search_scores_a_near_flat_profile_fully():
@@ -851,12 +848,14 @@ def test_pruned_pixel_search_scores_a_near_flat_profile_fully():
     box = BoundingBox(32.0, 24.0, 20.0, 16.0)
     cfg = ScaleSearchConfig(n_bins=25, shift_c=1, expand_cap=1.0)
     ref_gray, tgt_crop, center, b1, _ = _search_inputs(_frames_sequence([img] * 6, [box] * 6), cfg)
+    out_h, out_w = tgt_crop.shape
+    positions = estimate._bin_positions(crop_positions, center, b1, cfg, out_w, out_h)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        bounds, _ = estimate._pixel_mse_bounds(ref_gray, tgt_crop, center, b1, cfg, pool)
-    full, _, _ = _full_search(ref_gray, tgt_crop, center, b1, cfg, None)
+        bounds, _ = estimate._pixel_mse_bounds(ref_gray, tgt_crop, positions, cfg, pool)
+    full, _, _ = full_pixel_search(ref_gray, tgt_crop, center, b1, cfg, None)
     assert np.sum(bounds > np.sort(full)[cfg.top_k - 1]) > 0
     est = _assert_pruning_is_exact(_frames_sequence([img] * 6, [box] * 6), cfg)
-    assert est.low_confidence and est.profile.exact is None
+    assert est.low_confidence and est.profile.exact.all()
 
 
 def test_pixel_search_finishes_few_bins_on_a_noisy_suite_sequence(monkeypatch):
@@ -866,16 +865,18 @@ def test_pixel_search_finishes_few_bins_on_a_noisy_suite_sequence(monkeypatch):
         1, camera=DEFAULT_SUITE_CAMERA, seed=7, y_last=DEFAULT_SUITE_CAMERA.f * 2.0 / 48.0,
         noise=NoiseModel(box_center_jitter_px=2, box_scale_jitter=0.03, seed=7),
     )
-    real = estimate._pixel_mse_scores
-    scored = []
+    real = estimate._shift_sq_sums
+    calls = []
 
-    def counting_scores(*args, **kwargs):
-        mses, offsets = real(*args, **kwargs)
-        scored.append(len(mses))
-        return mses, offsets
+    def counting_sums(ref_gray, tgt_crop, ys, xs, c, pool):
+        calls.append((tgt_crop.size, len(ys)))
+        return real(ref_gray, tgt_crop, ys, xs, c, pool)
 
-    monkeypatch.setattr(estimate, "_pixel_mse_scores", counting_scores)
+    monkeypatch.setattr(estimate, "_shift_sq_sums", counting_sums)
     est = pixel_mse_estimate(seq, ScaleSearchConfig())
+    # the exact pass scores the whole crop, the bound pass a ninth of it
+    full = max(size for size, _ in calls)
+    scored = [n for size, n in calls if size == full]
     assert sum(scored) == int(est.profile.exact.sum()) < 32
 
 
@@ -889,18 +890,18 @@ def test_concurrent_pixel_searches_equal_the_full_lattice_search():
         (ref, rng.uniform(size=(40, 36)), (50.2, 41.7), BoundingBox(52.0, 44.5, 36.0, 40.0), cfg),
         (ref, rng.uniform(size=(70, 62)), (57.9, 46.3), BoundingBox(55.1, 43.8, 62.0, 70.0), cfg),
     ] * 3
-    want = [_full_lattice_pixel_mse(*case) for case in cases]
+    want = [full_lattice_pixel_mse(*case) for case in cases]
 
     def search(*case):
         with ThreadPoolExecutor(max_workers=1) as own:
-            return _pixel_mse_scores(*case, own)
+            return _all_bin_mses(*case, own)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=3) as pool:
             futures = [pool.submit(search, *case) for case in cases]
-            got = [future.result(timeout=120)[0] for future in futures]
+            got = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -980,7 +981,7 @@ def test_patches_by_bin_are_the_whole_stack_slices(cx, cy, bw, bh, n_bins, shift
     whole = candidate_grid_patches(fmap0, (cx, cy), b1, cfg)
     n_side = 2 * shift_c + 1
     count = 0
-    for i, dy_groups in enumerate(candidate_patches_by_bin(fmap0, (cx, cy), b1, cfg)):
+    for i, dy_groups in enumerate(candidate_patches_by_bin(fmap0, (cx, cy), b1, cfg, slice(None))):
         # bin i's patches by (dx, dy), offsets lexicographic in (dx, dy)
         want = whole[i].reshape((n_side, n_side) + whole.shape[2:])
         groups = 0
@@ -1146,7 +1147,7 @@ def test_feature_score_error_in_either_half_reaches_the_caller(monkeypatch, pool
     real = estimate.candidate_patches_by_bin
     main = threading.get_ident()
 
-    def failing_patches(fmap0, center, b1, cfg, bins=slice(None)):
+    def failing_patches(fmap0, center, b1, cfg, bins):
         side = "caller" if threading.get_ident() == main else "worker"
         if side in failing:
             raise DomainError(f"{side} half from bin {bins.start}")

@@ -635,7 +635,7 @@ def test_pair_scorer_error_in_either_half_reaches_the_caller(monkeypatch, pool, 
     # calling half's
     real = estimate.candidate_patches_by_bin
 
-    def failing_patches(fmap0, center, b1, cfg, bins=slice(None)):
+    def failing_patches(fmap0, center, b1, cfg, bins):
         for i, patches in enumerate(real(fmap0, center, b1, cfg, bins), bins.start or 0):
             if i in bad_bins:
                 raise DomainError(f"bin {i} cannot be sampled")
@@ -644,7 +644,7 @@ def test_pair_scorer_error_in_either_half_reaches_the_caller(monkeypatch, pool, 
     cfg = _cfg(n_bins=6, shift_c=1, target=8)
     f0, f1, center, box = _random_pair()
     with pytest.raises(DomainError) as serial:
-        for _ in failing_patches(f0, center, box, cfg):
+        for _ in failing_patches(f0, center, box, cfg, slice(None)):
             pass
     monkeypatch.setattr(estimate, "candidate_patches_by_bin", failing_patches)
     threads = threading.active_count()

@@ -370,3 +370,31 @@ def test_a_changed_index_field_is_read_or_refused_by_name(path, value):
             assert f"index field {path[0]} " in str(exc), (path, str(exc))
         else:
             assert isinstance(index, dict)
+
+
+@pytest.mark.parametrize("count", [-1, 0, 3])
+def test_read_index_refuses_a_count_that_is_not_the_number_of_sequences(tmp_path, count):
+    # each was read without a word
+    (tmp_path / "index.json").write_text(json.dumps({**_INDEX, "count": count}))
+    with pytest.raises(ManifestError) as exc:
+        read_index(tmp_path)
+    assert str(exc.value) == (f"{tmp_path / 'index.json'}: index field count {count} is not the "
+                              f"length of index field sequences (2)")
+
+
+def test_read_index_refuses_a_repeated_sequence_id(tmp_path):
+    # eval used to score a sequence listed twice twice
+    ids = ["t1v00001k0", "t1v00002k0", "t1v00001k0"]
+    (tmp_path / "index.json").write_text(json.dumps({**_INDEX, "count": 3, "sequences": ids}))
+    with pytest.raises(ManifestError, match="index field sequences lists 't1v00001k0' more than once"):
+        read_index(tmp_path)
+
+
+def test_read_sequence_dir_refuses_a_manifest_named_for_another_directory(tmp_path):
+    seq = _toy_sequence()
+    write_sequence_dir(seq, tmp_path)
+    moved = tmp_path / "other"
+    (tmp_path / seq.sequence_id).rename(moved)
+    with pytest.raises(ManifestError, match=f"sequence_id '{seq.sequence_id}' is not its "
+                                            f"directory's name 'other'"):
+        read_sequence_dir(moved)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from feature_reference import scaled_candidate_boxes
+from feature_reference import four_corner_gather, scaled_candidate_boxes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -27,7 +27,6 @@ def test_bounding_box_basics():
     b = BoundingBox(50.0, 40.0, 20.0, 10.0)
     assert (b.x0, b.y0, b.x1, b.y1) == (40.0, 35.0, 60.0, 45.0)
     assert b.area == 200.0
-    assert b.shifted(2, -1) == BoundingBox(52.0, 39.0, 20.0, 10.0)
     with pytest.raises(DomainError):
         BoundingBox(0, 0, -1, 5)
 
@@ -111,9 +110,23 @@ def test_crop_resize_constant_invariance():
 
 def test_bilinear_sample_matches_manual():
     img = np.arange(12, dtype=float).reshape(3, 4)
-    val = bilinear_sample(img, np.array([0.5]), np.array([1.5]))
+    val = bilinear_sample(img, np.array([[0.5]]), np.array([[1.5]]))
     # corners 1,2,5,6 -> mean = 3.5
-    assert val[0] == pytest.approx(3.5)
+    assert val[0, 0] == pytest.approx(3.5)
+
+
+def test_bilinear_sample_refuses_anything_but_one_nonempty_lattice():
+    img = np.arange(20.0).reshape(4, 5)
+    ys, xs = np.array([0.5, 1.0, 2.5]), np.array([1.5, 3.0])
+    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
+    for bad_ys, bad_xs in [
+        (ys, xs),  # (n,) and (m,)
+        (grid_y, grid_x),  # (n, m) and (n, m)
+        (np.empty((0, 1)), xs[None, :]),  # no rows
+        (ys[:, None], np.empty((1, 0))),  # no columns
+    ]:
+        with pytest.raises(DomainError, match="one non-empty lattice"):
+            bilinear_sample(img, bad_ys, bad_xs)
 
 
 def test_grid_sample_identity():
@@ -148,19 +161,9 @@ def test_shift_offsets_lexicographic():
     ]
 
 
-def _point_reference(image, ys, xs):
-    """The general four-corner gather at every lattice point.
-
-    Coordinates expanded with ``np.broadcast_arrays`` and flattened to 1-D
-    never look like a lattice, so they always take the point path.
-    """
-    yb, xb = np.broadcast_arrays(ys, xs)
-    return bilinear_sample(image, yb.ravel(), xb.ravel()).reshape(yb.shape + image.shape[2:])
-
-
 def _assert_bit_identical(image, ys, xs):
     got = bilinear_sample(image, ys, xs)
-    want = _point_reference(image, ys, xs)
+    want = four_corner_gather(image, ys, xs)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want)
 
@@ -232,7 +235,7 @@ def test_candidate_patch_lattices_bit_identical(cx, cy, bw, bh, n_bins, shift_c,
     # every (bin, shift) lattice in one batch, one block per lattice
     blocks = lattice_row_blocks(fmap, ys.reshape(-1, 5), xs.reshape(-1, 7), 1)
     got = np.concatenate([block.copy() for block in blocks])
-    want = _point_reference(fmap, ys, xs)
+    want = four_corner_gather(fmap, ys, xs)
     assert got.dtype == want.dtype == np.float64
     assert np.array_equal(got.reshape(want.shape), want)
 

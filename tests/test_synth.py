@@ -142,9 +142,9 @@ def test_render_frame_box_is_projected_box():
     assert frame.exact_box == frame.box == projected_box(cam, target, 30.0, 1.2)
 
 
-def _mean_render(camera, target, depth_m, lateral_x, background, supersample,
-                 gain=1.0, bias=0.0):
-    """render_frame as a whole float64 frame, averaging supersamples with .mean(axis=(1, 3)).
+def _mean_render(camera, target, depth_m, lateral_x, background, gain=1.0, bias=0.0):
+    """render_frame as a whole float64 frame, averaging its 3 x 3 supersamples
+    with .mean(axis=(1, 3)).
 
     The texture is pasted over a float64 copy of the background, then
     gain/bias act on the whole frame, which is clamped and cast.
@@ -167,6 +167,7 @@ def _mean_render(camera, target, depth_m, lateral_x, background, supersample,
         cov_x = np.clip(np.minimum(cols_i + 1.0, box.x1) - np.maximum(cols_i, box.x0), 0.0, 1.0)
         cov_y = np.clip(np.minimum(rows_i + 1.0, box.y1) - np.maximum(rows_i, box.y0), 0.0, 1.0)
         coverage = (cov_y[:, None] * cov_x[None, :])[:, :, None]
+        supersample = 3
         sub = (np.arange(supersample) + 0.5) / supersample
         cols = (cols_i[:, None] + sub[None, :]).reshape(-1)
         rows = (rows_i[:, None] + sub[None, :]).reshape(-1)
@@ -183,16 +184,15 @@ def _mean_render(camera, target, depth_m, lateral_x, background, supersample,
     return img.astype(np.float32)
 
 
-def _noisy_render(camera, target, depth, lateral, background, supersample, noisy, seed=0):
+def _noisy_render(camera, target, depth, lateral, background, noisy, seed=0):
     """render_frame and _mean_render of one frame, with the same gain/bias draw."""
     noise = (NoiseModel(box_center_jitter_px=2, box_scale_jitter=0.03,
                         gain_range=(0.7, 1.3), bias_range=(-0.15, 0.15)) if noisy else None)
     rng = np.random.default_rng(seed) if noisy else None
     frame = render_frame(camera, target, depth, lateral, background=background,
-                         supersample=supersample, noise=noise, rng=rng)
+                         noise=noise, rng=rng)
     _, _, _, gain, bias = _frame_noise(noise, np.random.default_rng(seed) if noisy else None)
-    return frame, _mean_render(camera, target, depth, lateral, background, supersample,
-                               gain, bias)
+    return frame, _mean_render(camera, target, depth, lateral, background, gain, bias)
 
 
 @settings(max_examples=100, deadline=None)
@@ -206,7 +206,7 @@ def test_supersample_mean_is_numpys_mean_bit_for_bit(supersample, h, w, seed):
     dense = np.random.default_rng(seed).uniform(0.0, 1.0, (h * s, s * w, 3))
     pixel_major = np.ascontiguousarray(dense.reshape(h, s, s, w, 3).transpose(0, 1, 3, 2, 4))
     want = pixel_major.mean(axis=(1, 3))
-    assert np.array_equal(supersample_mean(dense, s), want)
+    assert np.array_equal(supersample_mean(dense, s, out=np.full_like(want, np.nan)), want)
     out = np.empty_like(want)
     assert supersample_mean(dense, s, out=out) is out
     assert np.array_equal(out, want)
@@ -218,7 +218,6 @@ _TEXTURED = textured_background(_SUITE_CAMERA, 3)
 
 @settings(max_examples=80, deadline=None)
 @given(
-    supersample=st.integers(1, 4),
     camera=st.sampled_from((CameraModel(400.0, width=160, height=96), _SUITE_CAMERA)),
     depth=st.floats(3.0, 60.0),
     lateral=st.floats(-4.0, 4.0),
@@ -228,9 +227,8 @@ _TEXTURED = textured_background(_SUITE_CAMERA, 3)
     noisy=st.booleans(),
     seed=st.integers(0, 1000),
 )
-def test_render_matches_the_mean_of_its_supersamples(supersample, camera, depth, lateral,
-                                                     vertical, texture_seed, background,
-                                                     noisy, seed):
+def test_render_matches_the_mean_of_its_supersamples(camera, depth, lateral, vertical,
+                                                     texture_seed, background, noisy, seed):
     # row blocks averaged in place, and only the box finished, give the
     # bits of a whole-frame render that averages with numpy's mean: for
     # boxes inside the image and boxes running past its border, scalar and
@@ -239,8 +237,7 @@ def test_render_matches_the_mean_of_its_supersamples(supersample, camera, depth,
     if background is None:
         background = textured_background(camera, texture_seed)
     target = PlanarTarget(2.0, 1.5, noise_texture(texture_seed), vertical_offset_z=vertical)
-    frame, want = _noisy_render(camera, target, depth, lateral, background, supersample,
-                                noisy, seed)
+    frame, want = _noisy_render(camera, target, depth, lateral, background, noisy, seed)
     assert frame.image.dtype == np.float32
     assert np.array_equal(frame.image, want)
 
@@ -267,7 +264,7 @@ def test_render_in_row_blocks_matches_the_whole_lattice(monkeypatch, depth, late
 
     monkeypatch.setattr(ttckit.synth, "lattice_row_blocks", recording_blocks)
     target = PlanarTarget(2.0, 1.5, noise_texture(4), vertical_offset_z=0.3)
-    frame, want = _noisy_render(_SUITE_CAMERA, target, depth, lateral, background, 3, noisy)
+    frame, want = _noisy_render(_SUITE_CAMERA, target, depth, lateral, background, noisy)
     ((lattice_rows, n_blocks),) = calls
     assert n_blocks > 1
     assert lattice_rows == 3 * n_blocks * -(-n_rows // n_blocks) > 3 * n_rows
@@ -291,12 +288,6 @@ def test_rendering_a_large_box_holds_no_dense_lattice():
         tracemalloc.stop()
     assert frame.exact_box.w == pytest.approx(192.0)
     assert peak < 0.6 * 576 * 576 * 3 * 8
-
-
-@pytest.mark.parametrize("supersample", [0, -1, 2.0, 2.5, True, "3"])
-def test_render_refuses_a_supersample_factor_that_is_not_a_positive_integer(supersample):
-    with pytest.raises(DomainError, match="supersample"):
-        render_frame(_camera(), _target(), 30.0, supersample=supersample)
 
 
 _WINDOW_CAMERA = CameraModel(800.0, width=320, height=192)
